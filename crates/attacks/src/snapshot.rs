@@ -27,9 +27,11 @@ use polycanary_vm::snapshot::Snapshot;
 
 use crate::victim::{victim_module, Deployment, FrameGeometry, VictimConfig, HIJACK_TARGET};
 
-/// Stack size of fleet victims.  Attack campaigns fork thousands of
-/// workers; a small stack keeps the per-fork memory copy cheap without
-/// affecting any result.
+/// Stack size of fleet victims.  A server copies its stack once, on its
+/// worker's first write; every later connection reforks the reused worker
+/// by copying back only the bytes the previous one wrote, so the stack size
+/// no longer sets the cost of a fork.  A small stack keeps that one copy
+/// and the worker's footprint small without affecting any result.
 pub(crate) const WORKER_STACK_SIZE: u64 = 16 * 1024;
 
 /// The seed-independent part of a [`VictimConfig`]: everything that decides

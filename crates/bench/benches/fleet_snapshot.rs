@@ -1,8 +1,12 @@
-//! Fleet engine — snapshot-boot vs from-scratch victim construction.
+//! Fleet engine — snapshot-boot vs from-scratch victim construction, and
+//! the per-request fork path.
 //!
 //! The whole point of the snapshot layer is that booting the Nth server of
 //! a configuration skips the compile/rewrite pipeline: `restore` should
-//! beat `rebuild` by a wide margin on every deployment vehicle.
+//! beat `rebuild` by a wide margin on every deployment vehicle.  The
+//! `connect` cells time what a byte-by-byte campaign pays per request on a
+//! long-lived server: fork a connection into the reused worker, serve one
+//! benign request, drop the connection.
 
 use std::time::Duration;
 
@@ -36,6 +40,12 @@ fn bench(c: &mut Criterion) {
         let snapshot = VictimSnapshot::build(VictimKey::of(&config));
         group.bench_with_input(BenchmarkId::new("restore", label), &snapshot, |b, snapshot| {
             b.iter(|| ForkingServer::from_snapshot(snapshot, 0xF1EE7))
+        });
+
+        // Per-request fork path: one benign request per connection.
+        let mut server = ForkingServer::from_snapshot(&snapshot, 0xF1EE7);
+        group.bench_function(BenchmarkId::new("connect", label), |b| {
+            b.iter(|| server.connect().send(b"GET / HTTP/1.1"))
         });
     }
     group.finish();

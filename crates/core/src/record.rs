@@ -410,16 +410,38 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of objects and arrays the parser accepts.  The writers
+/// nest a handful of levels; the limit keeps the recursive-descent parser
+/// from overflowing the stack on hostile input, which it rejects with a
+/// [`ParseError`] instead.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 /// Recursive-descent parser over the subset of JSON the writers emit (which
 /// is all of JSON except exotic number forms like leading `+`).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { bytes: input.as_bytes(), pos: 0 }
+        Parser { bytes: input.as_bytes(), pos: 0, depth: 0 }
+    }
+
+    /// Parses one object or array with `parse`, one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -464,8 +486,8 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.parse_record().map(Value::Record),
-            Some(b'[') => self.parse_list(),
+            Some(b'{') => self.nested(|p| p.parse_record().map(Value::Record)),
+            Some(b'[') => self.nested(Self::parse_list),
             Some(b'"') => self.parse_string().map(Value::Str),
             Some(b't') | Some(b'f') => {
                 if self.eat_keyword("true") {
@@ -806,6 +828,23 @@ mod tests {
         assert_eq!(ctx.get("seed"), Some(&Value::UInt(7)));
         let Some(Value::List(records)) = parsed.get("records") else { panic!("records nest") };
         assert_eq!(records.len(), 1);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_parse_error() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::from_json(&nest(MAX_NESTING_DEPTH)).is_ok());
+        let err = Value::from_json(&nest(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too, and a hostile depth fails fast rather than
+        // overflowing the stack.
+        let objects =
+            "{\"a\":".repeat(MAX_NESTING_DEPTH + 1) + "1" + &"}".repeat(MAX_NESTING_DEPTH + 1);
+        assert!(Record::from_json(&objects).is_err());
+        assert!(Record::from_json(&("{\"a\":".to_string() + &nest(200_000) + "}")).is_err());
+        assert!(Value::from_json(&nest(200_000)).is_err());
+        assert!(Record::from_json(&nest(200_000)).is_err());
     }
 
     #[test]

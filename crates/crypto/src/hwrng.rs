@@ -30,7 +30,7 @@ use crate::prng::{Prng, Xoshiro256StarStar};
 /// let (value2, _) = hw.rdrand().expect("entropy available");
 /// assert_ne!(value, value2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HardwareRng {
     stream: Xoshiro256StarStar,
     /// When non-zero, every `fail_every`-th call reports

@@ -120,18 +120,34 @@ impl Xoshiro256StarStar {
 
     /// Jump function equivalent to 2^128 calls of `next_u64`, useful for
     /// splitting one seed into independent per-process streams.
+    ///
+    /// The jump is linear over GF(2): the jumped state is the XOR of the
+    /// jumped images of the state's set bits.  A compile-time table holds those
+    /// images pre-combined per nibble, so a jump is 64 table lookups instead
+    /// of the reference algorithm's 256 dependent generator steps.
     pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
+        let mut acc = [0u64; 4];
+        for (nibble, images) in JUMP_TABLE.iter().enumerate() {
+            let bits = (self.s[nibble / 16] >> ((nibble % 16) * 4)) & 0xF;
+            let image = &images[bits as usize];
+            acc[0] ^= image[0];
+            acc[1] ^= image[1];
+            acc[2] ^= image[2];
+            acc[3] ^= image[3];
+        }
+        self.s = acc;
+    }
+
+    /// The authors' reference jump: 256 generator steps, accumulating the
+    /// state at every set bit of the jump polynomial.  The oracle the
+    /// table-driven [`Xoshiro256StarStar::jump`] is tested against.
+    #[cfg(test)]
+    fn jump_reference(&mut self) {
         let mut s0 = 0u64;
         let mut s1 = 0u64;
         let mut s2 = 0u64;
         let mut s3 = 0u64;
-        for jump_word in JUMP {
+        for jump_word in JUMP_POLY {
             for bit in 0..64 {
                 if (jump_word & (1u64 << bit)) != 0 {
                     s0 ^= self.s[0];
@@ -158,16 +174,82 @@ impl Xoshiro256StarStar {
 impl Prng for Xoshiro256StarStar {
     fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        advance(&mut self.s);
         result
     }
 }
+
+/// The xoshiro256 state transition (one `next_u64` without the output).
+#[inline]
+const fn advance(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
+/// The authors' jump polynomial for 2^128 steps of xoshiro256.
+const JUMP_POLY: [u64; 4] =
+    [0x180E_C6D3_3CFD_0ABA, 0xD5A6_1266_F0C9_392C, 0xA958_2618_E03F_C9AA, 0x39AB_DC45_29B1_661C];
+
+/// The jumped image of state `s`, by the reference algorithm (for building
+/// [`JUMP_TABLE`] at compile time).
+const fn jumped(mut s: [u64; 4]) -> [u64; 4] {
+    let mut acc = [0u64; 4];
+    let mut word = 0;
+    while word < 4 {
+        let mut bit = 0;
+        while bit < 64 {
+            if JUMP_POLY[word] & (1u64 << bit) != 0 {
+                acc[0] ^= s[0];
+                acc[1] ^= s[1];
+                acc[2] ^= s[2];
+                acc[3] ^= s[3];
+            }
+            advance(&mut s);
+            bit += 1;
+        }
+        word += 1;
+    }
+    acc
+}
+
+/// `JUMP_TABLE[n][v]`: the jumped image of the state whose only set bits
+/// are the value `v` in nibble `n` (state bits `4n..4n+4`, word `n / 16`).
+/// 64 nibbles x 16 values x 4 words = 32 KiB, built at compile time from the
+/// 256 single-bit images by XOR.
+static JUMP_TABLE: [[[u64; 4]; 16]; 64] = {
+    let mut table = [[[0u64; 4]; 16]; 64];
+    let mut nibble = 0;
+    while nibble < 64 {
+        let mut singles = [[0u64; 4]; 4];
+        let mut k = 0;
+        while k < 4 {
+            let bit = nibble * 4 + k;
+            let mut basis = [0u64; 4];
+            basis[bit / 64] = 1u64 << (bit % 64);
+            singles[k] = jumped(basis);
+            k += 1;
+        }
+        let mut value = 1usize;
+        while value < 16 {
+            let single = singles[value.trailing_zeros() as usize];
+            let rest = table[nibble][value & (value - 1)];
+            table[nibble][value] = [
+                rest[0] ^ single[0],
+                rest[1] ^ single[1],
+                rest[2] ^ single[2],
+                rest[3] ^ single[3],
+            ];
+            value += 1;
+        }
+        nibble += 1;
+    }
+    table
+};
 
 impl Prng for Box<dyn Prng> {
     fn next_u64(&mut self) -> u64 {
@@ -211,6 +293,45 @@ mod tests {
         let mut child = parent.split();
         let overlap = (0..128).filter(|_| parent.next_u64() == child.next_u64()).count();
         assert_eq!(overlap, 0);
+    }
+
+    #[test]
+    fn table_jump_matches_the_reference_loop() {
+        let mut meta = SplitMix64::new(0x0001_0B5E);
+        for i in 0..10_000 {
+            let s = [meta.next_u64(), meta.next_u64(), meta.next_u64(), meta.next_u64()];
+            let mut table = Xoshiro256StarStar { s };
+            let mut reference = table.clone();
+            table.jump();
+            reference.jump_reference();
+            assert_eq!(table, reference, "state #{i}: {s:x?}");
+        }
+        // Single-bit states exercise every table row in isolation.
+        for bit in 0..256 {
+            let mut s = [0u64; 4];
+            s[bit / 64] = 1 << (bit % 64);
+            let mut table = Xoshiro256StarStar { s };
+            let mut reference = table.clone();
+            table.jump();
+            reference.jump_reference();
+            assert_eq!(table, reference, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn repeated_splits_give_pairwise_distinct_streams() {
+        let mut parent = Xoshiro256StarStar::new(0x5B117);
+        let mut heads: Vec<[u64; 4]> = (0..64)
+            .map(|_| {
+                let mut child = parent.split();
+                [child.next_u64(), child.next_u64(), child.next_u64(), child.next_u64()]
+            })
+            .collect();
+        heads.push([parent.next_u64(), parent.next_u64(), parent.next_u64(), parent.next_u64()]);
+        let n = heads.len();
+        heads.sort_unstable();
+        heads.dedup();
+        assert_eq!(heads.len(), n, "every split stream (and the parent) starts differently");
     }
 
     #[test]

@@ -182,12 +182,21 @@ impl Machine {
     /// cloned first (kernel behaviour), then the runtime's fork hook runs on
     /// the child (the wrapped `fork()` of the P-SSP shared library).
     pub fn fork(&mut self, parent: &mut Process) -> Process {
+        let mut child = Process::vacant();
+        self.fork_into(parent, &mut child);
+        child
+    }
+
+    /// [`Machine::fork`] into an existing worker process, reusing its
+    /// allocations (see [`Process::fork_into`]).  Whatever `child` held
+    /// before, it ends up exactly as the child `fork` would return — same
+    /// pid sequence, same hook effects, same fork count.
+    pub fn fork_into(&mut self, parent: &mut Process, child: &mut Process) {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
         self.forks += 1;
-        let mut child = parent.fork(pid);
-        self.hooks.on_fork_child(&mut child);
-        child
+        parent.fork_into(child, pid);
+        self.hooks.on_fork_child(child);
     }
 
     /// Total number of forks this machine has performed, over all parents.

@@ -17,6 +17,14 @@
 //! side writes to it.  A forked worker that never touches its globals never
 //! pays for them, which is what lets a fleet campaign boot 10^5 victims
 //! without materialising 10^5 address spaces.
+//!
+//! A segment copied on write remembers the shared allocation it came from
+//! and the byte range written since.  [`Clone::clone_from`] — the refork of
+//! a reused worker — uses that: when the source still shares that same
+//! allocation, only the written range is copied back, with no allocation
+//! and no reference-count traffic.  A forking server that forks each
+//! connection into one reused worker therefore pays, per connection, for
+//! the bytes the previous connection wrote, not for the whole stack.
 
 use std::sync::Arc;
 
@@ -41,10 +49,33 @@ pub const DEFAULT_GLOBAL_SIZE: u64 = 64 * 1024;
 /// long since unshared — whereas an `Owned` segment hands out `&mut`
 /// directly.  [`Pages::share`] converts back to `Shared` so `fork()` stays
 /// an `Arc` bump per segment.
+///
+/// An `Owned` segment copied from a `Shared` one keeps that allocation as
+/// its `origin` and the `dirty` range written since the copy, which is what
+/// lets [`Clone::clone_from`] restore it from the same origin by copying
+/// only the dirty bytes.
 #[derive(Debug)]
 enum Pages {
     Shared(Arc<Vec<u8>>),
-    Owned(Vec<u8>),
+    Owned { bytes: Vec<u8>, origin: Option<Arc<Vec<u8>>>, dirty: Dirty },
+}
+
+/// The byte range `lo..hi` written since an owned segment was last in sync
+/// with its origin; empty when `lo >= hi`.
+#[derive(Debug, Clone, Copy)]
+struct Dirty {
+    lo: usize,
+    hi: usize,
+}
+
+impl Dirty {
+    const CLEAN: Dirty = Dirty { lo: usize::MAX, hi: 0 };
+
+    #[inline]
+    fn mark(&mut self, start: usize, end: usize) {
+        self.lo = self.lo.min(start);
+        self.hi = self.hi.max(end);
+    }
 }
 
 impl Pages {
@@ -52,25 +83,37 @@ impl Pages {
         Pages::Shared(Arc::new(vec![0u8; size]))
     }
 
+    /// A zero-length owned segment with no origin: allocates nothing, and
+    /// the first `clone_from` replaces it outright.
+    fn vacant() -> Self {
+        Pages::Owned { bytes: Vec::new(), origin: None, dirty: Dirty::CLEAN }
+    }
+
     #[inline]
     fn bytes(&self) -> &[u8] {
         match self {
             Pages::Shared(arc) => arc,
-            Pages::Owned(vec) => vec,
+            Pages::Owned { bytes, .. } => bytes,
         }
     }
 
-    /// The single write gateway: the first write to a `Shared` segment
-    /// copies it (the copy-on-write fault); an `Owned` segment is handed
-    /// out with no refcount traffic at all.
+    /// The single write gateway: copies `data` to offset `off` (which the
+    /// caller has bounds-checked) and records the range as dirty.  The
+    /// first write to a `Shared` segment copies it (the copy-on-write
+    /// fault); an `Owned` segment is written with no refcount traffic.
     #[inline]
-    fn bytes_mut(&mut self) -> &mut Vec<u8> {
-        if let Pages::Shared(arc) = self {
-            *self = Pages::Owned(arc.as_ref().clone());
+    fn write(&mut self, off: usize, data: &[u8]) {
+        if let Pages::Shared(_) = self {
+            // Move the `Arc` into `origin` rather than cloning it: the copy
+            // costs no refcount update.
+            if let Pages::Shared(origin) = std::mem::replace(self, Pages::vacant()) {
+                let bytes = origin.as_ref().clone();
+                *self = Pages::Owned { bytes, origin: Some(origin), dirty: Dirty::CLEAN };
+            }
         }
-        match self {
-            Pages::Owned(vec) => vec,
-            Pages::Shared(_) => unreachable!("converted to Owned above"),
+        if let Pages::Owned { bytes, dirty, .. } = self {
+            bytes[off..off + data.len()].copy_from_slice(data);
+            dirty.mark(off, off + data.len());
         }
     }
 
@@ -80,8 +123,8 @@ impl Pages {
     /// §II-B caveat — and the byte copy is deferred to whichever side
     /// writes first.
     fn share(&mut self) {
-        if let Pages::Owned(vec) = self {
-            *self = Pages::Shared(Arc::new(std::mem::take(vec)));
+        if let Pages::Owned { bytes, .. } = self {
+            *self = Pages::Shared(Arc::new(std::mem::take(bytes)));
         }
     }
 
@@ -99,7 +142,25 @@ impl Clone for Pages {
             Pages::Shared(arc) => Pages::Shared(Arc::clone(arc)),
             // Cloning an owned segment has to copy; fork avoids this by
             // calling `share` on the parent first.
-            Pages::Owned(vec) => Pages::Shared(Arc::new(vec.clone())),
+            Pages::Owned { bytes, .. } => Pages::Shared(Arc::new(bytes.clone())),
+        }
+    }
+
+    /// The refork: when `self` was copied from the very allocation `source`
+    /// shares, only the dirty range is copied back — no allocation, no
+    /// refcount update.  Any other pairing falls back to a plain clone.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut *self, source) {
+            (Pages::Shared(mine), Pages::Shared(theirs)) if Arc::ptr_eq(mine, theirs) => {}
+            (Pages::Owned { bytes, origin: Some(origin), dirty }, Pages::Shared(theirs))
+                if Arc::ptr_eq(origin, theirs) =>
+            {
+                if dirty.lo < dirty.hi {
+                    bytes[dirty.lo..dirty.hi].copy_from_slice(&theirs[dirty.lo..dirty.hi]);
+                }
+                *dirty = Dirty::CLEAN;
+            }
+            _ => *self = source.clone(),
         }
     }
 }
@@ -112,12 +173,35 @@ impl Clone for Pages {
 /// that the parent pushed before forking (§II-B, "Caveat").  The clone
 /// itself is an `Arc` bump per segment; the actual byte copy happens lazily
 /// on the first write to each segment (see the private `Pages` state).
-#[derive(Debug, Clone)]
+///
+/// [`Clone::clone_from`] is the reusing form of the same fork: the result
+/// equals `source.clone()` byte for byte, but a segment that was copied
+/// from the allocation `source` still shares gets back only the bytes
+/// written since.
+#[derive(Debug)]
 pub struct Memory {
     stack: Pages,
     stack_size: u64,
     globals: Pages,
     global_size: u64,
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Memory {
+            stack: self.stack.clone(),
+            stack_size: self.stack_size,
+            globals: self.globals.clone(),
+            global_size: self.global_size,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.stack.clone_from(&source.stack);
+        self.stack_size = source.stack_size;
+        self.globals.clone_from(&source.globals);
+        self.global_size = source.global_size;
+    }
 }
 
 impl PartialEq for Memory {
@@ -149,6 +233,12 @@ impl Memory {
             globals: Pages::new(DEFAULT_GLOBAL_SIZE as usize),
             global_size: DEFAULT_GLOBAL_SIZE,
         }
+    }
+
+    /// An image with zero-length segments that allocates nothing: the
+    /// placeholder a fork clones into.
+    pub(crate) fn vacant() -> Self {
+        Memory { stack: Pages::vacant(), stack_size: 0, globals: Pages::vacant(), global_size: 0 }
     }
 
     /// Re-shares any segment this process owns outright, so that a
@@ -229,13 +319,13 @@ impl Memory {
         }
     }
 
-    /// The single write gateway: unshares the touched segment (and only
-    /// that segment) before handing out the mutable bytes.
+    /// The single write gateway: writes `data` at a resolved offset of the
+    /// touched segment (unsharing that segment, and only that one).
     #[inline]
-    fn segment_mut(&mut self, seg: Segment) -> &mut Vec<u8> {
+    fn write_segment(&mut self, seg: Segment, off: usize, data: &[u8]) {
         match seg {
-            Segment::Stack => self.stack.bytes_mut(),
-            Segment::Globals => self.globals.bytes_mut(),
+            Segment::Stack => self.stack.write(off, data),
+            Segment::Globals => self.globals.write(off, data),
         }
     }
 
@@ -269,7 +359,8 @@ impl Memory {
     /// Same in-stack fast path as [`Memory::read_u64`], taken only when the
     /// segment is already unshared (an owned stack is the steady state of a
     /// running process; the first write after a fork still pays the
-    /// copy-on-write fault in the fallback).
+    /// copy-on-write fault in the fallback).  The fast path records its
+    /// dirty range like every other write.
     ///
     /// # Errors
     ///
@@ -280,15 +371,16 @@ impl Memory {
         let limit = self.stack_limit();
         if addr >= limit && addr <= STACK_TOP - 8 {
             let off = (addr - limit) as usize;
-            if let Pages::Owned(vec) = &mut self.stack {
-                if let Some(chunk) = vec.get_mut(off..off + 8) {
+            if let Pages::Owned { bytes, dirty, .. } = &mut self.stack {
+                if let Some(chunk) = bytes.get_mut(off..off + 8) {
                     chunk.copy_from_slice(&value.to_le_bytes());
+                    dirty.mark(off, off + 8);
                     return Ok(());
                 }
             }
         }
         let (seg, off) = self.resolve(addr, 8)?;
-        self.segment_mut(seg)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        self.write_segment(seg, off, &value.to_le_bytes());
         Ok(())
     }
 
@@ -312,7 +404,7 @@ impl Memory {
     #[inline]
     pub fn write_u32(&mut self, addr: u64, value: u32) -> Result<(), VmError> {
         let (seg, off) = self.resolve(addr, 4)?;
-        self.segment_mut(seg)[off..off + 4].copy_from_slice(&value.to_le_bytes());
+        self.write_segment(seg, off, &value.to_le_bytes());
         Ok(())
     }
 
@@ -335,7 +427,7 @@ impl Memory {
     #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), VmError> {
         let (seg, off) = self.resolve(addr, 1)?;
-        self.segment_mut(seg)[off] = value;
+        self.write_segment(seg, off, &[value]);
         Ok(())
     }
 
@@ -358,7 +450,7 @@ impl Memory {
             return Ok(());
         }
         let (seg, off) = self.resolve(addr, data.len())?;
-        self.segment_mut(seg)[off..off + data.len()].copy_from_slice(data);
+        self.write_segment(seg, off, data);
         Ok(())
     }
 
@@ -467,6 +559,35 @@ mod tests {
         assert!(parent.shares_pages_with(&parent.clone()));
         // Contents stay equal wherever untouched.
         assert_eq!(parent.read_u64(GLOBAL_BASE).unwrap(), child.read_u64(GLOBAL_BASE).unwrap());
+    }
+
+    #[test]
+    fn refork_from_the_same_origin_copies_back_in_place() {
+        let parent = Memory::new();
+        let Pages::Shared(origin) = &parent.stack else { panic!("fresh images are shared") };
+        let mut worker = parent.clone();
+        worker.write_u64(STACK_TOP - 0x80, 1).unwrap();
+        let refs = Arc::strong_count(origin);
+        let allocation = worker.stack.bytes().as_ptr();
+        worker.write_u32(STACK_TOP - 0x200, 2).unwrap();
+        worker.write_bytes(STACK_TOP - 0x40, b"dirty").unwrap();
+        worker.clone_from(&parent);
+        assert_eq!(worker, parent);
+        assert_eq!(worker.stack.bytes().as_ptr(), allocation, "no new allocation");
+        assert_eq!(Arc::strong_count(origin), refs, "no refcount update");
+        assert!(matches!(worker.stack, Pages::Owned { dirty, .. } if dirty.lo >= dirty.hi));
+    }
+
+    #[test]
+    fn refork_after_the_parent_reshared_falls_back_to_a_full_clone() {
+        let mut parent = Memory::new();
+        let mut worker = parent.clone();
+        worker.write_u64(STACK_TOP - 0x80, 1).unwrap();
+        parent.write_u64(STACK_TOP - 0x88, 2).unwrap();
+        parent.share_pages();
+        worker.clone_from(&parent);
+        assert_eq!(worker, parent);
+        assert!(worker.shares_pages_with(&parent), "the fallback is a plain clone");
     }
 
     #[test]

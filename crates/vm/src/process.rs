@@ -23,7 +23,10 @@ impl std::fmt::Display for Pid {
 
 /// One simulated process (or thread — the paper treats Linux threads as
 /// processes sharing a program, which is how the simulator models them too).
-#[derive(Debug, Clone)]
+///
+/// [`Clone::clone_from`] reuses the target's allocations (memory segments,
+/// TLS block, bookkeeping vectors); [`Process::fork_into`] is built on it.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Process {
     pid: Pid,
     /// The process's memory image.
@@ -90,6 +93,24 @@ impl Process {
         self.pid
     }
 
+    /// A placeholder process that allocates nothing, for a fork to clone
+    /// into.
+    pub(crate) fn vacant() -> Process {
+        Process {
+            pid: Pid(0),
+            memory: Memory::vacant(),
+            tls: Tls::vacant(),
+            hwrng: HardwareRng::new(0),
+            tsc: TimeStampCounter::default(),
+            canary_addresses: Vec::new(),
+            dcr_list: Vec::new(),
+            owf_key: None,
+            input: Vec::new(),
+            output: Vec::new(),
+            forks: 0,
+        }
+    }
+
     /// Forks this process: the child receives a byte-for-byte copy of the
     /// memory image and the TLS (including the canary), mirroring `fork(2)`.
     ///
@@ -97,24 +118,28 @@ impl Process {
     /// not draw identical "random" values — on real hardware `rdrand` is a
     /// shared physical device, so the streams are naturally distinct.
     pub fn fork(&mut self, child_pid: Pid) -> Process {
+        let mut child = Process::vacant();
+        self.fork_into(&mut child, child_pid);
+        child
+    }
+
+    /// [`Process::fork`] into an existing process, reusing its allocations:
+    /// whatever `child` was before, it ends up exactly as the child `fork`
+    /// would return.  Re-forking a worker that was last forked from this
+    /// same parent copies back only the memory the worker wrote since (see
+    /// [`Memory`]).
+    pub fn fork_into(&mut self, child: &mut Process, child_pid: Pid) {
         self.forks += 1;
         // Re-share any segment this process owns outright, so the clone
         // below is an `Arc` bump per segment (kernel COW) even when the
         // parent has already written its stack.
         self.memory.share_pages();
-        Process {
-            pid: child_pid,
-            memory: self.memory.clone(),
-            tls: self.tls.clone(),
-            hwrng: self.hwrng.split(),
-            tsc: self.tsc.clone(),
-            canary_addresses: self.canary_addresses.clone(),
-            dcr_list: self.dcr_list.clone(),
-            owf_key: self.owf_key,
-            input: Vec::new(),
-            output: Vec::new(),
-            forks: 0,
-        }
+        child.clone_from(self);
+        child.pid = child_pid;
+        child.hwrng = self.hwrng.split();
+        child.input.clear();
+        child.output.clear();
+        child.forks = 0;
     }
 
     /// Number of children forked from this process so far.
@@ -126,6 +151,13 @@ impl Process {
     /// request-handling function.
     pub fn set_input(&mut self, input: impl Into<Vec<u8>>) {
         self.input = input.into();
+    }
+
+    /// [`Process::set_input`] by copying into the existing input buffer, so
+    /// a reused worker allocates nothing per request.
+    pub fn set_input_from(&mut self, input: &[u8]) {
+        self.input.clear();
+        self.input.extend_from_slice(input);
     }
 
     /// The current input buffer.
@@ -169,6 +201,42 @@ impl Process {
     /// The accumulated output without clearing it.
     pub fn output(&self) -> &[u8] {
         &self.output
+    }
+}
+
+impl Clone for Process {
+    fn clone(&self) -> Self {
+        let mut clone = Process::vacant();
+        clone.clone_from(self);
+        clone
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured so that a new field cannot be forgotten here.
+        let Process {
+            pid,
+            memory,
+            tls,
+            hwrng,
+            tsc,
+            canary_addresses,
+            dcr_list,
+            owf_key,
+            input,
+            output,
+            forks,
+        } = self;
+        *pid = source.pid;
+        memory.clone_from(&source.memory);
+        tls.clone_from(&source.tls);
+        hwrng.clone_from(&source.hwrng);
+        tsc.clone_from(&source.tsc);
+        canary_addresses.clone_from(&source.canary_addresses);
+        dcr_list.clone_from(&source.dcr_list);
+        *owf_key = source.owf_key;
+        input.clone_from(&source.input);
+        output.clone_from(&source.output);
+        *forks = source.forks;
     }
 }
 

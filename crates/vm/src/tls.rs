@@ -29,16 +29,32 @@ pub const TLS_SIZE: u64 = 0x400;
 ///
 /// Cloning a [`Tls`] is exactly what `fork()` does to the child's TLS: a
 /// byte-for-byte copy of the parent's block (§II-B of the paper explains why
-/// this is the root cause of the byte-by-byte attack).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// this is the root cause of the byte-by-byte attack).  [`Clone::clone_from`]
+/// copies into the existing block instead of allocating a new one.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Tls {
     bytes: Vec<u8>,
+}
+
+impl Clone for Tls {
+    fn clone(&self) -> Self {
+        Tls { bytes: self.bytes.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.bytes.clone_from(&source.bytes);
+    }
 }
 
 impl Tls {
     /// Creates a zeroed TLS block.
     pub fn new() -> Self {
         Tls { bytes: vec![0u8; TLS_SIZE as usize] }
+    }
+
+    /// An empty placeholder that allocates nothing, for `clone_from` to fill.
+    pub(crate) fn vacant() -> Self {
+        Tls { bytes: Vec::new() }
     }
 
     /// Reads a 64-bit word at `offset`.

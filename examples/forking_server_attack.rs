@@ -15,9 +15,7 @@ fn main() {
     // freshly forked worker.  Under SSP each worker inherits the parent's
     // canary, so a response (instead of a reset) confirms a guessed byte.
     let mut server = ForkingServer::new(VictimConfig::new(SchemeKind::Ssp, 0xD5A7));
-    let mut conn = server.connect();
-    let outcome = conn.send(b"GET / HTTP/1.1");
-    drop(conn);
+    let outcome = server.connect().send(b"GET / HTTP/1.1");
     println!(
         "handshake: policy = {}, first connection {:?}, {} connection(s) served\n",
         server.canary_policy(),

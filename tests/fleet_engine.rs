@@ -9,12 +9,15 @@
 //! * a 10^5-seed fleet campaign completes with byte-identical records at
 //!   any worker count,
 //! * seed derivation is lazy: configuring a million-victim fleet costs
-//!   nothing until a seed is actually drawn.
+//!   nothing until a seed is actually drawn,
+//! * the reused worker slot behind `ForkingServer::connect` reproduces the
+//!   values pinned from the allocate-per-connection server: leaked canary
+//!   bytes, request outcomes, counters and byte-by-byte results.
 
 use polycanary::attacks::CampaignReport;
 use polycanary::attacks::{
     derive_seed, AttackKind, ByteByByteAttack, Campaign, Deployment, ForkingServer, StopRule,
-    VictimConfig, VictimKey, VictimSnapshot,
+    VictimConfig, VictimKey, VictimSnapshot, HIJACK_TARGET,
 };
 use polycanary::core::record::Record;
 use polycanary::core::SchemeKind;
@@ -160,4 +163,171 @@ fn seed_derivation_is_lazy_and_stable_at_fleet_scale() {
     assert_eq!(explicit.seed_count(), 3);
     assert_eq!(explicit.seed_at(1), 1);
     assert_eq!(explicit.seeds(), vec![3, 1, 4]);
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// FNV-1a over a whole leak: pins the stale stack words around the canary
+/// too, which a refork that restored too little would change.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+}
+
+/// Eight connections in four shapes — leak, benign request, a keep-alive
+/// connection that leaks, survives, is smashed and refuses, and a
+/// leak-then-overflow reuse — logged as `kind outcome(s) canary/leak-hash`,
+/// then the server's counters.
+fn connection_log(config: VictimConfig) -> Vec<String> {
+    let mut server = ForkingServer::new(config);
+    let geom = server.geometry();
+    let region = geom.filler_len..geom.filler_len + geom.canary_region_len;
+    let leak = |leaked: &[u8]| format!("{}/{:016x}", hex(&leaked[region.clone()]), fnv64(leaked));
+    let smash = vec![0x41u8; geom.full_overwrite_len()];
+    let mut log = Vec::new();
+    for k in 0..8 {
+        match k % 4 {
+            0 => {
+                let (outcome, leaked) = server.serve_leak(b"status");
+                log.push(format!("leak {outcome:?} {}", leak(&leaked)));
+            }
+            1 => log.push(format!("serve {:?}", server.serve(b"GET / HTTP/1.1"))),
+            2 => {
+                let mut conn = server.connect();
+                let (outcome, leaked) = conn.send_leak(b"status");
+                let ping = conn.send(b"ping");
+                let smashed = conn.send(&smash);
+                let after = conn.send(b"after");
+                log.push(format!(
+                    "keep-alive {outcome:?} {} {ping:?} {smashed:?} {after:?}",
+                    leak(&leaked)
+                ));
+            }
+            _ => {
+                let (leaked, outcome) = server.serve_leak_then_overflow(b"status", |leaked| {
+                    let mut payload = vec![0x41u8; geom.filler_len];
+                    payload.extend_from_slice(&leaked[region.clone()]);
+                    payload.extend_from_slice(&[0x41u8; 8]);
+                    payload.extend_from_slice(&HIJACK_TARGET.to_le_bytes());
+                    payload
+                });
+                log.push(format!("reuse {} {outcome:?}", leak(&leaked)));
+            }
+        }
+    }
+    log.push(server.stats_record().to_json());
+    log
+}
+
+#[test]
+fn reused_worker_reproduces_pinned_connection_values() {
+    // Captured from the server that allocated a fresh worker per connection.
+    // SSP leaks the same inherited canary on every connection; the P-SSP
+    // variants leak a fresh split per fork (P-SSP-NT's comes from the
+    // rdrand stream `HardwareRng::split` hands each worker).
+    let stats = |scheme: &str, deployment: &str, policy: &str| {
+        format!(
+            "{{\"scheme\":\"{scheme}\",\"deployment\":\"{deployment}\",\
+             \"fork_canary_policy\":\"{policy}\",\"seed\":24605,\"connections\":8,\
+             \"requests\":14,\"crashed_workers\":4,\"forks\":8}}"
+        )
+    };
+    let keep_alive =
+        |canary: &str| format!("keep-alive Survived {canary} Survived Detected Crashed");
+    let expected = |scheme, deployment, policy, canaries: [&str; 6]| -> Vec<String> {
+        vec![
+            format!("leak Survived {}", canaries[0]),
+            "serve Survived".to_string(),
+            keep_alive(canaries[1]),
+            format!("reuse {} Hijacked", canaries[2]),
+            format!("leak Survived {}", canaries[3]),
+            "serve Survived".to_string(),
+            keep_alive(canaries[4]),
+            format!("reuse {} Hijacked", canaries[5]),
+            stats(scheme, deployment, policy),
+        ]
+    };
+    let ssp = "c76556b99efc6ebe/361a1a8f0408078f";
+    let cells = [
+        (SchemeKind::Ssp, Deployment::Compiler, expected("SSP", "compiler", "inherited", [ssp; 6])),
+        (
+            SchemeKind::Pssp,
+            Deployment::Compiler,
+            expected(
+                "P-SSP",
+                "compiler",
+                "rerandomized",
+                [
+                    "a739645f142cb0fa605c32e68ad0de44/42bd1f337911e4e4",
+                    "5d2b491e714e3a709a4e1fa7efb254ce/4f9a115623915f84",
+                    "2ac44a43ef02dd36eda11cfa71feb388/eb451e3727ed7778",
+                    "4942cc659c096ec78e279adc02f50079/62a5d17a0a396460",
+                    "dcb10824027f25611bd45e9d9c834bdf/07b0f0184bf73264",
+                    "4d0ebd44ee5c8a3a8a6bebfd70a0e484/6d60e76477183a74",
+                ],
+            ),
+        ),
+        (
+            SchemeKind::PsspNt,
+            Deployment::Compiler,
+            expected(
+                "P-SSP-NT",
+                "compiler",
+                "rerandomized",
+                [
+                    "a78a00d442da7ac060ef566ddc26147e/efcd2562ded08b30",
+                    "e1ec5691e92de21d2689002877d18ca3/f578761804330db4",
+                    "37960aec39048869f0f35c55a7f8e6d7/9042ab0aa38cef14",
+                    "e6bd70ef6d28341321d82656f3d45aad/0937be373f7f00a0",
+                    "d142f254a62efcdd1627a4ed38d29263/fee358d08ad27c14",
+                    "1c29deed439b146adb4c8854dd677ad4/479849093d39d634",
+                ],
+            ),
+        ),
+        (
+            SchemeKind::PsspBin32,
+            Deployment::BinaryRewriter,
+            expected(
+                "P-SSP (binary, 32-bit)",
+                "binary-rewriter",
+                "rerandomized",
+                [
+                    "2da92d51eacc7be8/13a49ed5401ef069",
+                    "a5bd956d62d8c3d4/6f0292fa10b97891",
+                    "dbd848541cbd1eed/7b2d3a89e9694b21",
+                    "7c1e57f9bb7b0140/e156d049e4ad7825",
+                    "74c6e18cb3a3b735/07a79b1dd9c018d5",
+                    "1b885d3bdced0b82/39fcf6134c6cc351",
+                ],
+            ),
+        ),
+    ];
+    for (scheme, deployment, expected) in cells {
+        let config = VictimConfig::new(scheme, 0x601D).with_deployment(deployment);
+        assert_eq!(connection_log(config), expected, "{scheme}");
+    }
+}
+
+#[test]
+fn reused_worker_reproduces_pinned_byte_by_byte_results() {
+    // (scheme, budget, success, trials, recovered canary, counters' tail),
+    // captured from the allocate-per-connection server.
+    let cells = [
+        (SchemeKind::Ssp, 3_000u64, true, 1_290u64, "c76556b99efc6ebe", 1_282u64),
+        (SchemeKind::PsspNt, 600, false, 367, "6e", 366),
+    ];
+    for (scheme, budget, success, trials, canary, crashed) in cells {
+        let mut server = ForkingServer::new(VictimConfig::new(scheme, 0x601D));
+        let geometry = server.geometry();
+        let result = ByteByByteAttack::with_budget(budget).run(&mut server, geometry, scheme);
+        assert_eq!(result.success, success, "{scheme}");
+        assert_eq!(result.trials, trials, "{scheme}");
+        assert_eq!(result.recovered_canary.as_deref().map(hex).as_deref(), Some(canary));
+        assert_eq!(server.connections_served(), trials, "{scheme}");
+        assert_eq!(server.crashed_workers(), crashed, "{scheme}");
+        assert_eq!(server.forked_workers(), trials, "{scheme}");
+    }
 }

@@ -1,0 +1,215 @@
+//! The reusing fork path is indistinguishable from a fresh fork.
+//!
+//! `ForkingServer` forks every connection into one reused worker through
+//! `Clone::clone_from` (`Memory`, `Process`) and `Machine::fork_into`, which
+//! copy back only the bytes the worker wrote since its last fork when the
+//! parent's pages are still the ones the worker was copied from.  These
+//! PRNG-driven properties check that `a.clone_from(&b)` always equals
+//! `b.clone()` and that `fork_into` always equals `fork`, over:
+//!
+//! * random stack and globals writes of every width (`write_u8`,
+//!   `write_u32`, the `write_u64` fast path and fallback, `write_bytes`),
+//! * writes flush against segment edges and failed partial writes,
+//! * the DCR fork hook, which writes the child's stack,
+//! * parents that themselves write or re-share between forks, so the
+//!   worker's origin no longer matches and the full-copy fallback runs.
+
+use polycanary::core::SchemeKind;
+use polycanary::crypto::{Prng, SplitMix64};
+use polycanary::vm::{Inst, Machine, Memory, Pid, Process, Program, Reg};
+
+const STACK: u64 = 4096;
+const STACK_TOP: u64 = polycanary::vm::mem::STACK_TOP;
+const GLOBAL_BASE: u64 = polycanary::vm::mem::GLOBAL_BASE;
+
+/// One random write: a random width at a random place — inside a segment,
+/// flush against either edge of one, straddling an edge (which must fail
+/// and write nothing) or unmapped.
+fn random_write(mem: &mut Memory, rng: &mut SplitMix64) {
+    let (base, size) = match rng.next_below(2) {
+        0 => (mem.stack_limit(), STACK),
+        _ => (GLOBAL_BASE, mem.global_size()),
+    };
+    let width = match rng.next_below(4) {
+        0 => 1,
+        1 => 4,
+        2 => 8,
+        _ => 1 + rng.next_below(64),
+    };
+    let addr = match rng.next_below(8) {
+        0 => base,
+        1 => base + size - width,
+        // Straddles the top edge: a partial access.
+        2 => base + size - width + 1 + rng.next_below(width.max(2) - 1),
+        3 => base.wrapping_sub(1 + rng.next_below(16)),
+        _ => base + rng.next_below(size - width + 1),
+    };
+    let value = rng.next_u64();
+    let before = mem.clone();
+    let ok = match width {
+        1 => mem.write_u8(addr, value as u8).is_ok(),
+        4 => mem.write_u32(addr, value as u32).is_ok(),
+        8 => mem.write_u64(addr, value).is_ok(),
+        n => {
+            let bytes: Vec<u8> = (0..n).map(|i| (value >> (i % 8 * 8)) as u8).collect();
+            mem.write_bytes(addr, &bytes).is_ok()
+        }
+    };
+    let fits = (addr >= mem.stack_limit() && addr + width <= STACK_TOP)
+        || (addr >= GLOBAL_BASE && addr + width <= GLOBAL_BASE + mem.global_size());
+    assert_eq!(ok, fits, "width {width} at {addr:#x}");
+    if !ok {
+        assert_eq!(*mem, before, "a failed write changes nothing");
+    }
+}
+
+/// A run of random writes, weighted towards the top of the stack where a
+/// running worker writes most.
+fn scribble(mem: &mut Memory, rng: &mut SplitMix64) {
+    for _ in 0..rng.next_below(24) {
+        if rng.next_below(3) == 0 {
+            let addr = STACK_TOP - 8 * (1 + rng.next_below(32));
+            mem.write_u64(addr, rng.next_u64()).expect("in-stack word");
+        } else {
+            random_write(mem, rng);
+        }
+    }
+}
+
+/// What the parent does between two forks: nothing, write (which unshares
+/// its pages), or write and re-share (new allocations the worker was not
+/// copied from).
+fn parent_step(parent: &mut Memory, rng: &mut SplitMix64) {
+    match rng.next_below(4) {
+        0 => scribble(parent, rng),
+        1 => {
+            scribble(parent, rng);
+            parent.share_pages();
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn memory_clone_from_equals_clone() {
+    let mut rng = SplitMix64::new(0xC10E_F0A1);
+    for case in 0..200 {
+        let mut parent = Memory::with_stack_size(STACK);
+        scribble(&mut parent, &mut rng);
+        // The slot starts as a different image: another stack size, or a
+        // clone of the parent that then diverged.
+        let mut slot = match rng.next_below(2) {
+            0 => Memory::with_stack_size(STACK * 2),
+            _ => parent.clone(),
+        };
+        for round in 0..12 {
+            parent_step(&mut parent, &mut rng);
+            if rng.next_below(2) == 0 {
+                // As `fork` does; without it the parent may be the source
+                // while it owns its pages.
+                parent.share_pages();
+            }
+            let pristine = parent.clone();
+            slot.clone_from(&parent);
+            assert_eq!(slot, pristine, "case {case} round {round}");
+            scribble(&mut slot, &mut rng);
+            assert_eq!(parent, pristine, "the worker's writes never reach the parent");
+        }
+    }
+}
+
+/// A process with random TLS words, bookkeeping entries, I/O and memory.
+fn scramble_process(p: &mut Process, rng: &mut SplitMix64) {
+    scribble(&mut p.memory, rng);
+    for _ in 0..rng.next_below(4) {
+        let offset = 8 * rng.next_below(polycanary::vm::tls::TLS_SIZE / 8);
+        p.tls.write_word(offset, rng.next_u64()).expect("word-aligned TLS offset");
+    }
+    for _ in 0..rng.next_below(3) {
+        p.canary_addresses.push(STACK_TOP - 8 * (1 + rng.next_below(64)));
+    }
+    if rng.next_below(2) == 0 {
+        p.owf_key = Some((rng.next_u64(), rng.next_u64()));
+    }
+    p.set_input_from(&rng.next_u64().to_le_bytes());
+    p.push_output(&rng.next_u64().to_le_bytes()[..rng.next_below(8) as usize]);
+    let _ = p.hwrng.rdrand();
+}
+
+#[test]
+fn process_clone_from_equals_clone() {
+    let mut rng = SplitMix64::new(0x09B0_CE55);
+    for case in 0..100 {
+        let mut parent = Process::new(Pid(1), rng.next_u64(), STACK);
+        let mut slot = Process::new(Pid(9), rng.next_u64(), STACK * 2);
+        for round in 0..8 {
+            scramble_process(&mut parent, &mut rng);
+            if rng.next_below(2) == 0 {
+                parent.memory.share_pages();
+            }
+            let pristine = parent.clone();
+            slot.clone_from(&parent);
+            assert_eq!(slot, pristine, "case {case} round {round}");
+            scramble_process(&mut slot, &mut rng);
+            assert_eq!(parent, pristine, "case {case} round {round}: parent untouched");
+        }
+    }
+}
+
+fn trivial_program() -> Program {
+    let mut program = Program::new();
+    let main =
+        program.add_function("main", vec![Inst::MovImmToReg { dst: Reg::Rax, imm: 7 }, Inst::Ret]);
+    program.set_entry(main.expect("fresh program"));
+    program
+}
+
+/// A DCR-protected parent with live frames on its canary list, so the fork
+/// hook rewrites stack words in every child.
+fn dcr_machine(seed: u64) -> (Machine, Process) {
+    let hooks = SchemeKind::Dcr.scheme().runtime_hooks(seed);
+    let mut machine = Machine::new(trivial_program(), hooks, seed);
+    machine.set_stack_size(STACK);
+    let mut parent = machine.spawn();
+    for depth in 1..=3u64 {
+        let slot = STACK_TOP - 0x40 * depth;
+        parent.memory.write_u64(slot, parent.tls.canary()).expect("in-stack slot");
+        parent.dcr_list.push(slot);
+    }
+    (machine, parent)
+}
+
+#[test]
+fn machine_fork_into_equals_fork_with_the_dcr_hook() {
+    let mut rng = SplitMix64::new(0x0DC2_F02C);
+    for case in 0..60 {
+        let seed = rng.next_u64();
+        // Two identical machines: one forks fresh children, the other forks
+        // into one reused worker.
+        let (mut fresh_machine, mut fresh_parent) = dcr_machine(seed);
+        let (mut reuse_machine, mut reuse_parent) = dcr_machine(seed);
+        let mut worker = reuse_machine.fork(&mut reuse_parent);
+        let first = fresh_machine.fork(&mut fresh_parent);
+        assert_eq!(worker, first, "case {case}: first fork");
+        for round in 0..10 {
+            scribble(&mut worker.memory, &mut rng);
+            let _ = worker.hwrng.rdrand();
+            // Both parents take the same step between forks.
+            let mut step_rng = SplitMix64::new(rng.next_u64());
+            parent_step(&mut fresh_parent.memory, &mut step_rng.clone());
+            parent_step(&mut reuse_parent.memory, &mut step_rng);
+            let child = fresh_machine.fork(&mut fresh_parent);
+            reuse_machine.fork_into(&mut reuse_parent, &mut worker);
+            assert_eq!(worker, child, "case {case} round {round}: child");
+            assert_eq!(reuse_parent, fresh_parent, "case {case} round {round}: parent");
+            for &slot in &child.dcr_list {
+                assert_eq!(
+                    child.memory.read_u64(slot).expect("in-stack slot"),
+                    child.tls.canary(),
+                    "the DCR hook re-keyed every live frame"
+                );
+            }
+        }
+        assert_eq!(reuse_machine.forks(), fresh_machine.forks());
+    }
+}

@@ -12,6 +12,7 @@
 
 use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
 use polycanary_core::scheme::SchemeKind;
+use polycanary_crypto::{Prng, SplitMix64};
 
 pub use crate::server::{Connection, ForkingServer};
 
@@ -140,8 +141,8 @@ pub fn victim_module(buffer_size: u32, program: u64) -> ModuleDef {
 
     let mut main = FunctionBuilder::new("main").scalar("s");
     if program != 0 {
-        let mut rng = SplitMix(program);
-        let helpers = 1 + rng.below(3) as usize;
+        let mut rng = SplitMix64::new(program);
+        let helpers = 1 + (rng.next_u64() % 3) as usize;
         for index in 0..helpers {
             let name = format!("gen_helper_{index}");
             let mut helper = FunctionBuilder::new(&name);
@@ -149,17 +150,17 @@ pub fn victim_module(buffer_size: u32, program: u64) -> ModuleDef {
             // scheme's prologue/epilogue), an optional bounded fill, and
             // some pure compute.  Nothing reads attacker input or echoes
             // stack memory, so request/response traffic is untouched.
-            if rng.below(2) == 0 {
-                let size = 8 * (1 + rng.below(8) as u32);
+            if rng.next_u64().is_multiple_of(2) {
+                let size = 8 * (1 + (rng.next_u64() % 8) as u32);
                 helper = helper.buffer("gen_buf", size);
-                if rng.below(2) == 0 {
+                if rng.next_u64().is_multiple_of(2) {
                     helper = helper.zero_fill("gen_buf");
                 }
             } else {
                 helper = helper.scalar("gen_s");
             }
-            helper = helper.compute(10 + rng.below(40));
-            builder = builder.function(helper.returns(rng.next()).build());
+            helper = helper.compute(10 + rng.next_u64() % 40);
+            builder = builder.function(helper.returns(rng.next_u64()).build());
             main = main.call(&name);
         }
     }
@@ -168,23 +169,6 @@ pub fn victim_module(buffer_size: u32, program: u64) -> ModuleDef {
         .entry("main")
         .build()
         .expect("victim module is statically well-formed")
-}
-
-/// SplitMix64 — the same tiny PRNG the campaign seed derivation uses.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
 }
 
 #[cfg(test)]

@@ -11,17 +11,26 @@
 //!   vs O2 through the machine, measuring the canary-handling cycles the
 //!   optimizer eliminates on the hot call path.
 //!
+//! Two more groups time the layers every compile and rewrite ends in,
+//! with the input clone kept outside the timed window:
+//!
+//! * `finalize/*` — `Program::finalize` on the SSP build at O0 vs O2:
+//!   address layout plus the decode cache and its dense return table.
+//! * `rewrite/*` — `Rewriter::rewrite` of the shape-preserved SSP build in
+//!   each link mode, which re-finalizes the upgraded program.
+//!
 //! The `opt_equivalence` differential suite separately proves the O0 and
 //! O2 builds are semantically identical, so the `run` deltas are pure
 //! per-call savings.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use polycanary_compiler::codegen::Compiler;
 use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::OptLevel;
 use polycanary_core::scheme::SchemeKind;
+use polycanary_rewriter::{LinkMode, Rewriter};
 use polycanary_workloads::spec_suite;
 
 /// The most call-heavy program of the SPEC-like suite (403.gcc-like):
@@ -70,6 +79,43 @@ fn bench(c: &mut Criterion) {
                 })
             });
         }
+    }
+
+    for opt in [OptLevel::O0, OptLevel::O2] {
+        let program = Compiler::new(SchemeKind::Ssp)
+            .with_opt_level(opt)
+            .compile(&module)
+            .expect("module compiles")
+            .program;
+        group.bench_with_input(BenchmarkId::new("finalize", opt), &opt, |b, _| {
+            b.iter_batched(
+                || program.clone(),
+                |mut program| {
+                    program.finalize();
+                    program
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+
+    let ssp = Compiler::new(SchemeKind::Ssp)
+        .with_preserved_canary_shapes()
+        .compile(&module)
+        .expect("module compiles")
+        .program;
+    for (label, mode) in [("dynamic", LinkMode::Dynamic), ("static", LinkMode::Static)] {
+        let rewriter = Rewriter::new().with_link_mode(mode);
+        group.bench_function(BenchmarkId::new("rewrite", label), |b| {
+            b.iter_batched(
+                || ssp.clone(),
+                |mut program| {
+                    rewriter.rewrite(&mut program).expect("SSP build is rewritable");
+                    program
+                },
+                BatchSize::SmallInput,
+            )
+        });
     }
     group.finish();
 }

@@ -39,6 +39,7 @@ use polycanary_attacks::population::{Population, PopulationMember, RolloutCurve}
 use polycanary_attacks::victim::Deployment;
 use polycanary_core::record::Record;
 use polycanary_core::scheme::{ForkCanaryPolicy, SchemeKind};
+use polycanary_crypto::{Prng, SplitMix64};
 
 use crate::experiments::{
     effectiveness_deployment, format_campaign_cell, Experiment, ExperimentCtx, ScenarioOutput,
@@ -406,10 +407,10 @@ impl ScenarioSet {
         if n >= self.frags.len() {
             return self;
         }
-        let mut rng = SplitMix(seed ^ 0x5CE7_A1B0_5EED_C0DE);
+        let mut rng = SplitMix64::new(seed ^ 0x5CE7_A1B0_5EED_C0DE);
         let mut indices: Vec<usize> = (0..self.frags.len()).collect();
         for slot in 0..n {
-            let pick = slot + rng.below((indices.len() - slot) as u64) as usize;
+            let pick = slot + (rng.next_u64() % (indices.len() - slot) as u64) as usize;
             indices.swap(slot, pick);
         }
         let mut keep = indices[..n].to_vec();
@@ -435,24 +436,6 @@ impl ScenarioSet {
     /// their runtime scheme's fork-canary policy).
     pub fn cells(&self) -> Vec<Cell> {
         self.frags.iter().filter(|f| f.well_formed()).map(Frag::cell).collect()
-    }
-}
-
-/// The grammar's own deterministic PRNG (SplitMix64) — seeds sampling and
-/// generated-program ids without touching the campaign engine's streams.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
     }
 }
 
@@ -496,7 +479,7 @@ impl Lattice {
 /// paper's P-SSP, the binary-rewriter deployment) × the canonical victim
 /// and one grammar-generated victim program — six cells, CI-sized.
 fn smoke_set(gen_seed: u64) -> ScenarioSet {
-    let generated_program = SplitMix(gen_seed).next() | 1;
+    let generated_program = SplitMix64::new(gen_seed).next_u64() | 1;
     ScenarioSet::schemes(&[SchemeKind::Ssp, SchemeKind::Pssp, SchemeKind::PsspBin32])
         .cross(ScenarioSet::programs(&[0, generated_program]))
 }

@@ -1,5 +1,6 @@
 //! The `harness` binary on hostile input: a malformed export is a runtime
-//! error with the documented exit code, never a crash of the host process.
+//! error and a malformed command line a usage error, each with its
+//! documented exit code, never a crash of the host process.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -36,4 +37,60 @@ fn diff_of_a_deeply_nested_export_exits_1_instead_of_aborting() {
     assert_eq!(output.status.code(), Some(1), "{output:?}");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
+/// A value-taking flag: `(command prefix, flag, malformed value,
+/// out-of-range value)`.  Path flags accept any string, so only their
+/// missing value is an error.
+type ValueFlag =
+    (&'static [&'static str], &'static str, Option<&'static str>, Option<&'static str>);
+
+/// Every value-taking flag of every command.
+const VALUE_FLAGS: &[ValueFlag] = &[
+    (&[], "--seed", Some("0x12"), Some("18446744073709551616")),
+    (&[], "--workers", Some("four"), Some("18446744073709551616")),
+    (&[], "--fleet", Some("-3"), Some("0")),
+    (&[], "--format", Some(""), Some("xml")),
+    (&[], "--out", None, None),
+    (&[], "--timings", None, None),
+    (&[], "--opt-level", Some("fast"), Some("O3")),
+    (&[], "--lattice", Some(""), Some("no-such-lattice")),
+    (&[], "--gen-seed", Some("7.5"), Some("-1")),
+    (&["diff"], "--baseline", None, None),
+    (&["diff"], "--threshold", Some("NaN"), Some("-5")),
+    (&["diff"], "--format", Some(""), Some("md")),
+    (&["report"], "--out", None, None),
+    (&["report"], "--format", Some(""), Some("text")),
+    (&["verify"], "--inject", Some(""), Some("no-such-defect")),
+    (&["verify"], "--format", Some(""), Some("md")),
+    (&["verify"], "--out", None, None),
+];
+
+/// Every malformed invocation [`VALUE_FLAGS`] implies, plus an unknown flag
+/// per command.
+fn bad_invocations() -> Vec<Vec<&'static str>> {
+    let mut cases = Vec::new();
+    for &(prefix, flag, malformed, out_of_range) in VALUE_FLAGS {
+        let with = |tail: &[&'static str]| [prefix, &[flag], tail].concat();
+        cases.push(with(&[]));
+        cases.extend(malformed.into_iter().chain(out_of_range).map(|value| with(&[value])));
+    }
+    for prefix in [&[][..], &["diff"], &["report"], &["verify"]] {
+        cases.push([prefix, &["--no-such-flag"]].concat());
+    }
+    cases
+}
+
+#[test]
+fn every_malformed_flag_exits_2_with_usage() {
+    let cases = bad_invocations();
+    assert_eq!(cases.len(), 17 + 2 * 12 + 4);
+    for args in cases {
+        let output =
+            Command::new(env!("CARGO_BIN_EXE_harness")).args(&args).output().expect("harness runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: harness"), "{args:?} prints usage: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

@@ -661,39 +661,26 @@ mod tests {
     fn o2_pipeline_is_idempotent_on_prng_programs() {
         use crate::frame::layout_frame;
         use crate::pass::PassManager;
-
-        struct Rng(u64);
-        impl Rng {
-            fn next(&mut self) -> u64 {
-                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = self.0;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            }
-            fn below(&mut self, n: u64) -> u64 {
-                self.next() % n
-            }
-        }
+        use polycanary_crypto::{Prng, SplitMix64};
 
         for seed in 0..16u64 {
-            let mut rng = Rng(seed);
+            let mut rng = SplitMix64::new(seed);
             let mut f = FunctionBuilder::new("f");
-            let critical = rng.below(2) == 0;
+            let critical = rng.next_u64().is_multiple_of(2);
             f = if critical { f.critical_buffer("buf", 32) } else { f.buffer("buf", 32) };
-            for _ in 0..rng.below(3) {
-                f = f.compute(rng.below(200));
+            for _ in 0..rng.next_u64() % 3 {
+                f = f.compute(rng.next_u64() % 200);
             }
-            if rng.below(2) == 0 {
+            if rng.next_u64().is_multiple_of(2) {
                 f = f.zero_fill("buf");
             }
-            if rng.below(2) == 0 {
+            if rng.next_u64().is_multiple_of(2) {
                 f = f.safe_copy("buf");
             }
-            if rng.below(3) == 0 {
+            if rng.next_u64().is_multiple_of(3) {
                 f = f.leak("buf", 2);
             }
-            f = f.returns(rng.below(100)).compute(rng.below(50));
+            f = f.returns(rng.next_u64() % 100).compute(rng.next_u64() % 50);
             let func = f.build();
 
             let pm = PassManager::standard(OptLevel::O2);

@@ -113,6 +113,48 @@ impl Bencher {
             }
         }
     }
+
+    /// Runs `routine` on a fresh `setup()` input each iteration and records
+    /// the mean time of `routine` alone: building the input and dropping
+    /// the output stay outside the timed window.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        match self.mode {
+            Mode::Smoke => {
+                black_box(routine(setup()));
+                self.last_mean = None;
+            }
+            Mode::Measure => {
+                let warm_deadline = Instant::now() + self.warm_up;
+                while Instant::now() < warm_deadline {
+                    black_box(routine(setup()));
+                }
+                let deadline = Instant::now() + self.measurement;
+                let mut timed = Duration::ZERO;
+                let mut iterations = 0u32;
+                while iterations == 0 || Instant::now() < deadline {
+                    let input = setup();
+                    let started = Instant::now();
+                    let output = black_box(routine(input));
+                    timed += started.elapsed();
+                    drop(output);
+                    iterations += 1;
+                }
+                self.last_mean = Some(timed / iterations);
+            }
+        }
+    }
+}
+
+/// Batch-size hint of [`Bencher::iter_batched`], accepted for API
+/// compatibility: the shim always builds one input per iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs cheap enough to build many per sample.
+    SmallInput,
 }
 
 /// A named group of benchmarks sharing sampling settings.
@@ -274,5 +316,24 @@ mod tests {
         };
         bencher.iter(|| black_box(1 + 1));
         assert!(bencher.last_mean.is_some());
+    }
+
+    #[test]
+    fn iter_batched_times_the_routine_without_its_setup() {
+        let mut bencher = Bencher {
+            mode: Mode::Measure,
+            warm_up: Duration::from_millis(1),
+            measurement: Duration::from_millis(20),
+            last_mean: None,
+        };
+        let slow_setup = || std::thread::sleep(Duration::from_millis(2));
+        bencher.iter_batched(slow_setup, |()| black_box(1 + 1), BatchSize::SmallInput);
+        let mean = bencher.last_mean.expect("measured");
+        assert!(mean < Duration::from_millis(1), "setup leaked into the timing: {mean:?}");
+
+        let mut calls = 0u32;
+        let mut smoke = Bencher { mode: Mode::Smoke, ..bencher };
+        smoke.iter_batched(Vec::<u8>::new, |v| calls += 1 + v.len() as u32, BatchSize::SmallInput);
+        assert_eq!(calls, 1);
     }
 }

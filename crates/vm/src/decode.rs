@@ -22,7 +22,15 @@
 //! * **superblocks** — every remaining run of two or more consecutive
 //!   straight-line instructions is fused under a single budget precheck
 //!   ([`OpKind::Block`]), so the hot loop pays the fetch/limit/dispatch
-//!   overhead once per run instead of once per instruction.
+//!   overhead once per run instead of once per instruction;
+//! * **one dense return-address table** — filled in the same decode pass,
+//!   indexed by `addr - addr_base` where `addr_base` is the first function's
+//!   entry and the span ends at the last function's one-past-the-end marker,
+//!   so `ret` resolves its target with a `checked_sub` and one array load.
+//!   It is the only address index the cache keeps; the reference
+//!   interpreter resolves through
+//!   [`Program::lookup_addr`](crate::program::Program::lookup_addr)
+//!   instead, so the two loops never share the table under test.
 //!
 //! Fusion is an **overlay**: the fused op replaces only the *head* of its
 //! source sequence, while the component instructions keep their own ops at
@@ -40,8 +48,6 @@
 //! The cache is a pure acceleration, not a semantic fork: source
 //! [`Function`] bodies are left untouched, which is what the static
 //! verifier keeps proving its invariants against.
-
-use std::collections::HashMap;
 
 use crate::inst::{FuncId, Inst};
 use crate::program::Function;
@@ -97,7 +103,7 @@ pub(crate) enum OpKind {
         /// reference interpreter pushes before resolving the callee).
         return_addr: u64,
     },
-    /// `ret`: pop, then sentinel / hijack / address-map resolution.
+    /// `ret`: pop, then sentinel / hijack / dense-table resolution.
     Ret,
     /// `call __stack_chk_fail` — unconditional canary abort.
     StackChkFail {
@@ -177,17 +183,15 @@ pub(crate) struct DecodedProgram {
     ops: Vec<Op>,
     /// Flat index of each function's first op (direct-index function table).
     func_start: Vec<u32>,
-    /// Instruction address → flat index, including each function's
-    /// one-past-the-end marker address (which maps to its sentinel).
-    addr_to_flat: HashMap<u64, u32>,
-    /// Lowest mapped instruction address — base of the dense table below.
+    /// The first function's entry — the lowest mapped address and the base
+    /// of the dense table below.
     addr_base: u64,
-    /// Dense mirror of `addr_to_flat`, indexed by `addr - addr_base`
-    /// (`u32::MAX` marks unmapped slots).  Program addresses are assigned
-    /// contiguously from `CODE_BASE`, so the table stays a few bytes per
-    /// encoded instruction byte — and turns the `ret` path's address
-    /// resolution into one bounds-checked array load instead of a hash
-    /// lookup per return.
+    /// Instruction address → flat index, indexed by `addr - addr_base`,
+    /// including each function's one-past-the-end marker (which maps to its
+    /// sentinel); `u32::MAX` marks mid-instruction bytes and padding.
+    /// Program addresses are assigned contiguously from `CODE_BASE`, so the
+    /// table stays four bytes per encoded instruction byte — and turns the
+    /// `ret` path's address resolution into one bounds-checked array load.
     addr_flat_dense: Vec<u32>,
 }
 
@@ -203,8 +207,10 @@ impl DecodedProgram {
             cursor += func.insts().len() as u32 + 1;
         }
 
+        let addr_base = functions.first().map_or(0, Function::entry_addr);
+        let span = functions.last().map_or(0, |last| (last.end_addr() - addr_base) as usize + 1);
+        let mut addr_flat_dense = vec![u32::MAX; span];
         let mut ops = Vec::with_capacity(cursor as usize);
-        let mut addr_to_flat = HashMap::with_capacity(cursor as usize);
         for (fidx, func) in functions.iter().enumerate() {
             let fid = FuncId(fidx);
             let start = func_start[fidx];
@@ -215,7 +221,7 @@ impl DecodedProgram {
             let clamp = |index: usize| start + index.min(len) as u32;
             for (i, inst) in insts.iter().enumerate() {
                 let addr = func.inst_addr(i).expect("finalized function has inst addrs");
-                addr_to_flat.insert(addr, start + i as u32);
+                addr_flat_dense[(addr - addr_base) as usize] = start + i as u32;
                 let kind = match fuse_at(insts, i, fid, &clamp) {
                     Some(fused) => fused,
                     None => match inst {
@@ -237,18 +243,12 @@ impl DecodedProgram {
                 };
                 ops.push(Op { cycles: inst.cycles(), kind });
             }
-            let end_addr = func.entry_addr() + func.encoded_size();
-            addr_to_flat.insert(end_addr, start + len as u32);
+            let end_addr = func.end_addr();
+            addr_flat_dense[(end_addr - addr_base) as usize] = start + len as u32;
             ops.push(Op { cycles: 0, kind: OpKind::FellOffEnd { addr: end_addr } });
         }
         fuse_superblocks(&mut ops);
-        let addr_base = addr_to_flat.keys().min().copied().unwrap_or(0);
-        let span = addr_to_flat.keys().max().map_or(0, |max| (max - addr_base) as usize + 1);
-        let mut addr_flat_dense = vec![u32::MAX; span];
-        for (&addr, &flat) in &addr_to_flat {
-            addr_flat_dense[(addr - addr_base) as usize] = flat;
-        }
-        DecodedProgram { ops, func_start, addr_to_flat, addr_base, addr_flat_dense }
+        DecodedProgram { ops, func_start, addr_base, addr_flat_dense }
     }
 
     /// The flat op stream.
@@ -262,7 +262,8 @@ impl DecodedProgram {
     }
 
     /// Resolves an instruction (or one-past-the-end marker) address to its
-    /// flat index — the `ret` path's replacement for the program address map.
+    /// flat index — the `ret` path's counterpart of
+    /// [`Program::lookup_addr`](crate::program::Program::lookup_addr).
     #[inline]
     pub(crate) fn flat_of_addr(&self, addr: u64) -> Option<u32> {
         let off = addr.checked_sub(self.addr_base)? as usize;
@@ -338,7 +339,7 @@ fn fuse_at(insts: &[Inst], i: usize, fid: FuncId, clamp: &impl Fn(usize) -> u32)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Program;
+    use crate::program::{Program, CODE_BASE};
 
     fn decoded(insts: Vec<Inst>) -> (Program, DecodedProgram) {
         let mut prog = Program::new();
@@ -395,6 +396,24 @@ mod tests {
         let end = func.entry_addr() + func.encoded_size();
         assert_eq!(d.flat_of_addr(end), Some(3));
         assert_eq!(d.flat_of_addr(end + 1), None);
+    }
+
+    #[test]
+    fn dense_table_agrees_with_lookup_addr_at_every_address() {
+        let mut prog = Program::new();
+        prog.add_function("a", vec![Inst::PushReg(Reg::R12), Inst::Compute(1), Inst::Ret]).unwrap();
+        prog.add_function("empty", Vec::new()).unwrap();
+        prog.add_function("b", vec![Inst::MovImmToReg { dst: Reg::Rax, imm: 1 }, Inst::Ret])
+            .unwrap();
+        prog.finalize();
+        let d = prog.decoded().unwrap();
+        let (_, last) = prog.iter().last().unwrap();
+        let top = last.entry_addr() + last.encoded_size();
+        for addr in CODE_BASE - 1..=top + 1 {
+            let expected =
+                prog.lookup_addr(addr).map(|(fid, idx)| d.func_start(fid).unwrap() + idx as u32);
+            assert_eq!(d.flat_of_addr(addr), expected, "{addr:#x}");
+        }
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! Return addresses pushed by `call` are therefore *real* addresses that an
 //! overflow can overwrite, and the interpreter translates them back to
 //! instruction positions when `ret` executes.
+//!
+//! Each function's sorted `inst_addrs` is the program's only address
+//! index.  [`Program::lookup_addr`] answers from it by two binary searches
+//! (function by entry address, then instruction), so the reference
+//! interpreter — the differential oracle for the decoded dispatch — resolves
+//! return addresses without consulting the decode cache it checks.  The
+//! decoded `ret` path reads one dense address table that
+//! [`Program::finalize`] builds alongside the op stream (see
+//! `decode.rs`); no per-instruction hash map is kept.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -64,16 +73,24 @@ impl Function {
     pub fn encoded_size(&self) -> u64 {
         self.insts.iter().map(Inst::encoded_size).sum()
     }
+
+    /// The one-past-the-end marker address: entry plus encoded size, read
+    /// in O(1) from the last instruction address (valid after
+    /// finalization).
+    pub(crate) fn end_addr(&self) -> u64 {
+        match (self.inst_addrs.last(), self.insts.last()) {
+            (Some(&addr), Some(inst)) => addr + inst.encoded_size(),
+            _ => self.entry_addr,
+        }
+    }
 }
 
-/// A complete program: functions, entry point and the address map.
+/// A complete program: functions, entry point and their address layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     functions: Vec<Function>,
     by_name: HashMap<String, FuncId>,
     entry: Option<FuncId>,
-    /// Map from instruction address to (function, instruction index).
-    addr_map: HashMap<u64, (FuncId, usize)>,
     /// Extra sections appended by the binary rewriter (name → size in bytes).
     extra_sections: Vec<(String, u64)>,
     /// The flat dispatch cache, rebuilt by [`Program::finalize`] and cleared
@@ -90,7 +107,6 @@ impl Program {
             functions: Vec::new(),
             by_name: HashMap::new(),
             entry: None,
-            addr_map: HashMap::new(),
             extra_sections: Vec::new(),
             decoded: None,
             finalized: false,
@@ -200,21 +216,19 @@ impl Program {
     /// Calling `finalize` again after mutation recomputes the layout; the
     /// rewriter uses the before/after sizes to verify layout preservation.
     pub fn finalize(&mut self) {
-        self.addr_map.clear();
         let mut cursor = CODE_BASE;
-        for (idx, func) in self.functions.iter_mut().enumerate() {
+        for func in &mut self.functions {
             cursor = cursor.next_multiple_of(FUNCTION_ALIGN);
             func.entry_addr = cursor;
             func.inst_addrs.clear();
-            for (inst_idx, inst) in func.insts.iter().enumerate() {
+            func.inst_addrs.reserve(func.insts.len());
+            for inst in &func.insts {
                 func.inst_addrs.push(cursor);
-                self.addr_map.insert(cursor, (FuncId(idx), inst_idx));
                 cursor += inst.encoded_size();
             }
-            // The address immediately after the last instruction maps to a
-            // "one past the end" marker so a call as the final instruction
-            // still has a valid return address (it behaves as a return).
-            self.addr_map.insert(cursor, (FuncId(idx), func.insts.len()));
+            // The address immediately after the last instruction is the
+            // function's "one past the end" marker (see `lookup_addr`); one
+            // padding byte keeps it distinct from the next entry.
             cursor += 1;
         }
         // Addresses are assigned; flatten the bodies into the dispatch
@@ -236,11 +250,29 @@ impl Program {
 
     /// Translates a virtual address back to `(function, instruction index)`.
     ///
-    /// Returns `None` for addresses that are not instruction boundaries —
-    /// this is how a corrupted return address is detected as either an
-    /// invalid return or a successful hijack.
+    /// Each function's one-past-the-end marker (entry plus encoded size)
+    /// resolves to `(function, len)`, so a call as the final instruction
+    /// still has a valid return address (it behaves as falling off the
+    /// end).  Returns `None` for every other address — mid-instruction
+    /// bytes, alignment padding, anything outside `.text`, and every
+    /// address of an unfinalized program.  This is how a corrupted return
+    /// address is detected as either an invalid return or a successful
+    /// hijack.
+    ///
+    /// Answered by binary search over the sorted entry and instruction
+    /// addresses [`Program::finalize`] assigns, independently of the decode
+    /// cache's dense table.
     pub fn lookup_addr(&self, addr: u64) -> Option<(FuncId, usize)> {
-        self.addr_map.get(&addr).copied()
+        if !self.finalized {
+            return None;
+        }
+        let fidx = self.functions.partition_point(|f| f.entry_addr <= addr).checked_sub(1)?;
+        let func = &self.functions[fidx];
+        if addr == func.end_addr() {
+            return Some((FuncId(fidx), func.insts.len()));
+        }
+        let idx = func.inst_addrs.binary_search(&addr).ok()?;
+        Some((FuncId(fidx), idx))
     }
 
     /// Total encoded size of all original functions (the `.text` section).
@@ -323,6 +355,32 @@ mod tests {
         }
         // A misaligned address (mid-instruction) does not resolve.
         assert_eq!(prog.lookup_addr(fa.entry_addr() + 100_000), None);
+    }
+
+    #[test]
+    fn lookup_addr_resolves_end_markers_but_not_padding() {
+        let mut prog = Program::new();
+        let a = prog.add_function("a", tiny_function()).unwrap();
+        let empty = prog.add_function("empty", Vec::new()).unwrap();
+        let b = prog.add_function("b", tiny_function()).unwrap();
+        assert_eq!(prog.lookup_addr(CODE_BASE), None, "unfinalized programs resolve nothing");
+        prog.finalize();
+        let fa = prog.function(a).unwrap();
+        let end = fa.entry_addr() + fa.encoded_size();
+        assert_eq!(fa.inst_addr(fa.insts().len()), None);
+        assert_eq!(prog.lookup_addr(end), Some((a, fa.insts().len())));
+        assert_eq!(prog.lookup_addr(end + 1), None);
+        assert_eq!(prog.lookup_addr(CODE_BASE - 1), None);
+        // An empty function's entry is its own end marker.
+        let fe = prog.function(empty).unwrap();
+        assert_eq!(prog.lookup_addr(fe.entry_addr()), Some((empty, 0)));
+        let fb = prog.function(b).unwrap();
+        assert_eq!(prog.lookup_addr(fb.entry_addr() - 1), None);
+        assert_eq!(prog.lookup_addr(fb.entry_addr()), Some((b, 0)));
+        // `push %rbp` is one byte, so `mov %rsp,%rbp` (three bytes) starts
+        // at +1 and +2 is mid-instruction.
+        assert_eq!(prog.lookup_addr(fb.entry_addr() + 1), Some((b, 1)));
+        assert_eq!(prog.lookup_addr(fb.entry_addr() + 2), None);
     }
 
     #[test]

@@ -21,68 +21,52 @@
 use polycanary::compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
 use polycanary::compiler::OptLevel;
 use polycanary::core::SchemeKind;
+use polycanary::crypto::{Prng, SplitMix64};
 use polycanary::rewriter::LinkMode;
 use polycanary::vm::RunOutcome;
 use polycanary::workloads::{build_machine_at, Build};
 
-/// Deterministic PRNG for program generation (SplitMix64).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// Generates a random well-formed module: a `main` calling a handful of
 /// leaf workers, each mixing the statement shapes every transform pass
 /// keys on.  `allow_leak` gates `LeakFrame` emission (off for OWF cells).
-fn gen_module(rng: &mut Rng, allow_leak: bool) -> ModuleDef {
-    let nworkers = 1 + rng.below(3);
+fn gen_module(rng: &mut SplitMix64, allow_leak: bool) -> ModuleDef {
+    let nworkers = 1 + rng.next_u64() % 3;
     let mut builder = ModuleBuilder::new();
     let mut main = FunctionBuilder::new("main").scalar("x");
     for w in 0..nworkers {
-        for _ in 0..(1 + rng.below(3)) {
+        for _ in 0..(1 + rng.next_u64() % 3) {
             main = main.call(format!("w{w}"));
         }
     }
-    builder = builder.function(main.returns(rng.below(4)).build());
+    builder = builder.function(main.returns(rng.next_u64() % 4).build());
     for w in 0..nworkers {
         let mut f = FunctionBuilder::new(format!("w{w}"));
-        let has_buffer = rng.below(4) != 0;
+        let has_buffer = !rng.next_u64().is_multiple_of(4);
         if has_buffer {
-            f = f.buffer("buf", 16 + 8 * rng.below(5) as u32);
+            f = f.buffer("buf", 16 + 8 * (rng.next_u64() % 5) as u32);
         }
-        if rng.below(3) == 0 {
+        if rng.next_u64().is_multiple_of(3) {
             f = f.critical_buffer("secret", 16);
         }
-        for _ in 0..rng.below(4) {
+        for _ in 0..rng.next_u64() % 4 {
             // Includes zero-cycle computes: const-fold fodder.
-            f = f.compute(rng.below(150));
+            f = f.compute(rng.next_u64() % 150);
         }
         if has_buffer {
-            if rng.below(2) == 0 {
+            if rng.next_u64().is_multiple_of(2) {
                 f = f.zero_fill("buf");
             }
-            match rng.below(3) {
+            match rng.next_u64() % 3 {
                 // An unbounded copy: with a long enough input this
                 // overflows and both levels must *detect* it identically.
                 0 => f = f.vulnerable_copy("buf"),
                 _ => f = f.safe_copy("buf"),
             }
-            if allow_leak && rng.below(3) == 0 {
-                f = f.leak("buf", 1 + rng.below(3) as u32);
+            if allow_leak && rng.next_u64().is_multiple_of(3) {
+                f = f.leak("buf", 1 + (rng.next_u64() % 3) as u32);
             }
         }
-        f = f.returns(rng.below(100)).compute(rng.below(60));
+        f = f.returns(rng.next_u64() % 100).compute(rng.next_u64() % 60);
         builder = builder.function(f.build());
     }
     builder.entry("main").build().expect("generated module is well-formed")
@@ -112,9 +96,9 @@ fn o0_and_o2_builds_agree_on_every_deployment_cell() {
     for build in builds() {
         let owf = matches!(build, Build::Compiler(SchemeKind::PsspOwf));
         for case in 0..6u64 {
-            let mut rng = Rng(case.wrapping_mul(0x0DD5_EED5).wrapping_add(case));
+            let mut rng = SplitMix64::new(case.wrapping_mul(0x0DD5_EED5).wrapping_add(case));
             let module = gen_module(&mut rng, !owf);
-            let seed = rng.next();
+            let seed = rng.next_u64();
             let label = format!("{} case {case}", build.label());
             let (o0, out0) = run(&module, build, OptLevel::O0, seed);
             let (o2, out2) = run(&module, build, OptLevel::O2, seed);
@@ -136,9 +120,9 @@ fn o1_sits_between_the_endpoints_semantically() {
     // the same oracle against both endpoints.
     let build = Build::Compiler(SchemeKind::Pssp);
     for case in 0..6u64 {
-        let mut rng = Rng(0xA11_0CA7 ^ case);
+        let mut rng = SplitMix64::new(0xA11_0CA7 ^ case);
         let module = gen_module(&mut rng, true);
-        let seed = rng.next();
+        let seed = rng.next_u64();
         let (o0, out0) = run(&module, build, OptLevel::O0, seed);
         let (o1, out1) = run(&module, build, OptLevel::O1, seed);
         let (o2, out2) = run(&module, build, OptLevel::O2, seed);
@@ -156,9 +140,9 @@ fn optimization_never_costs_cycles() {
     for build in builds() {
         let owf = matches!(build, Build::Compiler(SchemeKind::PsspOwf));
         for case in 0..4u64 {
-            let mut rng = Rng(0xC0DE ^ (case << 8));
+            let mut rng = SplitMix64::new(0xC0DE ^ (case << 8));
             let module = gen_module(&mut rng, !owf);
-            let seed = rng.next();
+            let seed = rng.next_u64();
             let (o0, _) = run(&module, build, OptLevel::O0, seed);
             let (o2, _) = run(&module, build, OptLevel::O2, seed);
             assert!(

@@ -14,6 +14,10 @@
 //!   both rewriter link modes),
 //! * every victim scheme × deployment cell under benign, leaking and
 //!   stack-smashing payloads,
+//! * returns to every address of PRNG-generated programs — instruction
+//!   boundaries, mid-instruction bytes, alignment padding, end markers and
+//!   out-of-range addresses — with `Program::lookup_addr` checked against a
+//!   brute-force scan,
 //! * whole campaigns: exported records identical at 1 vs 8 workers.
 
 use polycanary::attacks::{
@@ -22,29 +26,14 @@ use polycanary::attacks::{
 };
 use polycanary::core::record::Record;
 use polycanary::core::SchemeKind;
+use polycanary::crypto::{Prng, SplitMix64};
 use polycanary::rewriter::LinkMode;
 use polycanary::vm::mem::DEFAULT_STACK_SIZE;
+use polycanary::vm::program::CODE_BASE;
 use polycanary::vm::{
-    Cpu, ExecConfig, FuncId, Inst, Machine, Pid, Process, Program, Reg, RunOutcome,
+    Cpu, ExecConfig, Exit, Fault, FuncId, Inst, Machine, Pid, Process, Program, Reg, RunOutcome,
 };
 use polycanary::workloads::{build_machine, spec_suite, Build};
-
-/// Deterministic PRNG for program generation (SplitMix64).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 const REGS: [Reg; 6] = [Reg::Rax, Reg::Rbx, Reg::Rcx, Reg::Rdx, Reg::Rdi, Reg::R12];
 
@@ -52,10 +41,10 @@ const REGS: [Reg; 6] = [Reg::Rax, Reg::Rbx, Reg::Rcx, Reg::Rdx, Reg::Rdi, Reg::R
 /// fusable canary sequences (so the fused superinstructions are exercised)
 /// and branches whose targets can land in the middle of those sequences or
 /// past the end of the function.
-fn push_chunk(rng: &mut Rng, insts: &mut Vec<Inst>) {
-    let reg = REGS[rng.below(REGS.len() as u64) as usize];
-    let frame_offset = -8 * (1 + rng.below(6) as i32);
-    match rng.below(20) {
+fn push_chunk(rng: &mut SplitMix64, insts: &mut Vec<Inst>) {
+    let reg = REGS[(rng.next_u64() % REGS.len() as u64) as usize];
+    let frame_offset = -8 * (1 + (rng.next_u64() % 6) as i32);
+    match rng.next_u64() % 20 {
         0 => {
             // Fusable SSP canary prologue.
             insts.push(Inst::MovTlsToReg { dst: reg, offset: 0x28 });
@@ -74,43 +63,43 @@ fn push_chunk(rng: &mut Rng, insts: &mut Vec<Inst>) {
             insts.push(Inst::JeSkip(1));
             insts.push(Inst::CallStackChkFail);
         }
-        3 => insts.push(Inst::JeSkip(rng.below(6) as usize)),
-        4 => insts.push(Inst::JneSkip(rng.below(6) as usize)),
-        5 => insts.push(Inst::JmpSkip(rng.below(5) as usize)),
-        6 => insts.push(Inst::CallFn(FuncId(rng.below(6) as usize))),
+        3 => insts.push(Inst::JeSkip((rng.next_u64() % 6) as usize)),
+        4 => insts.push(Inst::JneSkip((rng.next_u64() % 6) as usize)),
+        5 => insts.push(Inst::JmpSkip((rng.next_u64() % 5) as usize)),
+        6 => insts.push(Inst::CallFn(FuncId((rng.next_u64() % 6) as usize))),
         7 => insts.push(Inst::Ret),
         8 => insts.push(Inst::CopyInputToFrame { offset: frame_offset }),
         9 => insts.push(Inst::CopyInputToFrameBounded {
             offset: frame_offset,
-            max_len: rng.below(24) as u32,
+            max_len: (rng.next_u64() % 24) as u32,
         }),
         10 => insts.push(Inst::Rdrand(reg)),
         11 => insts.push(Inst::Rdtsc),
         12 => insts.push(Inst::PushReg(reg)),
         13 => insts.push(Inst::PopReg(reg)),
         14 => insts.push(Inst::MovRegToFrame { src: reg, offset: frame_offset }),
-        15 => insts.push(Inst::MovImmToReg { dst: reg, imm: rng.below(1 << 20) }),
-        16 => insts.push(Inst::CmpRegImm { reg, imm: rng.below(3) }),
+        15 => insts.push(Inst::MovImmToReg { dst: reg, imm: rng.next_u64() % (1 << 20) }),
+        16 => insts.push(Inst::CmpRegImm { reg, imm: rng.next_u64() % 3 }),
         17 => insts.push(Inst::TestReg(reg)),
         18 => insts.push(Inst::XorRegReg { dst: reg, src: Reg::Rbx }),
         _ => insts.push(Inst::CallCheckCanary32),
     }
 }
 
-fn gen_program(rng: &mut Rng) -> Program {
+fn gen_program(rng: &mut SplitMix64) -> Program {
     let mut prog = Program::new();
-    let nfuncs = 1 + rng.below(3);
+    let nfuncs = 1 + rng.next_u64() % 3;
     for f in 0..nfuncs {
         let mut insts = vec![
             Inst::PushReg(Reg::Rbp),
             Inst::MovRegReg { dst: Reg::Rbp, src: Reg::Rsp },
             Inst::SubRspImm(0x40),
         ];
-        for _ in 0..(2 + rng.below(12)) {
+        for _ in 0..(2 + rng.next_u64() % 12) {
             push_chunk(rng, &mut insts);
         }
         // Most functions return cleanly; some fall off the end.
-        if rng.below(4) != 0 {
+        if !rng.next_u64().is_multiple_of(4) {
             insts.push(Inst::Leave);
             insts.push(Inst::Ret);
         }
@@ -148,17 +137,142 @@ fn observe(
 
 #[test]
 fn fuzzed_programs_agree_across_dispatchers() {
-    let mut rng = Rng(0x5EED_CAFE);
+    let mut rng = SplitMix64::new(0x5EED_CAFE);
     for case in 0..200u32 {
         let prog = gen_program(&mut rng);
-        let seed = rng.next();
-        let input_len = rng.below(40) as usize;
+        let seed = rng.next_u64();
+        let input_len = (rng.next_u64() % 40) as usize;
         for max_instructions in [0u64, 1, 2, 3, 5, 9, 17, 33, 120, 5_000] {
             let cfg = ExecConfig { max_instructions, hijack_target: Some(0x4141_4141) };
             let cached = observe(&prog, FuncId(0), &cfg, seed, input_len, false);
             let reference = observe(&prog, FuncId(0), &cfg, seed, input_len, true);
             assert_eq!(cached, reference, "case {case}, budget {max_instructions}");
         }
+    }
+}
+
+/// `mov $addr,%rax; push %rax; ret` — returns to an arbitrary address.
+/// Every body it builds has the same size, so swapping the address in
+/// never moves the layout.
+fn ret_to(addr: u64) -> Vec<Inst> {
+    vec![Inst::MovImmToReg { dst: Reg::Rax, imm: addr }, Inst::PushReg(Reg::Rax), Inst::Ret]
+}
+
+/// Address resolution by brute force: every instruction address, then every
+/// function's one-past-the-end marker (entry plus encoded size).
+fn scan_addr(prog: &Program, addr: u64) -> Option<(FuncId, usize)> {
+    prog.iter().find_map(|(id, func)| {
+        let len = func.insts().len();
+        assert_eq!(func.inst_addr(len), None, "{id}: no address past the last instruction");
+        let end = func.entry_addr() + func.encoded_size();
+        (0..len)
+            .find(|&i| func.inst_addr(i) == Some(addr))
+            .map(|i| (id, i))
+            .or_else(|| (addr == end).then_some((id, len)))
+    })
+}
+
+/// The last function's one-past-the-end marker: the top of `.text`.
+fn last_end_marker(prog: &Program) -> u64 {
+    let (_, func) = prog.iter().last().expect("program has functions");
+    func.entry_addr() + func.encoded_size()
+}
+
+/// Points the `stub` function's [`ret_to`] at `addr` and runs it through
+/// both dispatchers, which must agree, under two budgets: a roomy one, and
+/// one that runs out exactly after the stub's `ret`.  The tight budget
+/// tells a resolved return (the next fetch hits the instruction limit)
+/// from an unresolved one (`ret` itself faults), even where the two would
+/// fault alike — a return to an end marker falls off that function with
+/// the same address an unresolved return reports.
+///
+/// Returns the `(roomy, tight)` outcomes.
+fn return_to(prog: &mut Program, stub: FuncId, addr: u64, label: &str) -> [RunOutcome; 2] {
+    prog.replace_function_body(stub, ret_to(addr)).unwrap();
+    prog.finalize();
+    [300, 3].map(|max_instructions| {
+        let cfg = ExecConfig { max_instructions, hijack_target: None };
+        let cached = observe(prog, stub, &cfg, addr, 8, false);
+        let reference = observe(prog, stub, &cfg, addr, 8, true);
+        assert_eq!(cached, reference, "{label}: return to {addr:#x}, budget {max_instructions}");
+        cached.0
+    })
+}
+
+#[test]
+fn return_addresses_resolve_identically_at_every_address() {
+    let mut rng = SplitMix64::new(0xADD2_E550);
+    for case in 0..40u32 {
+        let mut prog = gen_program(&mut rng);
+        let stub = prog.add_function("ret_to", ret_to(0)).unwrap();
+        prog.finalize();
+        let top = last_end_marker(&prog);
+        for addr in CODE_BASE - 1..=top + 1 {
+            assert_eq!(
+                prog.lookup_addr(addr),
+                scan_addr(&prog, addr),
+                "case {case}: lookup_addr({addr:#x})"
+            );
+            // The decoded `ret` resolves through its dense table, the
+            // reference loop through `lookup_addr`: any off-by-one in
+            // either shows up as diverging outcomes.
+            return_to(&mut prog, stub, addr, &format!("case {case}"));
+        }
+    }
+}
+
+#[test]
+fn returns_to_every_address_class_agree_across_dispatchers() {
+    let mut prog = Program::new();
+    let f = prog
+        .add_function(
+            "f",
+            vec![
+                Inst::PushReg(Reg::Rbp),
+                Inst::MovRegReg { dst: Reg::Rbp, src: Reg::Rsp },
+                Inst::Compute(3),
+                Inst::Leave,
+                Inst::Ret,
+            ],
+        )
+        .unwrap();
+    let stub = prog.add_function("ret_to", ret_to(0)).unwrap();
+    prog.finalize();
+    let func = prog.function(f).unwrap();
+    let ret = func.inst_addr(4).unwrap();
+    let mid = func.inst_addr(1).unwrap() + 1;
+    let end = func.entry_addr() + func.encoded_size();
+    let padding = end + 1;
+    assert!(padding < prog.function(stub).unwrap().entry_addr(), "alignment leaves padding");
+    let top = last_end_marker(&prog);
+
+    // (label, address, what `lookup_addr` must say)
+    let classes = [
+        ("instruction boundary", ret, Some((f, 4))),
+        ("mid-instruction byte", mid, None),
+        ("alignment padding", padding, None),
+        ("end marker", end, Some((f, 5))),
+        ("below .text", CODE_BASE - 1, None),
+        ("above .text", top + 1, None),
+        ("null", 0, None),
+        ("top of the address space", u64::MAX, None),
+    ];
+    for (label, addr, resolves) in classes {
+        assert_eq!(prog.lookup_addr(addr), resolves, "{label}");
+        let [roomy, tight] = return_to(&mut prog, stub, addr, label);
+        let expected = match resolves {
+            // Landing on `f`'s `ret` pops the boot sentinel: a clean exit
+            // with the stub's `%rax`.
+            Some((_, 4)) => Exit::Normal(addr),
+            // The end marker falls off `f`; everything else never resolves.
+            _ => Exit::Fault(Fault::InvalidReturn { addr }),
+        };
+        assert_eq!(roomy.exit, expected, "{label}");
+        let expected_tight = match resolves {
+            Some(_) => Exit::Fault(Fault::InstructionLimit),
+            None => Exit::Fault(Fault::InvalidReturn { addr }),
+        };
+        assert_eq!(tight.exit, expected_tight, "{label}, budget 3");
     }
 }
 

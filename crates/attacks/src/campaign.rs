@@ -16,12 +16,10 @@
 //! *event-driven* on seed-ordered result prefixes as results arrive.  Every
 //! run is deterministic in its seed, which makes the aggregate
 //! deterministic too: the report is identical whatever the worker-thread
-//! count (only `wall_time` and the speculation telemetry vary).  An
-//! adaptive [`StopRule`] can end a campaign early — cancelling every shard
-//! not yet claimed — once a Wilson-interval bound settles the [`Verdict`],
-//! or, under [`StopRule::Sprt`], once Wald's sequential probability-ratio
-//! test crosses a decision boundary (one run sooner on unanimous
-//! populations).
+//! count (only `wall_time` and the speculation telemetry vary).  The
+//! adaptive [`StopRule::Sprt`] ends a campaign early — cancelling every
+//! shard not yet claimed — once Wald's sequential probability-ratio test
+//! crosses a decision boundary (after three runs on unanimous populations).
 //!
 //! Fleet scale comes from snapshot-keyed victim construction: all victims
 //! sharing a scheme × deployment × buffer-size configuration are built from
@@ -138,12 +136,12 @@ pub fn wilson_interval(successes: u64, n: u64, z: f64) -> (f64, f64) {
 
 /// Statistical verdict of a campaign: does the attack break the scheme?
 ///
-/// The verdict is the Wilson interval of the success rate tested against
-/// 1/2 at 95 % confidence.  For populations whose outcome tends one way —
-/// every cell in the paper's tables is unanimous — adaptive
-/// (early-stopped) and exhaustive campaigns agree on it; for per-seed
-/// success rates near the threshold the early stop carries the usual
-/// repeated-testing error probability of the configured interval.
+/// A campaign the SPRT stopped carries the SPRT's decision; every other
+/// campaign is judged by the 95 % Wilson interval of its success rate
+/// against 1/2.  For populations whose outcome tends one way — every cell
+/// in the paper's tables is unanimous — adaptive (early-stopped) and
+/// exhaustive campaigns agree on it; for per-seed success rates near the
+/// threshold the SPRT's decision carries its α / β error probabilities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The success rate is provably above 1/2 — the scheme falls.
@@ -183,29 +181,14 @@ impl std::fmt::Display for Verdict {
 pub enum StopRule {
     /// Run every configured seed (the default).
     Exhaustive,
-    /// Stop once the Wilson interval of the success rate at quantile `z`
-    /// lies entirely above or entirely below `threshold` — i.e. once the
-    /// [`Verdict`] is settled.
-    WilsonSettled {
-        /// Normal quantile of the interval (1.96 ≈ 95 % confidence).
-        z: f64,
-        /// Success-rate boundary the interval must clear.
-        threshold: f64,
-        /// Historical scheduling-batch size, kept for configuration
-        /// compatibility.  The sharded executor evaluates the rule after
-        /// every completed run regardless; use
-        /// [`Campaign::with_shard_size`] to tune scheduling granularity.
-        batch: usize,
-    },
     /// Wald's sequential probability-ratio test: stop as soon as the
     /// accumulated log-likelihood ratio between "the attack breaks the
     /// scheme" (success rate [`SPRT_P1`]) and "the scheme resists" (success
     /// rate [`SPRT_P0`]) crosses the boundary for error rates `alpha` /
     /// `beta`.  On unanimous populations this settles in
     /// `ceil(ln((1-beta)/alpha) / ln(p1/p0))` runs — 3 at the default 5 %
-    /// error rates, versus 4 for [`StopRule::settled`] — which is why
-    /// mixed-rate sweeps prefer it: no run is spent past the point where
-    /// the evidence is already conclusive.
+    /// error rates — so no run is spent past the point where the evidence
+    /// is already conclusive.
     Sprt {
         /// Type-I error bound: probability of declaring "breaks" when the
         /// true success rate is [`SPRT_P0`].
@@ -224,12 +207,6 @@ pub const SPRT_P0: f64 = 0.2;
 pub const SPRT_P1: f64 = 0.8;
 
 impl StopRule {
-    /// The standard adaptive rule: 95 % Wilson interval against a success
-    /// rate of 1/2 — four unanimous runs settle the verdict either way.
-    pub fn settled() -> Self {
-        StopRule::WilsonSettled { z: 1.96, threshold: 0.5, batch: 4 }
-    }
-
     /// The standard sequential rule: Wald SPRT at 5 % error rates both
     /// ways — three unanimous runs settle the verdict either way.
     pub fn sprt() -> Self {
@@ -240,7 +217,6 @@ impl StopRule {
     pub fn label(&self) -> &'static str {
         match self {
             StopRule::Exhaustive => "exhaustive",
-            StopRule::WilsonSettled { .. } => "wilson-settled",
             StopRule::Sprt { .. } => "sprt",
         }
     }
@@ -254,16 +230,6 @@ impl StopRule {
         }
         match *self {
             StopRule::Exhaustive => None,
-            StopRule::WilsonSettled { z, threshold, .. } => {
-                let (low, high) = wilson_interval(successes, runs, z);
-                if low > threshold {
-                    Some(Verdict::Breaks)
-                } else if high < threshold {
-                    Some(Verdict::Resists)
-                } else {
-                    None
-                }
-            }
             StopRule::Sprt { alpha, beta } => {
                 let s = successes as f64;
                 let f = (runs - successes) as f64;
@@ -294,7 +260,7 @@ impl StopRule {
     fn default_shard_size(&self) -> usize {
         match *self {
             StopRule::Exhaustive => 64,
-            StopRule::WilsonSettled { .. } | StopRule::Sprt { .. } => 1,
+            StopRule::Sprt { .. } => 1,
         }
     }
 }
@@ -390,8 +356,8 @@ pub struct CampaignReport {
     /// Number of seeds the campaign was configured with; `runs.len()` falls
     /// short of this exactly when a stop rule fired early.
     pub configured_seeds: usize,
-    /// The adaptive-budget policy the campaign ran under; its Wilson
-    /// parameters also define [`CampaignReport::verdict`].
+    /// The adaptive-budget policy the campaign ran under; a decision it
+    /// reached is also the campaign's [`CampaignReport::verdict`].
     pub stop_rule: StopRule,
     /// Contiguous victim indices per worker shard claim (part of the
     /// campaign configuration, so deterministic).
@@ -464,10 +430,10 @@ impl CampaignReport {
     /// [`Verdict`] for the caveat near the threshold).
     ///
     /// Judges with the same test the campaign's [`StopRule`] stopped on (so
-    /// a campaign an adaptive rule declared settled never reads back as
-    /// inconclusive); exhaustive campaigns — and adaptive ones that ran out
-    /// of seeds undecided — use the standard 95 % Wilson interval against a
-    /// success rate of 1/2.
+    /// a campaign the SPRT declared settled never reads back as
+    /// inconclusive); exhaustive campaigns — and SPRT ones that ran out of
+    /// seeds undecided — use the 95 % Wilson interval against a success
+    /// rate of 1/2.
     pub fn verdict(&self) -> Verdict {
         if self.runs.is_empty() {
             return Verdict::Inconclusive;
@@ -475,17 +441,10 @@ impl CampaignReport {
         if let Some(verdict) = self.stop_rule.decision(self.successes(), self.campaigns()) {
             return verdict;
         }
-        // Undecided after every seed: judge with the configured Wilson
-        // parameters where the rule has them, the standard 95 % test
-        // against 1/2 otherwise (exhaustive and SPRT campaigns).
-        let (z, threshold) = match self.stop_rule {
-            StopRule::WilsonSettled { z, threshold, .. } => (z, threshold),
-            StopRule::Exhaustive | StopRule::Sprt { .. } => (1.96, 0.5),
-        };
-        let (low, high) = wilson_interval(self.successes(), self.campaigns(), z);
-        if low > threshold {
+        let (low, high) = wilson_interval(self.successes(), self.campaigns(), 1.96);
+        if low > 0.5 {
             Verdict::Breaks
-        } else if high < threshold {
+        } else if high < 0.5 {
             Verdict::Resists
         } else {
             Verdict::Inconclusive
@@ -686,8 +645,8 @@ impl Campaign {
 
     /// A campaign of `attack` against an arbitrary victim fleet — a
     /// uniform population reproduces the paper's tables, a mixed one
-    /// produces the in-between success rates that exercise the sequential
-    /// stop rules' indifference region.
+    /// produces the in-between success rates that exercise the SPRT's
+    /// indifference region.
     pub fn against(attack: AttackKind, population: Population) -> Self {
         Campaign {
             attack,
@@ -1128,7 +1087,7 @@ mod tests {
         let base = Campaign::new(AttackKind::ByteByByte { budget: 3_000 }, SchemeKind::Ssp)
             .with_seed_range(2, 12);
         let exhaustive = base.clone().run();
-        let adaptive = base.with_stop_rule(StopRule::settled()).run();
+        let adaptive = base.with_stop_rule(StopRule::sprt()).run();
         assert_eq!(exhaustive.verdict(), Verdict::Breaks);
         assert_eq!(adaptive.verdict(), exhaustive.verdict(), "verdicts must agree");
         assert!(adaptive.stopped_early(), "unanimous SSP breaks settle early");
@@ -1144,53 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_stop_is_independent_of_worker_count() {
-        let base = Campaign::new(AttackKind::Exhaustive { budget: 100 }, SchemeKind::Pssp)
-            .with_seed_range(6, 10)
-            .with_stop_rule(StopRule::settled());
-        let serial = base.clone().with_workers(1).run();
-        let parallel = base.with_workers(8).run();
-        assert_eq!(serial.runs, parallel.runs);
-        assert_eq!(serial.verdict(), Verdict::Resists);
-        assert!(serial.stopped_early());
-    }
-
-    #[test]
-    fn mixed_outcomes_never_stop_the_settled_rule() {
-        let rule = StopRule::settled();
-        assert!(!rule.should_stop(0, 0));
-        assert!(!rule.should_stop(2, 4));
-        assert!(!rule.should_stop(3, 4));
-        assert!(rule.should_stop(4, 4));
-        assert!(rule.should_stop(0, 4));
-        assert_eq!(StopRule::Exhaustive.label(), "exhaustive");
-        assert_eq!(rule.label(), "wilson-settled");
-        assert_eq!(StopRule::sprt().label(), "sprt");
-    }
-
-    #[test]
-    fn sprt_decides_one_run_before_wilson_on_unanimous_evidence() {
-        let sprt = StopRule::sprt();
-        let wilson = StopRule::settled();
-        // Unanimous successes: SPRT needs 3 runs, Wilson needs 4.
-        assert_eq!(sprt.decision(2, 2), None);
-        assert_eq!(sprt.decision(3, 3), Some(Verdict::Breaks));
-        assert_eq!(wilson.decision(3, 3), None);
-        assert_eq!(wilson.decision(4, 4), Some(Verdict::Breaks));
-        // Symmetrically for unanimous failures.
-        assert_eq!(sprt.decision(0, 2), None);
-        assert_eq!(sprt.decision(0, 3), Some(Verdict::Resists));
-        assert_eq!(wilson.decision(0, 4), Some(Verdict::Resists));
-        // Mixed evidence keeps the test running.
-        assert_eq!(sprt.decision(2, 4), None);
-        assert_eq!(sprt.decision(3, 5), None);
-        // But a strong majority eventually crosses the boundary.
-        assert_eq!(sprt.decision(9, 10), Some(Verdict::Breaks));
-        assert_eq!(sprt.decision(1, 10), Some(Verdict::Resists));
-        assert!(!sprt.should_stop(0, 0));
-    }
-
-    #[test]
     fn sprt_campaign_agrees_with_exhaustive_and_spends_less_than_wilson() {
         for (scheme, expected) in
             [(SchemeKind::Ssp, Verdict::Breaks), (SchemeKind::Pssp, Verdict::Resists)]
@@ -1198,24 +1110,79 @@ mod tests {
             let base = Campaign::new(AttackKind::ByteByByte { budget: 3_000 }, scheme)
                 .with_seed_range(4, 10);
             let exhaustive = base.clone().run();
-            let wilson = base.clone().with_stop_rule(StopRule::settled()).run();
             let sprt = base.with_stop_rule(StopRule::sprt()).run();
             assert_eq!(exhaustive.verdict(), expected, "{scheme}");
             assert_eq!(sprt.verdict(), expected, "{scheme}");
-            assert_eq!(wilson.verdict(), expected, "{scheme}");
+            // The shortest exhaustive prefix whose 95 % Wilson interval
+            // clears 1/2: where a Wilson-interval stop would have settled.
+            let wilson_runs = (1..=exhaustive.runs.len())
+                .find(|&n| {
+                    let prefix = &exhaustive.runs[..n];
+                    let successes = prefix.iter().filter(|r| r.result.success).count() as u64;
+                    let (low, high) = wilson_interval(successes, n as u64, 1.96);
+                    low > 0.5 || high < 0.5
+                })
+                .expect("a unanimous population settles the Wilson interval");
+            let wilson_requests: u64 =
+                exhaustive.runs[..wilson_runs].iter().map(|r| r.result.trials).sum();
             // Unanimous population: SPRT settles after 3 runs, Wilson after 4.
             assert_eq!(sprt.campaigns(), 3, "{scheme}");
-            assert_eq!(wilson.campaigns(), 4, "{scheme}");
+            assert_eq!(wilson_runs, 4, "{scheme}");
             assert!(
-                sprt.total_requests() < wilson.total_requests(),
+                sprt.total_requests() < wilson_requests,
                 "{scheme}: {} vs {}",
                 sprt.total_requests(),
-                wilson.total_requests()
+                wilson_requests
             );
             // The SPRT runs are a prefix of the exhaustive ones.
             assert_eq!(sprt.runs[..], exhaustive.runs[..3]);
             assert!(sprt.stopped_early());
         }
+    }
+
+    #[test]
+    fn adaptive_stop_is_independent_of_worker_count() {
+        let base = Campaign::new(AttackKind::ByteByByte { budget: 3_000 }, SchemeKind::Ssp)
+            .with_seed_range(2, 12)
+            .with_stop_rule(StopRule::sprt());
+        let serial = base.clone().with_workers(1).run();
+        let parallel = base.with_workers(8).run();
+        assert_eq!(serial.runs, parallel.runs);
+        assert_eq!(serial.verdict(), Verdict::Breaks);
+        assert!(serial.stopped_early());
+    }
+
+    #[test]
+    fn mixed_outcomes_never_stop_the_sprt_rule() {
+        let rule = StopRule::sprt();
+        assert!(!rule.should_stop(0, 0));
+        assert!(!rule.should_stop(2, 4));
+        assert!(!rule.should_stop(3, 4));
+        assert!(!rule.should_stop(4, 6));
+        assert!(rule.should_stop(4, 5));
+        assert!(rule.should_stop(1, 5));
+        assert_eq!(StopRule::Exhaustive.label(), "exhaustive");
+        assert_eq!(rule.label(), "sprt");
+    }
+
+    #[test]
+    fn sprt_decides_after_three_unanimous_runs() {
+        let sprt = StopRule::sprt();
+        // Unanimous successes: SPRT needs 3 runs.
+        assert_eq!(sprt.decision(2, 2), None);
+        assert_eq!(sprt.decision(3, 3), Some(Verdict::Breaks));
+        // Symmetrically for unanimous failures.
+        assert_eq!(sprt.decision(0, 2), None);
+        assert_eq!(sprt.decision(0, 3), Some(Verdict::Resists));
+        // The exhaustive rule never decides early.
+        assert_eq!(StopRule::Exhaustive.decision(8, 8), None);
+        // Mixed evidence keeps the test running.
+        assert_eq!(sprt.decision(2, 4), None);
+        assert_eq!(sprt.decision(3, 5), None);
+        // But a strong majority eventually crosses the boundary.
+        assert_eq!(sprt.decision(9, 10), Some(Verdict::Breaks));
+        assert_eq!(sprt.decision(1, 10), Some(Verdict::Resists));
+        assert!(!sprt.should_stop(0, 0));
     }
 
     #[test]
@@ -1248,38 +1215,31 @@ mod tests {
                 })
                 .collect()
         };
-        // A lax custom rule (z = 1.0) stops on a 6/8 split that the
-        // standard 95 % test would call inconclusive; the report's verdict
-        // must agree with the rule that stopped it.
-        let lax = StopRule::WilsonSettled { z: 1.0, threshold: 0.5, batch: 8 };
-        assert!(lax.should_stop(6, 8));
+        // SPRT stops on a 5/7 split (successes − failures = 3) that the
+        // 95 % Wilson test would call inconclusive (low bound ≈ 0.359); the
+        // report's verdict must agree with the rule that stopped it.
+        assert!(StopRule::sprt().should_stop(5, 7));
+        let (low, _) = wilson_interval(5, 7, 1.96);
+        assert!((0.35..0.5).contains(&low), "low = {low}");
         let report = CampaignReport {
             attack: "byte-by-byte",
             scheme: SchemeKind::Ssp,
             deployment: Deployment::Compiler,
             population: Population::uniform(SchemeKind::Ssp),
-            runs: dummy_runs(6, 2),
+            runs: dummy_runs(5, 2),
             configured_seeds: 16,
-            stop_rule: lax,
+            stop_rule: StopRule::sprt(),
             shard_size: 1,
-            victims_built: 8,
-            shards_claimed: 8,
+            victims_built: 7,
+            shards_claimed: 7,
             snapshot_builds: 1,
-            snapshot_hits: 7,
+            snapshot_hits: 6,
             wall_time: Duration::ZERO,
             workers: 1,
         };
         assert_eq!(report.verdict(), Verdict::Breaks);
-        let exhaustive = CampaignReport { stop_rule: StopRule::Exhaustive, ..report.clone() };
+        let exhaustive = CampaignReport { stop_rule: StopRule::Exhaustive, ..report };
         assert_eq!(exhaustive.verdict(), Verdict::Inconclusive);
-        // A custom Wilson threshold keeps judging undecided campaigns: a
-        // 6/8 split is nowhere near "breaks above 90 %", so the fallback
-        // must use the configured bar, not the 1/2 default.
-        let strict = CampaignReport {
-            stop_rule: StopRule::WilsonSettled { z: 1.96, threshold: 0.9, batch: 8 },
-            ..report
-        };
-        assert_eq!(strict.verdict(), Verdict::Inconclusive);
     }
 
     #[test]

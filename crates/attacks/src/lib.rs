@@ -18,21 +18,21 @@
 //!   equally strong.
 //! * [`reuse`] — the canary-disclosure-and-reuse attack that only
 //!   P-SSP-OWF survives.
-//! * [`pool`] — the reusable parallel job pool (scoped worker threads over
-//!   an atomic work queue) every experiment fans out on, including the
-//!   sharded early-stopping executor fleet campaigns run on.
+//! * [`pool`] — the reusable parallel job pool every experiment fans out
+//!   on: one sharded, early-stopping executor (scoped worker threads over
+//!   an atomic work queue) that plain table fan-outs and fleet campaigns
+//!   share.
 //! * [`snapshot`] — snapshot-keyed victim construction: the compile/boot
 //!   pipeline runs once per distinct victim configuration and every further
 //!   victim of that configuration boots from the captured image.
 //! * [`population`] — victim fleets: uniform (every paper table) or
 //!   weighted mixes such as a 70 %-patched fleet, whose in-between success
-//!   rates exercise the stop rules' indifference region.
+//!   rates exercise the stop rule's indifference region.
 //! * [`campaign`] — multi-seed campaigns fanning any of the above out over
 //!   the pool and aggregating success-rate and request-count statistics
-//!   (the statistically robust version of §VI-C), with optional adaptive
-//!   stop rules — Wilson-interval settling or Wald's sequential
-//!   probability-ratio test — that end a campaign once its verdict is
-//!   statistically settled.
+//!   (the statistically robust version of §VI-C), with an optional adaptive
+//!   stop rule — Wald's sequential probability-ratio test — that ends a
+//!   campaign once its verdict is statistically settled.
 //!
 //! # Quick example
 //!

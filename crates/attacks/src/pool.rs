@@ -5,8 +5,9 @@
 //! whose results must be reported **in input order** no matter which worker
 //! finishes first.  [`JobPool`] is that executor, extracted from the
 //! campaign engine so Table I rows, Table III/IV cells and the Fig. 5
-//! program sweep can all share it: scoped worker threads drain an atomic
-//! cursor over the job list and deposit each result under its input index.
+//! program sweep can all share it: scoped worker threads claim shards of
+//! job indices from an atomic cursor and a coordinator hands the results
+//! back in index order.
 //!
 //! Because jobs are pure functions of their input, the output vector is
 //! identical whatever the worker count — parallelism only changes wall
@@ -47,7 +48,7 @@ pub struct ShardOutcome<R> {
 
 /// A fixed-width pool of scoped worker threads draining an indexed work
 /// queue.  Construction is cheap — threads are only spawned inside
-/// [`JobPool::run`] and join before it returns.
+/// [`JobPool::run_sharded`] and join before it returns.
 ///
 /// ```
 /// use polycanary_attacks::pool::JobPool;
@@ -100,7 +101,8 @@ impl JobPool {
     }
 
     /// Runs `job(index, &item)` for every item and returns the results in
-    /// input order.  `job` must be a pure function of its inputs for the
+    /// input order — [`JobPool::run_sharded`] with unit shards and no
+    /// early stop.  `job` must be a pure function of its inputs for the
     /// determinism guarantee to hold (the pool guarantees only ordering).
     pub fn run<T, R, F>(&self, items: &[T], job: F) -> Vec<R>
     where
@@ -108,42 +110,7 @@ impl JobPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let workers = self.resolved_workers(items.len());
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if workers == 1 {
-            // Serial fast path: same results, no thread overhead.
-            return items.iter().enumerate().map(|(i, item)| job(i, item)).collect();
-        }
-
-        // Work queue: a shared cursor over the job list.  Workers claim the
-        // next unclaimed index, run that job, and deposit the result under
-        // its index so the output order matches the input order no matter
-        // which worker finishes first.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else { break };
-                    let result = job(index, item);
-                    *slots[index].lock().expect("no worker panicked holding the slot") =
-                        Some(result);
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("worker scope completed")
-                    .expect("every index was claimed exactly once")
-            })
-            .collect()
+        self.run_sharded(items.len(), 1, |i| job(i, &items[i]), |_, _| false).results
     }
 
     /// Runs `jobs` indexed jobs in shards of `shard_size` contiguous

@@ -5,7 +5,7 @@
 //! Real fleets are rarely unanimous: a partially rolled-out patch leaves,
 //! say, 70 % of the servers on P-SSP and 30 % on classic SSP, and the
 //! campaign's empirical success rate lands *between* the endpoints — right
-//! where the sequential stop rules' indifference region and error budgets
+//! where the SPRT stop rule's indifference region and error budget
 //! actually matter.  A [`Population`] describes such a fleet as a weighted
 //! mix of [`PopulationMember`]s; every victim seed deterministically draws
 //! one member, so mixed campaigns stay bitwise reproducible and

@@ -69,7 +69,8 @@ fn print_usage() {
     }
     eprintln!(
         "--quick       smaller workloads and campaigns (CI-sized)\n\
-         --adaptive    stop single-rule campaigns once their verdict settles\n\
+         --adaptive    SPRT stop rule: end single-rule campaigns once the\n\
+         \x20             sequential test settles their verdict\n\
          --workers N   cap the worker-thread budget (results never change)\n\
          --fleet N     fleet-scale mode: SPRT campaigns over N snapshot-booted\n\
          \x20             victims per cell (population and server-attack scenarios)\n\

@@ -111,7 +111,7 @@ pub fn effectiveness_deployment(scheme: SchemeKind) -> Deployment {
 /// [`ExperimentCtx::campaign_seeds`] independent victim seeds derived from
 /// the context seed, fanned out over the shared pool (scheme rows in
 /// parallel, campaign seeds on nested workers), so the reported numbers are
-/// a distribution rather than a single-seed anecdote.  Under a settling
+/// a distribution rather than a single-seed anecdote.  Under the SPRT
 /// [`ExperimentCtx::stop_rule`] each campaign ends as soon as its verdict
 /// is statistically proven, spending strictly fewer requests on unanimous
 /// cells while reaching the same verdicts as the exhaustive run.
@@ -247,14 +247,20 @@ mod tests {
         let schemes = [SchemeKind::Ssp, SchemeKind::Pssp];
         let exhaustive = run_effectiveness(&ctx(5, 3_000, 8), &schemes);
         let adaptive =
-            run_effectiveness(&ctx(5, 3_000, 8).with_stop_rule(StopRule::settled()), &schemes);
+            run_effectiveness(&ctx(5, 3_000, 8).with_stop_rule(StopRule::sprt()), &schemes);
         for (e, a) in exhaustive.iter().zip(&adaptive) {
-            assert_eq!(e.byte_by_byte.verdict(), a.byte_by_byte.verdict(), "{}", e.scheme);
-            assert_eq!(e.exhaustive.verdict(), a.exhaustive.verdict(), "{}", e.scheme);
-            assert_eq!(e.reuse.verdict(), a.reuse.verdict(), "{}", e.scheme);
+            for (full, early) in [
+                (&e.byte_by_byte, &a.byte_by_byte),
+                (&e.exhaustive, &a.exhaustive),
+                (&e.reuse, &a.reuse),
+            ] {
+                assert_eq!(full.verdict(), early.verdict(), "{} {}", e.scheme, full.attack);
+                // Every cell is unanimous: SPRT settles on a 3-victim prefix.
+                assert_eq!(early.runs[..], full.runs[..3], "{} {}", e.scheme, full.attack);
+            }
         }
         assert_eq!(exhaustive[0].byte_by_byte.verdict(), Verdict::Breaks);
-        // Unanimous cells settle after the first batch, so the adaptive run
+        // Unanimous cells settle after three victims, so the adaptive run
         // spends strictly fewer requests.
         let requests = |rows: &[EffectivenessRow]| -> u64 {
             rows.iter()

@@ -92,13 +92,11 @@ pub struct ExperimentCtx {
     pub seed: u64,
     /// CI-sized workloads (`--quick`): fewer programs, requests and seeds.
     pub quick: bool,
-    /// Adaptive campaign budgets (`--adaptive`): [`ExperimentCtx::stop_rule`]
-    /// defaults to [`StopRule::settled`] instead of [`StopRule::Exhaustive`].
-    pub adaptive: bool,
     /// Worker-thread budget; `None` uses one worker per available CPU.
     pub workers: Option<usize>,
-    /// Stop rule for single-rule campaign scenarios (the stop-rule
-    /// *comparison* scenarios run all three rules regardless).
+    /// Stop rule for single-rule campaign scenarios: [`StopRule::Exhaustive`]
+    /// by default, [`StopRule::sprt`] under `--adaptive` (the stop-rule
+    /// *comparison* scenarios run both rules regardless).
     pub stop_rule: StopRule,
     /// Output medium the harness renders into.
     pub format: ExportFormat,
@@ -137,7 +135,6 @@ impl ExperimentCtx {
         ExperimentCtx {
             seed,
             quick: false,
-            adaptive: false,
             workers: None,
             stop_rule: StopRule::Exhaustive,
             format: ExportFormat::Text,
@@ -176,13 +173,11 @@ impl ExperimentCtx {
         self
     }
 
-    /// Switches single-rule campaigns to the Wilson-settled adaptive budget
-    /// (the harness `--adaptive` flag).
+    /// Switches single-rule campaigns to the SPRT adaptive budget (the
+    /// harness `--adaptive` flag).
     #[must_use]
-    pub fn adaptive(mut self) -> Self {
-        self.adaptive = true;
-        self.stop_rule = StopRule::settled();
-        self
+    pub fn adaptive(self) -> Self {
+        self.with_stop_rule(StopRule::sprt())
     }
 
     /// Caps the worker-thread budget (`0` is treated as `1`).
@@ -272,12 +267,13 @@ impl ExperimentCtx {
 
     /// The self-describing record form of this context — embedded in every
     /// export envelope so later runs can tell configuration changes from
-    /// result changes (`workers` 0 encodes "auto": one per CPU).
+    /// result changes (`workers` 0 encodes "auto": one per CPU; `adaptive`
+    /// is true exactly when the stop rule is not exhaustive).
     pub fn record(&self) -> Record {
         Record::new()
             .field("seed", self.seed)
             .field("quick", self.quick)
-            .field("adaptive", self.adaptive)
+            .field("adaptive", self.stop_rule != StopRule::Exhaustive)
             .field("workers", self.workers.unwrap_or(0))
             .field("stop_rule", self.stop_rule.label())
             .field("format", self.format.label())
@@ -500,7 +496,7 @@ mod tests {
         );
         assert_eq!(quick.campaign_seeds, 8);
         let adaptive = ExperimentCtx::new(7).adaptive();
-        assert_eq!(adaptive.stop_rule, StopRule::settled());
+        assert_eq!(adaptive.stop_rule, StopRule::sprt());
         assert_eq!(full.opt_level, OptLevel::O2);
         assert_eq!(full.opt_levels(), vec![OptLevel::O0, OptLevel::O2]);
         assert_eq!(
@@ -522,5 +518,22 @@ mod tests {
         assert_eq!(rec.get("opt_level"), Some(&Value::Str("O2".into())));
         // Auto parallelism encodes as 0.
         assert_eq!(ExperimentCtx::new(9).record().get("workers"), Some(&Value::UInt(0)));
+    }
+
+    #[test]
+    fn ctx_record_adaptive_flag_matches_the_stop_rule_it_runs() {
+        use polycanary_core::record::Value;
+
+        for (ctx, adaptive) in [
+            (ExperimentCtx::new(7), false),
+            (ExperimentCtx::new(7).adaptive(), true),
+            (ExperimentCtx::new(7).with_stop_rule(StopRule::sprt()), true),
+            (ExperimentCtx::new(7).adaptive().with_stop_rule(StopRule::Exhaustive), false),
+        ] {
+            assert_eq!(ctx.stop_rule != StopRule::Exhaustive, adaptive, "{ctx:?}");
+            let rec = ctx.record();
+            assert_eq!(rec.get("adaptive"), Some(&Value::Bool(adaptive)), "{ctx:?}");
+            assert_eq!(rec.get("stop_rule"), Some(&Value::Str(ctx.stop_rule.label().into())));
+        }
     }
 }

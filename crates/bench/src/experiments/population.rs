@@ -4,8 +4,9 @@
 //! rate is 0 or 1 — the easiest case for any stop rule.  This scenario
 //! attacks weighted mixes of patched (P-SSP) and static-canary (SSP)
 //! servers, producing in-between success rates that genuinely exercise the
-//! sequential rules: SPRT's 0.2/0.8 indifference region, its α/β error
-//! budget, and the exhaustive Wilson test's inconclusive band around 1/2.
+//! sequential rule — SPRT's 0.2/0.8 indifference region and its α/β error
+//! budget — against the exhaustive Wilson test's inconclusive band around
+//! 1/2.
 
 use std::fmt::Write as _;
 
@@ -30,19 +31,19 @@ impl Experiment for MixedPopulation {
 
     fn description(&self) -> &str {
         "Byte-by-byte campaigns against partially patched fleets (mixed \
-         P-SSP/SSP), comparing SPRT, Wilson and exhaustive verdicts"
+         P-SSP/SSP), comparing SPRT and exhaustive verdicts"
     }
 
     fn paper_note(&self) -> &str {
         "(beyond the paper) every paper table campaigns a unanimous fleet \
-         (success rate 0 or 1) where all three stop rules provably agree.  Here \
+         (success rate 0 or 1) where both stop rules provably agree.  Here \
          each victim seed deterministically draws one member of a weighted \
          population (e.g. a fleet whose P-SSP rollout reached 70 %), so the \
          empirical rate lands between the endpoints — the regime the sequential \
-         rules were designed for: SPRT may settle inside its α/β error budget \
-         while the Wilson interval stays inconclusive, and a 50/50 fleet leaves \
-         every rule undecided (the 0.2/0.8 indifference region working as \
-         designed)."
+         rule was designed for: SPRT may settle inside its α/β error budget \
+         while the exhaustive Wilson interval stays inconclusive, and a 50/50 \
+         fleet leaves both rules undecided (the 0.2/0.8 indifference region \
+         working as designed)."
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> ScenarioOutput {
@@ -74,18 +75,18 @@ pub fn population_fleets() -> Vec<Population> {
 }
 
 /// One row of the mixed-population experiment: a fleet and the byte-by-byte
-/// campaign against it under all three stop rules.
+/// campaign against it under both stop rules.
 #[derive(Debug, Clone)]
 pub struct PopulationRow {
     /// The victim fleet.
     pub population: Population,
-    /// The byte-by-byte attack under the three stop rules.
+    /// The byte-by-byte attack under both stop rules.
     pub byte_by_byte: StopRuleComparison,
 }
 
 impl PopulationRow {
     /// Empirical success rate of the full (exhaustive-rule) campaign — the
-    /// ground truth the sequential rules approximate.
+    /// ground truth the SPRT approximates.
     pub fn exhaustive_rate(&self) -> f64 {
         self.byte_by_byte.exhaustive.success_rate()
     }
@@ -102,8 +103,8 @@ impl PopulationRow {
 
 /// Runs the mixed-population experiment: every fleet in
 /// [`population_fleets`] is campaigned with the byte-by-byte attack over
-/// [`ExperimentCtx::campaign_seeds`] victim seeds under all three stop
-/// rules.  Fleet rows fan out over the shared pool; every cell is
+/// [`ExperimentCtx::campaign_seeds`] victim seeds under both stop rules.
+/// Fleet rows fan out over the shared pool; every cell is
 /// deterministic in the context and independent of the worker count.
 pub fn run_population(ctx: &ExperimentCtx) -> Vec<PopulationRow> {
     let fleets = population_fleets();
@@ -133,17 +134,16 @@ pub fn format_population(rows: &[PopulationRow]) -> String {
     let _ = writeln!(
         out,
         "byte-by-byte campaigns against mixed fleets over {seeds} victim seeds; \
-         cells are `verdict victims/connections` under sprt | wilson | exhaustive"
+         cells are `verdict victims/connections` under sprt | exhaustive"
     );
     let _ = writeln!(out, "{:<18} {:>10} {:<64}", "Fleet", "rate", "byte-by-byte");
     for row in rows {
         let cmp = &row.byte_by_byte;
         let cells = format!(
-            "{} | {} | {}{}",
+            "{} | {}{}",
             StopRuleComparison::cell(&cmp.sprt),
-            StopRuleComparison::cell(&cmp.wilson),
             StopRuleComparison::cell(&cmp.exhaustive),
-            if cmp.verdicts_agree() { "" } else { "  (sequential rules differ)" }
+            if cmp.verdicts_agree() { "" } else { "  (SPRT differs)" }
         );
         let _ = writeln!(
             out,
@@ -158,10 +158,8 @@ pub fn format_population(rows: &[PopulationRow]) -> String {
 
 /// One fleet-mode row: a population campaigned at fleet scale under the
 /// SPRT stop rule.  Fleet mode is SPRT-only by design — an exhaustive
-/// campaign over 10^5 victims would attack them all, and the Wilson rule's
-/// repeated testing has a heavy tail on near-50/50 fleets, while SPRT's
-/// expected sample size stays in the single digits whatever the fleet
-/// size.
+/// campaign over 10^5 victims would attack them all, while SPRT's expected
+/// sample size stays in the single digits whatever the fleet size.
 #[derive(Debug, Clone)]
 pub struct FleetRow {
     /// The victim fleet.
@@ -255,7 +253,11 @@ mod tests {
         for row in &rows {
             assert!(!row.population.is_uniform(), "{}", row.population.label());
             // Mixed fleets run twice the configured campaign width.
-            assert_eq!(row.byte_by_byte.exhaustive.campaigns(), 12);
+            let cmp = &row.byte_by_byte;
+            assert_eq!(cmp.exhaustive.campaigns(), 12);
+            // The SPRT runs are a prefix of the exhaustive ones.
+            assert_eq!(cmp.sprt.runs[..], cmp.exhaustive.runs[..cmp.sprt.runs.len()]);
+            assert!(cmp.sprt.total_requests() <= cmp.exhaustive.total_requests());
         }
         let rendered = format_population(&rows);
         assert!(rendered.contains("half-half-50/50"), "{rendered}");
@@ -270,7 +272,6 @@ mod tests {
         assert_eq!(once.len(), twice.len());
         for (a, b) in once.iter().zip(&twice) {
             assert_eq!(a.byte_by_byte.sprt.runs, b.byte_by_byte.sprt.runs);
-            assert_eq!(a.byte_by_byte.wilson.runs, b.byte_by_byte.wilson.runs);
             assert_eq!(a.byte_by_byte.exhaustive.runs, b.byte_by_byte.exhaustive.runs);
         }
     }

@@ -12,8 +12,8 @@ use super::{
     effectiveness_deployment, Experiment, ExperimentCtx, ScenarioOutput, EFFECTIVENESS_SCHEMES,
 };
 
-/// The forking-server attack scenario: SPRT vs Wilson vs exhaustive stop
-/// rules per scheme × attack cell.
+/// The forking-server attack scenario: SPRT vs exhaustive stop rules per
+/// scheme × attack cell.
 pub struct ServerAttack;
 
 impl Experiment for ServerAttack {
@@ -22,12 +22,12 @@ impl Experiment for ServerAttack {
     }
 
     fn title(&self) -> &str {
-        "Forking-server attack: SPRT vs Wilson vs exhaustive stop rules (\u{a7}II)"
+        "Forking-server attack: SPRT vs exhaustive stop rules (\u{a7}II)"
     }
 
     fn description(&self) -> &str {
-        "Reconnect-loop campaigns against forking servers under all three \
-         stop rules, with verdict-agreement flags and server counters"
+        "Reconnect-loop campaigns against forking servers under both stop \
+         rules, with verdict-agreement flags and server counters"
     }
 
     fn paper_note(&self) -> &str {
@@ -35,12 +35,11 @@ impl Experiment for ServerAttack {
          connection served by a freshly forked worker, so the SSP break at \
          ~1000 connections per victim and the polymorphic survivals reproduce \
          the §II-B analysis against the realistic reconnect loop.  Every cell is \
-         campaigned under all three stop rules: `Exhaustive` attacks every \
-         configured victim, `WilsonSettled` stops once a 95 % interval clears \
-         the 1/2 threshold (4 unanimous victims), and `Sprt` — Wald's \
-         sequential probability-ratio test at 5 % error rates — stops after 3, \
-         spending strictly fewer connections on every unanimous cell while \
-         always reaching the same verdict."
+         campaigned under both stop rules: `Exhaustive` attacks every \
+         configured victim, and `Sprt` — Wald's sequential probability-ratio \
+         test at 5 % error rates — stops after 3 unanimous victims, spending \
+         strictly fewer connections on every unanimous cell while always \
+         reaching the same verdict."
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> ScenarioOutput {
@@ -59,38 +58,34 @@ impl Experiment for ServerAttack {
     }
 }
 
-/// One attack strategy campaigned under all three stop rules against the
-/// same victim population, so their verdicts and connection budgets can be
+/// One attack strategy campaigned under both stop rules against the same
+/// victim population, so their verdicts and connection budgets can be
 /// compared cell by cell.
 #[derive(Debug, Clone)]
 pub struct StopRuleComparison {
     /// The campaign under [`StopRule::Sprt`] (Wald sequential test).
     pub sprt: CampaignReport,
-    /// The campaign under [`StopRule::WilsonSettled`].
-    pub wilson: CampaignReport,
     /// The full-budget campaign under [`StopRule::Exhaustive`].
     pub exhaustive: CampaignReport,
 }
 
 impl StopRuleComparison {
-    /// Campaigns `base` under all three stop rules.
+    /// Campaigns `base` under both stop rules.
     pub fn run(base: &Campaign) -> Self {
         let campaign = |rule: StopRule| base.clone().with_stop_rule(rule).run();
         StopRuleComparison {
             sprt: campaign(StopRule::sprt()),
-            wilson: campaign(StopRule::settled()),
             exhaustive: campaign(StopRule::Exhaustive),
         }
     }
 
-    /// Whether all three rules reached the same verdict (they provably do
-    /// on unanimous victim populations; on mixed-rate populations a
-    /// sequential rule may settle a cell the exhaustive Wilson test calls
-    /// inconclusive — that is the indifference region working as designed,
-    /// within the rule's error budget).
+    /// Whether both rules reached the same verdict (they provably do on
+    /// unanimous victim populations; on mixed-rate populations the SPRT may
+    /// settle a cell the exhaustive Wilson test calls inconclusive — that
+    /// is the indifference region working as designed, within the rule's
+    /// error budget).
     pub fn verdicts_agree(&self) -> bool {
         self.sprt.verdict() == self.exhaustive.verdict()
-            && self.wilson.verdict() == self.exhaustive.verdict()
     }
 
     /// The self-describing record form: one nested campaign record
@@ -100,7 +95,6 @@ impl StopRuleComparison {
             .field("verdict", self.exhaustive.verdict().label())
             .field("verdicts_agree", self.verdicts_agree())
             .field("sprt", self.sprt.record())
-            .field("wilson", self.wilson.record())
             .field("exhaustive", self.exhaustive.record())
     }
 
@@ -112,7 +106,7 @@ impl StopRuleComparison {
 
 /// One row of the forking-server attack experiment: a scheme, its
 /// fork-canary policy, and the byte-by-byte / exhaustive-guess campaigns
-/// under the three stop rules.
+/// under both stop rules.
 #[derive(Debug, Clone)]
 pub struct ServerAttackRow {
     /// The scheme protecting every victim server.
@@ -121,9 +115,9 @@ pub struct ServerAttackRow {
     pub deployment: Deployment,
     /// Whether forked workers inherit or re-randomize the parent's canaries.
     pub policy: ForkCanaryPolicy,
-    /// The BROP-style byte-by-byte attack under the three stop rules.
+    /// The BROP-style byte-by-byte attack under both stop rules.
     pub byte_by_byte: StopRuleComparison,
-    /// Whole-word exhaustive guessing under the three stop rules.
+    /// Whole-word exhaustive guessing under both stop rules.
     pub exhaustive: StopRuleComparison,
     /// Operational counters of one representative victim server after a
     /// full byte-by-byte attack: connections served, requests handled,
@@ -146,8 +140,8 @@ impl ServerAttackRow {
 
 /// Runs the forking-server attack experiment: for every scheme, campaign
 /// the byte-by-byte and exhaustive attacks against forking-server victims
-/// under all three stop rules ([`StopRule::Sprt`], [`StopRule::settled`],
-/// [`StopRule::Exhaustive`]) over [`ExperimentCtx::campaign_seeds`] victim
+/// under both stop rules ([`StopRule::Sprt`], [`StopRule::Exhaustive`])
+/// over [`ExperimentCtx::campaign_seeds`] victim
 /// seeds derived from the context seed.  Scheme rows fan out over the
 /// shared pool; every cell is deterministic in the context and independent
 /// of the worker count.
@@ -201,7 +195,7 @@ pub fn format_server_attack(rows: &[ServerAttackRow]) -> String {
     let _ = writeln!(
         out,
         "forking-server campaigns over {seeds} victim seeds; cells are \
-         `verdict victims/connections` under sprt | wilson | exhaustive"
+         `verdict victims/connections` under sprt | exhaustive"
     );
     let _ = writeln!(
         out,
@@ -211,9 +205,8 @@ pub fn format_server_attack(rows: &[ServerAttackRow]) -> String {
     for row in rows {
         let fmt_cmp = |c: &StopRuleComparison| {
             format!(
-                "{} | {} | {}{}",
+                "{} | {}{}",
                 StopRuleComparison::cell(&c.sprt),
-                StopRuleComparison::cell(&c.wilson),
                 StopRuleComparison::cell(&c.exhaustive),
                 if c.verdicts_agree() { "" } else { "  DISAGREE" }
             )
@@ -344,7 +337,7 @@ mod tests {
         let pssp = &rows[1];
 
         // Static canaries fall to byte-by-byte, polymorphic ones survive,
-        // and all three stop rules agree on both.
+        // and both stop rules agree on both.
         assert_eq!(ssp.byte_by_byte.exhaustive.verdict(), Verdict::Breaks);
         assert_eq!(pssp.byte_by_byte.exhaustive.verdict(), Verdict::Resists);
         assert_eq!(ssp.policy, ForkCanaryPolicy::Inherited);
@@ -352,13 +345,17 @@ mod tests {
         for row in &rows {
             assert!(row.byte_by_byte.verdicts_agree(), "{}", row.scheme);
             assert!(row.exhaustive.verdicts_agree(), "{}", row.scheme);
-            // SPRT settles unanimous cells one victim before Wilson and
-            // never spends more connections.
-            assert_eq!(row.byte_by_byte.sprt.campaigns(), 3, "{}", row.scheme);
-            assert_eq!(row.byte_by_byte.wilson.campaigns(), 4, "{}", row.scheme);
-            assert!(
-                row.byte_by_byte.sprt.total_requests() <= row.byte_by_byte.wilson.total_requests()
-            );
+            // SPRT settles unanimous cells after 3 victims, on a prefix of
+            // the exhaustive runs, with strictly fewer connections.
+            for cmp in [&row.byte_by_byte, &row.exhaustive] {
+                assert_eq!(cmp.sprt.campaigns(), 3, "{}", row.scheme);
+                assert_eq!(cmp.sprt.runs[..], cmp.exhaustive.runs[..3], "{}", row.scheme);
+                assert!(
+                    cmp.sprt.total_requests() < cmp.exhaustive.total_requests(),
+                    "{}",
+                    row.scheme
+                );
+            }
             // A bounded exhaustive guess never breaks either scheme.
             assert_eq!(row.exhaustive.exhaustive.verdict(), Verdict::Resists, "{}", row.scheme);
         }

@@ -92,8 +92,8 @@ impl Table1Row {
     }
 }
 
-/// Victim seeds configured per Table-I BROP campaign; the adaptive stop
-/// rule usually settles the verdict after the first batch.
+/// Victim seeds configured per Table-I BROP campaign; the SPRT stop rule
+/// settles these unanimous verdicts after three victims.
 pub const TABLE1_BROP_SEEDS: usize = 8;
 
 /// Runs the Table I comparison.  Scheme rows are independent, so they fan
@@ -116,8 +116,8 @@ pub fn run_table1(ctx: &ExperimentCtx) -> Vec<Table1Row> {
     pool.run(&schemes, |_, &scheme| {
         // BROP prevention: a multi-seed forking-server campaign verdict, not
         // a single-seed anecdote.  The sequential (SPRT) rule stops the
-        // reconnect loop as soon as the evidence is conclusive — one victim
-        // earlier than the Wilson rule on these unanimous populations.
+        // reconnect loop as soon as the evidence is conclusive — after three
+        // victims on these unanimous populations.
         let budget = if scheme == SchemeKind::Ssp { 4_000 } else { 3_000 };
         let brop = Campaign::new(AttackKind::ByteByByte { budget }, scheme)
             .with_seed_range(seed, TABLE1_BROP_SEEDS)

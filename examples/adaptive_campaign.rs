@@ -2,11 +2,9 @@
 //! fraction of the requests, plus the machine-readable record export.
 //!
 //! A fixed-budget campaign attacks every configured victim seed.  An
-//! adaptive campaign stops as soon as its stop rule proves the verdict:
-//! the Wilson rule once an interval bound clears the 1/2 threshold (four
-//! unanimous victims), the sequential SPRT rule once Wald's likelihood
-//! ratio crosses a 5 % error boundary (three unanimous victims — always at
-//! most the Wilson cost on unanimous populations).
+//! adaptive campaign stops as soon as the sequential SPRT rule proves the
+//! verdict: once Wald's likelihood ratio crosses a 5 % error boundary
+//! (three unanimous victims).
 //!
 //! Run with: `cargo run --release --example adaptive_campaign`
 
@@ -20,7 +18,6 @@ fn main() {
         let base = Campaign::new(AttackKind::ByteByByte { budget: 4_000 }, scheme)
             .with_seed_range(0xADA9, 32);
         let fixed = base.clone().run();
-        let wilson = base.clone().with_stop_rule(StopRule::settled()).run();
         let sprt = base.with_stop_rule(StopRule::sprt()).run();
 
         let line = |label: &str, report: &polycanary::attacks::CampaignReport| {
@@ -36,15 +33,14 @@ fn main() {
             );
         };
         line("fixed", &fixed);
-        line("wilson", &wilson);
         line("sprt", &sprt);
-        // SSP and P-SSP are unanimous populations, so the early stops
-        // provably reach the exhaustive verdict (mixed-rate populations
-        // would carry the stop rules' configured error probabilities), and
-        // the sequential test is never more expensive than the Wilson rule.
-        assert_eq!(fixed.verdict(), wilson.verdict(), "unanimous cells keep their verdict");
+        // SSP and P-SSP are unanimous populations, so the early stop
+        // provably reaches the exhaustive verdict (mixed-rate populations
+        // would carry the SPRT's α / β error probabilities) from a prefix
+        // of the fixed campaign's runs.
         assert_eq!(fixed.verdict(), sprt.verdict(), "unanimous cells keep their verdict");
-        assert!(sprt.total_requests() <= wilson.total_requests());
+        assert_eq!(sprt.runs[..], fixed.runs[..sprt.runs.len()]);
+        assert!(sprt.total_requests() < fixed.total_requests());
 
         println!("\nsequential (SPRT) campaign as a self-describing JSON record:");
         println!("{}\n", sprt.record().to_json());

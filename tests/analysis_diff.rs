@@ -233,7 +233,7 @@ fn markdown_report_snapshot_is_deterministic() {
     assert_eq!(once, twice, "the report must be a pure function of the export");
 
     // Section metadata comes from the scenario registry, not the export.
-    assert!(once.contains("## Forking-server attack: SPRT vs Wilson vs exhaustive"), "{once}");
+    assert!(once.contains("## Forking-server attack: SPRT vs exhaustive"), "{once}");
     assert!(once.contains("**Paper:** each victim is a long-lived forking server"), "{once}");
     // Records render with campaign digests; volatile fields are scrubbed.
     assert!(once.contains("breaks 4/4, 3580 reqs"), "{once}");

@@ -68,11 +68,12 @@ fn adaptive_budget_reaches_the_32_seed_verdict_with_fewer_requests() {
     assert_eq!(fixed.successes(), 32, "SSP falls 32/32");
     assert_eq!(fixed.verdict(), Verdict::Breaks);
 
-    // The adaptive run proves the same verdict from a settled prefix and
+    // The SPRT run proves the same verdict from a 3-victim prefix and
     // therefore spends strictly fewer total requests.
-    let adaptive = base.with_stop_rule(StopRule::settled()).run();
+    let adaptive = base.with_stop_rule(StopRule::sprt()).run();
     assert_eq!(adaptive.verdict(), fixed.verdict());
-    assert!(adaptive.stopped_early());
+    assert_eq!(adaptive.campaigns(), 3);
+    assert_eq!(adaptive.runs[..], fixed.runs[..3]);
     assert!(
         adaptive.total_requests() < fixed.total_requests(),
         "{} vs {}",

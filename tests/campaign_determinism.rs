@@ -83,11 +83,11 @@ fn rewriter_deployment_campaigns_are_worker_count_independent() {
 fn adaptive_stop_rules_preserve_determinism_and_verdicts() {
     let base = Campaign::new(AttackKind::ByteByByte { budget: 3_000 }, SchemeKind::Ssp)
         .with_seed_range(0xADA9, 12)
-        .with_stop_rule(StopRule::settled());
+        .with_stop_rule(StopRule::sprt());
     let serial = base.clone().with_workers(1).run();
     let parallel = base.clone().with_workers(8).run();
     assert_eq!(serial.runs, parallel.runs, "early stopping must not depend on worker count");
-    assert!(serial.stopped_early(), "unanimous SSP breaks settle before 12 seeds");
+    assert_eq!(serial.campaigns(), 3, "unanimous SSP breaks settle after 3 of 12 seeds");
 
     // The adaptive run reaches the exhaustive verdict with strictly fewer
     // total requests, and its runs are a prefix of the exhaustive ones.

@@ -2,9 +2,9 @@
 //! success rates.
 //!
 //! Every paper table campaigns a unanimous fleet (success rate 0 or 1),
-//! where all three stop rules provably agree.  A partially patched fleet
+//! where both stop rules provably agree.  A partially patched fleet
 //! produces an in-between rate, which is exactly the regime the sequential
-//! rules were designed for: SPRT's 0.2/0.8 indifference region keeps it
+//! rule was designed for: SPRT's 0.2/0.8 indifference region keeps it
 //! running on a near-1/2 split, its α/β budget bounds how often it may
 //! settle such a cell anyway, and the exhaustive Wilson test stays
 //! inconclusive until the interval clears 1/2.  These tests pin that
@@ -64,7 +64,8 @@ fn sprt_stays_in_the_indifference_region_on_a_near_even_split() {
 fn sprt_may_settle_a_mixed_cell_within_its_error_budget() {
     // A 7/16 fleet happens to front-load failures: SPRT's log-likelihood
     // ratio crosses the `resists` boundary after 3/9 and the rule stops
-    // early, while Wilson (and the exhaustive verdict) remain inconclusive.
+    // early, while the exhaustive (Wilson-interval) verdict remains
+    // inconclusive.
     // That disagreement is not a bug — a sequential test at α = β = 5 % is
     // *allowed* to declare a cell whose true rate sits in the indifference
     // region, and the error budget bounds how often.
@@ -72,9 +73,6 @@ fn sprt_may_settle_a_mixed_cell_within_its_error_budget() {
     assert!(sprt.stopped_early(), "{sprt:?}");
     assert_eq!((sprt.successes(), sprt.campaigns()), (3, 9));
     assert_eq!(sprt.verdict(), Verdict::Resists);
-    let wilson = byte_campaign(half_fleet(), 0x2A, StopRule::settled()).run();
-    assert!(!wilson.stopped_early());
-    assert_eq!(wilson.verdict(), Verdict::Inconclusive);
     let exhaustive = byte_campaign(half_fleet(), 0x2A, StopRule::Exhaustive).run();
     assert_eq!((exhaustive.successes(), exhaustive.campaigns()), (7, 16));
     assert_eq!(exhaustive.verdict(), Verdict::Inconclusive);
@@ -84,36 +82,34 @@ fn sprt_may_settle_a_mixed_cell_within_its_error_budget() {
 
 #[test]
 fn skewed_fleets_settle_equivalently_under_every_rule() {
-    // 90 % patched: a non-unanimous fleet (1/16 victims fall) that all
-    // three rules nevertheless judge identically — `resists`.
+    // 90 % patched: a non-unanimous fleet (1/16 victims fall) that both
+    // rules nevertheless judge identically — `resists`.
     let patched = Population::mixed("patched-90", [(9, SchemeKind::Pssp), (1, SchemeKind::Ssp)]);
     let exhaustive = byte_campaign(patched.clone(), 0x5EED, StopRule::Exhaustive).run();
     assert_eq!((exhaustive.successes(), exhaustive.campaigns()), (1, 16));
     assert_eq!(exhaustive.verdict(), Verdict::Resists);
-    for rule in [StopRule::sprt(), StopRule::settled()] {
-        let sequential = byte_campaign(patched.clone(), 0x5EED, rule).run();
-        assert_eq!(sequential.verdict(), exhaustive.verdict(), "{rule:?}");
-        assert!(sequential.stopped_early(), "{rule:?}");
-        assert!(sequential.total_requests() < exhaustive.total_requests(), "{rule:?}");
-    }
+    let sprt = byte_campaign(patched.clone(), 0x5EED, StopRule::sprt()).run();
+    assert_eq!(sprt.verdict(), exhaustive.verdict());
+    assert!(sprt.stopped_early());
+    assert!(sprt.total_requests() < exhaustive.total_requests());
+    assert_eq!(sprt.runs[..], exhaustive.runs[..sprt.runs.len()]);
 
-    // 90 % static, mirrored: 15/16 fall and every rule says `breaks`.
+    // 90 % static, mirrored: 15/16 fall and both rules say `breaks`.
     let static_fleet =
         Population::mixed("static-90", [(1, SchemeKind::Pssp), (9, SchemeKind::Ssp)]);
     let exhaustive = byte_campaign(static_fleet.clone(), 0x2A, StopRule::Exhaustive).run();
     assert_eq!((exhaustive.successes(), exhaustive.campaigns()), (15, 16));
     assert!(exhaustive.successes() < exhaustive.campaigns(), "non-unanimous by construction");
     assert_eq!(exhaustive.verdict(), Verdict::Breaks);
-    for rule in [StopRule::sprt(), StopRule::settled()] {
-        let sequential = byte_campaign(static_fleet.clone(), 0x2A, rule).run();
-        assert_eq!(sequential.verdict(), exhaustive.verdict(), "{rule:?}");
-        assert!(sequential.stopped_early(), "{rule:?}");
-    }
+    let sprt = byte_campaign(static_fleet, 0x2A, StopRule::sprt()).run();
+    assert_eq!(sprt.verdict(), exhaustive.verdict());
+    assert!(sprt.stopped_early());
+    assert_eq!(sprt.runs[..], exhaustive.runs[..sprt.runs.len()]);
 }
 
 #[test]
 fn mixed_population_early_stops_are_worker_count_independent() {
-    for rule in [StopRule::sprt(), StopRule::settled(), StopRule::Exhaustive] {
+    for rule in [StopRule::sprt(), StopRule::Exhaustive] {
         let serial = byte_campaign(half_fleet(), 0x2A, rule).with_workers(1).run();
         let parallel = byte_campaign(half_fleet(), 0x2A, rule).with_workers(8).run();
         assert_eq!(serial.runs, parallel.runs, "{rule:?}");

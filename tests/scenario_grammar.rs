@@ -99,7 +99,7 @@ fn generated_exports_are_byte_identical_across_worker_counts() {
 fn sample_is_order_stable_under_cross_reassociation() {
     let a = || ScenarioSet::schemes(&[SchemeKind::Ssp, SchemeKind::Pssp, SchemeKind::PsspNt]);
     let b = || ScenarioSet::buffer_sizes(&[32, 64, 128]);
-    let c = || ScenarioSet::stops(&[GenStop::Wilson, GenStop::Sprt]);
+    let c = || ScenarioSet::stops(&[GenStop::Exhaustive, GenStop::Sprt]);
     for seed in [0u64, 7, 0xDEAD_BEEF] {
         let left = a().cross(b()).cross(c()).sample(seed, 5).cells();
         let right = a().cross(b().cross(c())).sample(seed, 5).cells();

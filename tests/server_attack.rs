@@ -5,10 +5,11 @@
 //!   [`StopRule::Sprt`],
 //! * static-canary servers fall to the byte-by-byte attack while
 //!   polymorphic schemes survive ≥ 64 forked connections,
-//! * `Sprt`, `WilsonSettled` and `Exhaustive` reach the same verdict on
-//!   every scheme × attack cell, with `Sprt` spending no more connections
-//!   than `WilsonSettled` on unanimous cells (checked both on the full
-//!   grid and on PRNG-generated campaign configurations),
+//! * `Sprt` and `Exhaustive` reach the same verdict on every scheme ×
+//!   attack cell, with `Sprt` settling unanimous cells after 3 victims — a
+//!   prefix of the exhaustive runs — for strictly fewer connections
+//!   (checked both on the full grid and on PRNG-generated campaign
+//!   configurations),
 //! * `fork_return_correctness` is pinned per scheme across 16 seeds.
 
 use polycanary::attacks::{
@@ -31,7 +32,7 @@ fn campaign(attack: AttackKind, scheme: SchemeKind, rule: StopRule) -> CampaignR
 
 #[test]
 fn server_campaigns_are_deterministic_in_the_seed_list() {
-    for rule in [StopRule::Exhaustive, StopRule::settled(), StopRule::sprt()] {
+    for rule in [StopRule::Exhaustive, StopRule::sprt()] {
         let attack = AttackKind::ByteByByte { budget: 2_000 };
         let once = campaign(attack, SchemeKind::Ssp, rule);
         let twice = campaign(attack, SchemeKind::Ssp, rule);
@@ -52,7 +53,7 @@ fn server_campaigns_are_deterministic_in_the_seed_list() {
 
 #[test]
 fn server_campaigns_are_independent_of_worker_count() {
-    for rule in [StopRule::Exhaustive, StopRule::settled(), StopRule::sprt()] {
+    for rule in [StopRule::Exhaustive, StopRule::sprt()] {
         for scheme in [SchemeKind::Ssp, SchemeKind::Pssp] {
             let base = Campaign::new(AttackKind::ByteByByte { budget: 2_000 }, scheme)
                 .with_seed_range(0xBEE, 6)
@@ -106,7 +107,6 @@ fn all_stop_rules_reach_the_same_verdict_on_every_scheme_attack_cell() {
     for scheme in SchemeKind::ALL {
         for attack in ATTACKS {
             let exhaustive = campaign(attack, scheme, StopRule::Exhaustive);
-            let wilson = campaign(attack, scheme, StopRule::settled());
             let sprt = campaign(attack, scheme, StopRule::sprt());
             let expected = exhaustive.verdict();
             assert_ne!(
@@ -116,20 +116,18 @@ fn all_stop_rules_reach_the_same_verdict_on_every_scheme_attack_cell() {
                 attack.name()
             );
             assert_eq!(sprt.verdict(), expected, "{scheme} × {} (sprt)", attack.name());
-            assert_eq!(wilson.verdict(), expected, "{scheme} × {} (wilson)", attack.name());
-            // Early-stopped runs are prefixes of the exhaustive ones.
-            assert_eq!(sprt.runs[..], exhaustive.runs[..sprt.runs.len()]);
-            assert_eq!(wilson.runs[..], exhaustive.runs[..wilson.runs.len()]);
-            // On these unanimous cells the sequential test is never more
-            // expensive than the Wilson rule.
+            // On these unanimous cells the sequential test settles after 3
+            // of the 5 victims, on a prefix of the exhaustive runs, and so
+            // spends strictly fewer connections.
+            assert_eq!(sprt.campaigns(), 3, "{scheme} × {}", attack.name());
+            assert_eq!(sprt.runs[..], exhaustive.runs[..3]);
             assert!(
-                sprt.total_requests() <= wilson.total_requests(),
-                "{scheme} × {}: sprt spent {} connections, wilson {}",
+                sprt.total_requests() < exhaustive.total_requests(),
+                "{scheme} × {}: sprt spent {} connections, exhaustive {}",
                 attack.name(),
                 sprt.total_requests(),
-                wilson.total_requests()
+                exhaustive.total_requests()
             );
-            assert!(sprt.campaigns() <= wilson.campaigns());
         }
     }
 }
@@ -138,8 +136,9 @@ fn all_stop_rules_reach_the_same_verdict_on_every_scheme_attack_cell() {
 fn sprt_matches_exhaustive_on_prng_generated_campaigns() {
     // Property test over PRNG-drawn campaign configurations: scheme, attack
     // kind, seed base, seed count and worker count are all random; the
-    // sequential and Wilson rules must always reach the exhaustive verdict,
-    // and on unanimous cells SPRT must not spend more connections.
+    // sequential rule must always reach the exhaustive verdict, and on
+    // unanimous cells SPRT must settle on a 3-victim prefix of the
+    // exhaustive runs for strictly fewer connections.
     let mut rng = Xoshiro256StarStar::new(0x5B47_CA3E);
     for case in 0..12 {
         let scheme = SchemeKind::ALL[(rng.next_u64() % SchemeKind::ALL.len() as u64) as usize];
@@ -159,21 +158,21 @@ fn sprt_matches_exhaustive_on_prng_generated_campaigns() {
                 .run()
         };
         let exhaustive = configure(StopRule::Exhaustive);
-        let wilson = configure(StopRule::settled());
         let sprt = configure(StopRule::sprt());
         let context = format!(
             "case {case}: {} vs {scheme}, {seeds} seeds from {base_seed:#x}",
             attack.name()
         );
         assert_eq!(sprt.verdict(), exhaustive.verdict(), "{context} (sprt)");
-        assert_eq!(wilson.verdict(), exhaustive.verdict(), "{context} (wilson)");
         let unanimous = exhaustive.all_succeeded() || exhaustive.none_succeeded();
         if unanimous {
+            assert_eq!(sprt.campaigns(), 3, "{context}");
+            assert_eq!(sprt.runs[..], exhaustive.runs[..3], "{context}");
             assert!(
-                sprt.total_requests() <= wilson.total_requests(),
-                "{context}: sprt {} > wilson {}",
+                sprt.total_requests() < exhaustive.total_requests(),
+                "{context}: sprt {} >= exhaustive {}",
                 sprt.total_requests(),
-                wilson.total_requests()
+                exhaustive.total_requests()
             );
         }
     }

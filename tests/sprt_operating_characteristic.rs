@@ -1,0 +1,129 @@
+//! The SPRT stop rule's operating characteristic, as implemented.
+//!
+//! `StopRule::sprt()` is Wald's test of p0 = 0.2 against p1 = 0.8 at
+//! α = β = 0.05.  A success moves the log-likelihood ratio by +ln 4 and a
+//! failure by −ln 4, and the boundaries sit at ±ln 19 ≈ ±2.94, between two
+//! and three steps out.  The rule therefore stops exactly when
+//! successes − failures first reaches ±3: a gambler's-ruin walk with
+//! absorbing barriers, whose error rates and expected sample size are
+//! known in closed form.  With r = (1 − p) / p:
+//!
+//! * P(breaks) = 1 / (1 + r³),
+//! * E[N] = 3 (r³ − 1) / ((1 − 2p)(r³ + 1)), and 9 at p = ½.
+//!
+//! This battery drives the rule through the campaign executor
+//! (`JobPool::run_sharded`) on synthetic Bernoulli victims — no VM — and
+//! checks those exact values, plus the α / β guarantees the rule states.
+
+use polycanary::attacks::{derive_seed, JobPool, StopRule, Verdict};
+use polycanary::crypto::{Prng, SplitMix64};
+
+/// Campaigns per success probability.
+const CAMPAIGNS: u64 = 4_000;
+/// Victims configured per campaign; the walk settles long before this.
+const VICTIMS: usize = 400;
+
+/// A 64-bit word mapped onto `[0, 1)` (the top 53 bits).
+fn unit(word: u64) -> f64 {
+    (word >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// One synthetic campaign: victim `i` falls with probability `p`, drawn
+/// from its own derived seed.  Returns the settled prefix of outcomes.
+fn campaign(pool: JobPool, base: u64, p: f64) -> Vec<bool> {
+    let rule = StopRule::sprt();
+    let mut successes = 0u64;
+    pool.run_sharded(
+        VICTIMS,
+        1,
+        |i| unit(SplitMix64::new(derive_seed(base, i as u64)).next_u64()) < p,
+        |index, &success| {
+            successes += u64::from(success);
+            rule.should_stop(successes, index as u64 + 1)
+        },
+    )
+    .results
+}
+
+/// Exact P(breaks) and E[N] of the ±3 absorbing walk.
+fn exact(p: f64) -> (f64, f64) {
+    if p == 0.5 {
+        return (0.5, 9.0);
+    }
+    let r3 = ((1.0 - p) / p).powi(3);
+    (1.0 / (1.0 + r3), 3.0 * (r3 - 1.0) / ((1.0 - 2.0 * p) * (r3 + 1.0)))
+}
+
+#[test]
+fn sprt_operating_characteristic_matches_the_exact_walk() {
+    let rule = StopRule::sprt();
+    let serial = JobPool::with_workers(1);
+    let parallel = JobPool::with_workers(4);
+    // (p, exact P(breaks), exact E[N]) as tabulated from the closed forms.
+    let table = [
+        (0.1, 0.00137, 3.740),
+        (0.2, 0.01538, 4.846),
+        (0.5, 0.5, 9.0),
+        (0.8, 0.98462, 4.846),
+        (0.9, 0.99863, 3.740),
+    ];
+    for (k, (p, breaks_table, n_table)) in table.into_iter().enumerate() {
+        let (exact_breaks, exact_n) = exact(p);
+        assert!((exact_breaks - breaks_table).abs() < 1e-5, "p = {p}: P(breaks) {exact_breaks}");
+        assert!((exact_n - n_table).abs() < 1e-3, "p = {p}: E[N] {exact_n}");
+
+        let (mut breaks, mut resists) = (0u64, 0u64);
+        let (mut sum_n, mut sum_n2) = (0.0f64, 0.0f64);
+        for c in 0..CAMPAIGNS {
+            let base = ((k as u64) << 32) | c;
+            let runs = campaign(serial, base, p);
+            if c % 8 == 0 {
+                assert_eq!(
+                    campaign(parallel, base, p),
+                    runs,
+                    "p = {p}, campaign {c}: the settled prefix depends on the worker count"
+                );
+            }
+            let n = runs.len() as u64;
+            let successes = runs.iter().filter(|&&s| s).count() as u64;
+            match rule.decision(successes, n) {
+                Some(Verdict::Breaks) => breaks += 1,
+                Some(Verdict::Resists) => resists += 1,
+                other => panic!("p = {p}, campaign {c}: undecided after {n} victims ({other:?})"),
+            }
+            sum_n += n as f64;
+            sum_n2 += (n * n) as f64;
+        }
+        assert_eq!(breaks + resists, CAMPAIGNS);
+
+        let trials = CAMPAIGNS as f64;
+        let p_breaks = breaks as f64 / trials;
+        let sigma_breaks = (exact_breaks * (1.0 - exact_breaks) / trials).sqrt();
+        assert!(
+            (p_breaks - exact_breaks).abs() <= 4.0 * sigma_breaks,
+            "p = {p}: P(breaks) {p_breaks:.5}, exact {exact_breaks:.5} ± 4·{sigma_breaks:.5}"
+        );
+
+        // The mean sample size, within 4 σ of the sample mean.  Wald's ASN
+        // approximation would predict ≈3.43 at p = 0.2 even with the exact
+        // operating characteristic: it assumes the walk stops on ±ln 19,
+        // but every crossing overshoots to ±3·ln 4, so it undershoots the
+        // exact 4.846.
+        let mean_n = sum_n / trials;
+        let sd_n = (sum_n2 / trials - mean_n * mean_n).max(0.0).sqrt();
+        let sigma_n = sd_n / trials.sqrt();
+        assert!(
+            (mean_n - exact_n).abs() <= 4.0 * sigma_n,
+            "p = {p}: mean N {mean_n:.3}, exact {exact_n:.3} ± 4·{sigma_n:.3}"
+        );
+
+        // The error rates the rule states: α at p0 = 0.2, β at p1 = 0.8.
+        if p == 0.2 {
+            assert!(p_breaks <= 0.05, "realized α {p_breaks:.4} exceeds 0.05");
+        }
+        if p == 0.8 {
+            let p_resists = resists as f64 / trials;
+            assert!(p_resists <= 0.05, "realized β {p_resists:.4} exceeds 0.05");
+        }
+    }
+}

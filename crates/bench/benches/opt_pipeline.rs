@@ -11,11 +11,15 @@
 //!   vs O2 through the machine, measuring the canary-handling cycles the
 //!   optimizer eliminates on the hot call path.
 //!
-//! Two more groups time the layers every compile and rewrite ends in,
-//! with the input clone kept outside the timed window:
+//! Three more groups time the layers every build passes through, with the
+//! input clone kept outside the timed window:
 //!
 //! * `finalize/*` — `Program::finalize` on the SSP build at O0 vs O2:
-//!   address layout plus the decode cache and its dense return table.
+//!   address layout only, which every compile and rewrite ends in.
+//! * `decode/*` — `Snapshot::new` on an unfinalized copy of the same
+//!   build: layout, then the decode cache and its dense return table,
+//!   plus the pristine stack image.  Only programs that run (or are
+//!   snapshotted to run) pay the decode.
 //! * `rewrite/*` — `Rewriter::rewrite` of the shape-preserved SSP build in
 //!   each link mode, which re-finalizes the upgraded program.
 //!
@@ -31,6 +35,8 @@ use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::OptLevel;
 use polycanary_core::scheme::SchemeKind;
 use polycanary_rewriter::{LinkMode, Rewriter};
+use polycanary_vm::mem::DEFAULT_STACK_SIZE;
+use polycanary_vm::{ExecConfig, Program, Snapshot};
 use polycanary_workloads::spec_suite;
 
 /// The most call-heavy program of the SPEC-like suite (403.gcc-like):
@@ -94,6 +100,21 @@ fn bench(c: &mut Criterion) {
                     program.finalize();
                     program
                 },
+                BatchSize::SmallInput,
+            )
+        });
+
+        let mut unfinalized = Program::new();
+        for (_, function) in program.iter() {
+            unfinalized
+                .add_function(function.name(), function.insts().to_vec())
+                .expect("function names of a compiled program are unique");
+        }
+        unfinalized.set_entry(program.entry().expect("a compiled program has an entry"));
+        group.bench_with_input(BenchmarkId::new("decode", opt), &opt, |b, _| {
+            b.iter_batched(
+                || unfinalized.clone(),
+                |program| Snapshot::new(program, ExecConfig::default(), DEFAULT_STACK_SIZE),
                 BatchSize::SmallInput,
             )
         });

@@ -169,9 +169,9 @@ impl Compiler {
             // Stage 1: analysis over the unoptimized IR.
             let mut analysis = self.passes.run(func);
 
-            // Stage 2: IR transforms (folding, fusion, DSE), then layout.
-            let mut func_opt = func.clone();
-            self.passes.transform_ir(&mut func_opt);
+            // Stage 2: IR transforms (folding, fusion, DSE) — on a copy
+            // only when the pipeline holds one — then layout.
+            let func_opt = self.passes.optimize_ir(func);
             let layout = layout_frame(&func_opt, scheme_ref)?;
             debug_assert_eq!(analysis.needs_protection, layout.info.protected);
 

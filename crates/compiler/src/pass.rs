@@ -24,6 +24,7 @@
 //! `polycanary_verifier` — the optimizer relies on that gate rather than on
 //! being trusted.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use polycanary_core::scheme::SchemeKind;
@@ -153,6 +154,14 @@ pub trait FunctionPass: Send + Sync {
     /// Stage 2: rewrites the IR body before frame layout and lowering.
     fn transform_ir(&self, _func: &mut FunctionDef) {}
 
+    /// Whether [`FunctionPass::transform_ir`] may change the function.  A
+    /// pass that overrides `transform_ir` must return `true`: when no pass
+    /// of a pipeline does, [`PassManager::optimize_ir`] skips stage 2 and
+    /// borrows the IR instead of copying it.
+    fn rewrites_ir(&self) -> bool {
+        false
+    }
+
     /// Stage 3: rewrites the lowered instruction stream.
     fn transform_insts(
         &self,
@@ -215,6 +224,10 @@ impl FunctionPass for ConstFoldPass {
         "const-fold"
     }
 
+    fn rewrites_ir(&self) -> bool {
+        true
+    }
+
     fn transform_ir(&self, func: &mut FunctionDef) {
         func.body.retain(|s| !matches!(s, Stmt::Compute { cycles: 0 }));
         let mut out: Vec<Stmt> = Vec::with_capacity(func.body.len());
@@ -239,6 +252,10 @@ pub struct ComputeFusionPass;
 impl FunctionPass for ComputeFusionPass {
     fn name(&self) -> &'static str {
         "compute-fusion"
+    }
+
+    fn rewrites_ir(&self) -> bool {
+        true
     }
 
     fn transform_ir(&self, func: &mut FunctionDef) {
@@ -269,6 +286,10 @@ pub struct DeadStoreElimPass;
 impl FunctionPass for DeadStoreElimPass {
     fn name(&self) -> &'static str {
         "dead-store-elim"
+    }
+
+    fn rewrites_ir(&self) -> bool {
+        true
     }
 
     fn transform_ir(&self, func: &mut FunctionDef) {
@@ -842,6 +863,25 @@ impl PassManager {
         }
     }
 
+    /// Runs the IR transform stage over a copy of `func` — or borrows it
+    /// unchanged when no pass of the pipeline rewrites IR, as at `O0`.
+    pub fn optimize_ir<'a>(&self, func: &'a FunctionDef) -> Cow<'a, FunctionDef> {
+        if !self.passes.iter().any(|pass| pass.rewrites_ir()) {
+            debug_assert!(
+                {
+                    let mut copy = func.clone();
+                    self.transform_ir(&mut copy);
+                    copy == *func
+                },
+                "a pass rewrote IR without declaring `rewrites_ir`"
+            );
+            return Cow::Borrowed(func);
+        }
+        let mut func = func.clone();
+        self.transform_ir(&mut func);
+        Cow::Owned(func)
+    }
+
     /// Runs the instruction transform stage over one lowered body.
     pub fn transform_insts(
         &self,
@@ -902,6 +942,29 @@ mod tests {
         let o1 = PassManager::standard(OptLevel::O1);
         assert!(!o1.pass_names().contains(&"redundant-canary-load-elim"));
         assert!(o1.pass_names().contains(&"canary-schedule"));
+    }
+
+    #[test]
+    fn optimize_ir_copies_only_when_a_pass_rewrites_ir() {
+        let func = FunctionBuilder::new("f")
+            .buffer("buf", 32)
+            .compute(0)
+            .compute(100)
+            .compute(250)
+            .returns(1)
+            .returns(2)
+            .build();
+        let o0 = PassManager::standard(OptLevel::O0).optimize_ir(&func);
+        assert!(matches!(o0, Cow::Borrowed(_)), "no O0 pass rewrites IR");
+        for opt in [OptLevel::O1, OptLevel::O2] {
+            let pm = PassManager::standard(opt);
+            let optimized = pm.optimize_ir(&func);
+            let mut expected = func.clone();
+            pm.transform_ir(&mut expected);
+            assert!(matches!(optimized, Cow::Owned(_)), "{opt}");
+            assert_eq!(*optimized, expected, "{opt}");
+            assert_ne!(*optimized, func, "{opt} folds and fuses this body");
+        }
     }
 
     #[test]

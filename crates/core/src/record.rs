@@ -12,10 +12,11 @@
 //!
 //! Round-trip caveats, both inherent to JSON: numbers are re-typed from
 //! their textual form (a whole-valued [`Value::Float`] like `1.0` prints as
-//! `1` and re-parses as [`Value::UInt`]), and non-finite floats serialize
-//! as `null`, which re-parses as [`Value::Null`].  Comparisons across a
-//! round trip should therefore be numeric ([`Value::as_f64`]) rather than
-//! variant-exact for float fields.
+//! `1` and re-parses as [`Value::UInt`]; only `-0` stays a float), and
+//! non-finite floats serialize as `null`, which re-parses as
+//! [`Value::Null`].  Comparisons across a round trip should therefore be
+//! numeric ([`Value::as_f64`]) rather than variant-exact for float fields.
+//! The text itself is stable: writer → parser → writer is a fixed point.
 //!
 //! # Example
 //!
@@ -659,8 +660,10 @@ impl<'a> Parser<'a> {
         if text.contains(['.', 'e', 'E']) {
             text.parse::<f64>().map(Value::Float).map_err(|_| self.error("invalid number"))
         } else if text.starts_with('-') {
+            // `-0` is how the writer prints `Float(-0.0)`; reading it as
+            // `Int(0)` would re-print as `0` and break the fixed point.
             text.parse::<i64>()
-                .map(Value::Int)
+                .map(|n| if n == 0 { Value::Float(-0.0) } else { Value::Int(n) })
                 .or_else(|_| text.parse::<f64>().map(Value::Float))
                 .map_err(|_| self.error("invalid number"))
         } else {

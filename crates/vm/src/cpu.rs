@@ -9,10 +9,11 @@
 //!
 //! # Dispatch
 //!
-//! `run` executes the pre-decoded op stream built at
-//! [`Program::finalize`](crate::program::Program::finalize) (see
-//! `decode` module): one flat fetch→dispatch loop over absolute indices,
-//! with no per-instruction function-table lookup or bounds re-check, plus
+//! `run` executes the pre-decoded op stream (see `decode` module), which
+//! the first run of a finalized [`Program`] builds and every later run —
+//! from any thread — shares: one flat fetch→dispatch loop over absolute
+//! indices, with no per-instruction function-table lookup or bounds
+//! re-check, plus
 //! fused superinstructions for the canary prologue and epilogue sequences.
 //! [`Cpu::run_reference`] keeps the original one-`Inst`-at-a-time
 //! interpreter as the differential oracle: both dispatchers must produce
@@ -27,7 +28,9 @@
 //! *surcharge* on top during execution (`rdrand` retry excess, input-copy
 //! per-word cost).  The convention is documented on [`Inst::cycles`]; the
 //! totals are pinned by tests in this module so the overhead figures the
-//! campaigns report cannot drift silently.
+//! campaigns report cannot drift silently.  The total wraps modulo 2^64,
+//! like a hardware cycle counter, so an arbitrary `Inst::Compute` cost
+//! cannot abort the host.
 
 use std::sync::Arc;
 
@@ -134,10 +137,11 @@ impl Cpu {
         &mut self.regs
     }
 
-    /// Runs `entry` to completion over the pre-decoded op stream.
+    /// Runs `entry` to completion over the pre-decoded op stream, decoding
+    /// the program first if this is its first run.
     ///
-    /// The program must be finalized (addresses assigned and the decode
-    /// cache built); this is a programming error, not a simulated fault,
+    /// The program must be finalized (addresses assigned); running an
+    /// unfinalized program is a programming error, not a simulated fault,
     /// hence the panic.
     ///
     /// # Panics
@@ -150,8 +154,7 @@ impl Cpu {
         entry: FuncId,
         cfg: &ExecConfig,
     ) -> Exit {
-        assert!(program.is_finalized(), "program must be finalized before execution");
-        let decoded = program.decoded().expect("finalized program carries its decode cache");
+        let decoded = program.decoded().expect("program must be finalized before execution");
 
         self.boot(process);
         if let Err(fault) = self.push_word(process, RETURN_SENTINEL) {
@@ -211,11 +214,13 @@ impl Cpu {
             }
             let inst = &func.insts()[idx];
             self.instructions += 1;
-            self.cycles += inst.cycles();
+            self.add_cycles(inst.cycles());
 
             match self.step(program, process, fid, idx, inst, cfg) {
                 Ok(Flow::Next) => idx += 1,
-                Ok(Flow::Skip(n)) => idx += 1 + n,
+                // A skip past the end behaves like falling off the end; it
+                // saturates so a wild skip cannot wrap back into the body.
+                Ok(Flow::Skip(n)) => idx = (idx + 1).saturating_add(n),
                 Ok(Flow::Call { target, return_addr }) => {
                     if let Err(fault) = self.push_word(process, return_addr) {
                         return Exit::Fault(fault);
@@ -298,7 +303,7 @@ impl Cpu {
                 return Err(Fault::InvalidReturn { addr });
             }
             self.instructions += 1;
-            self.cycles += op.cycles;
+            self.add_cycles(op.cycles);
 
             match &op.kind {
                 OpKind::Basic(inst) => {
@@ -316,7 +321,7 @@ impl Cpu {
                         // plain adds.
                         for op in tail {
                             self.instructions += 1;
-                            self.cycles += op.cycles;
+                            self.add_cycles(op.cycles);
                             let OpKind::Basic(inst) = &op.kind else {
                                 unreachable!("superblocks cover Basic runs only")
                             };
@@ -331,7 +336,7 @@ impl Cpu {
                                 return Err(Fault::InstructionLimit);
                             }
                             self.instructions += 1;
-                            self.cycles += op.cycles;
+                            self.add_cycles(op.cycles);
                             let OpKind::Basic(inst) = &op.kind else {
                                 unreachable!("superblocks cover Basic runs only")
                             };
@@ -459,6 +464,14 @@ impl Cpu {
         Err(Fault::CanaryViolation { function: self.func_name(program, fid) })
     }
 
+    /// Adds `cycles` to the running total, modulo 2^64 like a hardware
+    /// cycle counter.  The same instruction as release `+=`, so the hot
+    /// loop pays nothing for never aborting a debug build.
+    #[inline]
+    fn add_cycles(&mut self, cycles: u64) {
+        self.cycles = self.cycles.wrapping_add(cycles);
+    }
+
     /// Charges one fused-sequence component, mirroring the reference
     /// loop's order: budget check first, then the static cost.
     #[inline]
@@ -467,7 +480,7 @@ impl Cpu {
             return Err(Fault::InstructionLimit);
         }
         self.instructions += 1;
-        self.cycles += component.cycles();
+        self.add_cycles(component.cycles());
         Ok(())
     }
 
@@ -673,7 +686,7 @@ impl Cpu {
                 // retry excess so the total equals the device-reported cost
                 // (zero surcharge when the first draw succeeds).
                 let (value, total_cycles) = process.hwrng.rdrand_retrying();
-                self.cycles += total_cycles.saturating_sub(inst.cycles());
+                self.add_cycles(total_cycles.saturating_sub(inst.cycles()));
                 self.regs.write(*dst, value);
             }
             Inst::Rdtsc => {
@@ -712,13 +725,13 @@ impl Cpu {
                 // Surcharge: per-word copy cost on top of the static base,
                 // charged before the write (a faulting copy still paid for
                 // the attempt).
-                self.cycles += (process.input().len() as u64) / 8 + 1;
+                self.add_cycles((process.input().len() as u64) / 8 + 1);
                 process.copy_input_to_memory(dest, None).map_err(mem_fault)?;
             }
             Inst::CopyInputToFrameBounded { offset, max_len } => {
                 let dest = frame_addr(rbp, *offset);
                 let len = process.input().len().min(*max_len as usize);
-                self.cycles += (len as u64) / 8 + 1;
+                self.add_cycles((len as u64) / 8 + 1);
                 process.copy_input_to_memory(dest, Some(*max_len as usize)).map_err(mem_fault)?;
             }
             Inst::InputLenToReg(r) => {
@@ -861,7 +874,7 @@ impl Cpu {
                 // Surcharge: retry excess on top of the static base (see
                 // the matching `step` arm).
                 let (value, total_cycles) = process.hwrng.rdrand_retrying();
-                self.cycles += total_cycles.saturating_sub(inst.cycles());
+                self.add_cycles(total_cycles.saturating_sub(inst.cycles()));
                 self.regs.write(*dst, value);
             }
             Inst::Rdtsc => {
@@ -897,13 +910,13 @@ impl Cpu {
             }
             Inst::CopyInputToFrame { offset } => {
                 let dest = frame_addr(rbp, *offset);
-                self.cycles += (process.input().len() as u64) / 8 + 1;
+                self.add_cycles((process.input().len() as u64) / 8 + 1);
                 process.copy_input_to_memory(dest, None).map_err(mem_fault)?;
             }
             Inst::CopyInputToFrameBounded { offset, max_len } => {
                 let dest = frame_addr(rbp, *offset);
                 let len = process.input().len().min(*max_len as usize);
-                self.cycles += (len as u64) / 8 + 1;
+                self.add_cycles((len as u64) / 8 + 1);
                 process.copy_input_to_memory(dest, Some(*max_len as usize)).map_err(mem_fault)?;
             }
             Inst::InputLenToReg(r) => {

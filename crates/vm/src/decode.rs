@@ -1,8 +1,14 @@
 //! The pre-decoded program cache behind [`Cpu::run`](crate::cpu::Cpu::run).
 //!
-//! [`Program::finalize`](crate::program::Program::finalize) flattens every
-//! function body into one contiguous stream of [`Op`]s so the interpreter's
-//! hot loop is a plain fetch→dispatch over a single slice:
+//! The first run of a finalized program (or the
+//! [`Snapshot`](crate::snapshot::Snapshot) that captures it) flattens every
+//! function body into one contiguous stream of [`Op`]s, built once and
+//! shared by every later run; see
+//! [`Program::decoded`](crate::program::Program::decoded).  Compile and
+//! rewrite end in [`Program::finalize`](crate::program::Program::finalize),
+//! which only lays out addresses, so builds that are verified but never run
+//! never decode.  The interpreter's hot loop is a plain fetch→dispatch over
+//! the single slice:
 //!
 //! * **absolute successor indices** — skip-relative branches (`je +n`) are
 //!   decoded to absolute indices into the flat stream, and `call` targets to
@@ -172,11 +178,11 @@ pub(crate) enum OpKind {
     },
 }
 
-/// A program flattened into one decoded op stream, built once at
-/// [`Program::finalize`](crate::program::Program::finalize) and shared by
-/// every machine booted from the same `Arc<Program>` — snapshot-booted
-/// fleet victims never re-decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A program flattened into one decoded op stream, built once on the
+/// program's first run (or snapshot) and shared by every machine booted
+/// from the same `Arc<Program>` — snapshot-booted fleet victims never
+/// re-decode.
+#[derive(Debug, Clone)]
 pub(crate) struct DecodedProgram {
     /// The flat op stream: per function, its decoded body followed by one
     /// [`OpKind::FellOffEnd`] sentinel.
@@ -217,17 +223,19 @@ impl DecodedProgram {
             let insts = func.insts();
             let len = insts.len();
             // A branch target past the end of the function behaves exactly
-            // like falling off the end, so it clamps to the sentinel.
+            // like falling off the end, so it clamps to the sentinel (and
+            // skips saturate, so a wild one cannot wrap around).
             let clamp = |index: usize| start + index.min(len) as u32;
             for (i, inst) in insts.iter().enumerate() {
+                let skip = |n: usize| clamp((i + 1).saturating_add(n));
                 let addr = func.inst_addr(i).expect("finalized function has inst addrs");
                 addr_flat_dense[(addr - addr_base) as usize] = start + i as u32;
                 let kind = match fuse_at(insts, i, fid, &clamp) {
                     Some(fused) => fused,
                     None => match inst {
-                        Inst::JeSkip(n) => OpKind::Je { target: clamp(i + 1 + n) },
-                        Inst::JneSkip(n) => OpKind::Jne { target: clamp(i + 1 + n) },
-                        Inst::JmpSkip(n) => OpKind::Jmp { target: clamp(i + 1 + n) },
+                        Inst::JeSkip(n) => OpKind::Je { target: skip(*n) },
+                        Inst::JneSkip(n) => OpKind::Jne { target: skip(*n) },
+                        Inst::JmpSkip(n) => OpKind::Jmp { target: skip(*n) },
                         Inst::CallFn(target) => {
                             let return_addr = addr + inst.encoded_size();
                             match func_start.get(target.0) {
@@ -346,7 +354,7 @@ mod tests {
         let f = prog.add_function("main", insts).unwrap();
         prog.set_entry(f);
         prog.finalize();
-        let d = prog.decoded().expect("finalize builds the cache").clone();
+        let d = prog.decoded().expect("finalized programs decode").clone();
         (prog, d)
     }
 

@@ -13,12 +13,18 @@
 //! (function by entry address, then instruction), so the reference
 //! interpreter — the differential oracle for the decoded dispatch — resolves
 //! return addresses without consulting the decode cache it checks.  The
-//! decoded `ret` path reads one dense address table that
-//! [`Program::finalize`] builds alongside the op stream (see
-//! `decode.rs`); no per-instruction hash map is kept.
+//! decoded `ret` path reads one dense address table that the decode pass
+//! builds alongside the op stream (see `decode.rs`); no per-instruction
+//! hash map is kept.
+//!
+//! [`Program::finalize`] only lays out addresses.  The dispatch cache is
+//! built once, the first time [`Cpu::run`](crate::cpu::Cpu::run) executes
+//! the program (or a [`Snapshot`](crate::snapshot::Snapshot) captures it),
+//! so builds that are only verified or measured — never run — pay nothing
+//! for it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::decode::DecodedProgram;
 use crate::error::VmError;
@@ -93,12 +99,26 @@ pub struct Program {
     entry: Option<FuncId>,
     /// Extra sections appended by the binary rewriter (name → size in bytes).
     extra_sections: Vec<(String, u64)>,
-    /// The flat dispatch cache, rebuilt by [`Program::finalize`] and cleared
-    /// on any mutation.  Purely derived from the function bodies, so the
-    /// derived equality over it cannot disagree for equal source programs.
-    decoded: Option<DecodedProgram>,
+    /// The flat dispatch cache, built on first use by [`Program::decoded`]
+    /// and reset by [`Program::finalize`] and by every mutation.
+    decoded: DecodeCache,
     finalized: bool,
 }
+
+/// The lazily built dispatch cache of a [`Program`].
+///
+/// Purely derived from the function bodies, so every cache compares equal:
+/// a program that has run equals its never-run clone.
+#[derive(Debug, Clone, Default)]
+struct DecodeCache(OnceLock<DecodedProgram>);
+
+impl PartialEq for DecodeCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DecodeCache {}
 
 impl Program {
     /// Creates an empty program.
@@ -108,7 +128,7 @@ impl Program {
             by_name: HashMap::new(),
             entry: None,
             extra_sections: Vec::new(),
-            decoded: None,
+            decoded: DecodeCache::default(),
             finalized: false,
         }
     }
@@ -137,7 +157,7 @@ impl Program {
             inst_addrs: Vec::new(),
         });
         self.finalized = false;
-        self.decoded = None;
+        self.decoded = DecodeCache::default();
         Ok(id)
     }
 
@@ -153,7 +173,7 @@ impl Program {
             .ok_or_else(|| VmError::UnknownFunction { name: format!("{id}") })?;
         func.insts = insts;
         self.finalized = false;
-        self.decoded = None;
+        self.decoded = DecodeCache::default();
         Ok(())
     }
 
@@ -215,6 +235,9 @@ impl Program {
     ///
     /// Calling `finalize` again after mutation recomputes the layout; the
     /// rewriter uses the before/after sizes to verify layout preservation.
+    /// The dispatch cache is not built here but by the program's first
+    /// [`Cpu::run`](crate::cpu::Cpu::run) or
+    /// [`Snapshot`](crate::snapshot::Snapshot).
     pub fn finalize(&mut self) {
         let mut cursor = CODE_BASE;
         for func in &mut self.functions {
@@ -231,10 +254,7 @@ impl Program {
             // padding byte keeps it distinct from the next entry.
             cursor += 1;
         }
-        // Addresses are assigned; flatten the bodies into the dispatch
-        // cache.  The source `insts` are left untouched — the decode is a
-        // pure acceleration that the verifier's source-body proofs ignore.
-        self.decoded = Some(DecodedProgram::build(&self.functions));
+        self.decoded = DecodeCache::default();
         self.finalized = true;
     }
 
@@ -243,9 +263,22 @@ impl Program {
         self.finalized
     }
 
-    /// The flat dispatch cache ([`Some`] exactly when finalized).
+    /// The flat dispatch cache ([`Some`] exactly when finalized), built on
+    /// the first call after [`Program::finalize`] and shared by every later
+    /// one, from any thread.  The source `insts` are left untouched — the
+    /// decode is a pure acceleration that the verifier's source-body proofs
+    /// ignore.
     pub(crate) fn decoded(&self) -> Option<&DecodedProgram> {
-        self.decoded.as_ref()
+        if !self.finalized {
+            return None;
+        }
+        Some(self.decoded.0.get_or_init(|| DecodedProgram::build(&self.functions)))
+    }
+
+    /// Whether the dispatch cache has been built since the last finalize.
+    #[cfg(test)]
+    pub(crate) fn is_decoded(&self) -> bool {
+        self.decoded.0.get().is_some()
     }
 
     /// Translates a virtual address back to `(function, instruction index)`.
@@ -295,6 +328,9 @@ impl Default for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::{Cpu, ExecConfig, Exit, RunOutcome};
+    use crate::mem::DEFAULT_STACK_SIZE;
+    use crate::process::{Pid, Process};
     use crate::reg::Reg;
 
     fn tiny_function() -> Vec<Inst> {
@@ -427,9 +463,11 @@ mod tests {
     fn decode_cache_tracks_finalization() {
         let mut prog = Program::new();
         let a = prog.add_function("a", tiny_function()).unwrap();
-        assert!(prog.decoded().is_none());
+        assert!(prog.decoded().is_none(), "unfinalized programs have no cache");
         prog.finalize();
+        assert!(!prog.is_decoded(), "finalize only lays out addresses");
         assert!(prog.decoded().is_some());
+        assert!(prog.is_decoded(), "the first use builds the cache");
         // Any mutation drops the cache until the next finalize.
         prog.replace_function_body(a, vec![Inst::Ret]).unwrap();
         assert!(prog.decoded().is_none());
@@ -437,6 +475,69 @@ mod tests {
         assert!(prog.decoded().is_some());
         prog.add_function("b", tiny_function()).unwrap();
         assert!(prog.decoded().is_none());
+    }
+
+    /// Runs the program's entry on a fresh process through the decoded
+    /// dispatch.
+    fn run(prog: &Program) -> RunOutcome {
+        let mut process = Process::new(Pid(1), 7, DEFAULT_STACK_SIZE);
+        let mut cpu = Cpu::new();
+        let exit = cpu.run(prog, &mut process, prog.entry().unwrap(), &ExecConfig::default());
+        RunOutcome { exit, cycles: cpu.cycles, instructions: cpu.instructions }
+    }
+
+    fn returning(imm: u64) -> Vec<Inst> {
+        vec![Inst::MovImmToReg { dst: Reg::Rax, imm }, Inst::Compute(imm), Inst::Ret]
+    }
+
+    #[test]
+    fn the_first_run_decodes_and_a_mutation_after_it_invalidates() {
+        let mut prog = Program::new();
+        let a = prog.add_function("a", returning(1)).unwrap();
+        prog.set_entry(a);
+        prog.finalize();
+        assert_eq!(run(&prog).exit, Exit::Normal(1));
+        assert!(prog.is_decoded());
+        prog.replace_function_body(a, returning(2)).unwrap();
+        assert!(!prog.is_decoded());
+        prog.finalize();
+        assert!(!prog.is_decoded());
+        assert_eq!(run(&prog).exit, Exit::Normal(2), "the run decodes the new body");
+        prog.finalize();
+        assert!(!prog.is_decoded(), "re-finalizing drops the old cache");
+    }
+
+    #[test]
+    fn concurrent_first_runs_share_one_decode() {
+        let mut prog = Program::new();
+        let helper = prog.add_function("helper", returning(5)).unwrap();
+        let mut main = tiny_function();
+        main.insert(2, Inst::CallFn(helper));
+        let main = prog.add_function("main", main).unwrap();
+        prog.set_entry(main);
+        prog.finalize();
+        let expected = run(&prog.clone());
+        let prog = Arc::new(prog);
+        assert!(!prog.is_decoded());
+        let outcomes: Vec<RunOutcome> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..8).map(|_| scope.spawn(|| run(&prog))).collect();
+            runs.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(prog.is_decoded());
+        assert!(outcomes.iter().all(|o| *o == expected), "{outcomes:?} vs {expected:?}");
+    }
+
+    #[test]
+    fn equality_ignores_decode_state() {
+        let mut prog = Program::new();
+        let a = prog.add_function("a", tiny_function()).unwrap();
+        prog.set_entry(a);
+        prog.finalize();
+        let fresh = prog.clone();
+        prog.decoded();
+        assert!(prog.is_decoded() && !fresh.is_decoded());
+        assert_eq!(prog, fresh);
+        assert_eq!(prog.clone(), fresh, "a clone of a decoded program equals a never-run one");
     }
 
     #[test]

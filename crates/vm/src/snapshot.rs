@@ -18,10 +18,11 @@
 //! boot seed on every restore, which is exactly what makes a restored
 //! victim indistinguishable from a freshly built one.
 //!
-//! The finalized program carries its pre-decoded dispatch stream (see
-//! `crate::decode`), so sharing the program by `Arc` also shares the
-//! decode cache: a snapshot-booted worker reaches its first guest
-//! instruction without re-decoding — or re-walking — any setup.
+//! A snapshot exists to be run, so capturing one builds the program's
+//! decoded dispatch stream (see `crate::decode`) up front.  Sharing the
+//! program by `Arc` then also shares the decode cache: a snapshot-booted
+//! worker reaches its first guest instruction without decoding — or
+//! re-walking — any setup.
 
 use std::sync::Arc;
 
@@ -67,9 +68,10 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Captures a snapshot directly from its parts, finalizing the program
-    /// if needed.  Equivalent to booting a throwaway
-    /// [`Machine`](crate::machine::Machine) with this configuration and
-    /// calling [`Machine::snapshot`](crate::machine::Machine::snapshot).
+    /// if needed and building its dispatch cache.  Equivalent to booting a
+    /// throwaway [`Machine`](crate::machine::Machine) with this
+    /// configuration and calling
+    /// [`Machine::snapshot`](crate::machine::Machine::snapshot).
     pub fn new(mut program: Program, exec_config: ExecConfig, stack_size: u64) -> Self {
         if !program.is_finalized() {
             program.finalize();
@@ -82,6 +84,9 @@ impl Snapshot {
         exec_config: ExecConfig,
         stack_size: u64,
     ) -> Self {
+        // Decode now, so no worker restored from this snapshot pays for it
+        // on its first request.
+        program.decoded();
         let image = Memory::with_stack_size(stack_size);
         Snapshot { program, exec_config, stack_size, image }
     }
@@ -132,7 +137,15 @@ mod tests {
     fn snapshot_finalizes_the_program() {
         let snapshot = Snapshot::new(trivial_program(), ExecConfig::default(), 8192);
         assert!(snapshot.program().is_finalized());
+        assert!(snapshot.program().is_decoded());
         assert_eq!(snapshot.stack_size(), 8192);
+    }
+
+    #[test]
+    fn machine_snapshot_decodes_the_shared_program() {
+        let machine = Machine::new(trivial_program(), Box::new(NoHooks), 3);
+        let snapshot = machine.snapshot();
+        assert!(snapshot.program().is_decoded());
     }
 
     #[test]

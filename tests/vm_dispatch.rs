@@ -18,6 +18,9 @@
 //!   boundaries, mid-instruction bytes, alignment padding, end markers and
 //!   out-of-range addresses — with `Program::lookup_addr` checked against a
 //!   brute-force scan,
+//! * unstructured programs — every instruction variant with full-range
+//!   operands (wild skips, out-of-range offsets, unknown call ids) — which
+//!   must end in a typed `Fault`, never a host panic,
 //! * whole campaigns: exported records identical at 1 vs 8 workers.
 
 use polycanary::attacks::{
@@ -147,6 +150,163 @@ fn fuzzed_programs_agree_across_dispatchers() {
             let cached = observe(&prog, FuncId(0), &cfg, seed, input_len, false);
             let reference = observe(&prog, FuncId(0), &cfg, seed, input_len, true);
             assert_eq!(cached, reference, "case {case}, budget {max_instructions}");
+        }
+    }
+}
+
+/// Draws one of a few interesting values, or a uniformly random one.
+fn pick<T: Copy>(rng: &mut SplitMix64, edges: &[T], random: impl FnOnce(u64) -> T) -> T {
+    let draw = rng.next_u64();
+    match edges.get((draw % (edges.len() as u64 + 1)) as usize) {
+        Some(&edge) => edge,
+        None => random(rng.next_u64()),
+    }
+}
+
+/// Number of instruction variants [`unstructured_inst`] draws from.
+const INST_VARIANTS: u64 = 46;
+
+/// One instruction of any variant with full-range operands: skips up to
+/// `usize::MAX`, `i32::MIN` / `i32::MAX` frame offsets, TLS offsets past
+/// the block, unknown call ids, any register (`%rsp` and `%rbp` included)
+/// and arbitrary immediates and cycle counts.  No structure is imposed, so
+/// most programs fault — the point is *how* they fault.
+fn unstructured_inst(rng: &mut SplitMix64, variant: u64) -> Inst {
+    let reg = |rng: &mut SplitMix64| Reg::ALL[(rng.next_u64() % Reg::ALL.len() as u64) as usize];
+    let skip = |rng: &mut SplitMix64| {
+        pick(rng, &[0, 1, 2, 3, usize::MAX, usize::MAX - 1, usize::MAX / 2], |r| r as usize)
+    };
+    let disp = |rng: &mut SplitMix64| {
+        pick(rng, &[0, 8, 16, -8, -0x10, -0x40, i32::MIN, i32::MAX], |r| r as i32)
+    };
+    let tls = |rng: &mut SplitMix64| {
+        pick(rng, &[0x28, 0x2a8, 0x2b0, 0x2b8, u64::MAX, u64::MAX - 7], |r| r % 0x1000)
+    };
+    let imm = |rng: &mut SplitMix64| pick(rng, &[0, 1, u64::MAX, CODE_BASE], |r| r);
+    let imm32 = |rng: &mut SplitMix64| pick(rng, &[0, 8, 0x40, u32::MAX], |r| r as u32);
+    match variant {
+        0 => Inst::PushReg(reg(rng)),
+        1 => Inst::PopReg(reg(rng)),
+        2 => Inst::MovRegReg { dst: reg(rng), src: reg(rng) },
+        3 => Inst::SubRspImm(imm32(rng)),
+        4 => Inst::AddRspImm(imm32(rng)),
+        5 => Inst::Leave,
+        6 => Inst::Ret,
+        7 => Inst::MovTlsToReg { dst: reg(rng), offset: tls(rng) },
+        8 => Inst::MovRegToTls { src: reg(rng), offset: tls(rng) },
+        9 => Inst::MovRegToFrame { src: reg(rng), offset: disp(rng) },
+        10 => Inst::MovFrameToReg { dst: reg(rng), offset: disp(rng) },
+        11 => Inst::MovFrameToReg32 { dst: reg(rng), offset: disp(rng) },
+        12 => Inst::MovRegToFrame32 { src: reg(rng), offset: disp(rng) },
+        13 => Inst::MovImmToReg { dst: reg(rng), imm: imm(rng) },
+        14 => Inst::MovImmToFrame { offset: disp(rng), imm: imm32(rng) },
+        15 => Inst::LeaFrameToReg { dst: reg(rng), offset: disp(rng) },
+        16 => Inst::MovMemToReg { dst: reg(rng), base: reg(rng), offset: disp(rng) },
+        17 => Inst::MovRegToMem { src: reg(rng), base: reg(rng), offset: disp(rng) },
+        18 => Inst::XorRegReg { dst: reg(rng), src: reg(rng) },
+        19 => Inst::XorTlsReg { dst: reg(rng), offset: tls(rng) },
+        20 => Inst::AddRegReg { dst: reg(rng), src: reg(rng) },
+        21 => Inst::ShlRegImm { dst: reg(rng), amount: rng.next_u64() as u8 },
+        22 => Inst::ShrRegImm { dst: reg(rng), amount: rng.next_u64() as u8 },
+        23 => Inst::OrRegReg { dst: reg(rng), src: reg(rng) },
+        24 => Inst::CmpFrameReg { reg: reg(rng), offset: disp(rng) },
+        25 => Inst::CmpRegImm { reg: reg(rng), imm: imm(rng) },
+        26 => Inst::TestReg(reg(rng)),
+        27 => Inst::JeSkip(skip(rng)),
+        28 => Inst::JneSkip(skip(rng)),
+        29 => Inst::JmpSkip(skip(rng)),
+        30 => Inst::CallFn(FuncId(pick(rng, &[0, 1, 2, 3, usize::MAX], |r| r as usize))),
+        31 => Inst::CallStackChkFail,
+        32 => Inst::CallCheckCanary32,
+        33 => Inst::Nop,
+        34 => Inst::Rdrand(reg(rng)),
+        35 => Inst::Rdtsc,
+        36 => Inst::AesEncryptFrame { nonce: reg(rng) },
+        37 => Inst::RecordCanaryAddress { offset: disp(rng) },
+        38 => Inst::PopCanaryAddress,
+        39 => Inst::LinkCanaryPush { offset: disp(rng) },
+        40 => Inst::LinkCanaryPop { offset: disp(rng) },
+        41 => Inst::CopyInputToFrame { offset: disp(rng) },
+        42 => Inst::CopyInputToFrameBounded { offset: disp(rng), max_len: imm32(rng) },
+        43 => Inst::InputLenToReg(reg(rng)),
+        44 => Inst::OutputReg(reg(rng)),
+        _ => Inst::Compute(imm(rng)),
+    }
+}
+
+/// Runs `prog` through one dispatcher and turns a host panic into a test
+/// failure that names the program.
+#[allow(clippy::type_complexity)]
+fn observe_unwinding(
+    prog: &Program,
+    cfg: &ExecConfig,
+    seed: u64,
+    input_len: usize,
+    reference: bool,
+    case: u32,
+) -> (RunOutcome, Vec<u8>, Vec<u64>, Vec<u64>) {
+    let run = || observe(prog, FuncId(0), cfg, seed, input_len, reference);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|_| {
+        let bodies: Vec<&[Inst]> = prog.iter().map(|(_, f)| f.insts()).collect();
+        panic!("case {case}: host panic (reference: {reference}) on {bodies:#?}")
+    })
+}
+
+#[test]
+fn unstructured_programs_fault_typed_and_agree_across_dispatchers() {
+    let mut rng = SplitMix64::new(0x0B5C_0FF5);
+    let mut drawn = [false; INST_VARIANTS as usize];
+    for case in 0..3_000u32 {
+        let mut prog = Program::new();
+        for f in 0..1 + rng.next_u64() % 3 {
+            let insts = (0..rng.next_u64() % 10)
+                .map(|_| {
+                    let variant = rng.next_u64() % INST_VARIANTS;
+                    drawn[variant as usize] = true;
+                    unstructured_inst(&mut rng, variant)
+                })
+                .collect();
+            prog.add_function(format!("f{f}"), insts).unwrap();
+        }
+        prog.set_entry(FuncId(0));
+        // Finalize lays out addresses only: the decoded dispatch below
+        // builds its cache on the first run.
+        prog.finalize();
+        let seed = rng.next_u64();
+        let input_len = (rng.next_u64() % 64) as usize;
+        for max_instructions in [0u64, 1, 2, 4, 7, 300] {
+            let cfg = ExecConfig { max_instructions, hijack_target: Some(CODE_BASE + 1) };
+            let cached = observe_unwinding(&prog, &cfg, seed, input_len, false, case);
+            let reference = observe_unwinding(&prog, &cfg, seed, input_len, true, case);
+            assert_eq!(cached, reference, "case {case}, budget {max_instructions}");
+            assert!(cached.0.instructions <= max_instructions, "case {case}");
+        }
+    }
+    assert!(drawn.iter().all(|&d| d), "every instruction variant was drawn");
+}
+
+#[test]
+fn wild_skips_fault_at_the_end_marker_in_both_dispatchers() {
+    for branch in [Inst::JmpSkip(usize::MAX), Inst::JeSkip(usize::MAX), Inst::JneSkip(usize::MAX)] {
+        let mut prog = Program::new();
+        // `xor %rax,%rax` sets ZF, so `je` is taken and `jne` falls through
+        // to the trailing `jmp`.
+        let body = vec![
+            Inst::XorRegReg { dst: Reg::Rax, src: Reg::Rax },
+            branch.clone(),
+            Inst::JmpSkip(usize::MAX - 1),
+            Inst::Ret,
+        ];
+        let f = prog.add_function("f", body).unwrap();
+        prog.set_entry(f);
+        prog.finalize();
+        let func = prog.function(f).unwrap();
+        let end = func.entry_addr() + func.encoded_size();
+        let cfg = ExecConfig { max_instructions: 1_000, hijack_target: None };
+        for reference in [false, true] {
+            let (outcome, ..) = observe(&prog, f, &cfg, 1, 0, reference);
+            assert_eq!(outcome.exit, Exit::Fault(Fault::InvalidReturn { addr: end }), "{branch:?}");
+            assert_eq!(outcome.instructions, 3 - u64::from(branch != Inst::JneSkip(usize::MAX)));
         }
     }
 }

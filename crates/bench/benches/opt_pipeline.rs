@@ -11,6 +11,17 @@
 //!   vs O2 through the machine, measuring the canary-handling cycles the
 //!   optimizer eliminates on the hot call path.
 //!
+//! `compile` is the front half followed by the back half; two groups time
+//! each half on its own for the same module:
+//!
+//! * `frontend/*` — `Compiler::prepare` at O0 vs O2: validation, the name
+//!   table, stage-1 analysis and the stage-2 IR transforms, which depend
+//!   on the module and the level only.  `harness verify` pays this once
+//!   per module and level instead of once per build.
+//! * `lower/ssp/*` — `Compiler::lower` of that prepared module under SSP:
+//!   layout, lowering, the instruction passes and finalize, the per-scheme
+//!   share of a compile.
+//!
 //! Three more groups time the layers every build passes through, with the
 //! input clone kept outside the timed window:
 //!
@@ -85,6 +96,17 @@ fn bench(c: &mut Criterion) {
                 })
             });
         }
+    }
+
+    for opt in [OptLevel::O0, OptLevel::O2] {
+        let ssp = Compiler::new(SchemeKind::Ssp).with_opt_level(opt);
+        group.bench_with_input(BenchmarkId::new("frontend", opt), &opt, |b, _| {
+            b.iter(|| ssp.prepare(&module).expect("module compiles"))
+        });
+        let front = ssp.prepare(&module).expect("module compiles");
+        group.bench_with_input(BenchmarkId::new("lower/ssp", opt), &opt, |b, _| {
+            b.iter(|| ssp.lower(&front).expect("module compiles"))
+        });
     }
 
     for opt in [OptLevel::O0, OptLevel::O2] {

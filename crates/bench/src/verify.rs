@@ -17,11 +17,12 @@
 //! consume them without special cases.
 
 use polycanary_compiler::ir::ModuleDef;
-use polycanary_compiler::{CompiledModule, Compiler, OptLevel};
+use polycanary_compiler::{Compiler, Frontend, OptLevel};
 use polycanary_core::record::{export_envelope, Record};
 use polycanary_core::scheme::SchemeKind;
 use polycanary_rewriter::{LinkMode, Rewriter};
 use polycanary_verifier::{verify_compiled, verify_rewritten, Finding};
+use polycanary_vm::Program;
 use polycanary_workloads::{spec_suite, Build, DatabaseModel, ServerModel};
 
 pub use polycanary_verifier::InjectedDefect;
@@ -149,40 +150,44 @@ fn opt_levels() -> [OptLevel; 2] {
     [OptLevel::O0, OptLevel::O2]
 }
 
-fn compile(module: &ModuleDef, kind: SchemeKind, opt: OptLevel) -> CompiledModule {
-    Compiler::new(kind)
-        .with_opt_level(opt)
-        .compile(module)
-        .expect("workload modules always compile")
-}
-
-/// Verifies one workload module under one build vehicle at one opt level.
-fn verify_cell(workload: &str, module: &ModuleDef, build: Build, opt: OptLevel) -> VerifyCell {
+/// Verifies one prepared workload module under one build vehicle.
+/// `ssp_build` caches the SSP shape-preserved build of the front half, the
+/// input of both rewriter link modes.
+fn verify_cell(
+    workload: &str,
+    front: &Frontend<'_>,
+    build: Build,
+    ssp_build: &mut Option<Program>,
+) -> VerifyCell {
+    let opt = front.opt_level();
+    let verify_scheme = |kind: SchemeKind| {
+        let compiled = Compiler::new(kind)
+            .with_opt_level(opt)
+            .lower(front)
+            .expect("workload modules always compile");
+        (compiled.program.len(), verify_compiled(&compiled))
+    };
     let (functions, findings) = match build {
-        Build::Native => {
-            let compiled = compile(module, SchemeKind::Native, opt);
-            (compiled.program.len(), verify_compiled(&compiled))
-        }
-        Build::Compiler(kind) => {
-            let compiled = compile(module, kind, opt);
-            (compiled.program.len(), verify_compiled(&compiled))
-        }
+        Build::Native => verify_scheme(SchemeKind::Native),
+        Build::Compiler(kind) => verify_scheme(kind),
         Build::BinaryRewriter(mode) => {
             // The rewriter pattern-matches the canonical SSP sequences, so
             // its input compiles shape-preserved at every level — matching
             // what `build_machine_at` ships.
-            let original = Compiler::new(SchemeKind::Ssp)
-                .with_opt_level(opt)
-                .with_preserved_canary_shapes()
-                .compile(module)
-                .expect("workload modules always compile")
-                .program;
+            let original = ssp_build.get_or_insert_with(|| {
+                Compiler::new(SchemeKind::Ssp)
+                    .with_opt_level(opt)
+                    .with_preserved_canary_shapes()
+                    .lower(front)
+                    .expect("workload modules always compile")
+                    .program
+            });
             let mut rewritten = original.clone();
             Rewriter::new()
                 .with_link_mode(mode)
                 .rewrite(&mut rewritten)
                 .expect("SSP workloads are always rewritable");
-            (original.len(), verify_rewritten(&original, &rewritten))
+            (original.len(), verify_rewritten(original, &rewritten))
         }
     };
     VerifyCell {
@@ -194,14 +199,24 @@ fn verify_cell(workload: &str, module: &ModuleDef, build: Build, opt: OptLevel) 
     }
 }
 
-/// Runs the full verification sweep.
+/// Runs the full verification sweep.  Each workload module is prepared
+/// once per opt level (the compiler's scheme-independent front half) and
+/// lowered under every build vehicle from there; the cells and their order
+/// are those of compiling every cell from scratch.
 pub fn run_verify(quick: bool) -> VerifyReport {
     let builds = builds();
     let mut cells = Vec::new();
     for (name, module) in workload_modules(quick) {
+        let fronts = opt_levels().map(|opt| {
+            Compiler::new(SchemeKind::Native)
+                .with_opt_level(opt)
+                .prepare(&module)
+                .expect("workload modules always compile")
+        });
+        let mut ssp_builds: [Option<Program>; 2] = Default::default();
         for &build in &builds {
-            for opt in opt_levels() {
-                cells.push(verify_cell(&name, &module, build, opt));
+            for (front, ssp_build) in fronts.iter().zip(&mut ssp_builds) {
+                cells.push(verify_cell(&name, front, build, ssp_build));
             }
         }
     }
@@ -240,6 +255,55 @@ mod tests {
         // × {O0, O2}.
         assert_eq!(report.cells.len(), 8 * 12 * 2);
         assert!(report.is_clean(), "{}", report.render_text());
+    }
+
+    /// One cell compiled from scratch, as the sweep did before it shared
+    /// front halves.
+    fn compiled_cell(
+        workload: &str,
+        module: &ModuleDef,
+        build: Build,
+        opt: OptLevel,
+    ) -> VerifyCell {
+        let compile = |compiler: Compiler| {
+            compiler.with_opt_level(opt).compile(module).expect("workload modules always compile")
+        };
+        let verify_scheme = |kind: SchemeKind| {
+            let compiled = compile(Compiler::new(kind));
+            (compiled.program.len(), verify_compiled(&compiled))
+        };
+        let (functions, findings) = match build {
+            Build::Native => verify_scheme(SchemeKind::Native),
+            Build::Compiler(kind) => verify_scheme(kind),
+            Build::BinaryRewriter(mode) => {
+                let original =
+                    compile(Compiler::new(SchemeKind::Ssp).with_preserved_canary_shapes()).program;
+                let mut rewritten = original.clone();
+                Rewriter::new().with_link_mode(mode).rewrite(&mut rewritten).unwrap();
+                (original.len(), verify_rewritten(&original, &rewritten))
+            }
+        };
+        VerifyCell {
+            workload: workload.to_string(),
+            build: build.label(),
+            opt_level: opt,
+            functions,
+            findings,
+        }
+    }
+
+    #[test]
+    fn shared_front_halves_reproduce_per_cell_compiles() {
+        let mut reference = Vec::new();
+        for (name, module) in workload_modules(true) {
+            for build in builds() {
+                for opt in opt_levels() {
+                    reference.push(compiled_cell(&name, &module, build, opt).record());
+                }
+            }
+        }
+        let records: Vec<Record> = run_verify(true).cells.iter().map(VerifyCell::record).collect();
+        assert_eq!(records, reference);
     }
 
     #[test]

@@ -4,8 +4,25 @@
 //! every function the compiler establishes the frame, asks the active
 //! [`CanaryScheme`] for its prologue, lowers the body, and asks the scheme
 //! for its epilogue before `leaveq; retq`.
+//!
+//! A compile runs in two halves, and [`Compiler::compile`] is the one
+//! followed by the other:
+//!
+//! * the **front half**, [`Compiler::prepare`], depends only on the module
+//!   and the optimization level: validation, the name → [`FuncId`] table,
+//!   stage-1 analysis and the stage-2 IR transforms.  It yields a
+//!   [`Frontend`];
+//! * the **back half**, [`Compiler::lower`], runs per scheme: override
+//!   resolution, frame layout, lowering, the stage-3 instruction passes and
+//!   [`Program::finalize`].  It borrows the [`Frontend`], sharing its name
+//!   table with the output rather than copying it.
+//!
+//! A sweep that builds one module under many schemes (`harness verify`)
+//! prepares it once per level and lowers that front half for every scheme;
+//! the output equals a fresh [`Compiler::compile`] field for field.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use polycanary_core::scheme::{CanaryScheme, SchemeKind};
 use polycanary_vm::inst::{FuncId, Inst};
@@ -15,11 +32,11 @@ use polycanary_vm::reg::Reg;
 
 use crate::error::CompileError;
 use crate::frame::{layout_frame, FrameLayout};
-use crate::ir::{ModuleDef, Stmt, WriteSource};
+use crate::ir::{FunctionDef, FunctionIds, ModuleDef, Stmt, WriteSource};
 use crate::pass::{FunctionAnalysis, LoweredBody, OptLevel, PassCtx, PassManager};
 
 /// The result of compiling a MiniC module.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledModule {
     /// The executable program.
     pub program: Program,
@@ -35,8 +52,9 @@ pub struct CompiledModule {
     /// The pipeline's per-function analysis results (protection decision,
     /// post-optimization cost estimate), indexed like the functions.
     pub analyses: Vec<FunctionAnalysis>,
-    /// Name → function id map.
-    pub by_name: HashMap<String, FuncId>,
+    /// Name → function id map, shared by every build lowered from the same
+    /// [`Frontend`].
+    pub by_name: Arc<FunctionIds>,
 }
 
 impl CompiledModule {
@@ -63,6 +81,45 @@ impl CompiledModule {
     }
 }
 
+/// The scheme-independent front half of a compile (see the module docs):
+/// a validated module's name table plus every function's stage-1 analysis
+/// and stage-2 IR, at one optimization level.  Built by
+/// [`Compiler::prepare`]; lowered by [`Compiler::lower`] as often as
+/// needed, under any scheme at the same level.
+///
+/// ```
+/// use polycanary_compiler::{Compiler, FunctionBuilder, ModuleBuilder, OptLevel};
+/// use polycanary_core::scheme::SchemeKind;
+///
+/// let module = ModuleBuilder::new()
+///     .function(FunctionBuilder::new("f").buffer("buf", 16).safe_copy("buf").returns(0).build())
+///     .build()?;
+/// let front = Compiler::new(SchemeKind::Ssp).with_opt_level(OptLevel::O2).prepare(&module)?;
+/// for kind in [SchemeKind::Ssp, SchemeKind::Pssp, SchemeKind::PsspOwf] {
+///     let compiler = Compiler::new(kind).with_opt_level(OptLevel::O2);
+///     assert_eq!(compiler.lower(&front)?, compiler.compile(&module)?);
+/// }
+/// # Ok::<(), polycanary_compiler::CompileError>(())
+/// ```
+#[derive(Debug)]
+pub struct Frontend<'m> {
+    opt_level: OptLevel,
+    /// Stage-2 IR of every function, borrowed from the module when no pass
+    /// of the pipeline rewrites IR.
+    functions: Vec<Cow<'m, FunctionDef>>,
+    /// Stage-1 analysis of every function, which the back half completes.
+    analyses: Vec<FunctionAnalysis>,
+    by_name: Arc<FunctionIds>,
+    entry: FuncId,
+}
+
+impl Frontend<'_> {
+    /// The optimization level the front half was prepared at.
+    pub fn opt_level(&self) -> OptLevel {
+        self.opt_level
+    }
+}
+
 /// The MiniC compiler, parameterised by a canary scheme.
 pub struct Compiler {
     scheme_kind: SchemeKind,
@@ -70,7 +127,8 @@ pub struct Compiler {
     opt_level: OptLevel,
     preserve_canary_shapes: bool,
     passes: PassManager,
-    overrides: HashMap<String, SchemeKind>,
+    /// Per-function scheme overrides, in the order they were added.
+    overrides: Vec<(String, SchemeKind)>,
 }
 
 impl std::fmt::Debug for Compiler {
@@ -93,7 +151,7 @@ impl Compiler {
             opt_level: OptLevel::O0,
             preserve_canary_shapes: false,
             passes: PassManager::standard(OptLevel::O0),
-            overrides: HashMap::new(),
+            overrides: Vec::new(),
         }
     }
 
@@ -126,10 +184,13 @@ impl Compiler {
 
     /// Overrides the scheme for a single function — used by the
     /// compatibility experiments of §VI-C, where P-SSP code and SSP code are
-    /// mixed in the same binary (e.g. application vs glibc).
+    /// mixed in the same binary (e.g. application vs glibc).  A later
+    /// override of the same function wins; an override naming a function
+    /// the module lacks fails the build with
+    /// [`CompileError::UnknownOverride`].
     #[must_use]
     pub fn with_function_scheme(mut self, function: impl Into<String>, kind: SchemeKind) -> Self {
-        self.overrides.insert(function.into(), kind);
+        self.overrides.push((function.into(), kind));
         self
     }
 
@@ -138,26 +199,90 @@ impl Compiler {
         self.scheme_kind
     }
 
-    /// Compiles `module` into an executable program.
+    /// Compiles `module` into an executable program: the front half
+    /// ([`Compiler::prepare`]) followed by the back half
+    /// ([`Compiler::lower`]).
     ///
     /// # Errors
     ///
-    /// Returns a [`CompileError`] if the module fails validation or a frame
-    /// cannot be laid out.
+    /// Returns a [`CompileError`] if the module fails validation, an
+    /// override names an unknown function or a frame cannot be laid out.
     pub fn compile(&self, module: &ModuleDef) -> Result<CompiledModule, CompileError> {
-        module.validate()?;
+        let mut front = self.prepare(module)?;
+        // Nothing lowers this front half again, so the back half completes
+        // its analyses in place instead of a copy.
+        let analyses = std::mem::take(&mut front.analyses);
+        self.back_half(&front, analyses)
+    }
 
-        // Function ids are assigned by declaration order.
-        let ids: HashMap<String, FuncId> =
-            module.functions.iter().enumerate().map(|(i, f)| (f.name.clone(), FuncId(i))).collect();
+    /// The front half of [`Compiler::compile`]: validates `module`, resolves
+    /// its function names (ids follow declaration order), then runs stage 1
+    /// (analysis) and stage 2 (IR transforms) of this compiler's pipeline
+    /// over every function.  Nothing here depends on the scheme.
+    ///
+    /// # Errors
+    ///
+    /// Returns the module's first validation error.
+    pub fn prepare<'m>(&self, module: &'m ModuleDef) -> Result<Frontend<'m>, CompileError> {
+        let (by_name, entry) = module.resolve::<String>()?;
+        let mut functions = Vec::with_capacity(module.functions.len());
+        let mut analyses = Vec::with_capacity(module.functions.len());
+        for func in &module.functions {
+            analyses.push(self.passes.run(func));
+            // Stage 2 works on a copy only when the pipeline rewrites IR.
+            functions.push(self.passes.optimize_ir(func));
+        }
+        Ok(Frontend {
+            opt_level: self.opt_level,
+            functions,
+            analyses,
+            by_name: Arc::new(by_name),
+            entry,
+        })
+    }
+
+    /// The back half of [`Compiler::compile`]: lowers a prepared module
+    /// under this compiler's schemes.  `front` is only borrowed, so one
+    /// front half serves any number of schemes; each result equals
+    /// [`Compiler::compile`] of the module.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::OptLevelMismatch`] if `front` was prepared at
+    /// another optimization level, [`CompileError::UnknownOverride`] if a
+    /// per-function override names a function the module lacks, or a frame
+    /// layout error.
+    pub fn lower(&self, front: &Frontend<'_>) -> Result<CompiledModule, CompileError> {
+        self.back_half(front, front.analyses.clone())
+    }
+
+    /// Lowers `front`, completing `analyses` (its stage-1 results) with the
+    /// stage-3 passes.
+    fn back_half(
+        &self,
+        front: &Frontend<'_>,
+        mut analyses: Vec<FunctionAnalysis>,
+    ) -> Result<CompiledModule, CompileError> {
+        if front.opt_level != self.opt_level {
+            return Err(CompileError::OptLevelMismatch {
+                prepared: front.opt_level,
+                compiler: self.opt_level,
+            });
+        }
+        let mut function_schemes = vec![self.scheme_kind; front.functions.len()];
+        for (name, kind) in &self.overrides {
+            let id = front
+                .by_name
+                .get(name)
+                .ok_or_else(|| CompileError::UnknownOverride { function: name.clone() })?;
+            function_schemes[id.0] = *kind;
+        }
 
         let mut program = Program::new();
-        let mut frames = Vec::with_capacity(module.functions.len());
-        let mut function_schemes = Vec::with_capacity(module.functions.len());
-        let mut analyses = Vec::with_capacity(module.functions.len());
-
-        for func in &module.functions {
-            let kind = self.overrides.get(&func.name).copied().unwrap_or(self.scheme_kind);
+        let mut frames = Vec::with_capacity(front.functions.len());
+        for ((func, analysis), &kind) in
+            front.functions.iter().zip(&mut analyses).zip(&function_schemes)
+        {
             let scheme: Box<dyn CanaryScheme>;
             let scheme_ref: &dyn CanaryScheme = if kind == self.scheme_kind {
                 self.scheme.as_ref()
@@ -166,35 +291,26 @@ impl Compiler {
                 scheme.as_ref()
             };
 
-            // Stage 1: analysis over the unoptimized IR.
-            let mut analysis = self.passes.run(func);
-
-            // Stage 2: IR transforms (folding, fusion, DSE) — on a copy
-            // only when the pipeline holds one — then layout.
-            let func_opt = self.passes.optimize_ir(func);
-            let layout = layout_frame(&func_opt, scheme_ref)?;
+            let layout = layout_frame(func, scheme_ref)?;
             debug_assert_eq!(analysis.needs_protection, layout.info.protected);
 
             // Stage 3: lower, then instruction transforms (scheduling,
             // canary-load elimination, cost estimation).
-            let mut body = lower_function(&func_opt, &layout, scheme_ref, &ids)?;
+            let mut body = lower_function(func, &layout, scheme_ref, &front.by_name)?;
             let ctx = PassCtx {
                 scheme: kind,
                 layout: &layout,
                 preserve_canary_shapes: self.preserve_canary_shapes,
             };
-            self.passes.transform_insts(&mut body, &ctx, &mut analysis);
+            self.passes.transform_insts(&mut body, &ctx, analysis);
 
             program
                 .add_function(func.name.clone(), body.insts)
                 .map_err(|_| CompileError::DuplicateFunction { name: func.name.clone() })?;
             frames.push(layout);
-            function_schemes.push(kind);
-            analyses.push(analysis);
         }
 
-        let entry = ids[&module.entry];
-        program.set_entry(entry);
+        program.set_entry(front.entry);
         program.finalize();
 
         Ok(CompiledModule {
@@ -204,7 +320,7 @@ impl Compiler {
             frames,
             function_schemes,
             analyses,
-            by_name: ids,
+            by_name: Arc::clone(&front.by_name),
         })
     }
 }
@@ -213,12 +329,14 @@ impl Compiler {
 /// prologue and epilogue landed so instruction-level passes can reason
 /// about them.
 pub(crate) fn lower_function(
-    func: &crate::ir::FunctionDef,
+    func: &FunctionDef,
     layout: &FrameLayout,
     scheme: &dyn CanaryScheme,
-    ids: &HashMap<String, FuncId>,
+    ids: &FunctionIds,
 ) -> Result<LoweredBody, CompileError> {
-    let mut insts = Vec::new();
+    // Room for the frame, a canary prologue and epilogue and one
+    // instruction per statement: most bodies never grow the vector.
+    let mut insts = Vec::with_capacity(24 + func.body.len());
 
     // Frame establishment (Code 1, lines 1–3).
     insts.push(Inst::PushReg(Reg::Rbp));
@@ -405,6 +523,58 @@ mod tests {
         assert_eq!(compiled.function_schemes[1], SchemeKind::Pssp);
         // The overridden function has the SSP frame (one canary word).
         assert_eq!(compiled.frame("handle_request").unwrap().canary_words, 1);
+    }
+
+    #[test]
+    fn unknown_function_override_is_a_typed_error() {
+        // A typo in a mixed-scheme experiment must not silently build the
+        // default-scheme binary.
+        let err = Compiler::new(SchemeKind::Pssp)
+            .with_function_scheme("handle_request", SchemeKind::Ssp)
+            .with_function_scheme("no_such_fn", SchemeKind::Ssp)
+            .compile(&victim_module())
+            .unwrap_err();
+        assert_eq!(err, CompileError::UnknownOverride { function: "no_such_fn".into() });
+        assert!(err.to_string().contains("no_such_fn"));
+    }
+
+    #[test]
+    fn later_override_of_the_same_function_wins() {
+        let compiled = Compiler::new(SchemeKind::Pssp)
+            .with_function_scheme("handle_request", SchemeKind::Ssp)
+            .with_function_scheme("handle_request", SchemeKind::PsspNt)
+            .compile(&victim_module())
+            .unwrap();
+        assert_eq!(compiled.function_schemes, vec![SchemeKind::PsspNt, SchemeKind::Pssp]);
+    }
+
+    #[test]
+    fn one_front_half_lowers_like_compile_under_every_scheme() {
+        let module = victim_module();
+        for opt in OptLevel::ALL {
+            let front =
+                Compiler::new(SchemeKind::Native).with_opt_level(opt).prepare(&module).unwrap();
+            assert_eq!(front.opt_level(), opt);
+            for kind in SchemeKind::ALL {
+                let compiler = Compiler::new(kind).with_opt_level(opt);
+                let lowered = compiler.lower(&front).unwrap();
+                assert_eq!(lowered, compiler.compile(&module).unwrap(), "{kind}@{opt}");
+                assert!(Arc::ptr_eq(&lowered.by_name, &front.by_name), "the table is shared");
+            }
+        }
+    }
+
+    #[test]
+    fn lowering_at_another_opt_level_is_a_typed_error() {
+        let module = victim_module();
+        let front = Compiler::new(SchemeKind::Ssp).prepare(&module).unwrap();
+        let err =
+            Compiler::new(SchemeKind::Ssp).with_opt_level(OptLevel::O2).lower(&front).unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::OptLevelMismatch { prepared: OptLevel::O0, compiler: OptLevel::O2 }
+        );
+        assert!(err.to_string().contains("O0") && err.to_string().contains("O2"));
     }
 
     #[test]
@@ -693,7 +863,7 @@ mod tests {
             for kind in SchemeKind::ALL {
                 let scheme = kind.scheme();
                 let layout = layout_frame(&ir_once, scheme.as_ref()).unwrap();
-                let ids = HashMap::from([("f".to_string(), FuncId(0))]);
+                let ids = FunctionIds::from_iter([("f".to_string(), FuncId(0))]);
                 let mut body = lower_function(&ir_once, &layout, scheme.as_ref(), &ids).unwrap();
                 let mut analysis = pm.run(&ir_once);
                 let ctx = PassCtx { scheme: kind, layout: &layout, preserve_canary_shapes: false };

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::pass::OptLevel;
+
 /// Errors reported while compiling a MiniC module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -45,6 +47,20 @@ pub enum CompileError {
         /// Computed frame size in bytes.
         size: u64,
     },
+    /// A per-function scheme override names a function the module does not
+    /// define.
+    UnknownOverride {
+        /// The override's function name.
+        function: String,
+    },
+    /// A compiler was asked to lower a front half prepared at another
+    /// optimization level.
+    OptLevelMismatch {
+        /// The level the front half was prepared at.
+        prepared: OptLevel,
+        /// The level of the compiler asked to lower it.
+        compiler: OptLevel,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -67,6 +83,12 @@ impl fmt::Display for CompileError {
             }
             CompileError::FrameTooLarge { function, size } => {
                 write!(f, "frame of `{function}` is too large ({size} bytes)")
+            }
+            CompileError::UnknownOverride { function } => {
+                write!(f, "scheme override names unknown function `{function}`")
+            }
+            CompileError::OptLevelMismatch { prepared, compiler } => {
+                write!(f, "front half prepared at {prepared} cannot be lowered at {compiler}")
             }
         }
     }

@@ -8,6 +8,12 @@
 //! operations that matter for the evaluation — computation, calls, and the
 //! library-style buffer writes that can overflow.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+use polycanary_vm::inst::FuncId;
+
 use crate::error::CompileError;
 
 /// Kind of a local variable.
@@ -175,6 +181,47 @@ impl FunctionDef {
     }
 }
 
+/// A module's function-name table: name → [`FuncId`], ids in declaration
+/// order.
+pub type FunctionIds<K = String> = HashMap<K, FuncId, BuildHasherDefault<NameHasher>>;
+
+/// The hasher of [`FunctionIds`]: a multiply-rotate over 8-byte words (the
+/// `FxHash` scheme).  Function names come from the program's own builders
+/// and generators, not from an adversary, so they need no keyed hash, and
+/// a keyed SipHash costs more on a module's short names than the pairwise
+/// name check that the table replaced.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NameHasher(u64);
+
+impl NameHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A MiniC module: a set of functions plus an entry point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModuleDef {
@@ -191,14 +238,45 @@ impl ModuleDef {
     ///
     /// Returns the first error found.
     pub fn validate(&self) -> Result<(), CompileError> {
+        self.resolve::<&str>().map(drop)
+    }
+
+    /// Validates the module in linear time and resolves its names: the
+    /// name → [`FuncId`] table (ids follow declaration order) and the id of
+    /// the entry function.  The compiler's front half keeps the table with
+    /// `String` keys; plain validation borrows the names instead.
+    ///
+    /// Errors come in declaration order, as a function-by-function check
+    /// reports them: for each function in turn a duplicate of a later
+    /// function, then its local references, then its callees; the missing
+    /// entry last.
+    pub(crate) fn resolve<'a, K>(&'a self) -> Result<(FunctionIds<K>, FuncId), CompileError>
+    where
+        K: From<&'a str> + Borrow<str> + Hash + Eq,
+    {
+        let mut ids =
+            FunctionIds::with_capacity_and_hasher(self.functions.len(), Default::default());
+        // The first function whose name some later function repeats.
+        let mut duplicate: Option<usize> = None;
         for (i, f) in self.functions.iter().enumerate() {
-            if self.functions.iter().skip(i + 1).any(|g| g.name == f.name) {
+            match ids.entry(K::from(f.name.as_str())) {
+                Entry::Occupied(first) => {
+                    let first = first.get().0;
+                    duplicate = Some(duplicate.map_or(first, |d| d.min(first)));
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(FuncId(i));
+                }
+            }
+        }
+        for (i, f) in self.functions.iter().enumerate() {
+            if duplicate == Some(i) {
                 return Err(CompileError::DuplicateFunction { name: f.name.clone() });
             }
             f.validate()?;
             for stmt in &f.body {
                 if let Stmt::Call { callee } = stmt {
-                    if !self.functions.iter().any(|g| &g.name == callee) {
+                    if !ids.contains_key(callee.as_str()) {
                         return Err(CompileError::UnknownCallee {
                             function: f.name.clone(),
                             callee: callee.clone(),
@@ -207,10 +285,11 @@ impl ModuleDef {
                 }
             }
         }
-        if !self.functions.iter().any(|f| f.name == self.entry) {
-            return Err(CompileError::MissingEntry { entry: self.entry.clone() });
-        }
-        Ok(())
+        let entry = ids
+            .get(self.entry.as_str())
+            .copied()
+            .ok_or_else(|| CompileError::MissingEntry { entry: self.entry.clone() })?;
+        Ok((ids, entry))
     }
 
     /// Looks up a function by name.
@@ -437,6 +516,127 @@ mod tests {
     fn module_validation_catches_missing_entry() {
         let module = ModuleBuilder::new().function(victim()).entry("nope").build();
         assert!(matches!(module, Err(CompileError::MissingEntry { .. })));
+    }
+
+    /// The function-by-function check `resolve` must agree with: every
+    /// pair of names compared, every callee looked up by a scan.
+    fn quadratic_validate(module: &ModuleDef) -> Result<(), CompileError> {
+        for (i, f) in module.functions.iter().enumerate() {
+            if module.functions.iter().skip(i + 1).any(|g| g.name == f.name) {
+                return Err(CompileError::DuplicateFunction { name: f.name.clone() });
+            }
+            f.validate()?;
+            for stmt in &f.body {
+                if let Stmt::Call { callee } = stmt {
+                    if !module.functions.iter().any(|g| &g.name == callee) {
+                        return Err(CompileError::UnknownCallee {
+                            function: f.name.clone(),
+                            callee: callee.clone(),
+                        });
+                    }
+                }
+            }
+        }
+        if !module.functions.iter().any(|f| f.name == module.entry) {
+            return Err(CompileError::MissingEntry { entry: module.entry.clone() });
+        }
+        Ok(())
+    }
+
+    fn raw(name: &str, locals: &[LocalKind], body: Vec<Stmt>) -> FunctionDef {
+        let locals = locals
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| Local { name: format!("l{i}"), kind })
+            .collect();
+        FunctionDef { name: name.into(), locals, body }
+    }
+
+    #[test]
+    fn module_validation_reports_the_first_of_several_defects() {
+        let call = |callee: &str| Stmt::Call { callee: callee.into() };
+        let scalar = [LocalKind::Scalar];
+        // `a` has an unknown local *and* an unknown callee, `b` writes a
+        // scalar, `c` is defined twice and the entry does not exist.
+        let mut module = ModuleDef {
+            functions: vec![
+                raw("a", &scalar, vec![call("ghost"), Stmt::LeakFrame { local: 9, words: 1 }]),
+                raw("b", &scalar, vec![Stmt::InitBuffer { local: 0 }]),
+                raw("c", &[], vec![]),
+                raw("d", &scalar, vec![Stmt::InitBuffer { local: 0 }]),
+                raw("c", &[], vec![]),
+            ],
+            entry: "nowhere".into(),
+        };
+        let expected = [
+            CompileError::UnknownLocal { function: "a".into(), index: 9 },
+            CompileError::UnknownCallee { function: "a".into(), callee: "ghost".into() },
+            CompileError::NotABuffer { function: "b".into(), local: "l0".into() },
+            CompileError::DuplicateFunction { name: "c".into() },
+            CompileError::NotABuffer { function: "d".into(), local: "l0".into() },
+            CompileError::MissingEntry { entry: "nowhere".into() },
+        ];
+        // Repair the reported defect each round; the next one surfaces.
+        for (round, want) in expected.iter().enumerate() {
+            assert_eq!(module.validate().as_ref(), Err(want), "round {round}");
+            assert_eq!(quadratic_validate(&module).as_ref(), Err(want), "round {round}");
+            match round {
+                0 | 1 => drop(module.functions[0].body.pop()),
+                2 => drop(module.functions[1].body.pop()),
+                3 => drop(module.functions.pop()),
+                4 => drop(module.functions[3].body.pop()),
+                _ => module.entry = "a".into(),
+            }
+        }
+        assert_eq!(module.validate(), Ok(()));
+        let (ids, entry) = module.resolve::<String>().unwrap();
+        assert_eq!(entry, FuncId(0));
+        assert_eq!(ids.len(), 4);
+        assert_eq!(ids["d"], FuncId(3));
+    }
+
+    #[test]
+    fn linear_validation_agrees_with_the_pairwise_check_on_random_modules() {
+        use polycanary_crypto::{Prng, SplitMix64};
+        const NAMES: [&str; 5] = ["a", "b", "c", "d", "ghost"];
+        let kinds = [LocalKind::Scalar, LocalKind::Buffer { size: 16 }];
+        let (mut seen, mut clean) = (std::collections::BTreeSet::new(), 0);
+        for seed in 0..2_000u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+            let functions = (0..1 + pick(5))
+                .map(|_| {
+                    let name = NAMES[pick(4)];
+                    let locals: Vec<LocalKind> = (0..pick(3)).map(|_| kinds[pick(2)]).collect();
+                    let body = (0..pick(4))
+                        .map(|_| match pick(8) {
+                            0 => Stmt::InitBuffer { local: pick(3) },
+                            1 => Stmt::WriteBuffer {
+                                local: pick(3),
+                                source: WriteSource::InputBounded,
+                            },
+                            2 => Stmt::LeakFrame { local: pick(3), words: 1 },
+                            3 | 4 => Stmt::Call { callee: NAMES[pick(5)].into() },
+                            _ => Stmt::Compute { cycles: 1 },
+                        })
+                        .collect();
+                    raw(name, &locals, body)
+                })
+                .collect();
+            let module = ModuleDef { functions, entry: NAMES[pick(5)].into() };
+            let want = quadratic_validate(&module);
+            match &want {
+                Ok(()) => clean += 1,
+                Err(err) => {
+                    seen.insert(format!("{err:?}").split(' ').next().map(String::from));
+                }
+            }
+            assert_eq!(module.validate(), want, "seed {seed}: {module:?}");
+            assert_eq!(module.resolve::<String>().map(drop), want, "seed {seed}");
+        }
+        // Every defect kind, and clean modules too, came up.
+        assert_eq!(seen.len(), 5, "{seen:?}");
+        assert!(clean > 0);
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! * [`codegen`] — lowering to VM instructions with the scheme-provided
 //!   prologue/epilogue, plus the code-expansion accounting of Table II.
 //!
+//! [`Compiler::compile`] runs in two halves.  The front half,
+//! [`Compiler::prepare`], depends only on the module and the optimization
+//! level — validation, the name → function-id table, analysis and the IR
+//! transforms — and yields a [`Frontend`].  The back half,
+//! [`Compiler::lower`], lays out, lowers and finalizes that front half under
+//! one scheme, so a module built under many schemes is prepared once.
+//!
 //! # Quick example
 //!
 //! ```
@@ -49,10 +56,12 @@ pub mod frame;
 pub mod ir;
 pub mod pass;
 
-pub use codegen::{code_expansion, CodeExpansion, CompiledModule, Compiler};
+pub use codegen::{code_expansion, CodeExpansion, CompiledModule, Compiler, Frontend};
 pub use error::CompileError;
 pub use frame::{layout_frame, FrameLayout};
-pub use ir::{FunctionBuilder, FunctionDef, Local, LocalKind, ModuleBuilder, ModuleDef, Stmt};
+pub use ir::{
+    FunctionBuilder, FunctionDef, FunctionIds, Local, LocalKind, ModuleBuilder, ModuleDef, Stmt,
+};
 pub use pass::{FunctionAnalysis, FunctionPass, LoweredBody, OptLevel, PassCtx, PassManager};
 
 #[cfg(test)]

@@ -848,7 +848,10 @@ impl PassManager {
 
     /// Runs the analysis stage over one function.
     pub fn run(&self, func: &FunctionDef) -> FunctionAnalysis {
-        let mut analysis = FunctionAnalysis::default();
+        let mut analysis = FunctionAnalysis {
+            passes_run: Vec::with_capacity(self.passes.len()),
+            ..FunctionAnalysis::default()
+        };
         for pass in &self.passes {
             pass.analyze(func, &mut analysis);
             analysis.passes_run.push(pass.name());

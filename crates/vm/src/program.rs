@@ -23,7 +23,7 @@
 //! so builds that are only verified or measured — never run — pay nothing
 //! for it.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use crate::decode::DecodedProgram;
@@ -144,18 +144,16 @@ impl Program {
         name: impl Into<String>,
         insts: Vec<Inst>,
     ) -> Result<FuncId, VmError> {
-        let name = name.into();
-        if self.by_name.contains_key(&name) {
-            return Err(VmError::DuplicateFunction { name });
-        }
         let id = FuncId(self.functions.len());
-        self.by_name.insert(name.clone(), id);
-        self.functions.push(Function {
-            name: Arc::from(name),
-            insts,
-            entry_addr: 0,
-            inst_addrs: Vec::new(),
-        });
+        let slot = match self.by_name.entry(name.into()) {
+            Entry::Occupied(taken) => {
+                return Err(VmError::DuplicateFunction { name: taken.key().clone() })
+            }
+            Entry::Vacant(slot) => slot,
+        };
+        let name = Arc::from(slot.key().as_str());
+        slot.insert(id);
+        self.functions.push(Function { name, insts, entry_addr: 0, inst_addrs: Vec::new() });
         self.finalized = false;
         self.decoded = DecodeCache::default();
         Ok(id)

@@ -12,6 +12,12 @@
 //! *detected* identically), leaks, computes — across every deployment
 //! vehicle: all ten compiler schemes plus both rewriter link modes.
 //!
+//! The same generated programs, together with every workload module, also
+//! pin the compiler's split into a scheme-independent front half and a
+//! per-scheme back half: lowering one prepared front half equals a fresh
+//! `Compiler::compile`, field for field, however often and in whatever
+//! order it is lowered.
+//!
 //! One carve-out, by design: P-SSP-OWF's unoptimized epilogue re-encrypts
 //! the frame with an `rdtsc`-derived nonce, which clobbers `rax` after the
 //! return value is set and makes leaked canary bytes cycle-dependent — so
@@ -19,12 +25,12 @@
 //! exit codes, and its generated programs carry no leaks.
 
 use polycanary::compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
-use polycanary::compiler::OptLevel;
+use polycanary::compiler::{CompileError, Compiler, OptLevel};
 use polycanary::core::SchemeKind;
 use polycanary::crypto::{Prng, SplitMix64};
 use polycanary::rewriter::LinkMode;
 use polycanary::vm::RunOutcome;
-use polycanary::workloads::{build_machine_at, Build};
+use polycanary::workloads::{build_machine_at, spec_suite, Build, DatabaseModel, ServerModel};
 
 /// Generates a random well-formed module: a `main` calling a handful of
 /// leaf workers, each mixing the statement shapes every transform pass
@@ -151,6 +157,74 @@ fn optimization_never_costs_cycles() {
                 build.label(),
                 o2.cycles,
                 o0.cycles
+            );
+        }
+    }
+}
+
+/// Every compiler configuration the split must reproduce on `module`: each
+/// scheme, with and without preserved canary shapes, and with the module's
+/// last function overridden to the next scheme.
+fn compilers(module: &ModuleDef, opt: OptLevel) -> Vec<(String, Compiler)> {
+    let last = &module.functions.last().expect("modules are non-empty").name;
+    let mut compilers = Vec::new();
+    for (i, kind) in SchemeKind::ALL.into_iter().enumerate() {
+        let other = SchemeKind::ALL[(i + 1) % SchemeKind::ALL.len()];
+        let base = || Compiler::new(kind).with_opt_level(opt);
+        compilers.push((format!("{kind}"), base()));
+        compilers.push((format!("{kind} preserved"), base().with_preserved_canary_shapes()));
+        compilers
+            .push((format!("{kind} {last}={other}"), base().with_function_scheme(last, other)));
+    }
+    compilers
+}
+
+#[test]
+fn lowering_a_shared_front_half_equals_compile() {
+    let spec = spec_suite();
+    let mut modules: Vec<ModuleDef> = spec.iter().map(|program| program.module()).collect();
+    modules.extend([ServerModel::ApacheLike, ServerModel::NginxLike].map(|server| server.module()));
+    modules.extend(
+        [DatabaseModel::MySqlLike, DatabaseModel::SqliteLike].map(|database| database.module()),
+    );
+    assert_eq!(modules.len(), 32, "every workload module");
+    for case in 0..6u64 {
+        let mut rng = SplitMix64::new(case.wrapping_mul(0x0DD5_EED5).wrapping_add(case));
+        modules.push(gen_module(&mut rng, case % 2 == 0));
+    }
+
+    for (m, module) in modules.iter().enumerate() {
+        for opt in OptLevel::ALL {
+            let front = Compiler::new(SchemeKind::Native)
+                .with_opt_level(opt)
+                .prepare(module)
+                .expect("modules are well-formed");
+            let compilers = compilers(module, opt);
+            let reference: Vec<_> = compilers
+                .iter()
+                .map(|(_, compiler)| compiler.compile(module).expect("modules compile"))
+                .collect();
+            // Forward, then backward: no lowering may leave state behind
+            // that a later one (of any scheme) would see.
+            let order = (0..compilers.len()).chain((0..compilers.len()).rev());
+            for i in order {
+                let (label, compiler) = &compilers[i];
+                let lowered = compiler.lower(&front).expect("modules compile");
+                let want = &reference[i];
+                let label = format!("module {m} {label} @{opt}");
+                assert_eq!(lowered.program, want.program, "{label}: program");
+                assert_eq!(lowered.frames, want.frames, "{label}: frames");
+                assert_eq!(lowered.analyses, want.analyses, "{label}: analyses");
+                assert_eq!(lowered.function_schemes, want.function_schemes, "{label}: schemes");
+                assert_eq!(lowered.by_name, want.by_name, "{label}: by_name");
+                assert_eq!(lowered, *want, "{label}");
+            }
+
+            let other = OptLevel::ALL[(opt as usize + 1) % OptLevel::ALL.len()];
+            assert_eq!(
+                Compiler::new(SchemeKind::Pssp).with_opt_level(other).lower(&front),
+                Err(CompileError::OptLevelMismatch { prepared: opt, compiler: other }),
+                "module {m}"
             );
         }
     }

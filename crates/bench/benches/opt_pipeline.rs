@@ -22,15 +22,11 @@
 //!   layout, lowering, the instruction passes and finalize, the per-scheme
 //!   share of a compile.
 //!
-//! Three more groups time the layers every build passes through, with the
+//! Two more groups time the layers every build passes through, with the
 //! input clone kept outside the timed window:
 //!
 //! * `finalize/*` — `Program::finalize` on the SSP build at O0 vs O2:
 //!   address layout only, which every compile and rewrite ends in.
-//! * `decode/*` — `Snapshot::new` on an unfinalized copy of the same
-//!   build: layout, then the decode cache and its dense return table,
-//!   plus the pristine stack image.  Only programs that run (or are
-//!   snapshotted to run) pay the decode.
 //! * `rewrite/*` — `Rewriter::rewrite` of the shape-preserved SSP build in
 //!   each link mode, which re-finalizes the upgraded program.
 //!
@@ -46,8 +42,6 @@ use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::OptLevel;
 use polycanary_core::scheme::SchemeKind;
 use polycanary_rewriter::{LinkMode, Rewriter};
-use polycanary_vm::mem::DEFAULT_STACK_SIZE;
-use polycanary_vm::{ExecConfig, Program, Snapshot};
 use polycanary_workloads::spec_suite;
 
 /// The most call-heavy program of the SPEC-like suite (403.gcc-like):
@@ -122,21 +116,6 @@ fn bench(c: &mut Criterion) {
                     program.finalize();
                     program
                 },
-                BatchSize::SmallInput,
-            )
-        });
-
-        let mut unfinalized = Program::new();
-        for (_, function) in program.iter() {
-            unfinalized
-                .add_function(function.name(), function.insts().to_vec())
-                .expect("function names of a compiled program are unique");
-        }
-        unfinalized.set_entry(program.entry().expect("a compiled program has an entry"));
-        group.bench_with_input(BenchmarkId::new("decode", opt), &opt, |b, _| {
-            b.iter_batched(
-                || unfinalized.clone(),
-                |program| Snapshot::new(program, ExecConfig::default(), DEFAULT_STACK_SIZE),
                 BatchSize::SmallInput,
             )
         });

@@ -1,27 +1,13 @@
-//! Interpreter dispatch — decoded fetch→dispatch loop vs the pre-decode
-//! reference interpreter.
+//! Interpreter dispatch — one byte-by-byte request through `Cpu::run`.
 //!
 //! Every attack request of the paper's threat model bottoms out in
 //! `Cpu::run` executing the victim's `handle_request`: prologue canary
 //! store, input copy, per-request processing across protected helper
 //! calls, canary checks, return.  This bench runs exactly that inner loop
-//! — a byte-by-byte guess payload against an SSP-protected handler that
-//! calls three protected helpers, ~60 instructions per request — through
-//! both dispatchers.  The differential `vm_dispatch` test suite separately
-//! proves the two produce byte-identical outcomes.
-//!
-//! # Baseline against the pre-PR interpreter
-//!
-//! The `reference` arm keeps the pre-PR *dispatch structure* (per
-//! instruction: function-table fetch, bounds check, `Inst` match) but
-//! shares this PR's execution primitives, so it isolates the gain of the
-//! decoded stream alone.  The full speedup over the interpreter as shipped
-//! before this PR — which also paid a linear scan per register access, an
-//! atomic-CAS copy-on-write probe per memory write, a `String` allocation
-//! per canary fault and a hash lookup per `ret` — is measured by building
-//! this same workload at the pre-PR commit and interleaving the two
-//! binaries: pre-PR ≈ 480–578 ns/request vs decoded ≈ 243–260 ns/request
-//! on the smash cell (≈ 2.1x at the medians, ≥ 2x across rounds).
+//! — a byte-by-byte guess payload against a handler that calls three
+//! protected helpers — once per iteration, under each of SSP, P-SSP and
+//! P-SSP-OWF.  The `vm_dispatch` test suite pins the interpreter's
+//! outcomes with goldens; this bench only times the runs.
 
 use std::time::Duration;
 
@@ -31,7 +17,6 @@ use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder};
 use polycanary_core::scheme::SchemeKind;
 use polycanary_vm::cpu::Cpu;
 use polycanary_vm::machine::Machine;
-use polycanary_vm::process::Process;
 
 const BUFFER_SIZE: u32 = 64;
 
@@ -88,20 +73,8 @@ fn bench(c: &mut Criterion) {
         // attack.
         worker.set_input(vec![0x41u8; BUFFER_SIZE as usize + 1]);
         let entry = machine.program().entry().expect("entry set");
-        let run = |reference: bool, worker: &mut Process| {
-            let mut cpu = Cpu::new();
-            if reference {
-                cpu.run_reference(machine.program(), worker, entry, &machine.exec_config)
-            } else {
-                cpu.run(machine.program(), worker, entry, &machine.exec_config)
-            }
-        };
-
-        group.bench_with_input(BenchmarkId::new("decoded", label), &entry, |b, _| {
-            b.iter(|| run(false, &mut worker))
-        });
-        group.bench_with_input(BenchmarkId::new("reference", label), &entry, |b, _| {
-            b.iter(|| run(true, &mut worker))
+        group.bench_with_input(BenchmarkId::new("run", label), &entry, |b, _| {
+            b.iter(|| Cpu::new().run(machine.program(), &mut worker, entry, &machine.exec_config))
         });
     }
     group.finish();

@@ -379,9 +379,9 @@ impl Inst {
     ///   the call overhead), charged before the write so a copy that
     ///   faults mid-way still paid for the attempt.
     ///
-    /// Both dispatch paths (`Cpu::run` and `Cpu::run_reference`) follow
-    /// this convention; the totals are pinned by tests in `cpu.rs` because
-    /// these cycles feed every overhead figure the campaigns report.
+    /// `Cpu::run` follows this convention; the totals are pinned by tests
+    /// in `cpu.rs` because these cycles feed every overhead figure the
+    /// campaigns report.
     pub fn cycles(&self) -> u64 {
         match self {
             Inst::PushReg(_) | Inst::PopReg(_) => 1,

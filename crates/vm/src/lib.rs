@@ -43,7 +43,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod cpu;
-mod decode;
 pub mod error;
 pub mod inst;
 pub mod machine;

@@ -10,23 +10,13 @@
 //!
 //! Each function's sorted `inst_addrs` is the program's only address
 //! index.  [`Program::lookup_addr`] answers from it by two binary searches
-//! (function by entry address, then instruction), so the reference
-//! interpreter — the differential oracle for the decoded dispatch — resolves
-//! return addresses without consulting the decode cache it checks.  The
-//! decoded `ret` path reads one dense address table that the decode pass
-//! builds alongside the op stream (see `decode.rs`); no per-instruction
-//! hash map is kept.
-//!
-//! [`Program::finalize`] only lays out addresses.  The dispatch cache is
-//! built once, the first time [`Cpu::run`](crate::cpu::Cpu::run) executes
-//! the program (or a [`Snapshot`](crate::snapshot::Snapshot) captures it),
-//! so builds that are only verified or measured — never run — pay nothing
-//! for it.
+//! (function by entry address, then instruction); that is how the
+//! interpreter's `ret` resolves a return address.  No per-instruction hash
+//! map is kept, and [`Program::finalize`] only lays out addresses.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::decode::DecodedProgram;
 use crate::error::VmError;
 use crate::inst::{FuncId, Inst};
 
@@ -99,26 +89,8 @@ pub struct Program {
     entry: Option<FuncId>,
     /// Extra sections appended by the binary rewriter (name → size in bytes).
     extra_sections: Vec<(String, u64)>,
-    /// The flat dispatch cache, built on first use by [`Program::decoded`]
-    /// and reset by [`Program::finalize`] and by every mutation.
-    decoded: DecodeCache,
     finalized: bool,
 }
-
-/// The lazily built dispatch cache of a [`Program`].
-///
-/// Purely derived from the function bodies, so every cache compares equal:
-/// a program that has run equals its never-run clone.
-#[derive(Debug, Clone, Default)]
-struct DecodeCache(OnceLock<DecodedProgram>);
-
-impl PartialEq for DecodeCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for DecodeCache {}
 
 impl Program {
     /// Creates an empty program.
@@ -128,7 +100,6 @@ impl Program {
             by_name: HashMap::new(),
             entry: None,
             extra_sections: Vec::new(),
-            decoded: DecodeCache::default(),
             finalized: false,
         }
     }
@@ -155,7 +126,6 @@ impl Program {
         slot.insert(id);
         self.functions.push(Function { name, insts, entry_addr: 0, inst_addrs: Vec::new() });
         self.finalized = false;
-        self.decoded = DecodeCache::default();
         Ok(id)
     }
 
@@ -171,7 +141,6 @@ impl Program {
             .ok_or_else(|| VmError::UnknownFunction { name: format!("{id}") })?;
         func.insts = insts;
         self.finalized = false;
-        self.decoded = DecodeCache::default();
         Ok(())
     }
 
@@ -233,9 +202,6 @@ impl Program {
     ///
     /// Calling `finalize` again after mutation recomputes the layout; the
     /// rewriter uses the before/after sizes to verify layout preservation.
-    /// The dispatch cache is not built here but by the program's first
-    /// [`Cpu::run`](crate::cpu::Cpu::run) or
-    /// [`Snapshot`](crate::snapshot::Snapshot).
     pub fn finalize(&mut self) {
         let mut cursor = CODE_BASE;
         for func in &mut self.functions {
@@ -252,31 +218,12 @@ impl Program {
             // padding byte keeps it distinct from the next entry.
             cursor += 1;
         }
-        self.decoded = DecodeCache::default();
         self.finalized = true;
     }
 
     /// Whether [`Program::finalize`] has been called since the last mutation.
     pub fn is_finalized(&self) -> bool {
         self.finalized
-    }
-
-    /// The flat dispatch cache ([`Some`] exactly when finalized), built on
-    /// the first call after [`Program::finalize`] and shared by every later
-    /// one, from any thread.  The source `insts` are left untouched — the
-    /// decode is a pure acceleration that the verifier's source-body proofs
-    /// ignore.
-    pub(crate) fn decoded(&self) -> Option<&DecodedProgram> {
-        if !self.finalized {
-            return None;
-        }
-        Some(self.decoded.0.get_or_init(|| DecodedProgram::build(&self.functions)))
-    }
-
-    /// Whether the dispatch cache has been built since the last finalize.
-    #[cfg(test)]
-    pub(crate) fn is_decoded(&self) -> bool {
-        self.decoded.0.get().is_some()
     }
 
     /// Translates a virtual address back to `(function, instruction index)`.
@@ -291,8 +238,7 @@ impl Program {
     /// hijack.
     ///
     /// Answered by binary search over the sorted entry and instruction
-    /// addresses [`Program::finalize`] assigns, independently of the decode
-    /// cache's dense table.
+    /// addresses [`Program::finalize`] assigns.
     pub fn lookup_addr(&self, addr: u64) -> Option<(FuncId, usize)> {
         if !self.finalized {
             return None;
@@ -457,26 +403,7 @@ mod tests {
         assert_eq!(prog.function(a).unwrap().insts().len(), 1);
     }
 
-    #[test]
-    fn decode_cache_tracks_finalization() {
-        let mut prog = Program::new();
-        let a = prog.add_function("a", tiny_function()).unwrap();
-        assert!(prog.decoded().is_none(), "unfinalized programs have no cache");
-        prog.finalize();
-        assert!(!prog.is_decoded(), "finalize only lays out addresses");
-        assert!(prog.decoded().is_some());
-        assert!(prog.is_decoded(), "the first use builds the cache");
-        // Any mutation drops the cache until the next finalize.
-        prog.replace_function_body(a, vec![Inst::Ret]).unwrap();
-        assert!(prog.decoded().is_none());
-        prog.finalize();
-        assert!(prog.decoded().is_some());
-        prog.add_function("b", tiny_function()).unwrap();
-        assert!(prog.decoded().is_none());
-    }
-
-    /// Runs the program's entry on a fresh process through the decoded
-    /// dispatch.
+    /// Runs the program's entry on a fresh process.
     fn run(prog: &Program) -> RunOutcome {
         let mut process = Process::new(Pid(1), 7, DEFAULT_STACK_SIZE);
         let mut cpu = Cpu::new();
@@ -490,23 +417,22 @@ mod tests {
 
     #[test]
     fn the_first_run_decodes_and_a_mutation_after_it_invalidates() {
+        // A run after `replace_function_body` + `finalize` executes the new
+        // body, not the one that ran before.
         let mut prog = Program::new();
         let a = prog.add_function("a", returning(1)).unwrap();
         prog.set_entry(a);
         prog.finalize();
         assert_eq!(run(&prog).exit, Exit::Normal(1));
-        assert!(prog.is_decoded());
         prog.replace_function_body(a, returning(2)).unwrap();
-        assert!(!prog.is_decoded());
         prog.finalize();
-        assert!(!prog.is_decoded());
-        assert_eq!(run(&prog).exit, Exit::Normal(2), "the run decodes the new body");
-        prog.finalize();
-        assert!(!prog.is_decoded(), "re-finalizing drops the old cache");
+        assert_eq!(run(&prog).exit, Exit::Normal(2), "the run executes the new body");
     }
 
     #[test]
     fn concurrent_first_runs_share_one_decode() {
+        // Eight concurrent runs of one shared program agree with a run of
+        // its clone.
         let mut prog = Program::new();
         let helper = prog.add_function("helper", returning(5)).unwrap();
         let mut main = tiny_function();
@@ -516,33 +442,30 @@ mod tests {
         prog.finalize();
         let expected = run(&prog.clone());
         let prog = Arc::new(prog);
-        assert!(!prog.is_decoded());
         let outcomes: Vec<RunOutcome> = std::thread::scope(|scope| {
             let runs: Vec<_> = (0..8).map(|_| scope.spawn(|| run(&prog))).collect();
             runs.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert!(prog.is_decoded());
         assert!(outcomes.iter().all(|o| *o == expected), "{outcomes:?} vs {expected:?}");
     }
 
     #[test]
     fn equality_ignores_decode_state() {
+        // Running a program leaves it unchanged: it still equals its
+        // never-run clone.
         let mut prog = Program::new();
         let a = prog.add_function("a", tiny_function()).unwrap();
         prog.set_entry(a);
         prog.finalize();
         let fresh = prog.clone();
-        prog.decoded();
-        assert!(prog.is_decoded() && !fresh.is_decoded());
+        assert!(run(&prog).exit.is_normal());
         assert_eq!(prog, fresh);
-        assert_eq!(prog.clone(), fresh, "a clone of a decoded program equals a never-run one");
     }
 
     #[test]
     fn finalize_leaves_source_bodies_untouched() {
-        // The decode cache must be a pure acceleration: the `&[Inst]`
-        // bodies the static verifier proves invariants over are
-        // byte-identical before and after the cache is built.
+        // The `&[Inst]` bodies the static verifier proves invariants over
+        // are byte-identical before and after layout.
         let mut prog = Program::new();
         let a = prog.add_function("a", tiny_function()).unwrap();
         let before = prog.function(a).unwrap().insts().to_vec();

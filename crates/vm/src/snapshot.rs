@@ -17,12 +17,6 @@
 //! effects) is deliberately **not** captured: it is re-derived from the
 //! boot seed on every restore, which is exactly what makes a restored
 //! victim indistinguishable from a freshly built one.
-//!
-//! A snapshot exists to be run, so capturing one builds the program's
-//! decoded dispatch stream (see `crate::decode`) up front.  Sharing the
-//! program by `Arc` then also shares the decode cache: a snapshot-booted
-//! worker reaches its first guest instruction without decoding — or
-//! re-walking — any setup.
 
 use std::sync::Arc;
 
@@ -68,7 +62,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Captures a snapshot directly from its parts, finalizing the program
-    /// if needed and building its dispatch cache.  Equivalent to booting a
+    /// if needed.  Equivalent to booting a
     /// throwaway [`Machine`](crate::machine::Machine) with this
     /// configuration and calling
     /// [`Machine::snapshot`](crate::machine::Machine::snapshot).
@@ -84,9 +78,6 @@ impl Snapshot {
         exec_config: ExecConfig,
         stack_size: u64,
     ) -> Self {
-        // Decode now, so no worker restored from this snapshot pays for it
-        // on its first request.
-        program.decoded();
         let image = Memory::with_stack_size(stack_size);
         Snapshot { program, exec_config, stack_size, image }
     }
@@ -137,15 +128,17 @@ mod tests {
     fn snapshot_finalizes_the_program() {
         let snapshot = Snapshot::new(trivial_program(), ExecConfig::default(), 8192);
         assert!(snapshot.program().is_finalized());
-        assert!(snapshot.program().is_decoded());
         assert_eq!(snapshot.stack_size(), 8192);
     }
 
     #[test]
     fn machine_snapshot_decodes_the_shared_program() {
+        // The snapshot boots the machine's own finalized program, shared
+        // by reference count rather than copied.
         let machine = Machine::new(trivial_program(), Box::new(NoHooks), 3);
         let snapshot = machine.snapshot();
-        assert!(snapshot.program().is_decoded());
+        assert!(snapshot.program().is_finalized());
+        assert!(std::ptr::eq(snapshot.program(), machine.program()));
     }
 
     #[test]

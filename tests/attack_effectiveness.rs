@@ -25,6 +25,31 @@ fn byte_by_byte_breaks_ssp_in_about_a_thousand_requests() {
 }
 
 #[test]
+fn byte_by_byte_expectation_matches_its_exact_value() {
+    // The SSP canary is a full random u64, so each of its 8 bytes costs
+    // (value + 1) guesses, uniform on 1..=256: mean 128.5, variance
+    // (256² − 1) / 12.  With the final exploit request,
+    // E[trials] = 8 × 128.5 + 1 = 1029 and σ = √(8 × (256² − 1) / 12) ≈ 209.
+    // The mean of n victims lies within 3.29 σ/√n of 1029 with 99.9 %
+    // probability.
+    const VICTIMS: usize = 400;
+    let report = Campaign::new(AttackKind::ByteByByte { budget: 4_000 }, SchemeKind::Ssp)
+        .with_seed_range(0x1029, VICTIMS)
+        .with_stop_rule(StopRule::Exhaustive)
+        .run();
+    assert_eq!(report.runs.len(), VICTIMS);
+    assert!(report.runs.iter().all(|run| run.result.success), "SSP falls to every probe");
+    let mean = report.runs.iter().map(|run| run.result.trials as f64).sum::<f64>() / VICTIMS as f64;
+    let sigma = (8.0 * (256.0f64 * 256.0 - 1.0) / 12.0).sqrt();
+    let bound = 3.29 * sigma / (VICTIMS as f64).sqrt();
+    assert!(
+        (mean - 1029.0).abs() < bound,
+        "mean trials {mean:.1} is {:.2} standard errors from 1029",
+        (mean - 1029.0) / (sigma / (VICTIMS as f64).sqrt())
+    );
+}
+
+#[test]
 fn byte_by_byte_fails_against_both_pssp_deployments() {
     for (scheme, deployment) in [
         (SchemeKind::Pssp, Deployment::Compiler),

@@ -1,15 +1,18 @@
-//! Differential contract between the decoded dispatch loop (`Cpu::run`)
-//! and the pre-decode reference interpreter (`Cpu::run_reference`).
+//! Golden outcomes of the interpreter (`Cpu::run`).
 //!
-//! The decode cache is sold as a *pure acceleration*: byte-identical
-//! `RunOutcome`s (exit, cycles, instructions) and identical observable
-//! process effects on every program, so campaign records and SPRT verdicts
-//! cannot move.  This suite enforces that over
+//! Every campaign record and SPRT verdict is a function of `RunOutcome`s
+//! (exit, cycles, instructions) and of what a run leaves in the process
+//! (output, canary-address stack, DCR list).  Each test that owns a
+//! `GOLDEN_*` constant folds those observations, in run order, into one
+//! SHA-1 digest and compares it with the constant.  The goldens were
+//! recorded while a second, pre-decoded dispatch loop still ran beside the
+//! plain one and both agreed on every observation, so a test that matches
+//! its golden still agrees with both.  The suite covers
 //!
-//! * PRNG-generated programs stuffed with the adversarial shapes — fusable
-//!   canary sequences, branches into the middle of fused sequences, calls
-//!   to invalid function ids, falling off function ends, budget cut-offs
-//!   at every small count,
+//! * PRNG-generated programs stuffed with adversarial shapes — canary
+//!   prologue and epilogue sequences, branches into their middle, calls to
+//!   invalid function ids, falling off function ends, budget cut-offs at
+//!   every small count,
 //! * every workload build cell (native, every scheme's compiler plugin,
 //!   both rewriter link modes),
 //! * every victim scheme × deployment cell under benign, leaking and
@@ -22,6 +25,9 @@
 //!   operands (wild skips, out-of-range offsets, unknown call ids) — which
 //!   must end in a typed `Fault`, never a host panic,
 //! * whole campaigns: exported records identical at 1 vs 8 workers.
+//!
+//! A golden moves only with a deliberate change to the interpreter's
+//! observable behaviour; re-record it then and say why.
 
 use polycanary::attacks::{
     AttackKind, Campaign, CampaignReport, Deployment, StopRule, VictimConfig, VictimKey,
@@ -29,6 +35,7 @@ use polycanary::attacks::{
 };
 use polycanary::core::record::Record;
 use polycanary::core::SchemeKind;
+use polycanary::crypto::sha1::Sha1;
 use polycanary::crypto::{Prng, SplitMix64};
 use polycanary::rewriter::LinkMode;
 use polycanary::vm::mem::DEFAULT_STACK_SIZE;
@@ -38,30 +45,34 @@ use polycanary::vm::{
 };
 use polycanary::workloads::{build_machine, spec_suite, Build};
 
+const GOLDEN_FUZZED: u64 = 0xc638_13b0_4993_758f;
+const GOLDEN_RETURNS: u64 = 0xe926_f613_be15_a7b8;
+const GOLDEN_WORKLOAD_CELLS: u64 = 0x18ad_3ab6_cc04_48ac;
+const GOLDEN_VICTIM_CELLS: u64 = 0xb429_1a6f_17bf_9a82;
+
 const REGS: [Reg; 6] = [Reg::Rax, Reg::Rbx, Reg::Rcx, Reg::Rdx, Reg::Rdi, Reg::R12];
 
 /// Appends one randomly chosen instruction chunk.  Chunks include the
-/// fusable canary sequences (so the fused superinstructions are exercised)
-/// and branches whose targets can land in the middle of those sequences or
-/// past the end of the function.
+/// canary prologue and epilogue sequences and branches whose targets can
+/// land in the middle of those sequences or past the end of the function.
 fn push_chunk(rng: &mut SplitMix64, insts: &mut Vec<Inst>) {
     let reg = REGS[(rng.next_u64() % REGS.len() as u64) as usize];
     let frame_offset = -8 * (1 + (rng.next_u64() % 6) as i32);
     match rng.next_u64() % 20 {
         0 => {
-            // Fusable SSP canary prologue.
+            // SSP canary prologue.
             insts.push(Inst::MovTlsToReg { dst: reg, offset: 0x28 });
             insts.push(Inst::MovRegToFrame { src: reg, offset: frame_offset });
         }
         1 => {
-            // Fusable full canary epilogue.
+            // Full canary epilogue.
             insts.push(Inst::MovFrameToReg { dst: reg, offset: frame_offset });
             insts.push(Inst::XorTlsReg { dst: reg, offset: 0x28 });
             insts.push(Inst::JeSkip(1));
             insts.push(Inst::CallStackChkFail);
         }
         2 => {
-            // Fusable compare+guard without the frame load.
+            // Compare+guard without the frame load.
             insts.push(Inst::XorTlsReg { dst: reg, offset: 0x28 });
             insts.push(Inst::JeSkip(1));
             insts.push(Inst::CallStackChkFail);
@@ -113,45 +124,85 @@ fn gen_program(rng: &mut SplitMix64) -> Program {
     prog
 }
 
-/// Runs `entry` through one dispatcher on a freshly prepared process and
-/// returns the outcome plus every attacker-observable process effect.
-#[allow(clippy::type_complexity)]
+/// Everything one run leaves observable: its outcome (exit, cycles,
+/// instructions) plus the process's output bytes, canary-address stack and
+/// DCR list.
+type Observation = (RunOutcome, Vec<u8>, Vec<u64>, Vec<u64>);
+
+/// Runs `entry` on `p` and collects its [`Observation`].
+fn run_observed(prog: &Program, mut p: Process, entry: FuncId, cfg: &ExecConfig) -> Observation {
+    let mut cpu = Cpu::new();
+    let exit = cpu.run(prog, &mut p, entry, cfg);
+    let outcome = RunOutcome { exit, cycles: cpu.cycles, instructions: cpu.instructions };
+    (
+        outcome,
+        p.take_output(),
+        std::mem::take(&mut p.canary_addresses),
+        std::mem::take(&mut p.dcr_list),
+    )
+}
+
+/// Runs `entry` on a freshly prepared process.
 fn observe(
     prog: &Program,
     entry: FuncId,
     cfg: &ExecConfig,
     seed: u64,
     input_len: usize,
-    reference: bool,
-) -> (RunOutcome, Vec<u8>, Vec<u64>, Vec<u64>) {
+) -> Observation {
     let mut p = Process::new(Pid(1), seed, DEFAULT_STACK_SIZE);
     p.tls.set_canary(seed ^ 0xD00D_F00D_0DD5_EED5);
     p.owf_key = Some((seed, seed.rotate_left(13)));
     p.set_input(vec![0x41u8; input_len]);
-    let mut cpu = Cpu::new();
-    let exit = if reference {
-        cpu.run_reference(prog, &mut p, entry, cfg)
-    } else {
-        cpu.run(prog, &mut p, entry, cfg)
-    };
-    let outcome = RunOutcome { exit, cycles: cpu.cycles, instructions: cpu.instructions };
-    (outcome, p.take_output(), p.canary_addresses.clone(), p.dcr_list.clone())
+    run_observed(prog, p, entry, cfg)
+}
+
+/// A SHA-1 fold of a test's observations, in run order, truncated to one
+/// word: the golden the test compares against.
+struct Digest(Sha1);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(Sha1::new())
+    }
+
+    fn fold(&mut self, (outcome, output, canaries, dcr): &Observation) {
+        let exit = format!("{:?}", outcome.exit);
+        for bytes in [exit.as_bytes(), output] {
+            self.0.update(&(bytes.len() as u64).to_le_bytes());
+            self.0.update(bytes);
+        }
+        self.0.update(&outcome.cycles.to_le_bytes());
+        self.0.update(&outcome.instructions.to_le_bytes());
+        for words in [canaries, dcr] {
+            self.0.update(&(words.len() as u64).to_le_bytes());
+            for word in words {
+                self.0.update(&word.to_le_bytes());
+            }
+        }
+    }
+
+    fn assert_golden(self, golden: u64) {
+        let digest = self.0.finalize();
+        let word = u64::from_be_bytes(digest[..8].try_into().expect("SHA-1 has 20 bytes"));
+        assert_eq!(word, golden, "digest {word:#018x} differs from the golden {golden:#018x}");
+    }
 }
 
 #[test]
 fn fuzzed_programs_agree_across_dispatchers() {
     let mut rng = SplitMix64::new(0x5EED_CAFE);
-    for case in 0..200u32 {
+    let mut digest = Digest::new();
+    for _ in 0..200 {
         let prog = gen_program(&mut rng);
         let seed = rng.next_u64();
         let input_len = (rng.next_u64() % 40) as usize;
         for max_instructions in [0u64, 1, 2, 3, 5, 9, 17, 33, 120, 5_000] {
             let cfg = ExecConfig { max_instructions, hijack_target: Some(0x4141_4141) };
-            let cached = observe(&prog, FuncId(0), &cfg, seed, input_len, false);
-            let reference = observe(&prog, FuncId(0), &cfg, seed, input_len, true);
-            assert_eq!(cached, reference, "case {case}, budget {max_instructions}");
+            digest.fold(&observe(&prog, FuncId(0), &cfg, seed, input_len));
         }
     }
+    digest.assert_golden(GOLDEN_FUZZED);
 }
 
 /// Draws one of a few interesting values, or a uniformly random one.
@@ -234,26 +285,24 @@ fn unstructured_inst(rng: &mut SplitMix64, variant: u64) -> Inst {
     }
 }
 
-/// Runs `prog` through one dispatcher and turns a host panic into a test
-/// failure that names the program.
-#[allow(clippy::type_complexity)]
+/// Runs `prog` and turns a host panic into a test failure that names the
+/// program.
 fn observe_unwinding(
     prog: &Program,
     cfg: &ExecConfig,
     seed: u64,
     input_len: usize,
-    reference: bool,
     case: u32,
-) -> (RunOutcome, Vec<u8>, Vec<u64>, Vec<u64>) {
-    let run = || observe(prog, FuncId(0), cfg, seed, input_len, reference);
+) -> Observation {
+    let run = || observe(prog, FuncId(0), cfg, seed, input_len);
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|_| {
         let bodies: Vec<&[Inst]> = prog.iter().map(|(_, f)| f.insts()).collect();
-        panic!("case {case}: host panic (reference: {reference}) on {bodies:#?}")
+        panic!("case {case}: host panic on {bodies:#?}")
     })
 }
 
 #[test]
-fn unstructured_programs_fault_typed_and_agree_across_dispatchers() {
+fn unstructured_programs_fault_typed() {
     let mut rng = SplitMix64::new(0x0B5C_0FF5);
     let mut drawn = [false; INST_VARIANTS as usize];
     for case in 0..3_000u32 {
@@ -269,17 +318,13 @@ fn unstructured_programs_fault_typed_and_agree_across_dispatchers() {
             prog.add_function(format!("f{f}"), insts).unwrap();
         }
         prog.set_entry(FuncId(0));
-        // Finalize lays out addresses only: the decoded dispatch below
-        // builds its cache on the first run.
         prog.finalize();
         let seed = rng.next_u64();
         let input_len = (rng.next_u64() % 64) as usize;
         for max_instructions in [0u64, 1, 2, 4, 7, 300] {
             let cfg = ExecConfig { max_instructions, hijack_target: Some(CODE_BASE + 1) };
-            let cached = observe_unwinding(&prog, &cfg, seed, input_len, false, case);
-            let reference = observe_unwinding(&prog, &cfg, seed, input_len, true, case);
-            assert_eq!(cached, reference, "case {case}, budget {max_instructions}");
-            assert!(cached.0.instructions <= max_instructions, "case {case}");
+            let observed = observe_unwinding(&prog, &cfg, seed, input_len, case);
+            assert!(observed.0.instructions <= max_instructions, "case {case}");
         }
     }
     assert!(drawn.iter().all(|&d| d), "every instruction variant was drawn");
@@ -303,11 +348,9 @@ fn wild_skips_fault_at_the_end_marker_in_both_dispatchers() {
         let func = prog.function(f).unwrap();
         let end = func.entry_addr() + func.encoded_size();
         let cfg = ExecConfig { max_instructions: 1_000, hijack_target: None };
-        for reference in [false, true] {
-            let (outcome, ..) = observe(&prog, f, &cfg, 1, 0, reference);
-            assert_eq!(outcome.exit, Exit::Fault(Fault::InvalidReturn { addr: end }), "{branch:?}");
-            assert_eq!(outcome.instructions, 3 - u64::from(branch != Inst::JneSkip(usize::MAX)));
-        }
+        let (outcome, ..) = observe(&prog, f, &cfg, 1, 0);
+        assert_eq!(outcome.exit, Exit::Fault(Fault::InvalidReturn { addr: end }), "{branch:?}");
+        assert_eq!(outcome.instructions, 3 - u64::from(branch != Inst::JneSkip(usize::MAX)));
     }
 }
 
@@ -338,8 +381,8 @@ fn last_end_marker(prog: &Program) -> u64 {
     func.entry_addr() + func.encoded_size()
 }
 
-/// Points the `stub` function's [`ret_to`] at `addr` and runs it through
-/// both dispatchers, which must agree, under two budgets: a roomy one, and
+/// Points the `stub` function's [`ret_to`] at `addr`, runs it under two
+/// budgets and folds both observations into `digest`: a roomy budget, and
 /// one that runs out exactly after the stub's `ret`.  The tight budget
 /// tells a resolved return (the next fetch hits the instruction limit)
 /// from an unresolved one (`ret` itself faults), even where the two would
@@ -347,38 +390,44 @@ fn last_end_marker(prog: &Program) -> u64 {
 /// the same address an unresolved return reports.
 ///
 /// Returns the `(roomy, tight)` outcomes.
-fn return_to(prog: &mut Program, stub: FuncId, addr: u64, label: &str) -> [RunOutcome; 2] {
+fn return_to(prog: &mut Program, stub: FuncId, addr: u64, digest: &mut Digest) -> [RunOutcome; 2] {
     prog.replace_function_body(stub, ret_to(addr)).unwrap();
     prog.finalize();
     [300, 3].map(|max_instructions| {
         let cfg = ExecConfig { max_instructions, hijack_target: None };
-        let cached = observe(prog, stub, &cfg, addr, 8, false);
-        let reference = observe(prog, stub, &cfg, addr, 8, true);
-        assert_eq!(cached, reference, "{label}: return to {addr:#x}, budget {max_instructions}");
-        cached.0
+        let observed = observe(prog, stub, &cfg, addr, 8);
+        digest.fold(&observed);
+        observed.0
     })
+}
+
+/// What the tight budget of [`return_to`] ends in: a resolved return
+/// retires the stub and hits the limit on the next fetch; an unresolved
+/// one faults in `ret` itself.
+fn tight_exit(resolves: Option<(FuncId, usize)>, addr: u64) -> Exit {
+    match resolves {
+        Some(_) => Exit::Fault(Fault::InstructionLimit),
+        None => Exit::Fault(Fault::InvalidReturn { addr }),
+    }
 }
 
 #[test]
 fn return_addresses_resolve_identically_at_every_address() {
     let mut rng = SplitMix64::new(0xADD2_E550);
+    let mut digest = Digest::new();
     for case in 0..40u32 {
         let mut prog = gen_program(&mut rng);
         let stub = prog.add_function("ret_to", ret_to(0)).unwrap();
         prog.finalize();
         let top = last_end_marker(&prog);
         for addr in CODE_BASE - 1..=top + 1 {
-            assert_eq!(
-                prog.lookup_addr(addr),
-                scan_addr(&prog, addr),
-                "case {case}: lookup_addr({addr:#x})"
-            );
-            // The decoded `ret` resolves through its dense table, the
-            // reference loop through `lookup_addr`: any off-by-one in
-            // either shows up as diverging outcomes.
-            return_to(&mut prog, stub, addr, &format!("case {case}"));
+            let resolves = scan_addr(&prog, addr);
+            assert_eq!(prog.lookup_addr(addr), resolves, "case {case}: lookup_addr({addr:#x})");
+            let [_, tight] = return_to(&mut prog, stub, addr, &mut digest);
+            assert_eq!(tight.exit, tight_exit(resolves, addr), "case {case}: return to {addr:#x}");
         }
     }
+    digest.assert_golden(GOLDEN_RETURNS);
 }
 
 #[test]
@@ -419,7 +468,7 @@ fn returns_to_every_address_class_agree_across_dispatchers() {
     ];
     for (label, addr, resolves) in classes {
         assert_eq!(prog.lookup_addr(addr), resolves, "{label}");
-        let [roomy, tight] = return_to(&mut prog, stub, addr, label);
+        let [roomy, tight] = return_to(&mut prog, stub, addr, &mut Digest::new());
         let expected = match resolves {
             // Landing on `f`'s `ret` pops the boot sentinel: a clean exit
             // with the stub's `%rax`.
@@ -428,11 +477,7 @@ fn returns_to_every_address_class_agree_across_dispatchers() {
             _ => Exit::Fault(Fault::InvalidReturn { addr }),
         };
         assert_eq!(roomy.exit, expected, "{label}");
-        let expected_tight = match resolves {
-            Some(_) => Exit::Fault(Fault::InstructionLimit),
-            None => Exit::Fault(Fault::InvalidReturn { addr }),
-        };
-        assert_eq!(tight.exit, expected_tight, "{label}, budget 3");
+        assert_eq!(tight.exit, tight_exit(resolves, addr), "{label}, budget 3");
     }
 }
 
@@ -447,34 +492,24 @@ fn workload_build_cells_agree_across_dispatchers() {
     .chain(SchemeKind::ALL.into_iter().map(Build::Compiler))
     .collect();
     // A tight budget keeps the cell sweep fast; hitting the limit is itself
-    // an outcome both dispatchers must agree on, cycle for cycle.
+    // an outcome the golden pins, cycle for cycle.
     let cfg = ExecConfig { max_instructions: 150_000, hijack_target: None };
+    let mut digest = Digest::new();
     for spec in spec_suite().iter().take(3) {
         let module = spec.module();
         for build in &builds {
-            let label = format!("{} × {}", spec.name, build.label());
             let mut machine = build_machine(&module, *build, 0xBEEF);
             let worker = machine.spawn();
             let entry = machine.program().entry().unwrap();
-            let run = |reference: bool| {
-                let mut p = worker.clone();
-                let mut cpu = Cpu::new();
-                let exit = if reference {
-                    cpu.run_reference(machine.program(), &mut p, entry, &cfg)
-                } else {
-                    cpu.run(machine.program(), &mut p, entry, &cfg)
-                };
-                let outcome =
-                    RunOutcome { exit, cycles: cpu.cycles, instructions: cpu.instructions };
-                (outcome, p.take_output())
-            };
-            assert_eq!(run(false), run(true), "{label}");
+            digest.fold(&run_observed(machine.program(), worker.clone(), entry, &cfg));
         }
     }
+    digest.assert_golden(GOLDEN_WORKLOAD_CELLS);
 }
 
 #[test]
 fn victim_cells_agree_across_dispatchers_under_attack_payloads() {
+    let mut digest = Digest::new();
     for scheme in SchemeKind::ALL {
         for deployment in [Deployment::Compiler, Deployment::BinaryRewriter] {
             let config = VictimConfig::new(scheme, 0xD15).with_deployment(deployment);
@@ -495,25 +530,13 @@ fn victim_cells_agree_across_dispatchers_under_attack_payloads() {
             ];
             for (endpoint, payload) in payloads {
                 let entry = program.function_by_name(endpoint).unwrap();
-                let label = format!("{scheme} × {} × {endpoint}", deployment.label());
-                let run = |reference: bool| {
-                    let mut p = worker.clone();
-                    p.set_input(payload.to_vec());
-                    let mut cpu = Cpu::new();
-                    let cfg = ExecConfig::default();
-                    let exit = if reference {
-                        cpu.run_reference(program, &mut p, entry, &cfg)
-                    } else {
-                        cpu.run(program, &mut p, entry, &cfg)
-                    };
-                    let outcome =
-                        RunOutcome { exit, cycles: cpu.cycles, instructions: cpu.instructions };
-                    (outcome, p.take_output())
-                };
-                assert_eq!(run(false), run(true), "{label}");
+                let mut p = worker.clone();
+                p.set_input(payload.to_vec());
+                digest.fold(&run_observed(program, p, entry, &ExecConfig::default()));
             }
         }
     }
+    digest.assert_golden(GOLDEN_VICTIM_CELLS);
 }
 
 /// A campaign report's exported record minus the volatile timing fields —

@@ -10,6 +10,8 @@
 //! the victim and serves attacker connections lives in [`crate::server`];
 //! its [`ForkingServer`] is re-exported here for convenience.
 
+use std::sync::Arc;
+
 use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
 use polycanary_core::scheme::SchemeKind;
 use polycanary_crypto::{Prng, SplitMix64};
@@ -144,8 +146,8 @@ pub fn victim_module(buffer_size: u32, program: u64) -> ModuleDef {
         let mut rng = SplitMix64::new(program);
         let helpers = 1 + (rng.next_u64() % 3) as usize;
         for index in 0..helpers {
-            let name = format!("gen_helper_{index}");
-            let mut helper = FunctionBuilder::new(&name);
+            let name: Arc<str> = format!("gen_helper_{index}").into();
+            let mut helper = FunctionBuilder::new(Arc::clone(&name));
             // Safe constructs only: a protected buffer (exercising the
             // scheme's prologue/epilogue), an optional bounded fill, and
             // some pure compute.  Nothing reads attacker input or echoes
@@ -161,7 +163,7 @@ pub fn victim_module(buffer_size: u32, program: u64) -> ModuleDef {
             }
             helper = helper.compute(10 + rng.next_u64() % 40);
             builder = builder.function(helper.returns(rng.next_u64()).build());
-            main = main.call(&name);
+            main = main.call(name);
         }
     }
     builder
@@ -199,7 +201,7 @@ mod tests {
     #[test]
     fn program_zero_is_the_canonical_three_function_module() {
         let module = victim_module(64, 0);
-        let names: Vec<&str> = module.functions.iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = module.functions.iter().map(|f| &*f.name).collect();
         assert_eq!(names, ["handle_request", "leak_status", "main"]);
     }
 
@@ -208,7 +210,7 @@ mod tests {
         let a = victim_module(64, 0xDEAD_BEEF);
         let b = victim_module(64, 0xDEAD_BEEF);
         assert_eq!(a, b, "same program id must generate the same module");
-        let names: Vec<&str> = a.functions.iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = a.functions.iter().map(|f| &*f.name).collect();
         assert!(names.contains(&"handle_request"));
         assert!(names.contains(&"leak_status"));
         assert!(names.contains(&"main"));

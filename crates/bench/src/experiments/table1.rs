@@ -165,7 +165,7 @@ pub fn fork_return_correctness(scheme: SchemeKind, seed: u64) -> bool {
     use polycanary_vm::reg::Reg;
 
     let scheme_obj = scheme.scheme();
-    let frame = FrameInfo::protected("inherited_frame", 0x40);
+    let frame = FrameInfo::protected(0x40);
 
     let mut parent_half = vec![
         Inst::PushReg(Reg::Rbp),

@@ -17,6 +17,11 @@
 //!   [`Program::finalize`].  It borrows the [`Frontend`], sharing its name
 //!   table with the output rather than copying it.
 //!
+//! Names are interned once per module: every function name is the
+//! `Arc<str>` of its [`FunctionDef`], and the front half's table, the
+//! output's [`CompiledModule::by_name`] and every lowered [`Program`] hold
+//! that same `Arc`.  Lowering allocates no name string.
+//!
 //! A sweep that builds one module under many schemes (`harness verify`)
 //! prepares it once per level and lowers that front half for every scheme;
 //! the output equals a fresh [`Compiler::compile`] field for field.
@@ -189,8 +194,8 @@ impl Compiler {
     /// the module lacks fails the build with
     /// [`CompileError::UnknownOverride`].
     #[must_use]
-    pub fn with_function_scheme(mut self, function: impl Into<String>, kind: SchemeKind) -> Self {
-        self.overrides.push((function.into(), kind));
+    pub fn with_function_scheme(mut self, function: impl AsRef<str>, kind: SchemeKind) -> Self {
+        self.overrides.push((function.as_ref().to_string(), kind));
         self
     }
 
@@ -224,7 +229,7 @@ impl Compiler {
     ///
     /// Returns the module's first validation error.
     pub fn prepare<'m>(&self, module: &'m ModuleDef) -> Result<Frontend<'m>, CompileError> {
-        let (by_name, entry) = module.resolve::<String>()?;
+        let (by_name, entry) = module.resolve()?;
         let mut functions = Vec::with_capacity(module.functions.len());
         let mut analyses = Vec::with_capacity(module.functions.len());
         for func in &module.functions {
@@ -273,12 +278,12 @@ impl Compiler {
         for (name, kind) in &self.overrides {
             let id = front
                 .by_name
-                .get(name)
+                .get(name.as_str())
                 .ok_or_else(|| CompileError::UnknownOverride { function: name.clone() })?;
             function_schemes[id.0] = *kind;
         }
 
-        let mut program = Program::new();
+        let mut program = Program::with_capacity(front.functions.len());
         let mut frames = Vec::with_capacity(front.functions.len());
         for ((func, analysis), &kind) in
             front.functions.iter().zip(&mut analyses).zip(&function_schemes)
@@ -305,8 +310,8 @@ impl Compiler {
             self.passes.transform_insts(&mut body, &ctx, analysis);
 
             program
-                .add_function(func.name.clone(), body.insts)
-                .map_err(|_| CompileError::DuplicateFunction { name: func.name.clone() })?;
+                .add_function(Arc::clone(&func.name), body.insts)
+                .map_err(|_| CompileError::DuplicateFunction { name: func.name.to_string() })?;
             frames.push(layout);
         }
 
@@ -378,8 +383,8 @@ pub(crate) fn lower_function(
             }
             Stmt::Call { callee } => {
                 let id = ids.get(callee).copied().ok_or_else(|| CompileError::UnknownCallee {
-                    function: func.name.clone(),
-                    callee: callee.clone(),
+                    function: func.name.to_string(),
+                    callee: callee.to_string(),
                 })?;
                 insts.push(Inst::CallFn(id));
             }
@@ -863,7 +868,7 @@ mod tests {
             for kind in SchemeKind::ALL {
                 let scheme = kind.scheme();
                 let layout = layout_frame(&ir_once, scheme.as_ref()).unwrap();
-                let ids = FunctionIds::from_iter([("f".to_string(), FuncId(0))]);
+                let ids = FunctionIds::from_iter([(Arc::clone(&ir_once.name), FuncId(0))]);
                 let mut body = lower_function(&ir_once, &layout, scheme.as_ref(), &ids).unwrap();
                 let mut analysis = pm.run(&ir_once);
                 let ctx = PassCtx { scheme: kind, layout: &layout, preserve_canary_shapes: false };

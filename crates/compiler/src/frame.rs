@@ -60,32 +60,34 @@ pub fn layout_frame(
     let mut critical_slots = Vec::new();
 
     // Buffers first (nearest the canary), then scalars — the reordering SSP
-    // performs so buffer overflows cannot silently corrupt scalars.
-    let mut order: Vec<usize> = (0..func.locals.len()).collect();
-    order.sort_by_key(|&i| usize::from(!func.locals[i].kind.is_buffer()));
-
-    for index in order {
-        let local = &func.locals[index];
-        if guard_locals && local.kind.is_critical() && protected {
-            cursor -= 8;
-            critical_slots.push(cursor as i32);
+    // performs so buffer overflows cannot silently corrupt scalars.  Each
+    // pass keeps declaration order.
+    for buffers in [true, false] {
+        for (index, local) in func.locals.iter().enumerate() {
+            if local.kind.is_buffer() != buffers {
+                continue;
+            }
+            if guard_locals && local.kind.is_critical() && protected {
+                cursor -= 8;
+                critical_slots.push(cursor as i32);
+            }
+            let size = (i64::from(local.kind.size()) + 7) / 8 * 8;
+            cursor -= size;
+            if -cursor > MAX_FRAME {
+                return Err(CompileError::FrameTooLarge {
+                    function: func.name.to_string(),
+                    size: (-cursor) as u64,
+                });
+            }
+            local_offsets[index] = cursor as i32;
         }
-        let size = (i64::from(local.kind.size()) + 7) / 8 * 8;
-        cursor -= size;
-        if -cursor > MAX_FRAME {
-            return Err(CompileError::FrameTooLarge {
-                function: func.name.clone(),
-                size: (-cursor) as u64,
-            });
-        }
-        local_offsets[index] = cursor as i32;
     }
 
     let frame_size = ((-cursor + 15) / 16 * 16) as u32;
     let info = if protected {
-        FrameInfo::protected(func.name.clone(), frame_size).with_critical_slots(critical_slots)
+        FrameInfo::protected(frame_size).with_critical_slots(critical_slots)
     } else {
-        FrameInfo::unprotected(func.name.clone(), frame_size)
+        FrameInfo::unprotected(frame_size)
     };
     Ok(FrameLayout { info, local_offsets, canary_words })
 }
@@ -168,6 +170,33 @@ mod tests {
         let func = FunctionBuilder::new("huge").buffer("big", u32::MAX / 2).build();
         let err = layout_frame(&func, SchemeKind::Ssp.scheme().as_ref()).unwrap_err();
         assert!(matches!(err, CompileError::FrameTooLarge { .. }));
+    }
+
+    #[test]
+    fn two_pass_layout_matches_a_stable_sort_of_buffers_before_scalars() {
+        use crate::ir::{Local, LocalKind};
+        use polycanary_crypto::{Prng, SplitMix64};
+        let kinds = |pick: u64| match pick % 3 {
+            0 => LocalKind::Scalar,
+            1 => LocalKind::Buffer { size: 1 + (pick % 40) as u32 },
+            _ => LocalKind::CriticalBuffer { size: 8 + (pick % 24) as u32 },
+        };
+        for seed in 0..64u64 {
+            let mut rng = SplitMix64::new(seed);
+            let locals: Vec<Local> = (0..rng.next_u64() % 7)
+                .map(|i| Local { name: format!("l{i}").into(), kind: kinds(rng.next_u64()) })
+                .collect();
+            let func = FunctionDef { name: "f".into(), locals, body: Vec::new() };
+            // The reference order: a stable sort, buffers first.
+            let mut order: Vec<usize> = (0..func.locals.len()).collect();
+            order.sort_by_key(|&i| usize::from(!func.locals[i].kind.is_buffer()));
+            for kind in [SchemeKind::Ssp, SchemeKind::PsspLv] {
+                let layout = layout_frame(&func, kind.scheme().as_ref()).unwrap();
+                let mut placed: Vec<usize> = (0..func.locals.len()).collect();
+                placed.sort_by_key(|&i| std::cmp::Reverse(layout.local_offset(i)));
+                assert_eq!(placed, order, "{kind} seed {seed}: locals placed top-down");
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! buffers optionally marked *critical* for P-SSP-LV) and bodies made of the
 //! operations that matter for the evaluation — computation, calls, and the
 //! library-style buffer writes that can overflow.
+//!
+//! Every name in the IR — of a function, a local or a callee — is an
+//! `Arc<str>`, made once when the module is built.  The compiler's name
+//! table and every program lowered from a module share those `Arc`s, so a
+//! build copies no name.
 
-use std::borrow::Borrow;
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 use polycanary_vm::inst::FuncId;
+pub use polycanary_vm::program::FunctionIds;
 
 use crate::error::CompileError;
 
@@ -58,7 +63,7 @@ impl LocalKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Local {
     /// Variable name (for diagnostics).
-    pub name: String,
+    pub name: Arc<str>,
     /// Variable kind and size.
     pub kind: LocalKind,
 }
@@ -99,7 +104,7 @@ pub enum Stmt {
     /// Call another function of the module by name.
     Call {
         /// Name of the callee.
-        callee: String,
+        callee: Arc<str>,
     },
     /// Set the function's return value (placed in `%rax`).
     SetReturn {
@@ -121,7 +126,7 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionDef {
     /// Function name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Local variable declarations.
     pub locals: Vec<Local>,
     /// Function body.
@@ -155,21 +160,22 @@ impl FunctionDef {
         for stmt in &self.body {
             match stmt {
                 Stmt::WriteBuffer { local, .. } | Stmt::InitBuffer { local } => {
-                    let decl = self.locals.get(*local).ok_or(CompileError::UnknownLocal {
-                        function: self.name.clone(),
-                        index: *local,
-                    })?;
+                    let decl =
+                        self.locals.get(*local).ok_or_else(|| CompileError::UnknownLocal {
+                            function: self.name.to_string(),
+                            index: *local,
+                        })?;
                     if !decl.kind.is_buffer() {
                         return Err(CompileError::NotABuffer {
-                            function: self.name.clone(),
-                            local: decl.name.clone(),
+                            function: self.name.to_string(),
+                            local: decl.name.to_string(),
                         });
                     }
                 }
                 Stmt::LeakFrame { local, .. } => {
                     if self.locals.get(*local).is_none() {
                         return Err(CompileError::UnknownLocal {
-                            function: self.name.clone(),
+                            function: self.name.to_string(),
                             index: *local,
                         });
                     }
@@ -178,47 +184,6 @@ impl FunctionDef {
             }
         }
         Ok(())
-    }
-}
-
-/// A module's function-name table: name → [`FuncId`], ids in declaration
-/// order.
-pub type FunctionIds<K = String> = HashMap<K, FuncId, BuildHasherDefault<NameHasher>>;
-
-/// The hasher of [`FunctionIds`]: a multiply-rotate over 8-byte words (the
-/// `FxHash` scheme).  Function names come from the program's own builders
-/// and generators, not from an adversary, so they need no keyed hash, and
-/// a keyed SipHash costs more on a module's short names than the pairwise
-/// name check that the table replaced.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NameHasher(u64);
-
-impl NameHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for NameHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, byte: u8) {
-        self.add(u64::from(byte));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -238,28 +203,25 @@ impl ModuleDef {
     ///
     /// Returns the first error found.
     pub fn validate(&self) -> Result<(), CompileError> {
-        self.resolve::<&str>().map(drop)
+        self.resolve().map(drop)
     }
 
     /// Validates the module in linear time and resolves its names: the
     /// name → [`FuncId`] table (ids follow declaration order) and the id of
-    /// the entry function.  The compiler's front half keeps the table with
-    /// `String` keys; plain validation borrows the names instead.
+    /// the entry function.  The table's keys are the functions' own name
+    /// `Arc`s, so building it copies no name.
     ///
     /// Errors come in declaration order, as a function-by-function check
     /// reports them: for each function in turn a duplicate of a later
     /// function, then its local references, then its callees; the missing
     /// entry last.
-    pub(crate) fn resolve<'a, K>(&'a self) -> Result<(FunctionIds<K>, FuncId), CompileError>
-    where
-        K: From<&'a str> + Borrow<str> + Hash + Eq,
-    {
+    pub(crate) fn resolve(&self) -> Result<(FunctionIds, FuncId), CompileError> {
         let mut ids =
             FunctionIds::with_capacity_and_hasher(self.functions.len(), Default::default());
         // The first function whose name some later function repeats.
         let mut duplicate: Option<usize> = None;
         for (i, f) in self.functions.iter().enumerate() {
-            match ids.entry(K::from(f.name.as_str())) {
+            match ids.entry(Arc::clone(&f.name)) {
                 Entry::Occupied(first) => {
                     let first = first.get().0;
                     duplicate = Some(duplicate.map_or(first, |d| d.min(first)));
@@ -271,15 +233,15 @@ impl ModuleDef {
         }
         for (i, f) in self.functions.iter().enumerate() {
             if duplicate == Some(i) {
-                return Err(CompileError::DuplicateFunction { name: f.name.clone() });
+                return Err(CompileError::DuplicateFunction { name: f.name.to_string() });
             }
             f.validate()?;
             for stmt in &f.body {
                 if let Stmt::Call { callee } = stmt {
-                    if !ids.contains_key(callee.as_str()) {
+                    if !ids.contains_key(callee) {
                         return Err(CompileError::UnknownCallee {
-                            function: f.name.clone(),
-                            callee: callee.clone(),
+                            function: f.name.to_string(),
+                            callee: callee.to_string(),
                         });
                     }
                 }
@@ -294,7 +256,7 @@ impl ModuleDef {
 
     /// Looks up a function by name.
     pub fn function(&self, name: &str) -> Option<&FunctionDef> {
-        self.functions.iter().find(|f| f.name == name)
+        self.functions.iter().find(|f| *f.name == *name)
     }
 }
 
@@ -319,7 +281,7 @@ pub struct FunctionBuilder {
 
 impl FunctionBuilder {
     /// Starts a function with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         FunctionBuilder {
             def: FunctionDef { name: name.into(), locals: Vec::new(), body: Vec::new() },
         }
@@ -329,27 +291,27 @@ impl FunctionBuilder {
         self.def
             .locals
             .iter()
-            .position(|l| l.name == name)
+            .position(|l| *l.name == *name)
             .unwrap_or_else(|| panic!("local `{name}` was not declared before use"))
     }
 
     /// Declares a scalar local.
     #[must_use]
-    pub fn scalar(mut self, name: impl Into<String>) -> Self {
+    pub fn scalar(mut self, name: impl Into<Arc<str>>) -> Self {
         self.def.locals.push(Local { name: name.into(), kind: LocalKind::Scalar });
         self
     }
 
     /// Declares a byte buffer local.
     #[must_use]
-    pub fn buffer(mut self, name: impl Into<String>, size: u32) -> Self {
+    pub fn buffer(mut self, name: impl Into<Arc<str>>, size: u32) -> Self {
         self.def.locals.push(Local { name: name.into(), kind: LocalKind::Buffer { size } });
         self
     }
 
     /// Declares a critical byte buffer local (P-SSP-LV protected).
     #[must_use]
-    pub fn critical_buffer(mut self, name: impl Into<String>, size: u32) -> Self {
+    pub fn critical_buffer(mut self, name: impl Into<Arc<str>>, size: u32) -> Self {
         self.def.locals.push(Local { name: name.into(), kind: LocalKind::CriticalBuffer { size } });
         self
     }
@@ -411,7 +373,7 @@ impl FunctionBuilder {
 
     /// Adds a call to another function.
     #[must_use]
-    pub fn call(mut self, callee: impl Into<String>) -> Self {
+    pub fn call(mut self, callee: impl Into<Arc<str>>) -> Self {
         self.def.body.push(Stmt::Call { callee: callee.into() });
         self
     }
@@ -464,7 +426,7 @@ impl ModuleBuilder {
     pub fn build(self) -> Result<ModuleDef, CompileError> {
         let entry = self
             .entry
-            .or_else(|| self.functions.first().map(|f| f.name.clone()))
+            .or_else(|| self.functions.first().map(|f| f.name.to_string()))
             .unwrap_or_default();
         let module = ModuleDef { functions: self.functions, entry };
         module.validate()?;
@@ -523,21 +485,21 @@ mod tests {
     fn quadratic_validate(module: &ModuleDef) -> Result<(), CompileError> {
         for (i, f) in module.functions.iter().enumerate() {
             if module.functions.iter().skip(i + 1).any(|g| g.name == f.name) {
-                return Err(CompileError::DuplicateFunction { name: f.name.clone() });
+                return Err(CompileError::DuplicateFunction { name: f.name.to_string() });
             }
             f.validate()?;
             for stmt in &f.body {
                 if let Stmt::Call { callee } = stmt {
                     if !module.functions.iter().any(|g| &g.name == callee) {
                         return Err(CompileError::UnknownCallee {
-                            function: f.name.clone(),
-                            callee: callee.clone(),
+                            function: f.name.to_string(),
+                            callee: callee.to_string(),
                         });
                     }
                 }
             }
         }
-        if !module.functions.iter().any(|f| f.name == module.entry) {
+        if !module.functions.iter().any(|f| *f.name == *module.entry) {
             return Err(CompileError::MissingEntry { entry: module.entry.clone() });
         }
         Ok(())
@@ -547,7 +509,7 @@ mod tests {
         let locals = locals
             .iter()
             .enumerate()
-            .map(|(i, &kind)| Local { name: format!("l{i}"), kind })
+            .map(|(i, &kind)| Local { name: format!("l{i}").into(), kind })
             .collect();
         FunctionDef { name: name.into(), locals, body }
     }
@@ -589,7 +551,7 @@ mod tests {
             }
         }
         assert_eq!(module.validate(), Ok(()));
-        let (ids, entry) = module.resolve::<String>().unwrap();
+        let (ids, entry) = module.resolve().unwrap();
         assert_eq!(entry, FuncId(0));
         assert_eq!(ids.len(), 4);
         assert_eq!(ids["d"], FuncId(3));
@@ -632,7 +594,7 @@ mod tests {
                 }
             }
             assert_eq!(module.validate(), want, "seed {seed}: {module:?}");
-            assert_eq!(module.resolve::<String>().map(drop), want, "seed {seed}");
+            assert_eq!(module.resolve().map(drop), want, "seed {seed}");
         }
         // Every defect kind, and clean modules too, came up.
         assert_eq!(seen.len(), 5, "{seen:?}");

@@ -21,6 +21,8 @@
 //! transforms — and yields a [`Frontend`].  The back half,
 //! [`Compiler::lower`], lays out, lowers and finalizes that front half under
 //! one scheme, so a module built under many schemes is prepared once.
+//! Function names are interned once per module, as the `Arc<str>`s of the
+//! [`ir`]; the name table and every lowered program share them.
 //!
 //! # Quick example
 //!
@@ -49,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod codegen;
 pub mod error;

@@ -105,8 +105,6 @@ pub struct FunctionAnalysis {
     /// assumed to pass (input-copy surcharges, which depend on the runtime
     /// input length, are excluded).
     pub estimated_body_cycles: u64,
-    /// Names of the passes registered in the pipeline, in order.
-    pub passes_run: Vec<&'static str>,
 }
 
 /// The lowered instruction stream of one function, with the scheme
@@ -144,7 +142,7 @@ pub struct PassCtx<'a> {
 /// so analysis-only and transform-only passes implement exactly the stage
 /// they care about.
 pub trait FunctionPass: Send + Sync {
-    /// The pass's name (shows up in [`FunctionAnalysis::passes_run`] and
+    /// The pass's name (shows up in [`PassManager::pass_names`] and
     /// `harness --list-passes`).
     fn name(&self) -> &'static str;
 
@@ -429,15 +427,14 @@ impl FunctionPass for RedundantCanaryLoadElimPass {
 
         // Replace the epilogue core with per-slot compares, preserving the
         // bookkeeping tail; then splice in the rewritten prologue.
-        let book_tail: Vec<Inst> =
-            body.insts[body.epilogue.end - bookkeeping..body.epilogue.end].to_vec();
+        let book_tail = &body.insts[body.epilogue.end - bookkeeping..body.epilogue.end];
         let mut new_epilogue = Vec::with_capacity(3 * cached.len() + book_tail.len());
         for &(slot, reg) in &cached {
             new_epilogue.push(Inst::CmpFrameReg { reg, offset: slot });
             new_epilogue.push(Inst::JeSkip(1));
             new_epilogue.push(Inst::CallStackChkFail);
         }
-        new_epilogue.extend(book_tail);
+        new_epilogue.extend_from_slice(book_tail);
 
         let epi_start = body.epilogue.start;
         let epi_len = new_epilogue.len();
@@ -463,22 +460,35 @@ fn canary_slots(layout: &FrameLayout) -> Vec<i32> {
     slots
 }
 
+/// A set of registers as a bit mask: bit [`Reg::index`] stands for the
+/// register.
+type RegMask = u16;
+
+/// Every register: the conservative answer for a call or an unknown
+/// instruction.
+const ALL_REGS: RegMask = RegMask::MAX;
+
+/// The mask of one register.
+fn bit(reg: Reg) -> RegMask {
+    1 << reg.index()
+}
+
 /// Registers referenced (read or written) by an instruction, including the
 /// implicit operands of `rdtsc` and the AES helper.  Unknown instructions
 /// conservatively reference every register, which empties the cache pool
 /// and makes the elimination bail.
-fn regs_referenced(inst: &Inst) -> Vec<Reg> {
+fn regs_referenced(inst: &Inst) -> RegMask {
     match inst {
         Inst::PushReg(r)
         | Inst::PopReg(r)
         | Inst::TestReg(r)
         | Inst::Rdrand(r)
         | Inst::InputLenToReg(r)
-        | Inst::OutputReg(r) => vec![*r],
+        | Inst::OutputReg(r) => bit(*r),
         Inst::MovRegReg { dst, src }
         | Inst::XorRegReg { dst, src }
         | Inst::AddRegReg { dst, src }
-        | Inst::OrRegReg { dst, src } => vec![*dst, *src],
+        | Inst::OrRegReg { dst, src } => bit(*dst) | bit(*src),
         Inst::MovTlsToReg { dst, .. }
         | Inst::MovFrameToReg { dst, .. }
         | Inst::MovFrameToReg32 { dst, .. }
@@ -486,19 +496,19 @@ fn regs_referenced(inst: &Inst) -> Vec<Reg> {
         | Inst::LeaFrameToReg { dst, .. }
         | Inst::XorTlsReg { dst, .. }
         | Inst::ShlRegImm { dst, .. }
-        | Inst::ShrRegImm { dst, .. } => vec![*dst],
+        | Inst::ShrRegImm { dst, .. } => bit(*dst),
         Inst::MovRegToTls { src, .. }
         | Inst::MovRegToFrame { src, .. }
-        | Inst::MovRegToFrame32 { src, .. } => vec![*src],
-        Inst::MovMemToReg { dst, base, .. } => vec![*dst, *base],
-        Inst::MovRegToMem { src, base, .. } => vec![*src, *base],
-        Inst::CmpFrameReg { reg, .. } | Inst::CmpRegImm { reg, .. } => vec![*reg],
-        Inst::Rdtsc => vec![Reg::Rax, Reg::Rdx],
+        | Inst::MovRegToFrame32 { src, .. } => bit(*src),
+        Inst::MovMemToReg { dst, base, .. } => bit(*dst) | bit(*base),
+        Inst::MovRegToMem { src, base, .. } => bit(*src) | bit(*base),
+        Inst::CmpFrameReg { reg, .. } | Inst::CmpRegImm { reg, .. } => bit(*reg),
+        Inst::Rdtsc => bit(Reg::Rax) | bit(Reg::Rdx),
         Inst::AesEncryptFrame { nonce } => {
-            vec![*nonce, Reg::Rax, Reg::Rdx, Reg::R12, Reg::R13]
+            bit(*nonce) | bit(Reg::Rax) | bit(Reg::Rdx) | bit(Reg::R12) | bit(Reg::R13)
         }
-        Inst::CallFn(_) => Reg::ALL.to_vec(),
-        Inst::CallCheckCanary32 => vec![Reg::Rdi],
+        Inst::CallFn(_) => ALL_REGS,
+        Inst::CallCheckCanary32 => bit(Reg::Rdi),
         Inst::SubRspImm(_)
         | Inst::AddRspImm(_)
         | Inst::Leave
@@ -515,28 +525,23 @@ fn regs_referenced(inst: &Inst) -> Vec<Reg> {
         | Inst::LinkCanaryPop { .. }
         | Inst::CopyInputToFrame { .. }
         | Inst::CopyInputToFrameBounded { .. }
-        | Inst::Compute(_) => Vec::new(),
+        | Inst::Compute(_) => 0,
         // `Inst` is non_exhaustive: a variant this pass has never seen must
         // poison the whole pool rather than be silently treated as dead.
-        _ => Reg::ALL.to_vec(),
+        _ => ALL_REGS,
     }
 }
 
 /// The cache-pool registers not referenced anywhere in the function.
 fn free_regs(insts: &[Inst]) -> Vec<Reg> {
-    let mut used = [false; 16];
-    for inst in insts {
-        for reg in regs_referenced(inst) {
-            used[reg.index()] = true;
-        }
-    }
-    CACHE_POOL.iter().copied().filter(|r| !used[r.index()]).collect()
+    let used = insts.iter().fold(0, |used, inst| used | regs_referenced(inst));
+    CACHE_POOL.iter().copied().filter(|&r| used & bit(r) == 0).collect()
 }
 
 /// Registers written by an instruction (register destinations only).
-fn regs_written(inst: &Inst) -> Vec<Reg> {
+fn regs_written(inst: &Inst) -> RegMask {
     match inst {
-        Inst::PopReg(r) | Inst::Rdrand(r) | Inst::InputLenToReg(r) => vec![*r],
+        Inst::PopReg(r) | Inst::Rdrand(r) | Inst::InputLenToReg(r) => bit(*r),
         Inst::MovRegReg { dst, .. }
         | Inst::MovTlsToReg { dst, .. }
         | Inst::MovFrameToReg { dst, .. }
@@ -549,10 +554,10 @@ fn regs_written(inst: &Inst) -> Vec<Reg> {
         | Inst::AddRegReg { dst, .. }
         | Inst::ShlRegImm { dst, .. }
         | Inst::ShrRegImm { dst, .. }
-        | Inst::OrRegReg { dst, .. } => vec![*dst],
-        Inst::Rdtsc | Inst::AesEncryptFrame { .. } => vec![Reg::Rax, Reg::Rdx],
-        Inst::CallFn(_) => Reg::ALL.to_vec(),
-        _ => Vec::new(),
+        | Inst::OrRegReg { dst, .. } => bit(*dst),
+        Inst::Rdtsc | Inst::AesEncryptFrame { .. } => bit(Reg::Rax) | bit(Reg::Rdx),
+        Inst::CallFn(_) => ALL_REGS,
+        _ => 0,
     }
 }
 
@@ -618,12 +623,12 @@ fn rename_reg(inst: &mut Inst, from: Reg, to: Reg) {
 
 /// Index of the latest instruction before `before` that writes `reg`.
 fn find_write_before(insts: &[Inst], before: usize, reg: Reg) -> Option<usize> {
-    (0..before).rev().find(|&i| regs_written(&insts[i]).contains(&reg))
+    (0..before).rev().find(|&i| regs_written(&insts[i]) & bit(reg) != 0)
 }
 
 /// Index of the first instruction after `after` that writes `reg`.
 fn find_write_after(insts: &[Inst], after: usize, reg: Reg) -> Option<usize> {
-    (after + 1..insts.len()).find(|&i| regs_written(&insts[i]).contains(&reg))
+    (after + 1..insts.len()).find(|&i| regs_written(&insts[i]) & bit(reg) != 0)
 }
 
 /// Rewrites `prologue` so the value stored to each canary slot survives in a
@@ -848,13 +853,9 @@ impl PassManager {
 
     /// Runs the analysis stage over one function.
     pub fn run(&self, func: &FunctionDef) -> FunctionAnalysis {
-        let mut analysis = FunctionAnalysis {
-            passes_run: Vec::with_capacity(self.passes.len()),
-            ..FunctionAnalysis::default()
-        };
+        let mut analysis = FunctionAnalysis::default();
         for pass in &self.passes {
             pass.analyze(func, &mut analysis);
-            analysis.passes_run.push(pass.name());
         }
         analysis
     }
@@ -917,13 +918,11 @@ mod tests {
             .compute(100)
             .compute(250)
             .build();
-        let analysis = PassManager::standard(OptLevel::O0).run(&func);
+        let pm = PassManager::standard(OptLevel::O0);
+        let analysis = pm.run(&func);
         assert!(analysis.needs_protection);
         assert_eq!(analysis.critical_locals, vec![1]);
-        assert_eq!(
-            analysis.passes_run,
-            vec!["stack-protect", "critical-variables", "cost-estimation"]
-        );
+        assert_eq!(pm.pass_names(), vec!["stack-protect", "critical-variables", "cost-estimation"]);
     }
 
     #[test]
@@ -1010,9 +1009,9 @@ mod tests {
     #[test]
     fn empty_pass_manager_produces_default_analysis() {
         let func = FunctionBuilder::new("f").buffer("buf", 8).build();
-        let analysis = PassManager::new().run(&func);
-        assert!(!analysis.needs_protection);
-        assert!(analysis.passes_run.is_empty());
+        let pm = PassManager::new();
+        assert_eq!(pm.run(&func), FunctionAnalysis::default());
+        assert!(pm.pass_names().is_empty());
     }
 
     #[test]
@@ -1080,6 +1079,20 @@ mod tests {
             FunctionBuilder::new("f").buffer("buf", 16).zero_fill("buf").call("g").build();
         DeadStoreElimPass.transform_ir(&mut calling);
         assert!(calling.body.iter().any(|s| matches!(s, Stmt::InitBuffer { .. })));
+    }
+
+    #[test]
+    fn register_masks_cover_implicit_operands_and_poison_on_calls() {
+        use polycanary_vm::inst::FuncId;
+        assert_eq!(regs_referenced(&Inst::MovRegReg { dst: Reg::Rbx, src: Reg::R15 }), 0x8002);
+        assert_eq!(regs_written(&Inst::MovRegReg { dst: Reg::Rbx, src: Reg::R15 }), 0x0002);
+        assert_eq!(regs_referenced(&Inst::Rdtsc), bit(Reg::Rax) | bit(Reg::Rdx));
+        assert_eq!(regs_referenced(&Inst::Compute(5)), 0);
+        assert_eq!(regs_referenced(&Inst::CallFn(FuncId(0))), ALL_REGS);
+        assert_eq!(regs_written(&Inst::CallFn(FuncId(0))), ALL_REGS);
+        assert!(free_regs(&[Inst::CallFn(FuncId(0))]).is_empty(), "a call empties the pool");
+        let free = free_regs(&[Inst::MovRegReg { dst: Reg::Rbx, src: Reg::R15 }]);
+        assert_eq!(free, [Reg::Rsi, Reg::R8, Reg::R9, Reg::R10, Reg::R11, Reg::R14]);
     }
 
     #[test]

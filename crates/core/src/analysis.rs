@@ -64,6 +64,11 @@ pub fn attack_effort(props: &SchemeProperties) -> AttackEffort {
     }
 }
 
+/// The critical value of [`theorem1_independence_test`]: the 99.9th
+/// percentile of χ² with 64 degrees of freedom, one per bit tested.  A
+/// uniform `C1` exceeds it with probability 0.001.
+const THEOREM1_CRITICAL_VALUE: f64 = 104.716;
+
 /// Result of the empirical Theorem-1 independence test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndependenceTest {
@@ -115,13 +120,11 @@ pub fn theorem1_independence_test(observed_c1: &[u64]) -> IndependenceTest {
             })
             .sum()
     };
-    // 99.9th percentile of chi-square with 64 degrees of freedom ≈ 112.3.
-    let critical = 112.3;
     IndependenceTest {
         samples: n,
         chi_square,
         degrees_of_freedom: bits,
-        consistent_with_uniform: n == 0 || chi_square < critical,
+        consistent_with_uniform: n == 0 || chi_square < THEOREM1_CRITICAL_VALUE,
     }
 }
 
@@ -154,7 +157,51 @@ pub fn table1_rows(kinds: &[SchemeKind]) -> Vec<Table1Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polycanary_crypto::SplitMix64;
+    use polycanary_crypto::{Prng, SplitMix64};
+
+    /// Upper tail `Pr(X > x)` of χ² with an even number `df` of degrees of
+    /// freedom, in closed form: `e^(−x/2) Σ_{i<df/2} (x/2)^i / i!`.
+    fn chi_square_even_df_tail(x: f64, df: u32) -> f64 {
+        let half = x / 2.0;
+        let (mut term, mut sum) = (1.0, 0.0);
+        for i in 0..df / 2 {
+            sum += term;
+            term *= half / f64::from(i + 1);
+        }
+        (-half).exp() * sum
+    }
+
+    #[test]
+    fn theorem1_critical_value_is_the_999th_percentile_of_chi_square_64() {
+        let tail = chi_square_even_df_tail(THEOREM1_CRITICAL_VALUE, 64);
+        assert!((tail - 0.001).abs() < 1e-5, "Pr(χ²(64) > critical) = {tail}");
+    }
+
+    #[test]
+    fn theorem1_statistic_follows_chi_square_64_over_many_seeds() {
+        // Under Theorem 1 every seed's statistic is a χ²(64) draw, so the
+        // share above its 90th percentile is Binomial(SEEDS, 0.10) / SEEDS:
+        // within 3.29 σ of 0.10 with probability 0.999.
+        const SEEDS: u64 = 2_000;
+        const SAMPLES: usize = 256;
+        let p90 = 78.8596;
+        assert!((chi_square_even_df_tail(p90, 64) - 0.10).abs() < 1e-5);
+        let mut above = 0u64;
+        for seed in 0..SEEDS {
+            let mut rng = SplitMix64::new(0x7E01_0000 + seed);
+            let c = rng.next_u64();
+            let observed: Vec<u64> =
+                (0..SAMPLES).map(|_| crate::rerandomize::re_randomize(c, &mut rng).c1).collect();
+            above += u64::from(theorem1_independence_test(&observed).chi_square > p90);
+        }
+        let share = above as f64 / SEEDS as f64;
+        let sigma = (0.10 * 0.90 / SEEDS as f64).sqrt();
+        assert!(
+            (share - 0.10).abs() <= 3.29 * sigma,
+            "share above the 90th percentile {share:.4}, expected 0.10 ± {:.4}",
+            3.29 * sigma
+        );
+    }
 
     #[test]
     fn byte_by_byte_expectation_matches_paper() {

@@ -9,11 +9,11 @@
 /// Layout summary of one function's stack frame.
 ///
 /// Offsets are relative to `%rbp` (negative values are below the saved frame
-/// pointer, i.e. inside the local area).
+/// pointer, i.e. inside the local area).  The summary carries no function
+/// name: no scheme needs one to emit its sequences, and a fault names the
+/// detecting function from the program itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameInfo {
-    /// Name of the function (used in diagnostics and fault messages).
-    pub function: String,
     /// Total number of bytes subtracted from `%rsp` by the prologue
     /// (canary region + locals, 16-byte aligned).
     pub frame_size: u32,
@@ -29,23 +29,13 @@ pub struct FrameInfo {
 
 impl FrameInfo {
     /// A frame that needs no protection (no local buffers).
-    pub fn unprotected(function: impl Into<String>, frame_size: u32) -> Self {
-        FrameInfo {
-            function: function.into(),
-            frame_size,
-            protected: false,
-            critical_canary_slots: Vec::new(),
-        }
+    pub fn unprotected(frame_size: u32) -> Self {
+        FrameInfo { frame_size, protected: false, critical_canary_slots: Vec::new() }
     }
 
     /// A protected frame with the given total size.
-    pub fn protected(function: impl Into<String>, frame_size: u32) -> Self {
-        FrameInfo {
-            function: function.into(),
-            frame_size,
-            protected: true,
-            critical_canary_slots: Vec::new(),
-        }
+    pub fn protected(frame_size: u32) -> Self {
+        FrameInfo { frame_size, protected: true, critical_canary_slots: Vec::new() }
     }
 
     /// Adds critical-variable canary slots (builder style).
@@ -68,19 +58,19 @@ mod tests {
 
     #[test]
     fn constructors_set_protection_flag() {
-        assert!(!FrameInfo::unprotected("f", 16).protected);
-        assert!(FrameInfo::protected("g", 64).protected);
+        assert!(!FrameInfo::unprotected(16).protected);
+        assert!(FrameInfo::protected(64).protected);
     }
 
     #[test]
     fn critical_slots_builder() {
-        let frame = FrameInfo::protected("h", 96).with_critical_slots(vec![-24, -48]);
+        let frame = FrameInfo::protected(96).with_critical_slots(vec![-24, -48]);
         assert_eq!(frame.critical_canary_slots, vec![-24, -48]);
         assert_eq!(frame.lv_canary_count(), 3);
     }
 
     #[test]
     fn lv_count_without_critical_slots_is_one() {
-        assert_eq!(FrameInfo::protected("f", 32).lv_canary_count(), 1);
+        assert_eq!(FrameInfo::protected(32).lv_canary_count(), 1);
     }
 }

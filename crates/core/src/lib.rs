@@ -22,7 +22,7 @@
 //!
 //! // Emit the P-SSP prologue the LLVM plugin would insert (Code 3).
 //! let scheme = SchemeKind::Pssp.scheme();
-//! let frame = FrameInfo::protected("handle_request", 0x40);
+//! let frame = FrameInfo::protected(0x40);
 //! let prologue = scheme.emit_prologue(&frame);
 //! assert_eq!(prologue.len(), 4);
 //!

@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn bookkeeping_instructions_are_emitted() {
-        let frame = FrameInfo::protected("f", 0x20);
+        let frame = FrameInfo::protected(0x20);
         let dg = DynaGuardScheme.emit_prologue(&frame);
         assert!(dg.iter().any(|i| matches!(i, Inst::RecordCanaryAddress { .. })));
         assert!(DynaGuardScheme
@@ -347,7 +347,7 @@ mod tests {
         // Table I: SSP < DynaGuard (compiler 1.5%) and DCR is the slowest
         // instrumentation-based option (>24%).  The per-call canary handling
         // cost must reflect that ordering.
-        let frame = FrameInfo::protected("f", 0x20);
+        let frame = FrameInfo::protected(0x20);
         let cost = |scheme: &dyn CanaryScheme| -> u64 {
             scheme
                 .emit_prologue(&frame)

@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn ssp_prologue_matches_code1() {
-        let frame = FrameInfo::protected("f", 0x10);
+        let frame = FrameInfo::protected(0x10);
         let prologue = SspScheme.emit_prologue(&frame);
         assert_eq!(
             prologue,
@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn ssp_epilogue_matches_code2() {
-        let frame = FrameInfo::protected("f", 0x10);
+        let frame = FrameInfo::protected(0x10);
         let epilogue = SspScheme.emit_epilogue(&frame);
         assert_eq!(epilogue[0], Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 });
         assert_eq!(epilogue[1], Inst::XorTlsReg { dst: Reg::Rdx, offset: 0x28 });
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn native_emits_nothing_anywhere() {
-        let frame = FrameInfo::protected("f", 0x40);
+        let frame = FrameInfo::protected(0x40);
         assert!(NativeScheme.emit_prologue(&frame).is_empty());
         assert!(NativeScheme.emit_epilogue(&frame).is_empty());
     }
@@ -135,7 +135,7 @@ mod tests {
     fn ssp_prologue_epilogue_cycle_cost_is_small() {
         // Table V reports ~6 cycles for memcpy-style canary handling; our
         // model must stay in single digits.
-        let frame = FrameInfo::protected("f", 0x10);
+        let frame = FrameInfo::protected(0x10);
         let cycles: u64 = SspScheme
             .emit_prologue(&frame)
             .iter()

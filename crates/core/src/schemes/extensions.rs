@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn nt_prologue_draws_exactly_one_random_number() {
-        let frame = FrameInfo::protected("f", 0x20);
+        let frame = FrameInfo::protected(0x20);
         let prologue = PsspNtScheme.emit_prologue(&frame);
         assert_eq!(count_rdrand(&prologue), 1);
         // And binds it to the TLS canary with an XOR.
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn lv_with_no_critical_variables_degenerates_to_a_single_canary() {
-        let frame = FrameInfo::protected("f", 0x20);
+        let frame = FrameInfo::protected(0x20);
         let prologue = PsspLvScheme.emit_prologue(&frame);
         // Only the last (computed) canary is stored; no rdrand needed.
         assert_eq!(count_rdrand(&prologue), 0);
@@ -290,15 +290,15 @@ mod tests {
     fn lv_random_count_scales_with_critical_variables() {
         // Table V: "2 variables" (two canaries in the frame) needs one
         // rdrand, "4 variables" needs three.
-        let two = FrameInfo::protected("f", 0x40).with_critical_slots(vec![-24]);
-        let four = FrameInfo::protected("f", 0x60).with_critical_slots(vec![-24, -40, -56]);
+        let two = FrameInfo::protected(0x40).with_critical_slots(vec![-24]);
+        let four = FrameInfo::protected(0x60).with_critical_slots(vec![-24, -40, -56]);
         assert_eq!(count_rdrand(&PsspLvScheme.emit_prologue(&two)), 1);
         assert_eq!(count_rdrand(&PsspLvScheme.emit_prologue(&four)), 3);
     }
 
     #[test]
     fn lv_epilogue_checks_every_canary_slot() {
-        let frame = FrameInfo::protected("f", 0x60).with_critical_slots(vec![-24, -40]);
+        let frame = FrameInfo::protected(0x60).with_critical_slots(vec![-24, -40]);
         let epilogue = PsspLvScheme.emit_epilogue(&frame);
         let loads: Vec<i32> = epilogue
             .iter()
@@ -316,7 +316,7 @@ mod tests {
         // Structural check of Algorithm 2: the last store writes the
         // accumulator register %rcx which was seeded with C and XORed with
         // every random canary.
-        let frame = FrameInfo::protected("f", 0x60).with_critical_slots(vec![-24, -40]);
+        let frame = FrameInfo::protected(0x60).with_critical_slots(vec![-24, -40]);
         let prologue = PsspLvScheme.emit_prologue(&frame);
         let last_store = prologue.last().unwrap();
         assert!(matches!(last_store, Inst::MovRegToFrame { src: Reg::Rcx, offset: -40 }));
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn owf_prologue_uses_tsc_nonce_and_aes() {
-        let frame = FrameInfo::protected("f", 0x30);
+        let frame = FrameInfo::protected(0x30);
         let prologue = PsspOwfScheme.emit_prologue(&frame);
         assert!(prologue.iter().any(|i| matches!(i, Inst::Rdtsc)));
         assert!(prologue.iter().any(|i| matches!(i, Inst::AesEncryptFrame { .. })));
@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn owf_epilogue_recomputes_and_compares_both_halves() {
-        let frame = FrameInfo::protected("f", 0x30);
+        let frame = FrameInfo::protected(0x30);
         let epilogue = PsspOwfScheme.emit_epilogue(&frame);
         let compares = epilogue.iter().filter(|i| matches!(i, Inst::CmpFrameReg { .. })).count();
         assert_eq!(compares, 2);
@@ -359,8 +359,8 @@ mod tests {
     fn per_call_cost_ordering_matches_table5() {
         // Table V: P-SSP (6) << P-SSP-OWF (278) < P-SSP-NT (343) < LV with
         // four variables (986).
-        let plain = FrameInfo::protected("f", 0x40);
-        let lv4 = FrameInfo::protected("f", 0x60).with_critical_slots(vec![-24, -40, -56]);
+        let plain = FrameInfo::protected(0x40);
+        let lv4 = FrameInfo::protected(0x60).with_critical_slots(vec![-24, -40, -56]);
         let cost = |scheme: &dyn CanaryScheme, frame: &FrameInfo| -> u64 {
             scheme
                 .emit_prologue(frame)

@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn protected_frames_get_prologue_and_epilogue_where_expected() {
-        let frame = FrameInfo::protected("victim", 0x40);
+        let frame = FrameInfo::protected(0x40);
         for kind in SchemeKind::ALL {
             let scheme = scheme_for(kind);
             let prologue = scheme.emit_prologue(&frame);
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn unprotected_frames_get_no_canary_code() {
-        let frame = FrameInfo::unprotected("leaf", 0x10);
+        let frame = FrameInfo::unprotected(0x10);
         for kind in SchemeKind::ALL {
             let scheme = scheme_for(kind);
             assert!(scheme.emit_prologue(&frame).is_empty(), "{kind}");

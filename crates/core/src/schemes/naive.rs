@@ -112,7 +112,7 @@ mod tests {
     /// that is live across a fork (same construction as the Table I
     /// correctness experiment).
     fn live_frame_program(scheme: &NaiveTlsSplitScheme) -> Program {
-        let frame = FrameInfo::protected("live", 0x20);
+        let frame = FrameInfo::protected(0x20);
         let mut parent_half = vec![
             Inst::PushReg(Reg::Rbp),
             Inst::MovRegReg { dst: Reg::Rbp, src: Reg::Rsp },
@@ -139,7 +139,7 @@ mod tests {
     fn keeps_the_ssp_stack_layout() {
         let scheme = NaiveTlsSplitScheme;
         assert_eq!(scheme.canary_region_words(), 1);
-        let frame = FrameInfo::protected("f", 0x20);
+        let frame = FrameInfo::protected(0x20);
         // Exactly one frame store in the prologue.
         let stores = scheme
             .emit_prologue(&frame)

@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn prologue_reads_shadow_canary_offsets() {
-        let frame = FrameInfo::protected("f", 0x20);
+        let frame = FrameInfo::protected(0x20);
         let prologue = PsspScheme.emit_prologue(&frame);
         assert_eq!(prologue[0], Inst::MovTlsToReg { dst: Reg::Rax, offset: 0x2a8 });
         assert_eq!(prologue[2], Inst::MovTlsToReg { dst: Reg::Rax, offset: 0x2b0 });
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn epilogue_checks_against_unchanged_tls_canary() {
-        let frame = FrameInfo::protected("f", 0x20);
+        let frame = FrameInfo::protected(0x20);
         let epilogue = PsspScheme.emit_epilogue(&frame);
         assert!(
             epilogue.iter().any(|i| matches!(i, Inst::XorTlsReg { offset: 0x28, .. })),
@@ -280,7 +280,7 @@ mod tests {
     fn bin32_sequences_preserve_ssp_sizes() {
         // The whole point of the 32-bit downgrade (§V-C): prologue and
         // epilogue must occupy exactly the same number of bytes as SSP's.
-        let frame = FrameInfo::protected("f", 0x20);
+        let frame = FrameInfo::protected(0x20);
         let size = |insts: &[Inst]| insts.iter().map(Inst::encoded_size).sum::<u64>();
         let ssp = crate::schemes::classic::SspScheme;
         assert_eq!(size(&PsspBin32Scheme.emit_prologue(&frame)), size(&ssp.emit_prologue(&frame)),);

@@ -17,7 +17,7 @@
 //!    hooks, which is what Dyninst does for the paper (§V-D); that is
 //!    modelled as an extra section recorded on the program.
 
-use polycanary_vm::inst::Inst;
+use polycanary_vm::inst::{FuncId, Inst};
 use polycanary_vm::machine::Machine;
 use polycanary_vm::program::Program;
 use polycanary_vm::reg::Reg;
@@ -119,30 +119,28 @@ impl Rewriter {
             link_mode: self.link_mode,
         };
 
-        let function_ids: Vec<_> = program.iter().map(|(id, _)| id).collect();
-        for id in function_ids {
+        for index in 0..program.len() {
             report.functions_scanned += 1;
-            let func = program.function(id).expect("id comes from iteration");
-            let name = func.name().to_string();
-            let original_size = func.encoded_size();
-            let insts = func.insts().to_vec();
-            let sites = scan_function(&insts);
+            let id = FuncId(index);
+            let func = program.function(id).expect("ids below `len` are valid");
+            let sites = scan_function(func.insts());
             if !sites.is_instrumented() {
                 continue;
             }
             if !sites.is_balanced() {
                 return Err(RewriteError::InconsistentInstrumentation {
-                    function: name,
+                    function: func.name().to_string(),
                     prologues: sites.prologues.len(),
                     epilogues: sites.epilogues.len(),
                 });
             }
 
-            let rewritten = rewrite_function(&insts, &sites);
+            let rewritten = rewrite_function(func.insts(), &sites);
+            let original_size = func.encoded_size();
             let new_size: u64 = rewritten.iter().map(Inst::encoded_size).sum();
             if new_size != original_size {
                 return Err(RewriteError::LayoutChanged {
-                    function: name,
+                    function: func.name().to_string(),
                     before: original_size,
                     after: new_size,
                 });
@@ -171,9 +169,23 @@ impl Rewriter {
     }
 }
 
+/// The Code 6 epilogue check that replaces each SSP check: the same
+/// encoded size as the 4-instruction sequence it replaces.
+const CODE6_EPILOGUE: [Inst; 8] = [
+    Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 },
+    Inst::PushReg(Reg::Rdi),
+    Inst::PushReg(Reg::Rdx),
+    Inst::PopReg(Reg::Rdi),
+    Inst::CallCheckCanary32,
+    Inst::PopReg(Reg::Rdi),
+    Inst::JeSkip(1),
+    Inst::CallStackChkFail,
+];
+
 /// Produces the rewritten instruction stream for one function.
 fn rewrite_function(insts: &[Inst], sites: &crate::scan::SspSites) -> Vec<Inst> {
-    let mut out = insts.to_vec();
+    let mut out = Vec::with_capacity(insts.len() + CODE6_EPILOGUE.len() * sites.epilogues.len());
+    out.extend_from_slice(insts);
 
     // Prologue: only the TLS offset changes (Code 5) — same encoded size.
     for site in &sites.prologues {
@@ -183,22 +195,10 @@ fn rewrite_function(insts: &[Inst], sites: &crate::scan::SspSites) -> Vec<Inst> 
     }
 
     // Epilogue: replace the 4-instruction SSP check with the size-identical
-    // Code 6 sequence.  Replacements are applied back-to-front so earlier
-    // indices stay valid.
-    let mut epilogues = sites.epilogues.clone();
-    epilogues.sort_by_key(|s| std::cmp::Reverse(s.start_index));
-    for site in epilogues {
-        let replacement = vec![
-            Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 },
-            Inst::PushReg(Reg::Rdi),
-            Inst::PushReg(Reg::Rdx),
-            Inst::PopReg(Reg::Rdi),
-            Inst::CallCheckCanary32,
-            Inst::PopReg(Reg::Rdi),
-            Inst::JeSkip(1),
-            Inst::CallStackChkFail,
-        ];
-        out.splice(site.start_index..site.start_index + site.len, replacement);
+    // Code 6 sequence.  `scan_function` reports sites in ascending order;
+    // replacements are applied back-to-front so earlier indices stay valid.
+    for site in sites.epilogues.iter().rev() {
+        out.splice(site.start_index..site.start_index + site.len, CODE6_EPILOGUE);
     }
     out
 }

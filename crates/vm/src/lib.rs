@@ -59,7 +59,7 @@ pub use inst::{FuncId, Inst};
 pub use machine::{Machine, NoHooks, RunStats, RuntimeHooks};
 pub use mem::Memory;
 pub use process::{Pid, Process};
-pub use program::Program;
+pub use program::{FunctionIds, NameHasher, Program};
 pub use reg::{Reg, RegisterFile};
 pub use snapshot::Snapshot;
 pub use tls::{

@@ -13,8 +13,14 @@
 //! (function by entry address, then instruction); that is how the
 //! interpreter's `ret` resolves a return address.  No per-instruction hash
 //! map is kept, and [`Program::finalize`] only lays out addresses.
+//!
+//! Function names are `Arc<str>`: [`Program::add_function`] keeps the
+//! `Arc` it is handed as both the function's name and its key in the
+//! [`FunctionIds`] name table, so a compiler that interns each name once
+//! per module adds functions without copying a single name.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::error::VmError;
@@ -24,6 +30,48 @@ use crate::inst::{FuncId, Inst};
 pub const CODE_BASE: u64 = 0x0040_0000;
 /// Alignment of function entry points.
 pub const FUNCTION_ALIGN: u64 = 16;
+
+/// A function-name table: name → [`FuncId`].  The table of every
+/// [`Program`], and the compiler's table of a module (ids in declaration
+/// order).
+pub type FunctionIds = HashMap<Arc<str>, FuncId, BuildHasherDefault<NameHasher>>;
+
+/// The hasher of [`FunctionIds`]: a multiply-rotate over 8-byte words (the
+/// `FxHash` scheme).  Function names come from the program's own builders
+/// and generators, not from an adversary, so they need no keyed hash, and
+/// a keyed SipHash costs more on a module's short names than the pairwise
+/// name check that the table replaced.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NameHasher(u64);
+
+impl NameHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// One function of a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +133,7 @@ impl Function {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     functions: Vec<Function>,
-    by_name: HashMap<String, FuncId>,
+    by_name: FunctionIds,
     entry: Option<FuncId>,
     /// Extra sections appended by the binary rewriter (name → size in bytes).
     extra_sections: Vec<(String, u64)>,
@@ -95,16 +143,24 @@ pub struct Program {
 impl Program {
     /// Creates an empty program.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty program with room for `functions` functions, so
+    /// adding them never grows the function list or the name table.
+    pub fn with_capacity(functions: usize) -> Self {
         Program {
-            functions: Vec::new(),
-            by_name: HashMap::new(),
+            functions: Vec::with_capacity(functions),
+            by_name: FunctionIds::with_capacity_and_hasher(functions, Default::default()),
             entry: None,
             extra_sections: Vec::new(),
             finalized: false,
         }
     }
 
-    /// Adds a function and returns its id.
+    /// Adds a function and returns its id.  The name is kept as given: an
+    /// `Arc<str>` becomes both the function's name and its table key
+    /// without a copy.
     ///
     /// # Errors
     ///
@@ -112,17 +168,17 @@ impl Program {
     /// name already exists.
     pub fn add_function(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         insts: Vec<Inst>,
     ) -> Result<FuncId, VmError> {
         let id = FuncId(self.functions.len());
         let slot = match self.by_name.entry(name.into()) {
             Entry::Occupied(taken) => {
-                return Err(VmError::DuplicateFunction { name: taken.key().clone() })
+                return Err(VmError::DuplicateFunction { name: taken.key().to_string() })
             }
             Entry::Vacant(slot) => slot,
         };
-        let name = Arc::from(slot.key().as_str());
+        let name = Arc::clone(slot.key());
         slot.insert(id);
         self.functions.push(Function { name, insts, entry_addr: 0, inst_addrs: Vec::new() });
         self.finalized = false;
@@ -297,6 +353,20 @@ mod tests {
         assert_eq!(prog.function_by_name("helper"), Some(helper));
         assert_eq!(prog.function_by_name("missing"), None);
         assert_eq!(prog.function(main).unwrap().name(), "main");
+    }
+
+    #[test]
+    fn add_function_keeps_the_arc_it_is_given() {
+        let name: Arc<str> = Arc::from("main");
+        let mut prog = Program::with_capacity(1);
+        let id = prog.add_function(Arc::clone(&name), tiny_function()).unwrap();
+        assert!(Arc::ptr_eq(&prog.function(id).unwrap().name_interned(), &name));
+        assert_eq!(prog.function_by_name("main"), Some(id));
+        assert_eq!(prog, {
+            let mut p = Program::new();
+            p.add_function("main", tiny_function()).unwrap();
+            p
+        });
     }
 
     #[test]

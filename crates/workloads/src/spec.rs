@@ -9,6 +9,8 @@
 //! end, long-running numeric kernels such as `470.lbm` at the other.  See
 //! DESIGN.md §2 for the substitution argument.
 
+use std::sync::Arc;
+
 use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
 use polycanary_compiler::OptLevel;
 use polycanary_vm::machine::Machine;
@@ -55,17 +57,22 @@ impl SpecProgram {
 
     /// Generates the program's MiniC module.
     pub fn module(&self) -> ModuleDef {
+        // Names are interned once per module: every call of a worker, and
+        // every cold function's local, shares one `Arc<str>`.
+        let workers: Vec<Arc<str>> =
+            (0..self.workers).map(|w| format!("worker_{w}").into()).collect();
+        let state: Arc<str> = Arc::from("state");
         let mut builder = ModuleBuilder::new();
         // The driver calls every worker `calls_per_worker` times.
         let mut main = FunctionBuilder::new("main").scalar("i");
-        for w in 0..self.workers {
+        for worker in &workers {
             for _ in 0..self.calls_per_worker {
-                main = main.call(format!("worker_{w}"));
+                main = main.call(Arc::clone(worker));
             }
         }
         builder = builder.function(main.returns(0).build());
-        for w in 0..self.workers {
-            let worker = FunctionBuilder::new(format!("worker_{w}"))
+        for worker in workers {
+            let worker = FunctionBuilder::new(worker)
                 .buffer("scratch", self.buffer_size)
                 .safe_copy("scratch")
                 .compute(self.body_cycles)
@@ -74,7 +81,7 @@ impl SpecProgram {
             builder = builder.function(worker);
         }
         for c in 0..self.cold_functions() {
-            let mut cold = FunctionBuilder::new(format!("cold_{c}")).scalar("state");
+            let mut cold = FunctionBuilder::new(format!("cold_{c}")).scalar(Arc::clone(&state));
             for _ in 0..24 {
                 cold = cold.compute(1);
             }

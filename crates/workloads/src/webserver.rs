@@ -16,6 +16,8 @@
 //! What Table III demonstrates is that the canary work is lost in the noise
 //! of the request path; the reproduction preserves exactly that ratio.
 
+use std::sync::Arc;
+
 use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
 use polycanary_core::record::Record;
 use polycanary_crypto::{Prng, SplitMix64};
@@ -73,19 +75,21 @@ impl ServerModel {
     pub fn module(&self) -> ModuleDef {
         let helpers = self.helpers();
         let per_helper = self.handler_cycles() / u64::from(helpers + 1);
+        // Each helper's name is made once and shared by its call.
+        let modules: Vec<Arc<str>> = (0..helpers).map(|h| format!("module_{h}").into()).collect();
         let mut builder = ModuleBuilder::new();
         let mut handler = FunctionBuilder::new("handle_request")
             .buffer("request_line", 128)
             .buffer("headers", 256)
             .safe_copy("request_line")
             .compute(per_helper);
-        for h in 0..helpers {
-            handler = handler.call(format!("module_{h}"));
+        for module in &modules {
+            handler = handler.call(Arc::clone(module));
         }
         builder = builder.function(handler.returns(200).build());
-        for h in 0..helpers {
+        for module in modules {
             builder = builder.function(
-                FunctionBuilder::new(format!("module_{h}"))
+                FunctionBuilder::new(module)
                     .buffer("scratch", 64)
                     .safe_copy("scratch")
                     .compute(per_helper)

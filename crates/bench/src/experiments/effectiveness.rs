@@ -1,12 +1,8 @@
 //! §VI-C — attack effectiveness.
 
-use std::fmt::Write as _;
+use std::time::Duration;
 
-use polycanary_attacks::campaign::{AttackKind, Campaign, CampaignReport};
-use polycanary_attacks::victim::Deployment;
-use polycanary_core::record::Record;
-use polycanary_core::scheme::SchemeKind;
-
+use super::campaigns::{cell_text, render_table, row_record, run_table, scheme_fleets};
 use super::{Experiment, ExperimentCtx, ScenarioOutput};
 
 /// The §VI-C scenario: per-scheme campaigns of all three attack strategies.
@@ -41,249 +37,135 @@ impl Experiment for Effectiveness {
          binary the paper measures."
     }
 
+    /// Every cell runs under [`ExperimentCtx::stop_rule`]: under the SPRT
+    /// each campaign ends as soon as its verdict is statistically proven,
+    /// spending fewer requests on unanimous cells for the same verdicts.
     fn run(&self, ctx: &ExperimentCtx) -> ScenarioOutput {
-        let rows = run_effectiveness(ctx, EFFECTIVENESS_SCHEMES);
-        ScenarioOutput::new(
-            format_effectiveness(&rows),
-            rows.iter().map(EffectivenessRow::record).collect(),
-        )
-    }
-}
-
-/// The schemes the registered effectiveness and server-attack scenarios
-/// campaign against.
-pub const EFFECTIVENESS_SCHEMES: &[SchemeKind] = &[
-    SchemeKind::Ssp,
-    SchemeKind::Pssp,
-    SchemeKind::PsspNt,
-    SchemeKind::PsspOwf,
-    SchemeKind::PsspBin32,
-];
-
-/// Result of the effectiveness experiment for one scheme: one multi-seed
-/// campaign per attack strategy.
-#[derive(Debug, Clone)]
-pub struct EffectivenessRow {
-    /// The scheme under attack.
-    pub scheme: SchemeKind,
-    /// Byte-by-byte campaign over all victim seeds.
-    pub byte_by_byte: CampaignReport,
-    /// Exhaustive campaign (bounded budget) over all victim seeds.
-    pub exhaustive: CampaignReport,
-    /// Canary-reuse campaign over all victim seeds.
-    pub reuse: CampaignReport,
-}
-
-impl EffectivenessRow {
-    /// The self-describing record form of this row — one nested campaign
-    /// record (including per-seed runs) per attack strategy.
-    pub fn record(&self) -> Record {
-        Record::new()
-            .field("scheme", self.scheme.name())
-            .field("deployment", self.byte_by_byte.deployment.label())
-            .field("byte_by_byte", self.byte_by_byte.record())
-            .field("exhaustive", self.exhaustive.record())
-            .field("reuse", self.reuse.record())
-    }
-}
-
-/// Default number of independent victim seeds per effectiveness campaign
-/// (the campaign engine's own default, re-exposed under the experiment's
-/// name so the two can never drift apart).
-pub const EFFECTIVENESS_SEEDS: usize = polycanary_attacks::campaign::DEFAULT_SEEDS;
-
-/// The deployment vehicle §VI-C measures for a scheme: `PsspBin32` *is* the
-/// binary-rewriter deployment (an SSP binary upgraded in place, keeping
-/// SSP's single 8-byte canary slot), so campaigning it under the compiler
-/// would measure the wrong binary; every other scheme ships via its
-/// compiler plugin.
-pub fn effectiveness_deployment(scheme: SchemeKind) -> Deployment {
-    if scheme == SchemeKind::PsspBin32 {
-        Deployment::BinaryRewriter
-    } else {
-        Deployment::Compiler
-    }
-}
-
-/// Runs the §VI-C effectiveness experiment for the given schemes.
-///
-/// Every (scheme, attack) cell is a [`Campaign`] over
-/// [`ExperimentCtx::campaign_seeds`] independent victim seeds derived from
-/// the context seed, fanned out over the shared pool (scheme rows in
-/// parallel, campaign seeds on nested workers), so the reported numbers are
-/// a distribution rather than a single-seed anecdote.  Under the SPRT
-/// [`ExperimentCtx::stop_rule`] each campaign ends as soon as its verdict
-/// is statistically proven, spending strictly fewer requests on unanimous
-/// cells while reaching the same verdicts as the exhaustive run.
-pub fn run_effectiveness(ctx: &ExperimentCtx, schemes: &[SchemeKind]) -> Vec<EffectivenessRow> {
-    let (seed, seeds) = (ctx.seed, ctx.campaign_seeds.max(1));
-    let pool = ctx.pool();
-    let campaign_workers = pool.nested_workers(schemes.len());
-    pool.run(schemes, |_, &scheme| {
-        let campaign = |attack: AttackKind, base: u64| {
-            Campaign::new(attack, scheme)
-                .with_deployment(effectiveness_deployment(scheme))
-                .with_seed_range(base, seeds)
-                .with_stop_rule(ctx.stop_rule)
-                .with_workers(campaign_workers)
-                .run()
-        };
-        EffectivenessRow {
-            scheme,
-            byte_by_byte: campaign(AttackKind::ByteByByte { budget: ctx.byte_budget }, seed),
-            exhaustive: campaign(AttackKind::Exhaustive { budget: 500 }, seed ^ 1),
-            reuse: campaign(AttackKind::Reuse, seed ^ 2),
+        let (fleets, seeds) = (scheme_fleets(), ctx.campaign_seeds.max(1));
+        let rows = run_table(ctx, &fleets, 3, seeds, &[ctx.stop_rule]);
+        let (mut lines, mut records) = (Vec::new(), Vec::new());
+        for (fleet, cells) in fleets.iter().zip(&rows) {
+            let wall: Duration = cells.iter().flatten().map(|report| report.wall_time).sum();
+            let mut line = vec![fleet.label().to_string()];
+            line.extend(cells.iter().map(|cell| cell_text(cell)));
+            line.push(format!("{:.1}", wall.as_secs_f64() * 1_000.0));
+            lines.push(line);
+            records.push(row_record(fleet, cells, vec![]));
         }
-    })
-}
-
-/// Renders one campaign cell: success rate plus the request-count spread.
-pub(crate) fn format_campaign_cell(report: &CampaignReport) -> String {
-    let rate = format!("{}/{}", report.successes(), report.campaigns());
-    match report.success_trial_stats() {
-        Some(stats) => format!(
-            "breaks {rate}, {:.0}±{:.0} reqs (med {}, p95 {}, max {})",
-            stats.mean, stats.std_dev, stats.median, stats.p95, stats.max
-        ),
-        None => {
-            let trials = report.trial_stats().map(|s| s.median).unwrap_or(0);
-            format!("fails {rate} (median {trials} reqs)")
-        }
+        let headings = ["Scheme", "byte-by-byte", "exhaustive (500)", "canary reuse", "wall (ms)"];
+        let caption = format!("per-scheme campaigns over {seeds} independent victim seeds");
+        ScenarioOutput::new(render_table(&caption, &headings, &lines), records)
     }
-}
-
-/// Renders the effectiveness experiment.
-pub fn format_effectiveness(rows: &[EffectivenessRow]) -> String {
-    let mut out = String::new();
-    let seeds = rows.first().map(|r| r.byte_by_byte.configured_seeds as u64).unwrap_or(0);
-    let _ = writeln!(out, "per-scheme campaigns over {seeds} independent victim seeds");
-    let _ = writeln!(
-        out,
-        "{:<12} {:<52} {:<34} {:<30} {:>10}",
-        "Scheme", "byte-by-byte", "exhaustive (500)", "canary reuse", "wall (ms)"
-    );
-    for row in rows {
-        let wall_ms = (row.byte_by_byte.wall_time + row.exhaustive.wall_time + row.reuse.wall_time)
-            .as_secs_f64()
-            * 1_000.0;
-        let _ = writeln!(
-            out,
-            "{:<12} {:<52} {:<34} {:<30} {:>10.1}",
-            row.scheme.name(),
-            format_campaign_cell(&row.byte_by_byte),
-            format_campaign_cell(&row.exhaustive),
-            format_campaign_cell(&row.reuse),
-            wall_ms
-        );
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::campaigns::test_support::{ctx, nested};
+    use crate::experiments::campaigns::{both_rules, effectiveness_deployment};
+    use polycanary_analysis::scrub::{scrub, scrub_all};
     use polycanary_attacks::campaign::{StopRule, Verdict};
-
-    fn ctx(seed: u64, budget: u64, seeds: usize) -> ExperimentCtx {
-        ExperimentCtx::new(seed).with_byte_budget(budget).with_campaign_seeds(seeds)
-    }
+    use polycanary_attacks::server::ForkingServer;
+    use polycanary_attacks::victim::{Deployment, VictimConfig};
+    use polycanary_core::record::Value;
+    use polycanary_core::scheme::SchemeKind;
 
     #[test]
     fn effectiveness_rows_separate_ssp_from_pssp() {
-        let rows = run_effectiveness(&ctx(11, 4_000, 8), &[SchemeKind::Ssp, SchemeKind::Pssp]);
-        let ssp = &rows[0];
-        let pssp = &rows[1];
+        let rows =
+            run_table(&ctx(11, 4_000, 8), &scheme_fleets()[..2], 3, 8, &[StopRule::Exhaustive]);
+        let [ssp, pssp] =
+            [&rows[0], &rows[1]].map(|row| row.iter().map(|cell| &cell[0]).collect::<Vec<_>>());
         // The campaign verdicts must hold in *every* seed, not on average.
-        assert!(ssp.byte_by_byte.all_succeeded(), "SSP falls in every seed");
-        assert!(pssp.byte_by_byte.none_succeeded(), "P-SSP survives every seed");
-        assert!(ssp.exhaustive.none_succeeded() && pssp.exhaustive.none_succeeded());
-        assert!(ssp.reuse.all_succeeded() && pssp.reuse.all_succeeded());
+        assert!(ssp[0].all_succeeded(), "SSP falls in every seed");
+        assert!(pssp[0].none_succeeded(), "P-SSP survives every seed");
+        assert!(ssp[1].none_succeeded() && pssp[1].none_succeeded());
+        assert!(ssp[2].all_succeeded() && pssp[2].all_succeeded());
         // The request-count distribution matches the ~8·2⁷ analysis of §II-B.
-        let stats = ssp.byte_by_byte.success_trial_stats().expect("all succeeded");
+        let stats = ssp[0].success_trial_stats().expect("all succeeded");
         assert!(stats.mean > 64.0 && stats.max <= 8 * 256 + 1, "{stats}");
-        let rendered = format_effectiveness(&rows);
-        assert!(rendered.contains("8 independent victim seeds"));
-        assert!(rendered.contains("breaks 8/8"));
-        assert!(rendered.contains("fails 0/8"));
+        let text = Effectiveness.run(&ctx(11, 4_000, 8)).text;
+        assert!(text.contains("8 independent victim seeds"), "{text}");
+        assert!(text.contains("breaks 8/8"), "{text}");
+        assert!(text.contains("fails 0/8"), "{text}");
     }
 
     #[test]
     fn effectiveness_campaigns_are_reproducible_and_worker_independent() {
         let base = ctx(3, 3_000, 4);
-        let once = run_effectiveness(&base.clone().with_workers(1), &[SchemeKind::Ssp]);
-        let twice = run_effectiveness(&base.with_workers(8), &[SchemeKind::Ssp]);
-        assert_eq!(once[0].byte_by_byte.runs, twice[0].byte_by_byte.runs);
-        assert_eq!(once[0].exhaustive.runs, twice[0].exhaustive.runs);
-        assert_eq!(once[0].reuse.runs, twice[0].reuse.runs);
+        let fleets = &scheme_fleets()[..1];
+        let rules = [StopRule::Exhaustive];
+        let once = run_table(&base.clone().with_workers(1), fleets, 3, 4, &rules);
+        let twice = run_table(&base.clone().with_workers(8), fleets, 3, 4, &rules);
+        for (a, b) in once[0].iter().zip(&twice[0]) {
+            assert_eq!(a[0].runs, b[0].runs, "{}", a[0].attack);
+        }
+        // The scenario's records are as reproducible as its table.
+        let records =
+            |workers| scrub_all(&Effectiveness.run(&base.clone().with_workers(workers)).records);
+        assert_eq!(records(1), records(8));
     }
 
     #[test]
     fn pssp_bin32_effectiveness_campaigns_attack_the_rewritten_binary() {
-        use polycanary_attacks::victim::{ForkingServer, VictimConfig};
-
         // Regression: the §VI-C PsspBin32 row must attack the rewriter
         // deployment, not a compiler-deployed victim.
         assert_eq!(effectiveness_deployment(SchemeKind::PsspBin32), Deployment::BinaryRewriter);
         assert_eq!(effectiveness_deployment(SchemeKind::Pssp), Deployment::Compiler);
 
-        let rows = run_effectiveness(&ctx(3, 2_000, 4), &[SchemeKind::PsspBin32]);
-        let row = &rows[0];
-        for report in [&row.byte_by_byte, &row.exhaustive, &row.reuse] {
-            assert_eq!(report.deployment, Deployment::BinaryRewriter, "{}", report.attack);
+        let bin32 = &scheme_fleets()[4..];
+        assert_eq!(bin32[0].label(), SchemeKind::PsspBin32.name());
+        let rows = run_table(&ctx(3, 2_000, 4), bin32, 3, 4, &[StopRule::Exhaustive]);
+        for cell in &rows[0] {
+            assert_eq!(cell[0].deployment, Deployment::BinaryRewriter, "{}", cell[0].attack);
         }
         // The campaigned geometry is SSP's single-slot layout: the rewriter
         // keeps one 8-byte canary region (vs 16 for compiler-built P-SSP).
-        for run in &row.byte_by_byte.runs {
+        let byte_by_byte = &rows[0][0][0];
+        for run in &byte_by_byte.runs {
             let victim = VictimConfig::new(SchemeKind::PsspBin32, run.seed)
                 .with_deployment(Deployment::BinaryRewriter);
             assert_eq!(ForkingServer::new(victim).geometry().canary_region_len, 8);
         }
         // And the rewritten binary still resists the byte-by-byte attack.
-        assert!(row.byte_by_byte.none_succeeded(), "{:?}", row.byte_by_byte);
+        assert!(byte_by_byte.none_succeeded(), "{byte_by_byte:?}");
     }
 
     #[test]
     fn adaptive_effectiveness_agrees_with_exhaustive_on_verdicts() {
-        let schemes = [SchemeKind::Ssp, SchemeKind::Pssp];
-        let exhaustive = run_effectiveness(&ctx(5, 3_000, 8), &schemes);
-        let adaptive =
-            run_effectiveness(&ctx(5, 3_000, 8).with_stop_rule(StopRule::sprt()), &schemes);
-        for (e, a) in exhaustive.iter().zip(&adaptive) {
-            for (full, early) in [
-                (&e.byte_by_byte, &a.byte_by_byte),
-                (&e.exhaustive, &a.exhaustive),
-                (&e.reuse, &a.reuse),
-            ] {
-                assert_eq!(full.verdict(), early.verdict(), "{} {}", e.scheme, full.attack);
-                // Every cell is unanimous: SPRT settles on a 3-victim prefix.
-                assert_eq!(early.runs[..], full.runs[..3], "{} {}", e.scheme, full.attack);
+        // Both rules per cell: every cell is unanimous, so the SPRT settles
+        // on a 3-victim prefix of the exhaustive runs with the same verdict
+        // and strictly fewer requests.
+        let rows = run_table(&ctx(5, 3_000, 8), &scheme_fleets()[..2], 3, 8, &both_rules());
+        for cell in rows.iter().flatten() {
+            let [sprt, full] = [&cell[0], &cell[1]];
+            let label = format!("{} {}", full.scheme, full.attack);
+            assert_eq!(sprt.stop_rule, StopRule::sprt(), "{label}");
+            assert_eq!(sprt.verdict(), full.verdict(), "{label}");
+            assert_eq!(sprt.runs[..], full.runs[..3], "{label}");
+            assert!(sprt.total_requests() < full.total_requests(), "{label}");
+        }
+        assert_eq!(rows[0][0][1].verdict(), Verdict::Breaks);
+        // Under an SPRT context the scenario exports exactly those SPRT
+        // campaigns.
+        let adaptive = Effectiveness.run(&ctx(5, 3_000, 8).with_stop_rule(StopRule::sprt()));
+        for (record, row) in adaptive.records.iter().zip(&rows) {
+            for (column, cell) in ["byte_by_byte", "exhaustive", "reuse"].into_iter().zip(row) {
+                assert_eq!(scrub(nested(record, column)), scrub(&cell[0].record()), "{column}");
             }
         }
-        assert_eq!(exhaustive[0].byte_by_byte.verdict(), Verdict::Breaks);
-        // Unanimous cells settle after three victims, so the adaptive run
-        // spends strictly fewer requests.
-        let requests = |rows: &[EffectivenessRow]| -> u64 {
-            rows.iter()
-                .map(|r| {
-                    r.byte_by_byte.total_requests()
-                        + r.exhaustive.total_requests()
-                        + r.reuse.total_requests()
-                })
-                .sum()
-        };
-        assert!(requests(&adaptive) < requests(&exhaustive));
     }
 
     #[test]
     fn effectiveness_records_nest_per_seed_runs() {
-        use polycanary_core::record::Value;
-
-        let eff = run_effectiveness(&ctx(3, 3_000, 4), &[SchemeKind::Ssp]);
-        let rec = eff[0].record();
-        let Some(Value::Record(byte)) = rec.get("byte_by_byte") else {
-            panic!("nested campaign record: {rec:?}")
-        };
-        let Some(Value::List(runs)) = byte.get("runs") else { panic!("per-seed runs") };
-        assert_eq!(runs.len(), 4);
+        // Every cell nests one campaign record with its per-seed runs.
+        let records = Effectiveness.run(&ctx(3, 3_000, 4)).records;
+        assert_eq!(records[0].get("scheme"), Some(&Value::Str("SSP".into())));
+        for column in ["byte_by_byte", "exhaustive", "reuse"] {
+            let Some(Value::List(runs)) = nested(&records[0], column).get("runs") else {
+                panic!("per-seed runs")
+            };
+            assert_eq!(runs.len(), 4, "{column}");
+        }
     }
 }

@@ -2,7 +2,10 @@
 //! registered [`Experiment`].
 //!
 //! Each scenario lives in its own module (one per paper artefact, plus the
-//! mixed-fleet [`population`] scenario that goes beyond the paper) and
+//! mixed-fleet [`population`] scenario that goes beyond the paper).  The
+//! three campaign scenarios — [`effectiveness`], [`server_attack`] and
+//! [`population`] — are thin modules over one shared table runner in
+//! [`campaigns`].  Every scenario
 //! implements the [`Experiment`] trait — name, title, description and a
 //! `run` consuming one shared [`ExperimentCtx`].  The [`registry`] is the
 //! single source of truth the harness CLI derives its usage text,
@@ -21,6 +24,7 @@ use polycanary_compiler::OptLevel;
 use polycanary_core::record::Record;
 
 pub mod ablation;
+pub mod campaigns;
 pub mod effectiveness;
 pub mod fig5;
 pub mod population;
@@ -33,6 +37,7 @@ pub mod table5;
 pub mod theorem1;
 
 pub use ablation::*;
+pub use campaigns::*;
 pub use effectiveness::*;
 pub use fig5::*;
 pub use population::*;

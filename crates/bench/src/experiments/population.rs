@@ -1,23 +1,19 @@
 //! Mixed-population campaigns: partially patched fleets (beyond the paper).
-//!
-//! Every paper table campaigns a *unanimous* fleet, whose empirical success
-//! rate is 0 or 1 — the easiest case for any stop rule.  This scenario
-//! attacks weighted mixes of patched (P-SSP) and static-canary (SSP)
-//! servers, producing in-between success rates that genuinely exercise the
-//! sequential rule — SPRT's 0.2/0.8 indifference region and its α/β error
-//! budget — against the exhaustive Wilson test's inconclusive band around
-//! 1/2.
 
-use std::fmt::Write as _;
-
-use polycanary_attacks::campaign::{AttackKind, Campaign, CampaignReport, StopRule};
-use polycanary_attacks::population::Population;
-use polycanary_core::record::Record;
-use polycanary_core::scheme::SchemeKind;
-
-use super::{Experiment, ExperimentCtx, ScenarioOutput, StopRuleComparison};
+use super::campaigns::{
+    both_rules, cell_text, fleet_output, population_fleets, render_table, row_record, run_table,
+};
+use super::{Experiment, ExperimentCtx, ScenarioOutput};
 
 /// The mixed-population scenario.
+///
+/// Every paper table campaigns a *unanimous* fleet, whose empirical success
+/// rate is 0 or 1 — the easiest case for any stop rule.  This scenario
+/// attacks weighted mixes of patched (P-SSP) and static-canary (SSP)
+/// servers, producing in-between success rates that genuinely exercise the
+/// sequential rule — SPRT's 0.2/0.8 indifference region and its α/β error
+/// budget — against the exhaustive Wilson test's inconclusive band around
+/// 1/2.
 pub struct MixedPopulation;
 
 impl Experiment for MixedPopulation {
@@ -46,282 +42,113 @@ impl Experiment for MixedPopulation {
          working as designed)."
     }
 
+    /// The byte-by-byte column under both stop rules, plus the exhaustive
+    /// campaign's empirical success rate — the ground truth the SPRT
+    /// approximates.  A unanimous cell is characterized by any handful of
+    /// victims; a mixed fleet needs enough independent draws for its
+    /// empirical rate to resemble the configured weights, so this scenario
+    /// doubles the configured campaign width.
     fn run(&self, ctx: &ExperimentCtx) -> ScenarioOutput {
-        if let Some(fleet) = ctx.fleet {
-            let rows = run_population_fleet(ctx, fleet);
-            return ScenarioOutput::new(
-                format_population_fleet(&rows),
-                rows.iter().map(FleetRow::record).collect(),
-            );
+        let fleets = population_fleets();
+        if let Some(size) = ctx.fleet {
+            return fleet_output(ctx, &fleets, size, "victims per fleet");
         }
-        let rows = run_population(ctx);
+        let seeds = ctx.campaign_seeds.max(1) * 2;
+        let rows = run_table(ctx, &fleets, 1, seeds, &both_rules());
+        let (mut lines, mut records) = (Vec::new(), Vec::new());
+        for (fleet, cells) in fleets.iter().zip(&rows) {
+            let rate = cells[0][1].success_rate();
+            let mut line = vec![fleet.label().to_string(), format!("{rate:.2}")];
+            line.extend(cells.iter().map(|cell| cell_text(cell)));
+            lines.push(line);
+            records.push(row_record(fleet, cells, vec![("exhaustive_success_rate", rate.into())]));
+        }
+        let caption = format!(
+            "byte-by-byte campaigns against mixed fleets over {seeds} victim seeds; \
+             cells are `verdict victims/connections` under sprt | exhaustive"
+        );
         ScenarioOutput::new(
-            format_population(&rows),
-            rows.iter().map(PopulationRow::record).collect(),
+            render_table(&caption, &["Fleet", "rate", "byte-by-byte"], &lines),
+            records,
         )
     }
-}
-
-/// The fleets the registered scenario campaigns against, from almost-fully
-/// patched (attack mostly fails) through an even split (maximally
-/// ambiguous) to mostly static (attack mostly succeeds).
-pub fn population_fleets() -> Vec<Population> {
-    vec![
-        Population::mixed("patched-90/10", [(9, SchemeKind::Pssp), (1, SchemeKind::Ssp)]),
-        Population::mixed("patched-70/30", [(7, SchemeKind::Pssp), (3, SchemeKind::Ssp)]),
-        Population::mixed("half-half-50/50", [(1, SchemeKind::Pssp), (1, SchemeKind::Ssp)]),
-        Population::mixed("static-70/30", [(3, SchemeKind::Pssp), (7, SchemeKind::Ssp)]),
-    ]
-}
-
-/// One row of the mixed-population experiment: a fleet and the byte-by-byte
-/// campaign against it under both stop rules.
-#[derive(Debug, Clone)]
-pub struct PopulationRow {
-    /// The victim fleet.
-    pub population: Population,
-    /// The byte-by-byte attack under both stop rules.
-    pub byte_by_byte: StopRuleComparison,
-}
-
-impl PopulationRow {
-    /// Empirical success rate of the full (exhaustive-rule) campaign — the
-    /// ground truth the SPRT approximates.
-    pub fn exhaustive_rate(&self) -> f64 {
-        self.byte_by_byte.exhaustive.success_rate()
-    }
-
-    /// The self-describing record form of this row, for JSON/CSV export.
-    pub fn record(&self) -> Record {
-        Record::new()
-            .field("population", self.population.label())
-            .field("population_mix", self.population.record())
-            .field("exhaustive_success_rate", self.exhaustive_rate())
-            .field("byte_by_byte", self.byte_by_byte.record())
-    }
-}
-
-/// Runs the mixed-population experiment: every fleet in
-/// [`population_fleets`] is campaigned with the byte-by-byte attack over
-/// [`ExperimentCtx::campaign_seeds`] victim seeds under both stop rules.
-/// Fleet rows fan out over the shared pool; every cell is
-/// deterministic in the context and independent of the worker count.
-pub fn run_population(ctx: &ExperimentCtx) -> Vec<PopulationRow> {
-    let fleets = population_fleets();
-    // A unanimous cell is characterized by any handful of victims; a mixed
-    // fleet needs enough independent draws for its empirical rate to
-    // resemble the configured weights, so this scenario doubles the
-    // configured campaign width.
-    let (seed, seeds) = (ctx.seed, ctx.campaign_seeds.max(1) * 2);
-    let byte_budget = ctx.byte_budget;
-    let pool = ctx.pool();
-    let campaign_workers = pool.nested_workers(fleets.len());
-    pool.run(&fleets, |_, fleet| PopulationRow {
-        population: fleet.clone(),
-        byte_by_byte: StopRuleComparison::run(
-            &Campaign::against(AttackKind::ByteByByte { budget: byte_budget }, fleet.clone())
-                .with_seed_range(seed, seeds)
-                .with_workers(campaign_workers),
-        ),
-    })
-}
-
-/// Renders the mixed-population experiment: per fleet, the empirical rate
-/// and the per-rule `verdict victims/connections` cells.
-pub fn format_population(rows: &[PopulationRow]) -> String {
-    let mut out = String::new();
-    let seeds = rows.first().map(|r| r.byte_by_byte.exhaustive.configured_seeds).unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "byte-by-byte campaigns against mixed fleets over {seeds} victim seeds; \
-         cells are `verdict victims/connections` under sprt | exhaustive"
-    );
-    let _ = writeln!(out, "{:<18} {:>10} {:<64}", "Fleet", "rate", "byte-by-byte");
-    for row in rows {
-        let cmp = &row.byte_by_byte;
-        let cells = format!(
-            "{} | {}{}",
-            StopRuleComparison::cell(&cmp.sprt),
-            StopRuleComparison::cell(&cmp.exhaustive),
-            if cmp.verdicts_agree() { "" } else { "  (SPRT differs)" }
-        );
-        let _ = writeln!(
-            out,
-            "{:<18} {:>10.2} {:<64}",
-            row.population.label(),
-            row.exhaustive_rate(),
-            cells
-        );
-    }
-    out
-}
-
-/// One fleet-mode row: a population campaigned at fleet scale under the
-/// SPRT stop rule.  Fleet mode is SPRT-only by design — an exhaustive
-/// campaign over 10^5 victims would attack them all, while SPRT's expected
-/// sample size stays in the single digits whatever the fleet size.
-#[derive(Debug, Clone)]
-pub struct FleetRow {
-    /// The victim fleet.
-    pub population: Population,
-    /// The SPRT byte-by-byte campaign over the whole fleet.
-    pub report: CampaignReport,
-}
-
-impl FleetRow {
-    /// The self-describing record form of this row — including the
-    /// snapshot-reuse and shard counters the fleet engine exists for.
-    /// Every field is deterministic (worker-count independent).
-    pub fn record(&self) -> Record {
-        Record::new()
-            .field("population", self.population.label())
-            .field("population_mix", self.population.record())
-            .field("fleet", self.report.configured_seeds)
-            .field("completed_seeds", self.report.runs.len())
-            .field("victims_cancelled", self.report.victims_cancelled())
-            .field("stopped_early", self.report.stopped_early())
-            .field("verdict", self.report.verdict().label())
-            .field("success_rate", self.report.success_rate())
-            .field("total_requests", self.report.total_requests())
-            .field("shard_size", self.report.shard_size)
-            .field("snapshot_configs", self.report.snapshot_configs())
-            .field("snapshot_reuses", self.report.snapshot_reuses())
-    }
-}
-
-/// Runs the fleet-mode population experiment: every fleet in
-/// [`population_fleets`] is campaigned with the byte-by-byte attack over
-/// `fleet_size` lazily drawn victim seeds under [`StopRule::sprt`].  The
-/// sequential rule settles after a handful of victims and cancels the
-/// rest, so 10^5+ victims complete in seconds; the reported rows are
-/// byte-identical at any worker count.
-pub fn run_population_fleet(ctx: &ExperimentCtx, fleet_size: usize) -> Vec<FleetRow> {
-    let fleets = population_fleets();
-    let (seed, byte_budget) = (ctx.seed, ctx.byte_budget);
-    let pool = ctx.pool();
-    let campaign_workers = pool.nested_workers(fleets.len());
-    pool.run(&fleets, |_, fleet| FleetRow {
-        population: fleet.clone(),
-        report: Campaign::against(AttackKind::ByteByByte { budget: byte_budget }, fleet.clone())
-            .with_seed_range(seed, fleet_size)
-            .with_stop_rule(StopRule::sprt())
-            .with_workers(campaign_workers)
-            .run(),
-    })
-}
-
-/// Renders the fleet-mode population experiment: per fleet, the verdict,
-/// how few victims the SPRT rule actually attacked, and the snapshot
-/// reuse behind them.
-pub fn format_population_fleet(rows: &[FleetRow]) -> String {
-    let mut out = String::new();
-    let fleet = rows.first().map(|r| r.report.configured_seeds).unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "SPRT byte-by-byte fleet campaigns over {fleet} victims per fleet; \
-         snapshots are shared per victim configuration"
-    );
-    let _ = writeln!(
-        out,
-        "{:<18} {:>12} {:>10} {:>12} {:>10} {:>10}",
-        "Fleet", "verdict", "attacked", "cancelled", "configs", "reuses"
-    );
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "{:<18} {:>12} {:>10} {:>12} {:>10} {:>10}",
-            row.population.label(),
-            row.report.verdict().label(),
-            row.report.campaigns(),
-            row.report.victims_cancelled(),
-            row.report.snapshot_configs(),
-            row.report.snapshot_reuses(),
-        );
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::campaigns::test_support::{ctx, nested, settle_fleets_at_scale};
+    use polycanary_analysis::scrub::{scrub, scrub_all};
+    use polycanary_core::record::Value;
 
     #[test]
     fn population_rows_cover_the_configured_fleets() {
-        let rows =
-            run_population(&ExperimentCtx::new(7).with_byte_budget(2_600).with_campaign_seeds(6));
-        assert_eq!(rows.len(), population_fleets().len());
-        for row in &rows {
-            assert!(!row.population.is_uniform(), "{}", row.population.label());
-            // Mixed fleets run twice the configured campaign width.
-            let cmp = &row.byte_by_byte;
-            assert_eq!(cmp.exhaustive.campaigns(), 12);
+        let output = MixedPopulation.run(&ctx(7, 2_600, 6));
+        let rows = run_table(&ctx(7, 2_600, 6), &population_fleets(), 1, 12, &both_rules());
+        assert_eq!(output.records.len(), population_fleets().len());
+        for (record, row) in output.records.iter().zip(&rows) {
+            // Mixed fleets run twice the configured campaign width, and the
+            // scenario's records are exactly the table's.
+            let [sprt, full] = [&row[0][0], &row[0][1]];
+            assert!(!full.population.is_uniform(), "{}", full.population.label());
+            assert_eq!(full.campaigns(), 12);
+            let rate = ("exhaustive_success_rate", full.success_rate().into());
+            assert_eq!(scrub(record), scrub(&row_record(&full.population, row, vec![rate])));
             // The SPRT runs are a prefix of the exhaustive ones.
-            assert_eq!(cmp.sprt.runs[..], cmp.exhaustive.runs[..cmp.sprt.runs.len()]);
-            assert!(cmp.sprt.total_requests() <= cmp.exhaustive.total_requests());
+            assert_eq!(sprt.runs[..], full.runs[..sprt.runs.len()]);
+            assert!(sprt.total_requests() <= full.total_requests());
         }
-        let rendered = format_population(&rows);
-        assert!(rendered.contains("half-half-50/50"), "{rendered}");
-        assert!(rendered.contains("12 victim seeds"), "{rendered}");
+        assert!(output.text.contains("half-half-50/50"), "{}", output.text);
+        assert!(output.text.contains("12 victim seeds"), "{}", output.text);
     }
 
     #[test]
     fn population_rows_are_worker_count_independent() {
-        let ctx = ExperimentCtx::new(5).with_byte_budget(2_600).with_campaign_seeds(5);
-        let once = run_population(&ctx.clone().with_workers(1));
-        let twice = run_population(&ctx.with_workers(8));
-        assert_eq!(once.len(), twice.len());
+        let base = ctx(5, 2_600, 5);
+        let fleets = population_fleets();
+        let once = run_table(&base.clone().with_workers(1), &fleets, 1, 10, &both_rules());
+        let twice = run_table(&base.clone().with_workers(8), &fleets, 1, 10, &both_rules());
         for (a, b) in once.iter().zip(&twice) {
-            assert_eq!(a.byte_by_byte.sprt.runs, b.byte_by_byte.sprt.runs);
-            assert_eq!(a.byte_by_byte.exhaustive.runs, b.byte_by_byte.exhaustive.runs);
+            assert_eq!(a[0][0].runs, b[0][0].runs, "{}", a[0][0].population.label());
+            assert_eq!(a[0][1].runs, b[0][1].runs, "{}", a[0][1].population.label());
         }
+        let records =
+            |workers| scrub_all(&MixedPopulation.run(&base.clone().with_workers(workers)).records);
+        assert_eq!(records(1), records(8));
     }
 
     #[test]
     fn fleet_mode_completes_at_scale_and_is_worker_count_independent() {
-        let ctx = ExperimentCtx::new(11).with_byte_budget(2_600).with_fleet(100_000);
-        let serial = run_population_fleet(&ctx.clone().with_workers(1), 100_000);
-        let parallel = run_population_fleet(&ctx.with_workers(8), 100_000);
-        assert_eq!(serial.len(), population_fleets().len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.report.runs, b.report.runs, "{}", a.population.label());
-            assert_eq!(a.record(), b.record(), "{}", a.population.label());
-            assert_eq!(a.report.configured_seeds, 100_000);
-            // SPRT settles after a handful of victims; the rest of the
-            // fleet is never attacked (or even constructed).
-            assert!(a.report.stopped_early(), "{}", a.population.label());
-            assert!(a.report.campaigns() < 100, "{}", a.population.label());
+        let (records, text) =
+            settle_fleets_at_scale(&MixedPopulation, &population_fleets(), 11, 2_600);
+        for (record, fleet) in records.iter().zip(population_fleets()) {
+            assert_eq!(record.get("population"), Some(&Value::Str(fleet.label().into())));
         }
+        assert!(text.contains("100000 victims per fleet"), "{text}");
     }
 
     #[test]
     fn fleet_records_export_snapshot_and_shard_counters() {
-        use polycanary_core::record::Value;
-
         let ctx = ExperimentCtx::new(9).with_byte_budget(2_600).with_fleet(10_000);
-        let rows = run_population_fleet(&ctx, 10_000);
-        let rec = rows[0].record();
+        let output = MixedPopulation.run(&ctx);
+        let rec = &output.records[0];
         assert_eq!(rec.get("fleet"), Some(&Value::UInt(10_000)));
-        assert!(rec.get("shard_size").is_some(), "{rec:?}");
-        assert!(rec.get("snapshot_configs").is_some(), "{rec:?}");
-        assert!(rec.get("snapshot_reuses").is_some(), "{rec:?}");
-        assert!(rec.get("victims_cancelled").is_some(), "{rec:?}");
-        let rendered = format_population_fleet(&rows);
-        assert!(rendered.contains("10000 victims per fleet"), "{rendered}");
-        assert!(rendered.contains("cancelled"), "{rendered}");
+        for counter in ["shard_size", "snapshot_configs", "snapshot_reuses", "victims_cancelled"] {
+            assert!(rec.get(counter).is_some(), "{counter}: {rec:?}");
+        }
+        assert!(output.text.contains("10000 victims per fleet"), "{}", output.text);
+        assert!(output.text.contains("cancelled"), "{}", output.text);
     }
 
     #[test]
     fn population_records_label_the_fleet_mix() {
-        use polycanary_core::record::Value;
-
-        let rows =
-            run_population(&ExperimentCtx::new(3).with_byte_budget(2_600).with_campaign_seeds(4));
-        let rec = rows[0].record();
-        assert_eq!(rec.get("population"), Some(&Value::Str("patched-90/10".into())));
-        let Some(Value::Record(mix)) = rec.get("population_mix") else {
-            panic!("fleet mix must nest: {rec:?}")
+        // Mixed fleets are keyed by their label and member mix.
+        let records = MixedPopulation.run(&ctx(3, 2_600, 4)).records;
+        assert_eq!(records[0].get("population"), Some(&Value::Str("patched-90/10".into())));
+        let Some(Value::List(members)) = nested(&records[0], "population_mix").get("members")
+        else {
+            panic!("members nest")
         };
-        let Some(Value::List(members)) = mix.get("members") else { panic!("members nest") };
         assert_eq!(members.len(), 2);
     }
 }

@@ -518,7 +518,7 @@ pub fn lattices() -> &'static [Lattice] {
                          byte-by-byte breaks exactly the single-canary schemes at \
                          ~8\u{b7}2\u{2077} expected requests regardless of buffer size, and \
                          the SPRT reaches the exhaustive verdict in every cell",
-            build: rollout_guarded_matrix,
+            build: matrix_set,
         },
         Lattice {
             name: "rollout",
@@ -531,15 +531,6 @@ pub fn lattices() -> &'static [Lattice] {
             build: rollout_set,
         },
     ]
-}
-
-/// `matrix` with its guard spelled out: the product is already
-/// well-formed, but the explicit filter documents (and pins) that the
-/// lattice never relies on `cells()` dropping rewriter cells silently.
-fn rollout_guarded_matrix(gen_seed: u64) -> ScenarioSet {
-    matrix_set(gen_seed).filter(|cell| {
-        cell.deployment == Deployment::Compiler || cell.scheme == SchemeKind::PsspBin32
-    })
 }
 
 /// Looks up a lattice by CLI name.
@@ -801,7 +792,11 @@ mod tests {
         assert_eq!(names, vec!["smoke", "matrix", "rollout"]);
         assert_eq!(find_lattice("smoke").unwrap().cells(7).len(), 6);
         // The acceptance lattice: >= 48 cells, every combination well-formed.
-        let matrix = find_lattice("matrix").unwrap().cells(7);
+        // Every frag of `matrix` is well-formed: it never relies on
+        // `cells()` dropping one.
+        let matrix = find_lattice("matrix").unwrap();
+        assert_eq!(matrix.set(7).len(), 60);
+        let matrix = matrix.cells(7);
         assert_eq!(matrix.len(), 60);
         assert!(matrix.len() >= 48);
         let rollout = find_lattice("rollout").unwrap().cells(7);

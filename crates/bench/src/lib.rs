@@ -3,13 +3,14 @@
 //!
 //! The [`experiments`] module is a **scenario engine**: every paper
 //! artefact (and every extension, like the mixed-fleet `population`
-//! scenario) is one module implementing the [`experiments::Experiment`]
-//! trait and registered once in [`experiments::registry`].  The `harness`
+//! scenario) implements the [`experiments::Experiment`] trait and is
+//! registered once in [`experiments::registry`], each in a module of its
+//! own; the three campaign scenarios share the table runner in
+//! [`experiments::campaigns`].  The `harness`
 //! binary derives its usage text, argument validation, dispatch and
 //! JSON/CSV export loop from that registry, so a scenario cannot exist
-//! half-wired; the Criterion benches wrap the same `run_*` functions for
-//! wall-clock measurement, and EXPERIMENTS.md records representative
-//! output next to the paper's numbers.
+//! half-wired, and EXPERIMENTS.md records representative output next to
+//! the paper's numbers.
 //!
 //! | Registry name | Paper artefact |
 //! |---|---|
@@ -32,7 +33,7 @@
 //! — the worker count changes wall time, never results.
 //!
 //! Run `cargo run -p polycanary-bench --bin harness -- all` to print every
-//! table, or `cargo bench` to measure them under Criterion.
+//! table (`--timings FILE` records each scenario's wall time).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -49,24 +49,25 @@ fn campaign_report_survives_a_json_round_trip() {
 
 #[test]
 fn effectiveness_row_array_survives_a_json_round_trip() {
-    use polycanary_bench::experiments::{run_effectiveness, EffectivenessRow, ExperimentCtx};
+    use polycanary_bench::experiments::{scheme_fleets, Effectiveness, Experiment, ExperimentCtx};
 
     let ctx = ExperimentCtx::new(3).with_byte_budget(3_000).with_campaign_seeds(4);
-    let rows = run_effectiveness(&ctx, &[SchemeKind::Ssp, SchemeKind::Pssp]);
-    let records: Vec<Record> = rows.iter().map(EffectivenessRow::record).collect();
+    let records = Effectiveness.run(&ctx).records;
     let parsed = records_from_json(&records_to_json(&records)).expect("array export parses");
-    assert_eq!(parsed.len(), 2);
-    for (parsed_row, row) in parsed.iter().zip(&rows) {
-        assert_eq!(parsed_row.get("scheme").and_then(Value::as_str), Some(row.scheme.name()));
+    let fleets = scheme_fleets();
+    assert_eq!(parsed.len(), fleets.len());
+    for (parsed_row, fleet) in parsed.iter().zip(&fleets) {
+        assert_eq!(parsed_row.get("scheme").and_then(Value::as_str), Some(fleet.label()));
         let Some(Value::Record(byte)) = parsed_row.get("byte_by_byte") else {
             panic!("nested campaign record")
         };
-        assert_eq!(
-            byte.get("successes").and_then(Value::as_u64),
-            Some(row.byte_by_byte.successes())
-        );
         let Some(Value::List(runs)) = byte.get("runs") else { panic!("per-seed runs") };
         assert_eq!(runs.len(), 4);
+        let successes = runs
+            .iter()
+            .filter(|run| matches!(run, Value::Record(r) if r.get("success") == Some(&Value::Bool(true))))
+            .count() as u64;
+        assert_eq!(byte.get("successes").and_then(Value::as_u64), Some(successes));
     }
 }
 

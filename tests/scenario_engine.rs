@@ -5,6 +5,8 @@
 //! sweep iterates [`registry`], a newly added scenario is covered the
 //! moment it is registered — it cannot dodge these tests.
 
+use polycanary::analysis::scrub::scrub_all;
+use polycanary::crypto::sha1::Sha1;
 use polycanary_bench::experiments::{registry, ExperimentCtx};
 use polycanary_core::record::{
     export_envelope, records_from_json, records_to_json, Record, Value, SCHEMA_VERSION,
@@ -115,4 +117,48 @@ fn every_registered_scenario_consumes_the_context_seed() {
             assert_ne!(a, b, "{}: records ignore the context seed", experiment.name());
         }
     }
+}
+
+/// Campaign-scenario goldens: `(scenario, adaptive, fleet, digest)`.  Each
+/// digest is `Sha1::digest_word` of the scrubbed records' JSON at
+/// [`golden_ctx`], so a campaign record moves only with a deliberate change
+/// to what the campaign scenarios export; re-record it then and say why.
+const CAMPAIGN_GOLDENS: [(&str, bool, Option<usize>, u64); 6] = [
+    ("effectiveness", false, None, 0x579d_e224_d4a2_017e),
+    ("effectiveness", true, None, 0xaa02_4e5e_cb94_0e1a),
+    ("server-attack", false, None, 0x845c_d41c_4e7d_5c50),
+    ("population", false, None, 0xc056_d8b9_3124_4141),
+    ("server-attack", false, Some(10_000), 0x6190_c187_82e9_329e),
+    ("population", false, Some(10_000), 0xd1cc_ffc2_6512_b46c),
+];
+
+/// The small context the campaign goldens are recorded at.
+fn golden_ctx() -> ExperimentCtx {
+    ExperimentCtx::new(5).with_byte_budget(3_000).with_campaign_seeds(4)
+}
+
+#[test]
+fn campaign_scenario_records_match_their_goldens() {
+    let mut mismatches = Vec::new();
+    for (name, adaptive, fleet, golden) in CAMPAIGN_GOLDENS {
+        let mut ctx = golden_ctx();
+        if adaptive {
+            ctx = ctx.adaptive();
+        }
+        if let Some(fleet) = fleet {
+            ctx = ctx.with_fleet(fleet);
+        }
+        let experiment = registry()
+            .into_iter()
+            .find(|e| e.name() == name)
+            .unwrap_or_else(|| panic!("{name} is registered"));
+        let records = scrub_all(&experiment.run(&ctx).records);
+        let digest = Sha1::digest_word(records_to_json(&records).as_bytes());
+        if digest != golden {
+            mismatches.push(format!(
+                "{name} (adaptive {adaptive}, fleet {fleet:?}): {digest:#018x}, golden {golden:#018x}"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

@@ -14,9 +14,13 @@
 //! This battery drives the rule through the campaign executor
 //! (`JobPool::run_sharded`) on synthetic Bernoulli victims — no VM — and
 //! checks those exact values, plus the α / β guarantees the rule states.
+//! It does so twice: with victims that fall with a drawn probability, and
+//! with the per-victim member draws of the mixed-population fleets.
 
 use polycanary::attacks::{derive_seed, JobPool, StopRule, Verdict};
+use polycanary::core::SchemeKind;
 use polycanary::crypto::{Prng, SplitMix64};
+use polycanary_bench::experiments::population_fleets;
 
 /// Campaigns per success probability.
 const CAMPAIGNS: u64 = 4_000;
@@ -28,15 +32,15 @@ fn unit(word: u64) -> f64 {
     (word >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// One synthetic campaign: victim `i` falls with probability `p`, drawn
-/// from its own derived seed.  Returns the settled prefix of outcomes.
-fn campaign(pool: JobPool, base: u64, p: f64) -> Vec<bool> {
+/// One synthetic campaign: victim `i` falls iff `falls` holds for its
+/// derived seed.  Returns the settled prefix of outcomes.
+fn campaign(pool: JobPool, base: u64, falls: impl Fn(u64) -> bool + Sync) -> Vec<bool> {
     let rule = StopRule::sprt();
     let mut successes = 0u64;
     pool.run_sharded(
         VICTIMS,
         1,
-        |i| unit(SplitMix64::new(derive_seed(base, i as u64)).next_u64()) < p,
+        |i| falls(derive_seed(base, i as u64)),
         |index, &success| {
             successes += u64::from(success);
             rule.should_stop(successes, index as u64 + 1)
@@ -74,12 +78,13 @@ fn sprt_operating_characteristic_matches_the_exact_walk() {
 
         let (mut breaks, mut resists) = (0u64, 0u64);
         let (mut sum_n, mut sum_n2) = (0.0f64, 0.0f64);
+        let falls = |seed: u64| unit(SplitMix64::new(seed).next_u64()) < p;
         for c in 0..CAMPAIGNS {
             let base = ((k as u64) << 32) | c;
-            let runs = campaign(serial, base, p);
+            let runs = campaign(serial, base, falls);
             if c % 8 == 0 {
                 assert_eq!(
-                    campaign(parallel, base, p),
+                    campaign(parallel, base, falls),
                     runs,
                     "p = {p}, campaign {c}: the settled prefix depends on the worker count"
                 );
@@ -125,5 +130,68 @@ fn sprt_operating_characteristic_matches_the_exact_walk() {
             let p_resists = resists as f64 / trials;
             assert!(p_resists <= 0.05, "realized β {p_resists:.4} exceeds 0.05");
         }
+    }
+}
+
+#[test]
+fn sprt_walk_under_population_draws_matches_the_exact_walk() {
+    // A mixed fleet's victim is SSP or P-SSP by `Population::member_for`
+    // on its seed.  At the campaign budgets byte-by-byte breaks every SSP
+    // victim and no P-SSP one, so a campaign's outcomes are exactly these
+    // draws: a Bernoulli walk with p = SSP weight / total weight.
+    let pool = JobPool::with_workers(1);
+    let fleets = population_fleets();
+    assert_eq!(fleets.len(), 4);
+    for (k, (fleet, expected_p)) in fleets.iter().zip([0.1, 0.3, 0.5, 0.7]).enumerate() {
+        let weight = |ssp: bool| -> u32 {
+            let members = fleet.members().iter();
+            members.filter(|m| (m.scheme == SchemeKind::Ssp) == ssp).map(|m| m.weight).sum()
+        };
+        let p = f64::from(weight(true)) / f64::from(weight(true) + weight(false));
+        assert!((p - expected_p).abs() < 1e-12, "{}: p = {p}", fleet.label());
+        let (exact_breaks, exact_n) = exact(p);
+
+        let (mut breaks, mut sum_n, mut sum_n2, mut draws_ssp) = (0u64, 0.0f64, 0.0f64, 0u64);
+        for c in 0..CAMPAIGNS {
+            let base = ((0x90 + k as u64) << 32) | c;
+            let runs =
+                campaign(pool, base, |seed| fleet.member_for(seed).scheme == SchemeKind::Ssp);
+            let n = runs.len() as u64;
+            let successes = runs.iter().filter(|&&s| s).count() as u64;
+            match StopRule::sprt().decision(successes, n) {
+                Some(Verdict::Breaks) => breaks += 1,
+                Some(Verdict::Resists) => {}
+                other => panic!("{}, campaign {c}: undecided after {n} ({other:?})", fleet.label()),
+            }
+            draws_ssp += successes;
+            sum_n += n as f64;
+            sum_n2 += (n * n) as f64;
+        }
+
+        let trials = CAMPAIGNS as f64;
+        let p_breaks = breaks as f64 / trials;
+        let sigma_breaks = (exact_breaks * (1.0 - exact_breaks) / trials).sqrt();
+        assert!(
+            (p_breaks - exact_breaks).abs() <= 4.0 * sigma_breaks,
+            "{}: P(breaks) {p_breaks:.5}, exact {exact_breaks:.5} ± 4·{sigma_breaks:.5}",
+            fleet.label()
+        );
+        let mean_n = sum_n / trials;
+        let sigma_n = ((sum_n2 / trials - mean_n * mean_n).max(0.0) / trials).sqrt();
+        assert!(
+            (mean_n - exact_n).abs() <= 4.0 * sigma_n,
+            "{}: mean N {mean_n:.3}, exact {exact_n:.3} ± 4·{sigma_n:.3}",
+            fleet.label()
+        );
+        // By Wald's identity E[SSP draws] = p·E[N], so the SSP share of all
+        // draws is unbiased for p despite the stopping, with variance
+        // p(1 − p) / draws.
+        let share = draws_ssp as f64 / sum_n;
+        let sigma_share = (p * (1.0 - p) / sum_n).sqrt();
+        assert!(
+            (share - p).abs() <= 4.0 * sigma_share,
+            "{}: SSP share {share:.4}, exact {p} ± 4·{sigma_share:.4}",
+            fleet.label()
+        );
     }
 }

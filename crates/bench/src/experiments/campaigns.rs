@@ -78,7 +78,7 @@ pub fn population_fleets() -> Vec<Population> {
 const COLUMN_FIELDS: [&str; 3] = ["byte_by_byte", "exhaustive", "reuse"];
 
 /// The strategies behind [`COLUMN_FIELDS`].
-fn column_attacks(ctx: &ExperimentCtx) -> [AttackKind; 3] {
+pub(crate) fn column_attacks(ctx: &ExperimentCtx) -> [AttackKind; 3] {
     [
         AttackKind::ByteByByte { budget: ctx.byte_budget },
         AttackKind::Exhaustive { budget: 500 },

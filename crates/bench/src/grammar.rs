@@ -2,35 +2,28 @@
 //! first-class experiments.
 //!
 //! The static registry reproduces the paper's tables one hand-written
-//! scenario at a time.  This module closes the coverage gap between those
-//! eleven scenarios and the full configuration space the engine supports:
-//! a small composable grammar whose sentences are *experiment cells*.
+//! scenario at a time.  This module replays their §VI-C verdicts across
+//! the axes those scenarios fix: buffer size, stop rule, generated victim
+//! program and rollout shape.
 //!
-//! * A [`Frag`] is a partial cell — any subset of the grammar's axes
-//!   (scheme, deployment vehicle, buffer size, attack strategy, stop rule,
-//!   generated victim program, rollout shape, fork-canary-policy
-//!   constraint).
-//! * A [`ScenarioSet`] is a list of frags with the usual combinators:
-//!   per-axis constructors, [`ScenarioSet::cross`] (the row-major product;
-//!   panics on axis conflicts and is associative, so lattice definitions
-//!   can parenthesize freely), [`ScenarioSet::filter`] and the
-//!   deterministic [`ScenarioSet::sample`].
-//! * [`ScenarioSet::cells`] materializes frags into concrete [`Cell`]s by
-//!   filling unset axes with the registry defaults and dropping
-//!   ill-formed combinations (the binary rewriter only ships
-//!   [`SchemeKind::PsspBin32`]).
-//! * A [`Lattice`] is a named, seeded preset ([`lattices`]); every cell of
-//!   a selected lattice registers as an ordinary
+//! * A [`Cell`] is one concrete configuration: every axis resolved.
+//!   [`Cell::of`] holds the registry defaults; a preset overrides the axes
+//!   it varies.
+//! * A [`Lattice`] is a named preset ([`lattices`]): a plain function from
+//!   the generator seed to its list of cells, enumerated row-major by
+//!   nested loops.  Every preset cell is buildable by construction (the
+//!   binary rewriter only ships [`SchemeKind::PsspBin32`]).
+//! * Every cell of a selected lattice registers as an ordinary
 //!   [`Experiment`] named `gen:<lattice>:<cell>` through
 //!   [`generated_experiments`] — the one dynamic registration path behind
 //!   `harness --lattice NAME --gen-seed N` — and flows through listing,
 //!   JSON/CSV export, `harness diff` and `harness report` exactly like the
 //!   static scenarios.
 //!
-//! Determinism contract: enumeration order, sampling and every cell's
-//! records are a pure function of `(lattice, gen_seed, ExperimentCtx)` —
-//! the generator test battery pins byte-identical exports across worker
-//! counts and `cross` reassociations.
+//! Determinism contract: enumeration order and every cell's records are a
+//! pure function of `(lattice, gen_seed, ExperimentCtx)`; the generator
+//! test battery pins them with goldens and byte-identical exports across
+//! worker counts.
 
 use std::fmt::Write as _;
 
@@ -41,20 +34,20 @@ use polycanary_core::record::Record;
 use polycanary_core::scheme::{ForkCanaryPolicy, SchemeKind};
 use polycanary_crypto::{Prng, SplitMix64};
 
+use crate::experiments::campaigns::column_attacks;
 use crate::experiments::{
     effectiveness_deployment, format_campaign_cell, Experiment, ExperimentCtx, ScenarioOutput,
     EFFECTIVENESS_SCHEMES,
 };
 
-/// Attack axis of the grammar, naming the three §VI-C strategies.
+/// Attack axis of the grammar: the first two §VI-C campaign-table
+/// columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GenAttack {
     /// Byte-by-byte guessing against a forking server.
     ByteByByte,
     /// Exhaustive whole-canary guessing under a bounded budget.
     Exhaustive,
-    /// Disclose a canary, reconnect, and replay it.
-    Reconnect,
 }
 
 impl GenAttack {
@@ -63,45 +56,17 @@ impl GenAttack {
         match self {
             GenAttack::ByteByByte => "bbb",
             GenAttack::Exhaustive => "exh",
-            GenAttack::Reconnect => "reuse",
         }
     }
 
-    /// The campaign-engine attack this axis value runs, budgeted from the
-    /// experiment context like the static effectiveness scenario.
+    /// The campaign-engine attack this axis value runs: its campaign-table
+    /// column, budgeted from the experiment context.
     pub fn kind(&self, ctx: &ExperimentCtx) -> AttackKind {
-        match self {
-            GenAttack::ByteByByte => AttackKind::ByteByByte { budget: ctx.byte_budget },
-            GenAttack::Exhaustive => AttackKind::Exhaustive { budget: 500 },
-            GenAttack::Reconnect => AttackKind::Reuse,
-        }
-    }
-}
-
-/// Stop-rule axis of the grammar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenStop {
-    /// Run every victim seed to completion.
-    Exhaustive,
-    /// Wald's sequential probability-ratio test.
-    Sprt,
-}
-
-impl GenStop {
-    /// Slug used in generated scenario names.
-    pub fn label(&self) -> &'static str {
-        match self {
-            GenStop::Exhaustive => "exhaustive",
-            GenStop::Sprt => "sprt",
-        }
-    }
-
-    /// The campaign stop rule this axis value selects.
-    pub fn rule(&self) -> StopRule {
-        match self {
-            GenStop::Exhaustive => StopRule::Exhaustive,
-            GenStop::Sprt => StopRule::sprt(),
-        }
+        let column = match self {
+            GenAttack::ByteByByte => 0,
+            GenAttack::Exhaustive => 1,
+        };
+        column_attacks(ctx)[column]
     }
 }
 
@@ -140,7 +105,7 @@ impl RolloutShape {
 
 /// One concrete point of the lattice: every axis resolved.  A cell is the
 /// complete configuration of one generated experiment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Protection scheme of the victim fleet.
     pub scheme: SchemeKind,
@@ -151,7 +116,7 @@ pub struct Cell {
     /// Attack strategy campaigned against the cell.
     pub attack: GenAttack,
     /// Campaign stop rule.
-    pub stop: GenStop,
+    pub stop: StopRule,
     /// Victim-program generator id (`0` = the canonical module).
     pub program: u64,
     /// When set, the campaign runs against a two-member patched-vs-legacy
@@ -187,6 +152,22 @@ fn deployment_slug(deployment: Deployment) -> &'static str {
 }
 
 impl Cell {
+    /// The registry-default cell of `scheme`: its §VI-C deployment, a
+    /// 64-byte buffer, the byte-by-byte attack, the SPRT stop rule, the
+    /// canonical victim program and no rollout.  Presets override axes
+    /// with struct-update syntax.
+    pub fn of(scheme: SchemeKind) -> Cell {
+        Cell {
+            scheme,
+            deployment: effectiveness_deployment(scheme),
+            buffer_size: 64,
+            attack: GenAttack::ByteByByte,
+            stop: StopRule::sprt(),
+            program: 0,
+            rollout: None,
+        }
+    }
+
     /// The cell's stable name fragment — the `<cell>` part of
     /// `gen:<lattice>:<cell>`.  Every axis appears, so two distinct cells
     /// can never collide.
@@ -239,209 +220,13 @@ impl Cell {
     }
 }
 
-/// A partial cell: any subset of the grammar's axes, plus an optional
-/// fork-canary-policy constraint.  Frags merge when crossed; a fully
-/// unset frag materializes as the registry-default cell.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Frag {
-    scheme: Option<SchemeKind>,
-    deployment: Option<Deployment>,
-    buffer_size: Option<u32>,
-    attack: Option<GenAttack>,
-    stop: Option<GenStop>,
-    program: Option<u64>,
-    rollout: Option<RolloutShape>,
-    policy: Option<ForkCanaryPolicy>,
-}
-
-impl Frag {
-    /// Merges two frags; panics when both set the same axis (a `cross` of
-    /// two sets sharing an axis is a lattice-definition bug, not data).
-    fn merge(&self, other: &Frag) -> Frag {
-        fn pick<T: Copy>(axis: &'static str, a: Option<T>, b: Option<T>) -> Option<T> {
-            assert!(
-                a.is_none() || b.is_none(),
-                "grammar axis `{axis}` is set on both sides of a cross"
-            );
-            a.or(b)
-        }
-        Frag {
-            scheme: pick("scheme", self.scheme, other.scheme),
-            deployment: pick("deployment", self.deployment, other.deployment),
-            buffer_size: pick("buffer_size", self.buffer_size, other.buffer_size),
-            attack: pick("attack", self.attack, other.attack),
-            stop: pick("stop", self.stop, other.stop),
-            program: pick("program", self.program, other.program),
-            rollout: pick("rollout", self.rollout, other.rollout),
-            policy: pick("policy", self.policy, other.policy),
-        }
-    }
-
-    /// Materializes the frag with registry defaults: P-SSP, the §VI-C
-    /// deployment of the scheme, a 64-byte buffer, the byte-by-byte
-    /// attack, the SPRT stop rule and the canonical victim program.
-    fn cell(&self) -> Cell {
-        let scheme = self.scheme.unwrap_or(SchemeKind::Pssp);
-        Cell {
-            scheme,
-            deployment: self.deployment.unwrap_or_else(|| effectiveness_deployment(scheme)),
-            buffer_size: self.buffer_size.unwrap_or(64),
-            attack: self.attack.unwrap_or(GenAttack::ByteByByte),
-            stop: self.stop.unwrap_or(GenStop::Sprt),
-            program: self.program.unwrap_or(0),
-            rollout: self.rollout,
-        }
-    }
-
-    /// Whether the materialized cell is buildable and satisfies the frag's
-    /// policy constraint: the binary rewriter only ships
-    /// [`SchemeKind::PsspBin32`], and a policy axis keeps only cells whose
-    /// runtime scheme implies that fork-canary policy.
-    fn well_formed(&self) -> bool {
-        let cell = self.cell();
-        if cell.deployment == Deployment::BinaryRewriter && cell.scheme != SchemeKind::PsspBin32 {
-            return false;
-        }
-        self.policy.is_none_or(|policy| cell.fork_policy() == policy)
-    }
-}
-
-/// A set of [`Frag`]s under construction: the grammar's sentence type.
-/// Constructors introduce one axis each; [`ScenarioSet::cross`] takes
-/// products; [`ScenarioSet::cells`] materializes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScenarioSet {
-    frags: Vec<Frag>,
-}
-
-/// Builds a one-axis [`ScenarioSet`].
-fn axis<T: Copy>(values: &[T], set: impl Fn(&mut Frag, T)) -> ScenarioSet {
-    let frags = values
-        .iter()
-        .map(|&value| {
-            let mut frag = Frag::default();
-            set(&mut frag, value);
-            frag
-        })
-        .collect();
-    ScenarioSet { frags }
-}
-
-impl ScenarioSet {
-    /// One frag per scheme.
-    pub fn schemes(values: &[SchemeKind]) -> Self {
-        axis(values, |f, v| f.scheme = Some(v))
-    }
-
-    /// One frag per deployment vehicle.
-    pub fn deployments(values: &[Deployment]) -> Self {
-        axis(values, |f, v| f.deployment = Some(v))
-    }
-
-    /// One frag per buffer size.
-    pub fn buffer_sizes(values: &[u32]) -> Self {
-        axis(values, |f, v| f.buffer_size = Some(v))
-    }
-
-    /// One frag per attack strategy.
-    pub fn attacks(values: &[GenAttack]) -> Self {
-        axis(values, |f, v| f.attack = Some(v))
-    }
-
-    /// One frag per stop rule.
-    pub fn stops(values: &[GenStop]) -> Self {
-        axis(values, |f, v| f.stop = Some(v))
-    }
-
-    /// One frag per generated victim program (`0` = canonical module).
-    pub fn programs(values: &[u64]) -> Self {
-        axis(values, |f, v| f.program = Some(v))
-    }
-
-    /// One frag per rollout shape.
-    pub fn rollouts(values: &[RolloutShape]) -> Self {
-        axis(values, |f, v| f.rollout = Some(v))
-    }
-
-    /// One frag per fork-canary-policy constraint — crossed with schemes,
-    /// it keeps only the cells whose runtime scheme implies the policy.
-    pub fn policies(values: &[ForkCanaryPolicy]) -> Self {
-        axis(values, |f, v| f.policy = Some(v))
-    }
-
-    /// The row-major product: every frag of `self` merged with every frag
-    /// of `other`, `self`'s order outermost.  Associative — `(A × B) × C`
-    /// enumerates the same frags in the same order as `A × (B × C)` — so
-    /// [`ScenarioSet::sample`] is stable under reassociation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two sides share an axis.
-    #[must_use]
-    pub fn cross(self, other: ScenarioSet) -> Self {
-        let frags =
-            self.frags.iter().flat_map(|a| other.frags.iter().map(|b| a.merge(b))).collect();
-        ScenarioSet { frags }
-    }
-
-    /// Keeps the frags whose materialized [`Cell`] satisfies `pred`.
-    #[must_use]
-    pub fn filter(self, pred: impl Fn(&Cell) -> bool) -> Self {
-        let frags = self.frags.into_iter().filter(|f| pred(&f.cell())).collect();
-        ScenarioSet { frags }
-    }
-
-    /// A deterministic `n`-element subsample: indices are drawn by a
-    /// seeded partial Fisher–Yates shuffle, then sorted ascending, so the
-    /// survivors keep their enumeration order.  Because [`cross`] is
-    /// associative, the same `(seed, n)` selects the same cells however
-    /// the product was parenthesized.
-    ///
-    /// [`cross`]: ScenarioSet::cross
-    #[must_use]
-    pub fn sample(self, seed: u64, n: usize) -> Self {
-        if n >= self.frags.len() {
-            return self;
-        }
-        let mut rng = SplitMix64::new(seed ^ 0x5CE7_A1B0_5EED_C0DE);
-        let mut indices: Vec<usize> = (0..self.frags.len()).collect();
-        for slot in 0..n {
-            let pick = slot + (rng.next_u64() % (indices.len() - slot) as u64) as usize;
-            indices.swap(slot, pick);
-        }
-        let mut keep = indices[..n].to_vec();
-        keep.sort_unstable();
-        let frags = keep.into_iter().map(|i| self.frags[i].clone()).collect();
-        ScenarioSet { frags }
-    }
-
-    /// Number of frags (before well-formedness filtering).
-    pub fn len(&self) -> usize {
-        self.frags.len()
-    }
-
-    /// Whether the set holds no frags.
-    pub fn is_empty(&self) -> bool {
-        self.frags.is_empty()
-    }
-
-    /// Materializes every frag into a concrete [`Cell`], filling unset
-    /// axes with the registry defaults and dropping ill-formed
-    /// combinations (the binary rewriter only ships
-    /// [`SchemeKind::PsspBin32`], and policy-constrained frags must match
-    /// their runtime scheme's fork-canary policy).
-    pub fn cells(&self) -> Vec<Cell> {
-        self.frags.iter().filter(|f| f.well_formed()).map(Frag::cell).collect()
-    }
-}
-
-/// A named lattice preset: a seeded [`ScenarioSet`] recipe plus the
-/// metadata its generated report sections share.
+/// A named lattice preset: the cells it enumerates for a generator seed,
+/// plus the metadata its generated report sections share.
 pub struct Lattice {
     name: &'static str,
     description: &'static str,
     paper_note: &'static str,
-    build: fn(u64) -> ScenarioSet,
+    cells: fn(u64) -> Vec<Cell>,
 }
 
 impl Lattice {
@@ -460,41 +245,53 @@ impl Lattice {
         self.paper_note
     }
 
-    /// The lattice's scenario set for a generator seed.
-    pub fn set(&self, gen_seed: u64) -> ScenarioSet {
-        (self.build)(gen_seed)
-    }
-
-    /// The lattice's materialized cells for a generator seed.
+    /// The lattice's cells for a generator seed, in enumeration order.
     pub fn cells(&self, gen_seed: u64) -> Vec<Cell> {
-        self.set(gen_seed).cells()
+        (self.cells)(gen_seed)
     }
 }
 
 /// The `smoke` lattice: three representative schemes (classic SSP, the
 /// paper's P-SSP, the binary-rewriter deployment) × the canonical victim
 /// and one grammar-generated victim program — six cells, CI-sized.
-fn smoke_set(gen_seed: u64) -> ScenarioSet {
+fn smoke_cells(gen_seed: u64) -> Vec<Cell> {
     let generated_program = SplitMix64::new(gen_seed).next_u64() | 1;
-    ScenarioSet::schemes(&[SchemeKind::Ssp, SchemeKind::Pssp, SchemeKind::PsspBin32])
-        .cross(ScenarioSet::programs(&[0, generated_program]))
+    let mut cells = Vec::new();
+    for scheme in [SchemeKind::Ssp, SchemeKind::Pssp, SchemeKind::PsspBin32] {
+        for program in [0, generated_program] {
+            cells.push(Cell { program, ..Cell::of(scheme) });
+        }
+    }
+    cells
 }
 
 /// The `matrix` lattice: the full §VI-C scheme roster × three buffer
 /// sizes × two attacks × {exhaustive, SPRT} stop rules — 60 cells, so every
 /// SPRT cell sits next to its exhaustive reference.
-fn matrix_set(_gen_seed: u64) -> ScenarioSet {
-    ScenarioSet::schemes(EFFECTIVENESS_SCHEMES)
-        .cross(ScenarioSet::buffer_sizes(&[32, 64, 128]))
-        .cross(ScenarioSet::attacks(&[GenAttack::ByteByByte, GenAttack::Exhaustive]))
-        .cross(ScenarioSet::stops(&[GenStop::Exhaustive, GenStop::Sprt]))
+fn matrix_cells(_gen_seed: u64) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &scheme in EFFECTIVENESS_SCHEMES {
+        for buffer_size in [32, 64, 128] {
+            for attack in [GenAttack::ByteByByte, GenAttack::Exhaustive] {
+                for stop in [StopRule::Exhaustive, StopRule::sprt()] {
+                    cells.push(Cell { buffer_size, attack, stop, ..Cell::of(scheme) });
+                }
+            }
+        }
+    }
+    cells
 }
 
 /// The `rollout` lattice: patched-vs-legacy populations under flat and
 /// steep [`RolloutCurve`]s, SPRT-stopped — the power-analysis cells.
-fn rollout_set(_gen_seed: u64) -> ScenarioSet {
-    ScenarioSet::schemes(&[SchemeKind::Pssp, SchemeKind::PsspOwf])
-        .cross(ScenarioSet::rollouts(&[RolloutShape::Flat, RolloutShape::Steep]))
+fn rollout_cells(_gen_seed: u64) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for scheme in [SchemeKind::Pssp, SchemeKind::PsspOwf] {
+        for shape in [RolloutShape::Flat, RolloutShape::Steep] {
+            cells.push(Cell { rollout: Some(shape), ..Cell::of(scheme) });
+        }
+    }
+    cells
 }
 
 /// Every named lattice, in canonical order.
@@ -508,7 +305,7 @@ pub fn lattices() -> &'static [Lattice] {
                          byte-by-byte guessing in every victim program the grammar emits, \
                          the P-SSP cells never do, and the rewriter cells defend the \
                          in-place-upgraded binary the paper measures",
-            build: smoke_set,
+            cells: smoke_cells,
         },
         Lattice {
             name: "matrix",
@@ -518,7 +315,7 @@ pub fn lattices() -> &'static [Lattice] {
                          byte-by-byte breaks exactly the single-canary schemes at \
                          ~8\u{b7}2\u{2077} expected requests regardless of buffer size, and \
                          the SPRT reaches the exhaustive verdict in every cell",
-            build: matrix_set,
+            cells: matrix_cells,
         },
         Lattice {
             name: "rollout",
@@ -528,7 +325,7 @@ pub fn lattices() -> &'static [Lattice] {
                          indifference region quickly, so campaigns settle with fewer \
                          victims than under a flat 50/50 mix \u{2014} the power analysis \
                          behind fleet-scale deployment monitoring",
-            build: rollout_set,
+            cells: rollout_cells,
         },
     ]
 }
@@ -647,7 +444,7 @@ impl GeneratedExperiment {
                 .with_buffer_size(self.cell.buffer_size)
                 .with_program(self.cell.program),
         };
-        campaign = campaign.with_seed_range(base, seeds).with_stop_rule(self.cell.stop.rule());
+        campaign = campaign.with_seed_range(base, seeds).with_stop_rule(self.cell.stop);
         if let Some(workers) = ctx.workers {
             campaign = campaign.with_workers(workers);
         }
@@ -693,97 +490,72 @@ impl Experiment for GeneratedExperiment {
 mod tests {
     use super::*;
 
+    /// Every cell of every preset at gen seed 7.
+    fn preset_cells() -> Vec<Cell> {
+        lattices().iter().flat_map(|l| l.cells(7)).collect()
+    }
+
     #[test]
-    fn cross_is_row_major_and_fills_defaults() {
-        let set = ScenarioSet::schemes(&[SchemeKind::Ssp, SchemeKind::Pssp])
-            .cross(ScenarioSet::buffer_sizes(&[32, 64]));
-        let cells = set.cells();
-        assert_eq!(cells.len(), 4);
+    fn preset_cells_are_row_major_and_fill_defaults() {
+        let matrix = find_lattice("matrix").unwrap().cells(7);
+        let axes: Vec<_> =
+            matrix.iter().map(|c| (c.scheme, c.buffer_size, c.attack, c.stop.label())).collect();
         assert_eq!(
-            cells.iter().map(|c| (c.scheme, c.buffer_size)).collect::<Vec<_>>(),
-            vec![
-                (SchemeKind::Ssp, 32),
-                (SchemeKind::Ssp, 64),
-                (SchemeKind::Pssp, 32),
-                (SchemeKind::Pssp, 64),
+            axes[..5],
+            [
+                (SchemeKind::Ssp, 32, GenAttack::ByteByByte, "exhaustive"),
+                (SchemeKind::Ssp, 32, GenAttack::ByteByByte, "sprt"),
+                (SchemeKind::Ssp, 32, GenAttack::Exhaustive, "exhaustive"),
+                (SchemeKind::Ssp, 32, GenAttack::Exhaustive, "sprt"),
+                (SchemeKind::Ssp, 64, GenAttack::ByteByByte, "exhaustive"),
             ]
         );
-        // Unset axes materialize as the registry defaults.
-        for cell in &cells {
-            assert_eq!(cell.deployment, Deployment::Compiler);
-            assert_eq!(cell.attack, GenAttack::ByteByByte);
-            assert_eq!(cell.stop, GenStop::Sprt);
-            assert_eq!(cell.program, 0);
-            assert_eq!(cell.rollout, None);
+        assert_eq!(axes[12].0, SchemeKind::Pssp);
+        // The axes a preset leaves alone keep the registry defaults.
+        let default = Cell::of(SchemeKind::Pssp);
+        assert_eq!(default.deployment, Deployment::Compiler);
+        assert_eq!(default.buffer_size, 64);
+        assert_eq!(default.attack, GenAttack::ByteByByte);
+        assert_eq!(default.stop, StopRule::sprt());
+        assert_eq!(default.program, 0);
+        assert_eq!(default.rollout, None);
+        assert!(matrix.iter().all(|c| c.program == 0 && c.rollout.is_none()));
+        for cell in find_lattice("smoke").unwrap().cells(7) {
+            assert_eq!(Cell { program: 0, ..cell.clone() }, Cell::of(cell.scheme));
         }
-        let default_cell = &ScenarioSet { frags: vec![Frag::default()] }.cells()[0];
-        assert_eq!(default_cell.scheme, SchemeKind::Pssp);
-        assert_eq!(default_cell.buffer_size, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "axis `scheme` is set on both sides")]
-    fn cross_rejects_axis_conflicts() {
-        let _ = ScenarioSet::schemes(&[SchemeKind::Ssp])
-            .cross(ScenarioSet::schemes(&[SchemeKind::Pssp]));
-    }
-
-    #[test]
-    fn cross_is_associative() {
-        let a = || ScenarioSet::schemes(&[SchemeKind::Ssp, SchemeKind::Pssp]);
-        let b = || ScenarioSet::buffer_sizes(&[32, 64, 128]);
-        let c = || ScenarioSet::attacks(&[GenAttack::ByteByByte, GenAttack::Exhaustive]);
-        let left = a().cross(b()).cross(c());
-        let right = a().cross(b().cross(c()));
-        assert_eq!(left, right);
-        assert_eq!(left.cells(), right.cells());
-    }
-
-    #[test]
-    fn sample_is_deterministic_order_stable_and_reassociation_invariant() {
-        let a = || ScenarioSet::schemes(EFFECTIVENESS_SCHEMES);
-        let b = || ScenarioSet::buffer_sizes(&[32, 64, 128]);
-        let c = || ScenarioSet::stops(&[GenStop::Exhaustive, GenStop::Sprt]);
-        let full = a().cross(b()).cross(c()).cells();
-        let sampled = a().cross(b()).cross(c()).sample(9, 7).cells();
-        assert_eq!(sampled.len(), 7);
-        // The sample is a subsequence of the full enumeration (order-stable).
-        let mut cursor = full.iter();
-        for cell in &sampled {
-            assert!(cursor.any(|c| c == cell), "sample must preserve enumeration order");
+        for cell in find_lattice("rollout").unwrap().cells(7) {
+            assert_eq!(Cell { rollout: None, ..cell.clone() }, Cell::of(cell.scheme));
         }
-        // Same seed, same cells — however the product is parenthesized.
-        assert_eq!(sampled, a().cross(b().cross(c())).sample(9, 7).cells());
-        // A different seed draws a different subsequence.
-        assert_ne!(sampled, a().cross(b()).cross(c()).sample(10, 7).cells());
-        // Oversampling is the identity.
-        assert_eq!(a().sample(3, 99).cells(), a().cells());
     }
 
     #[test]
-    fn filter_and_policy_constrain_cells() {
-        let big = ScenarioSet::buffer_sizes(&[32, 64, 128]).filter(|c| c.buffer_size > 32);
-        assert_eq!(big.cells().iter().map(|c| c.buffer_size).collect::<Vec<_>>(), vec![64, 128]);
-        // The policy axis keeps only schemes implying that fork policy:
-        // classic SSP inherits canaries across forks, P-SSP re-randomizes.
-        let inherited = ScenarioSet::schemes(&[SchemeKind::Ssp, SchemeKind::Pssp])
-            .cross(ScenarioSet::policies(&[ForkCanaryPolicy::Inherited]));
-        assert_eq!(
-            inherited.cells().iter().map(|c| c.scheme).collect::<Vec<_>>(),
-            vec![SchemeKind::Ssp]
-        );
+    fn preset_cells_derive_their_fork_policy() {
+        // Classic SSP inherits canaries across forks; every P-SSP variant,
+        // the rewriter deployment included, re-randomizes them.
+        for cell in preset_cells() {
+            let expected = if cell.scheme == SchemeKind::Ssp {
+                ForkCanaryPolicy::Inherited
+            } else {
+                ForkCanaryPolicy::Rerandomized
+            };
+            assert_eq!(cell.fork_policy(), expected, "{}", cell.slug());
+        }
     }
 
     #[test]
-    fn ill_formed_rewriter_cells_are_dropped() {
-        let set = ScenarioSet::schemes(&[SchemeKind::Pssp, SchemeKind::PsspBin32])
-            .cross(ScenarioSet::deployments(&[Deployment::Compiler, Deployment::BinaryRewriter]));
-        let cells = set.cells();
-        // P-SSP x rewriter is unbuildable (the rewriter ships PsspBin32).
-        assert_eq!(cells.len(), 3);
-        assert!(cells
-            .iter()
-            .all(|c| c.deployment == Deployment::Compiler || c.scheme == SchemeKind::PsspBin32));
+    fn preset_rewriter_cells_all_ship_pssp_bin32() {
+        // The binary rewriter only ships P-SSP-bin32, and P-SSP-bin32 only
+        // ships through the rewriter.
+        let cells = preset_cells();
+        assert!(cells.iter().any(|c| c.deployment == Deployment::BinaryRewriter));
+        for cell in cells {
+            assert_eq!(
+                cell.deployment == Deployment::BinaryRewriter,
+                cell.scheme == SchemeKind::PsspBin32,
+                "{}",
+                cell.slug()
+            );
+        }
     }
 
     #[test]
@@ -791,14 +563,7 @@ mod tests {
         let names: Vec<&str> = lattices().iter().map(Lattice::name).collect();
         assert_eq!(names, vec!["smoke", "matrix", "rollout"]);
         assert_eq!(find_lattice("smoke").unwrap().cells(7).len(), 6);
-        // The acceptance lattice: >= 48 cells, every combination well-formed.
-        // Every frag of `matrix` is well-formed: it never relies on
-        // `cells()` dropping one.
-        let matrix = find_lattice("matrix").unwrap();
-        assert_eq!(matrix.set(7).len(), 60);
-        let matrix = matrix.cells(7);
-        assert_eq!(matrix.len(), 60);
-        assert!(matrix.len() >= 48);
+        assert_eq!(find_lattice("matrix").unwrap().cells(7).len(), 60);
         let rollout = find_lattice("rollout").unwrap().cells(7);
         assert_eq!(rollout.len(), 4);
         assert!(rollout.iter().all(|c| c.rollout.is_some()));

@@ -958,7 +958,7 @@ mod tests {
     }
 
     #[test]
-    fn instruction_limit_mid_fused_sequence_matches_reference() {
+    fn instruction_limit_mid_canary_check_charges_the_retired_prefix() {
         // Cutting the budget anywhere in the SSP prologue and epilogue —
         // the sequences every byte-by-byte probe runs — faults with exactly
         // `k` instructions retired and exactly their cost charged: the
@@ -1021,7 +1021,7 @@ mod tests {
     }
 
     #[test]
-    fn jump_into_fused_sequence_executes_plain_components() {
+    fn jump_into_the_canary_epilogue_executes_its_instructions_as_written() {
         // Branching into the middle of the canary epilogue executes the
         // component instructions as written.
         let insts = vec![

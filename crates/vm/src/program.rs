@@ -486,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn the_first_run_decodes_and_a_mutation_after_it_invalidates() {
+    fn a_run_after_a_body_replacement_executes_the_new_body() {
         // A run after `replace_function_body` + `finalize` executes the new
         // body, not the one that ran before.
         let mut prog = Program::new();
@@ -500,7 +500,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_first_runs_share_one_decode() {
+    fn concurrent_runs_of_a_shared_program_agree_with_its_clone() {
         // Eight concurrent runs of one shared program agree with a run of
         // its clone.
         let mut prog = Program::new();
@@ -520,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_decode_state() {
+    fn running_a_program_leaves_it_equal_to_its_clone() {
         // Running a program leaves it unchanged: it still equals its
         // never-run clone.
         let mut prog = Program::new();

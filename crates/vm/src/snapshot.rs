@@ -132,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn machine_snapshot_decodes_the_shared_program() {
+    fn machine_snapshot_shares_the_finalized_program() {
         // The snapshot boots the machine's own finalized program, shared
         // by reference count rather than copied.
         let machine = Machine::new(trivial_program(), Box::new(NoHooks), 3);

@@ -14,25 +14,12 @@
 //!   values pinned from the allocate-per-connection server: leaked canary
 //!   bytes, request outcomes, counters and byte-by-byte results.
 
-use polycanary::attacks::CampaignReport;
+use polycanary::analysis::scrub::scrub;
 use polycanary::attacks::{
     derive_seed, AttackKind, ByteByByteAttack, Campaign, Deployment, ForkingServer, StopRule,
     VictimConfig, VictimKey, VictimSnapshot, HIJACK_TARGET,
 };
-use polycanary::core::record::Record;
 use polycanary::core::SchemeKind;
-
-/// A campaign report's exported record minus the volatile timing fields
-/// (`wall_ms`, `workers`) — the same scrub the CI drift check applies, and
-/// exactly the portion the determinism contract promises byte-identical.
-fn scrubbed_record(report: &CampaignReport) -> Record {
-    report
-        .record()
-        .fields()
-        .iter()
-        .filter(|(name, _)| name != "wall_ms" && name != "workers")
-        .fold(Record::new(), |rec, (name, value)| rec.field(name.clone(), value.clone()))
-}
 
 /// Boots the same victim configuration from scratch and from a pre-built
 /// snapshot and drives both through the same request script, asserting
@@ -107,7 +94,7 @@ fn sprt_settlement_cancels_unscheduled_victims_at_any_worker_count() {
     // workers raced over the shards.
     assert_eq!(serial.runs, four.runs, "1 vs 4 workers");
     assert_eq!(serial.runs, eight.runs, "1 vs 8 workers");
-    assert_eq!(scrubbed_record(&serial), scrubbed_record(&eight), "exported records");
+    assert_eq!(scrub(&serial.record()), scrub(&eight.record()), "exported records");
     assert!(serial.stopped_early(), "unanimous SSP settles in 3: {serial:?}");
 
     // Cancellation contract: settling cancels the unscheduled shards, so
@@ -136,7 +123,7 @@ fn fleet_scale_campaign_is_byte_identical_across_worker_counts() {
     let eight = base.with_workers(8).run();
     assert_eq!(serial.runs, four.runs);
     assert_eq!(serial.runs, eight.runs);
-    assert_eq!(scrubbed_record(&serial), scrubbed_record(&eight));
+    assert_eq!(scrub(&serial.record()), scrub(&eight.record()));
 
     assert_eq!(serial.configured_seeds, 100_000);
     assert!(serial.stopped_early(), "unanimous P-SSP fleet settles in 3");

@@ -25,32 +25,6 @@ fn sweep_ctx(seed: u64) -> ExperimentCtx {
         .with_samples(600)
 }
 
-/// Strips the fields that legitimately vary between runs — wall-clock
-/// times and the worker count — so two runs of the same scenario can be
-/// compared record for record.
-fn scrub(record: &Record) -> Record {
-    let mut out = Record::new();
-    for (name, value) in record.fields() {
-        if name == "wall_ms" || name == "workers" {
-            continue;
-        }
-        out.push(name.clone(), scrub_value(value));
-    }
-    out
-}
-
-fn scrub_value(value: &Value) -> Value {
-    match value {
-        Value::Record(rec) => Value::Record(scrub(rec)),
-        Value::List(items) => Value::List(items.iter().map(scrub_value).collect()),
-        other => other.clone(),
-    }
-}
-
-fn scrubbed(records: &[Record]) -> Vec<Record> {
-    records.iter().map(scrub).collect()
-}
-
 #[test]
 fn every_registered_scenario_is_worker_count_independent() {
     let ctx = sweep_ctx(0xC0FFEE);
@@ -60,8 +34,8 @@ fn every_registered_scenario_is_worker_count_independent() {
         assert!(!serial.records.is_empty(), "{}: produced no records", experiment.name());
         assert!(!serial.text.trim().is_empty(), "{}: produced no rendering", experiment.name());
         assert_eq!(
-            scrubbed(&serial.records),
-            scrubbed(&parallel.records),
+            scrub_all(&serial.records),
+            scrub_all(&parallel.records),
             "{}: records depend on the worker count",
             experiment.name()
         );
@@ -109,8 +83,8 @@ fn every_registered_scenario_consumes_the_context_seed() {
     let a_ctx = sweep_ctx(0xA);
     let b_ctx = sweep_ctx(0xB);
     for experiment in registry() {
-        let a = scrubbed(&experiment.run(&a_ctx).records);
-        let b = scrubbed(&experiment.run(&b_ctx).records);
+        let a = scrub_all(&experiment.run(&a_ctx).records);
+        let b = scrub_all(&experiment.run(&b_ctx).records);
         if seed_invariant.contains(&experiment.name()) {
             assert_eq!(a, b, "{} is seed-invariant by design", experiment.name());
         } else {

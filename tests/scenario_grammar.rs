@@ -4,10 +4,10 @@
 //! * determinism — the same `(lattice, gen_seed)` enumerates byte-identical
 //!   cells, and every generated cell's export envelope is byte-identical at
 //!   1 and 8 workers once run-varying fields are scrubbed;
-//! * `sample` is order-stable under `cross` reassociation, and generated
-//!   envelopes round-trip through `records_from_json`;
-//! * every enumerated cell's victim program passes the verifier's five
-//!   invariant checks at O0 and O2 — including the grammar-generated
+//! * every lattice enumerates and runs exactly what its goldens pin, and
+//!   generated envelopes round-trip through `records_from_json`;
+//! * every distinct victim program of every lattice passes the verifier's
+//!   five invariant checks at O0 and O2 — including the grammar-generated
 //!   victim programs and the binary-rewriter cells — and an injected
 //!   defect through the generated path is still caught (the negative
 //!   control);
@@ -18,13 +18,15 @@
 //!
 //! [`RolloutCurve`]: polycanary_attacks::population::RolloutCurve
 
+use std::collections::HashSet;
+
+use polycanary::analysis::scrub::{scrub, scrub_all};
+use polycanary::crypto::sha1::Sha1;
 use polycanary_analysis::diff::{diff_runs, DiffOptions, Severity};
 use polycanary_analysis::run::Run;
 use polycanary_attacks::victim::{victim_module, Deployment};
 use polycanary_bench::experiments::{registry_with, Experiment, ExperimentCtx};
-use polycanary_bench::grammar::{
-    find_lattice, generated_experiments, lattices, Cell, GenStop, ScenarioSet,
-};
+use polycanary_bench::grammar::{find_lattice, generated_experiments, lattices, Cell};
 use polycanary_compiler::{Compiler, OptLevel};
 use polycanary_core::record::{export_envelope, records_from_json, records_to_json, Record, Value};
 use polycanary_core::scheme::SchemeKind;
@@ -35,27 +37,6 @@ use polycanary_verifier::verify::verify_compiled;
 /// A CI-sized context the whole battery shares.
 fn battery_ctx(seed: u64) -> ExperimentCtx {
     ExperimentCtx::new(seed).quick().with_campaign_seeds(4).with_byte_budget(2_600)
-}
-
-/// Strips the fields that legitimately vary between runs — wall-clock
-/// times and the worker count — exactly like every export consumer does.
-fn scrub(record: &Record) -> Record {
-    let mut out = Record::new();
-    for (name, value) in record.fields() {
-        if name == "wall_ms" || name == "workers" {
-            continue;
-        }
-        out.push(name.clone(), scrub_value(value));
-    }
-    out
-}
-
-fn scrub_value(value: &Value) -> Value {
-    match value {
-        Value::Record(rec) => Value::Record(scrub(rec)),
-        Value::List(items) => Value::List(items.iter().map(scrub_value).collect()),
-        other => other.clone(),
-    }
 }
 
 /// Runs one generated experiment under `ctx` and renders its scrubbed
@@ -85,6 +66,76 @@ fn same_gen_seed_enumerates_byte_identical_cells() {
     }
 }
 
+/// Lattice goldens: `(lattice, gen_seed, enumeration digest, run digest)`.
+/// The enumeration digest is `Sha1::digest_word` over every cell's
+/// `name\ntitle\n<export ctx JSON>\n`; the run digest over every cell's text
+/// followed by its scrubbed records' JSON, both at [`golden_ctx`].  A digest
+/// moves only with a deliberate change to what the lattices enumerate or
+/// export; re-record it then and say why.
+const LATTICE_GOLDENS: [(&str, u64, u64, Option<u64>); 6] = [
+    ("smoke", 7, 0x8902_9932_fc61_c3ed, Some(0xbfae_1b7e_fb1f_1071)),
+    ("smoke", 8, 0x9287_0998_4c68_c1aa, Some(0x3186_5a3a_55ab_0f14)),
+    ("matrix", 7, 0xc5e8_8d86_e9e2_d4e6, Some(0x8ab3_feb9_f6e8_b8af)),
+    ("matrix", 8, 0xd411_f8a3_6304_be25, None),
+    ("rollout", 7, 0x4b71_4785_adc4_d20b, Some(0x74a0_9b28_16a2_13f9)),
+    ("rollout", 8, 0x8243_41e3_e6f7_dac5, None),
+];
+
+/// The small context the lattice goldens are recorded at.
+fn golden_ctx() -> ExperimentCtx {
+    ExperimentCtx::new(5).quick().with_byte_budget(3_000).with_campaign_seeds(4)
+}
+
+#[test]
+fn lattice_enumerations_and_runs_match_their_goldens() {
+    let ctx = golden_ctx();
+    let mut checked = 0;
+    let mut mismatches = Vec::new();
+    for lattice in lattices() {
+        for gen_seed in [7, 8] {
+            let name = lattice.name();
+            let (enum_golden, run_golden) = LATTICE_GOLDENS
+                .iter()
+                .find(|g| g.0 == name && g.1 == gen_seed)
+                .map(|g| (g.2, g.3))
+                .unwrap_or_else(|| panic!("no golden for lattice {name} at gen seed {gen_seed}"));
+            let experiments = generated_experiments(name, gen_seed).unwrap();
+            let mut listing = String::new();
+            for experiment in &experiments {
+                listing.push_str(&format!(
+                    "{}\n{}\n{}\n",
+                    experiment.name(),
+                    experiment.title(),
+                    experiment.export_ctx(&ctx).to_json()
+                ));
+            }
+            let digest = Sha1::digest_word(listing.as_bytes());
+            if digest != enum_golden {
+                mismatches.push(format!(
+                    "{name}@{gen_seed} enumeration: {digest:#018x}, golden {enum_golden:#018x}"
+                ));
+            }
+            if let Some(run_golden) = run_golden {
+                let mut runs = String::new();
+                for experiment in &experiments {
+                    let output = experiment.run(&ctx);
+                    runs.push_str(&output.text);
+                    runs.push_str(&records_to_json(&scrub_all(&output.records)));
+                }
+                let digest = Sha1::digest_word(runs.as_bytes());
+                if digest != run_golden {
+                    mismatches.push(format!(
+                        "{name}@{gen_seed} run: {digest:#018x}, golden {run_golden:#018x}"
+                    ));
+                }
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, LATTICE_GOLDENS.len(), "every golden names a lattice");
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
 #[test]
 fn generated_exports_are_byte_identical_across_worker_counts() {
     let ctx = battery_ctx(0xC0FFEE);
@@ -92,25 +143,6 @@ fn generated_exports_are_byte_identical_across_worker_counts() {
         let serial = scrubbed_envelope(experiment.as_ref(), &ctx.clone().with_workers(1));
         let parallel = scrubbed_envelope(experiment.as_ref(), &ctx.clone().with_workers(8));
         assert_eq!(serial, parallel, "{}: export depends on the worker count", experiment.name());
-    }
-}
-
-#[test]
-fn sample_is_order_stable_under_cross_reassociation() {
-    let a = || ScenarioSet::schemes(&[SchemeKind::Ssp, SchemeKind::Pssp, SchemeKind::PsspNt]);
-    let b = || ScenarioSet::buffer_sizes(&[32, 64, 128]);
-    let c = || ScenarioSet::stops(&[GenStop::Exhaustive, GenStop::Sprt]);
-    for seed in [0u64, 7, 0xDEAD_BEEF] {
-        let left = a().cross(b()).cross(c()).sample(seed, 5).cells();
-        let right = a().cross(b().cross(c())).sample(seed, 5).cells();
-        assert_eq!(left, right, "sample(seed={seed}) must ignore cross parenthesization");
-        assert_eq!(left.len(), 5);
-        // The survivors appear in enumeration order.
-        let full = a().cross(b()).cross(c()).cells();
-        let mut cursor = full.iter();
-        for cell in &left {
-            assert!(cursor.any(|c| c == cell), "sample reordered the enumeration");
-        }
     }
 }
 
@@ -174,12 +206,19 @@ fn verify_cell_victim(cell: &Cell, opt: OptLevel) {
 
 #[test]
 fn every_enumerated_cell_victim_passes_the_five_invariant_checks() {
-    // The smoke lattice covers both deployments and the grammar-generated
-    // victim programs; a seeded sample of the 60-cell matrix covers the
-    // buffer-size axis without blowing up test time.
-    let mut cells = find_lattice("smoke").expect("smoke lattice").cells(7);
-    cells.extend(find_lattice("matrix").expect("matrix lattice").set(7).sample(3, 6).cells());
-    for cell in &cells {
+    // Every distinct victim of every lattice: both deployments, every
+    // buffer size and the grammar-generated victim programs.  Cells that
+    // differ only in attack, stop rule or rollout share one victim binary.
+    let mut seen = HashSet::new();
+    let victims: Vec<Cell> = lattices()
+        .iter()
+        .flat_map(|lattice| lattice.cells(7))
+        .filter(|c| seen.insert((c.scheme, c.deployment, c.buffer_size, c.program)))
+        .collect();
+    // smoke's six, plus the twelve matrix victims smoke lacks; every
+    // rollout victim is already a matrix victim.
+    assert_eq!(victims.len(), 18);
+    for cell in &victims {
         for opt in [OptLevel::O0, OptLevel::O2] {
             verify_cell_victim(cell, opt);
         }

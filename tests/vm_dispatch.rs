@@ -29,11 +29,10 @@
 //! A golden moves only with a deliberate change to the interpreter's
 //! observable behaviour; re-record it then and say why.
 
+use polycanary::analysis::scrub::scrub;
 use polycanary::attacks::{
-    AttackKind, Campaign, CampaignReport, Deployment, StopRule, VictimConfig, VictimKey,
-    VictimSnapshot,
+    AttackKind, Campaign, Deployment, StopRule, VictimConfig, VictimKey, VictimSnapshot,
 };
-use polycanary::core::record::Record;
 use polycanary::core::SchemeKind;
 use polycanary::crypto::sha1::Sha1;
 use polycanary::crypto::{Prng, SplitMix64};
@@ -539,17 +538,6 @@ fn victim_cells_agree_across_dispatchers_under_attack_payloads() {
     digest.assert_golden(GOLDEN_VICTIM_CELLS);
 }
 
-/// A campaign report's exported record minus the volatile timing fields —
-/// the portion the determinism contract promises byte-identical.
-fn scrubbed_record(report: &CampaignReport) -> Record {
-    report
-        .record()
-        .fields()
-        .iter()
-        .filter(|(name, _)| name != "wall_ms" && name != "workers")
-        .fold(Record::new(), |rec, (name, value)| rec.field(name.clone(), value.clone()))
-}
-
 #[test]
 fn campaign_records_identical_at_one_and_eight_workers() {
     for scheme in [SchemeKind::Ssp, SchemeKind::Pssp] {
@@ -559,6 +547,6 @@ fn campaign_records_identical_at_one_and_eight_workers() {
         let one = base.clone().with_workers(1).run();
         let eight = base.with_workers(8).run();
         assert_eq!(one.runs, eight.runs, "{scheme}: per-victim records");
-        assert_eq!(scrubbed_record(&one), scrubbed_record(&eight), "{scheme}: exported record");
+        assert_eq!(scrub(&one.record()), scrub(&eight.record()), "{scheme}: exported record");
     }
 }

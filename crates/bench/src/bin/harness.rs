@@ -28,7 +28,12 @@
 //! gate on it.  `harness report DIR` renders the Markdown experiment
 //! report from an export directory; EXPERIMENTS.md is its generated,
 //! drift-checked output.
+//!
+//! All output goes through [`emit`]: a reader that closes the pipe early
+//! (`harness --list | head -1`) has taken what it wanted, so a broken pipe
+//! ends the process quietly with exit code 0 instead of a panic.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -45,8 +50,34 @@ use polycanary_core::record::{
     export_envelope, records_to_csv, records_to_json, Record, SCHEMA_VERSION,
 };
 
+/// Writes `args` to `stream` (a locked stdout or stderr) and flushes it.
+/// A broken pipe exits 0: the reader has gone and wants nothing more.  Any
+/// other write error exits 1.
+fn emit(mut stream: impl Write, args: std::fmt::Arguments<'_>) {
+    if let Err(err) = stream.write_fmt(args).and_then(|()| stream.flush()) {
+        std::process::exit(i32::from(err.kind() != std::io::ErrorKind::BrokenPipe));
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(std::io::stdout().lock(), format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+/// `eprintln!` through [`emit`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        emit(std::io::stderr().lock(), format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn print_usage() {
-    eprintln!(
+    errln!(
         "usage: harness [--seed N] [--quick] [--adaptive] [--workers N] [--fleet N] \
          [--opt-level L] [--lattice NAME] [--gen-seed N] [--format text|json|csv] [--out DIR] \
          [--timings FILE] [--list] [--list-passes] <scenario>...\n\
@@ -54,20 +85,20 @@ fn print_usage() {
          \x20      harness report DIR [--out FILE] [--format md|json]\n\
          \x20      harness verify [--quick] [--inject DEFECT] [--format text|json] [--out FILE]"
     );
-    eprintln!("scenarios (or `all`):");
+    errln!("scenarios (or `all`):");
     for experiment in registry() {
         let aliases = if experiment.aliases().is_empty() {
             String::new()
         } else {
             format!(" (alias: {})", experiment.aliases().join(", "))
         };
-        eprintln!("  {:<14} {}{aliases}", experiment.name(), experiment.description());
+        errln!("  {:<14} {}{aliases}", experiment.name(), experiment.description());
     }
-    eprintln!("lattices (scenario grammar, `--lattice NAME` adds their `gen:*` cells):");
+    errln!("lattices (scenario grammar, `--lattice NAME` adds their `gen:*` cells):");
     for lattice in grammar::lattices() {
-        eprintln!("  {:<14} {}", lattice.name(), lattice.description());
+        errln!("  {:<14} {}", lattice.name(), lattice.description());
     }
-    eprintln!(
+    errln!(
         "--quick       smaller workloads and campaigns (CI-sized)\n\
          --adaptive    SPRT stop rule: end single-rule campaigns once the\n\
          \x20             sequential test settles their verdict\n\
@@ -101,7 +132,7 @@ fn print_usage() {
 
 /// Invalid command line: report, print usage, exit 2.
 fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
+    errln!("error: {message}");
     print_usage();
     std::process::exit(2);
 }
@@ -109,7 +140,7 @@ fn usage_error(message: &str) -> ! {
 /// Runtime failure after a valid invocation (e.g. an unwritable `--out`
 /// directory): report and exit 1, without the usage spam.
 fn runtime_error(message: &str) -> ! {
-    eprintln!("error: {message}");
+    errln!("error: {message}");
     std::process::exit(1);
 }
 
@@ -237,9 +268,9 @@ fn main() {
     // `--opt-level` would run, in order, and exit.  Parsed after the flag
     // loop so `--opt-level O2 --list-passes` and the reverse order agree.
     if list_passes {
-        println!("{} pipeline:", ctx.opt_level);
+        outln!("{} pipeline:", ctx.opt_level);
         for name in PassManager::standard(ctx.opt_level).pass_names() {
-            println!("  {name}");
+            outln!("  {name}");
         }
         return;
     }
@@ -252,7 +283,7 @@ fn main() {
 
     if list {
         for experiment in &catalogue {
-            println!("{}\t{}", experiment.name(), experiment.title());
+            outln!("{}\t{}", experiment.name(), experiment.title());
         }
         return;
     }
@@ -324,18 +355,18 @@ fn main() {
                 std::fs::write(&path, body.as_bytes()).unwrap_or_else(|err| {
                     runtime_error(&format!("cannot write {}: {err}", path.display()));
                 });
-                eprintln!("wrote {}", path.display());
+                errln!("wrote {}", path.display());
             }
             None => match ctx.format {
-                ExportFormat::Text => println!("{body}"),
+                ExportFormat::Text => outln!("{body}"),
                 ExportFormat::Json => json_stream.push(body),
                 // Single scenario (enforced above): bare, parseable CSV.
-                ExportFormat::Csv => print!("{body}"),
+                ExportFormat::Csv => out!("{body}"),
             },
         }
     }
     if out_dir.is_none() && ctx.format == ExportFormat::Json {
-        println!("[{}]", json_stream.join(","));
+        outln!("[{}]", json_stream.join(","));
     }
 
     if let Some(path) = timings_path {
@@ -343,7 +374,7 @@ fn main() {
         std::fs::write(&path, body.as_bytes()).unwrap_or_else(|err| {
             runtime_error(&format!("cannot write {}: {err}", path.display()));
         });
-        eprintln!("wrote {}", path.display());
+        errln!("wrote {}", path.display());
     }
 }
 
@@ -426,9 +457,9 @@ fn run_diff_command(args: &[String]) -> ! {
     let baseline = baseline.map(|path| load_run(&path));
     let report = diff_runs(&old, &new, baseline.as_ref(), &options);
     if json {
-        println!("{}", verified_json(report.to_record()));
+        outln!("{}", verified_json(report.to_record()));
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     std::process::exit(i32::from(report.has_regressions()));
 }
@@ -493,9 +524,9 @@ fn run_report_command(args: &[String]) -> ! {
             std::fs::write(&path, body.as_bytes()).unwrap_or_else(|err| {
                 runtime_error(&format!("cannot write {}: {err}", path.display()));
             });
-            eprintln!("wrote {}", path.display());
+            errln!("wrote {}", path.display());
         }
-        None => print!("{body}"),
+        None => out!("{body}"),
     }
     std::process::exit(0);
 }
@@ -566,9 +597,9 @@ fn run_verify_command(args: &[String]) -> ! {
             std::fs::write(&path, body.as_bytes()).unwrap_or_else(|err| {
                 runtime_error(&format!("cannot write {}: {err}", path.display()));
             });
-            eprintln!("wrote {}", path.display());
+            errln!("wrote {}", path.display());
         }
-        None => print!("{body}"),
+        None => out!("{body}"),
     }
     std::process::exit(i32::from(!report.is_clean()));
 }

@@ -150,38 +150,38 @@ fn opt_levels() -> [OptLevel; 2] {
     [OptLevel::O0, OptLevel::O2]
 }
 
-/// Verifies one prepared workload module under one build vehicle.
-/// `ssp_build` caches the SSP shape-preserved build of the front half, the
-/// input of both rewriter link modes.
+/// The compiler of one build vehicle at one level: the scheme's own, or
+/// for the rewriter the SSP compiler of its input.  The rewriter
+/// pattern-matches the canonical SSP sequences, so its input compiles
+/// shape-preserved at every level — matching what `build_machine_at`
+/// ships.
+fn build_compiler(build: Build, opt: OptLevel) -> Compiler {
+    let compiler = match build {
+        Build::Native => Compiler::new(SchemeKind::Native),
+        Build::Compiler(kind) => Compiler::new(kind),
+        Build::BinaryRewriter(_) => Compiler::new(SchemeKind::Ssp).with_preserved_canary_shapes(),
+    };
+    compiler.with_opt_level(opt)
+}
+
+/// Verifies one prepared workload module under one build vehicle, lowered
+/// by that build's `compiler`.  `ssp_build` caches the SSP shape-preserved
+/// build of the front half, the input of both rewriter link modes.
 fn verify_cell(
     workload: &str,
     front: &Frontend<'_>,
     build: Build,
+    compiler: &Compiler,
     ssp_build: &mut Option<Program>,
 ) -> VerifyCell {
-    let opt = front.opt_level();
-    let verify_scheme = |kind: SchemeKind| {
-        let compiled = Compiler::new(kind)
-            .with_opt_level(opt)
-            .lower(front)
-            .expect("workload modules always compile");
-        (compiled.program.len(), verify_compiled(&compiled))
-    };
+    let lower = || compiler.lower(front).expect("workload modules always compile");
     let (functions, findings) = match build {
-        Build::Native => verify_scheme(SchemeKind::Native),
-        Build::Compiler(kind) => verify_scheme(kind),
+        Build::Native | Build::Compiler(_) => {
+            let compiled = lower();
+            (compiled.program.len(), verify_compiled(&compiled))
+        }
         Build::BinaryRewriter(mode) => {
-            // The rewriter pattern-matches the canonical SSP sequences, so
-            // its input compiles shape-preserved at every level — matching
-            // what `build_machine_at` ships.
-            let original = ssp_build.get_or_insert_with(|| {
-                Compiler::new(SchemeKind::Ssp)
-                    .with_opt_level(opt)
-                    .with_preserved_canary_shapes()
-                    .lower(front)
-                    .expect("workload modules always compile")
-                    .program
-            });
+            let original = ssp_build.get_or_insert_with(|| lower().program);
             let mut rewritten = original.clone();
             Rewriter::new()
                 .with_link_mode(mode)
@@ -193,30 +193,32 @@ fn verify_cell(
     VerifyCell {
         workload: workload.to_string(),
         build: build.label(),
-        opt_level: opt,
+        opt_level: front.opt_level(),
         functions,
         findings,
     }
 }
 
-/// Runs the full verification sweep.  Each workload module is prepared
-/// once per opt level (the compiler's scheme-independent front half) and
-/// lowered under every build vehicle from there; the cells and their order
-/// are those of compiling every cell from scratch.
+/// Runs the full verification sweep.  Each build's compiler is built once
+/// per opt level; each workload module is prepared once per opt level (the
+/// compiler's scheme-independent front half) and lowered under every build
+/// vehicle from there.  The cells and their order are those of compiling
+/// every cell from scratch.
 pub fn run_verify(quick: bool) -> VerifyReport {
     let builds = builds();
+    let compilers = opt_levels()
+        .map(|opt| builds.iter().map(|&build| build_compiler(build, opt)).collect::<Vec<_>>());
     let mut cells = Vec::new();
     for (name, module) in workload_modules(quick) {
-        let fronts = opt_levels().map(|opt| {
-            Compiler::new(SchemeKind::Native)
-                .with_opt_level(opt)
-                .prepare(&module)
-                .expect("workload modules always compile")
-        });
+        // Any compiler of a level prepares its front half: nothing the
+        // front half does depends on the scheme.
+        let fronts = compilers
+            .each_ref()
+            .map(|level| level[0].prepare(&module).expect("workload modules always compile"));
         let mut ssp_builds: [Option<Program>; 2] = Default::default();
-        for &build in &builds {
-            for (front, ssp_build) in fronts.iter().zip(&mut ssp_builds) {
-                cells.push(verify_cell(&name, front, build, ssp_build));
+        for (index, &build) in builds.iter().enumerate() {
+            for ((front, level), ssp_build) in fronts.iter().zip(&compilers).zip(&mut ssp_builds) {
+                cells.push(verify_cell(&name, front, build, &level[index], ssp_build));
             }
         }
     }

@@ -94,3 +94,30 @@ fn every_malformed_flag_exits_2_with_usage() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn a_reader_closing_the_pipe_early_ends_the_run_quietly_with_exit_0() {
+    use std::process::Stdio;
+
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/run_a.json");
+    let runs: [&[&str]; 3] = [
+        &["--lattice", "matrix", "--gen-seed", "7", "--list"],
+        &["report", fixture],
+        &["--quick", "--format", "json", "table1"],
+    ];
+    for args in runs {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_harness"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("harness runs");
+        // Close the read end before the harness writes: every write it
+        // makes then fails with a broken pipe.
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("harness exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -10,12 +10,17 @@
 //!
 //! * the **front half**, [`Compiler::prepare`], depends only on the module
 //!   and the optimization level: validation, the name → [`FuncId`] table,
-//!   stage-1 analysis and the stage-2 IR transforms.  It yields a
-//!   [`Frontend`];
+//!   stage-1 analysis and the stage-2 IR transforms.  It also lowers, once,
+//!   every function whose frame needs no protection — layout, body, the
+//!   stage-3 passes and the body's address offsets.  Such a function has
+//!   no canary, so it compiles to the same code under every scheme.  It
+//!   yields a [`Frontend`];
 //! * the **back half**, [`Compiler::lower`], runs per scheme: override
-//!   resolution, frame layout, lowering, the stage-3 instruction passes and
-//!   [`Program::finalize`].  It borrows the [`Frontend`], sharing its name
-//!   table with the output rather than copying it.
+//!   resolution, then frame layout, lowering and the stage-3 instruction
+//!   passes of the protected functions only, and [`Program::finalize`].
+//!   It borrows the [`Frontend`]: every unprotected function's body and
+//!   layout, and the name table, are shared with the output by reference
+//!   count rather than copied.
 //!
 //! Names are interned once per module: every function name is the
 //! `Arc<str>` of its [`FunctionDef`], and the front half's table, the
@@ -32,7 +37,7 @@ use std::sync::Arc;
 use polycanary_core::scheme::{CanaryScheme, SchemeKind};
 use polycanary_vm::inst::{FuncId, Inst};
 use polycanary_vm::machine::Machine;
-use polycanary_vm::program::Program;
+use polycanary_vm::program::{FunctionBody, Program};
 use polycanary_vm::reg::Reg;
 
 use crate::error::CompileError;
@@ -87,8 +92,9 @@ impl CompiledModule {
 }
 
 /// The scheme-independent front half of a compile (see the module docs):
-/// a validated module's name table plus every function's stage-1 analysis
-/// and stage-2 IR, at one optimization level.  Built by
+/// a validated module's name table, every function's stage-1 analysis and
+/// stage-2 IR, and the finished lowering of every unprotected function, at
+/// one optimization level.  Built by
 /// [`Compiler::prepare`]; lowered by [`Compiler::lower`] as often as
 /// needed, under any scheme at the same level.
 ///
@@ -112,10 +118,22 @@ pub struct Frontend<'m> {
     /// Stage-2 IR of every function, borrowed from the module when no pass
     /// of the pipeline rewrites IR.
     functions: Vec<Cow<'m, FunctionDef>>,
-    /// Stage-1 analysis of every function, which the back half completes.
+    /// Analysis of every function: complete for unprotected functions,
+    /// stage 1 only for protected ones, which the back half completes.
     analyses: Vec<FunctionAnalysis>,
+    /// The finished lowering of every unprotected function, shared by every
+    /// scheme; `None` for a protected function, which every scheme lowers
+    /// on its own.
+    unprotected: Vec<Option<Lowered>>,
     by_name: Arc<FunctionIds>,
     entry: FuncId,
+}
+
+/// One function's frame layout and finished body.  A clone shares both.
+#[derive(Debug, Clone)]
+struct Lowered {
+    layout: FrameLayout,
+    body: FunctionBody,
 }
 
 impl Frontend<'_> {
@@ -213,34 +231,58 @@ impl Compiler {
     /// Returns a [`CompileError`] if the module fails validation, an
     /// override names an unknown function or a frame cannot be laid out.
     pub fn compile(&self, module: &ModuleDef) -> Result<CompiledModule, CompileError> {
-        let mut front = self.prepare(module)?;
+        let mut scratch = Vec::new();
+        let mut front = self.prepare_with(module, &mut scratch)?;
         // Nothing lowers this front half again, so the back half completes
-        // its analyses in place instead of a copy.
+        // its analyses in place and takes its lowerings instead of copies.
         let analyses = std::mem::take(&mut front.analyses);
-        self.back_half(&front, analyses)
+        let unprotected = std::mem::take(&mut front.unprotected);
+        self.back_half(&front, analyses, unprotected, &mut scratch)
     }
 
     /// The front half of [`Compiler::compile`]: validates `module`, resolves
     /// its function names (ids follow declaration order), then runs stage 1
     /// (analysis) and stage 2 (IR transforms) of this compiler's pipeline
-    /// over every function.  Nothing here depends on the scheme.
+    /// over every function.  Every function the analysis leaves unprotected
+    /// is also laid out, lowered and run through stage 3 here: with no
+    /// canary, its code is the same under every scheme.
     ///
     /// # Errors
     ///
-    /// Returns the module's first validation error.
+    /// Returns the module's first validation error or a frame layout error.
     pub fn prepare<'m>(&self, module: &'m ModuleDef) -> Result<Frontend<'m>, CompileError> {
+        self.prepare_with(module, &mut Vec::new())
+    }
+
+    /// [`Compiler::prepare`], lowering into the instruction buffer
+    /// `scratch` (see [`Compiler::lower_one`]).
+    fn prepare_with<'m>(
+        &self,
+        module: &'m ModuleDef,
+        scratch: &mut Vec<Inst>,
+    ) -> Result<Frontend<'m>, CompileError> {
         let (by_name, entry) = module.resolve()?;
         let mut functions = Vec::with_capacity(module.functions.len());
         let mut analyses = Vec::with_capacity(module.functions.len());
+        let mut unprotected = Vec::with_capacity(module.functions.len());
         for func in &module.functions {
-            analyses.push(self.passes.run(func));
+            let mut analysis = self.passes.run(func);
             // Stage 2 works on a copy only when the pipeline rewrites IR.
-            functions.push(self.passes.optimize_ir(func));
+            let func = self.passes.optimize_ir(func);
+            unprotected.push(if analysis.needs_protection {
+                None
+            } else {
+                let scheme = self.scheme.as_ref();
+                Some(self.lower_one(&func, scheme, &by_name, &mut analysis, scratch)?)
+            });
+            functions.push(func);
+            analyses.push(analysis);
         }
         Ok(Frontend {
             opt_level: self.opt_level,
             functions,
             analyses,
+            unprotected,
             by_name: Arc::new(by_name),
             entry,
         })
@@ -258,15 +300,19 @@ impl Compiler {
     /// per-function override names a function the module lacks, or a frame
     /// layout error.
     pub fn lower(&self, front: &Frontend<'_>) -> Result<CompiledModule, CompileError> {
-        self.back_half(front, front.analyses.clone())
+        let unprotected = front.unprotected.iter().cloned();
+        self.back_half(front, front.analyses.clone(), unprotected, &mut Vec::new())
     }
 
-    /// Lowers `front`, completing `analyses` (its stage-1 results) with the
-    /// stage-3 passes.
+    /// Lowers `front`: places each of the `unprotected` lowerings, and
+    /// lowers every protected function, completing its entry of `analyses`
+    /// with the stage-3 passes, in the instruction buffer `scratch`.
     fn back_half(
         &self,
         front: &Frontend<'_>,
         mut analyses: Vec<FunctionAnalysis>,
+        unprotected: impl IntoIterator<Item = Option<Lowered>>,
+        scratch: &mut Vec<Inst>,
     ) -> Result<CompiledModule, CompileError> {
         if front.opt_level != self.opt_level {
             return Err(CompileError::OptLevelMismatch {
@@ -285,32 +331,24 @@ impl Compiler {
 
         let mut program = Program::with_capacity(front.functions.len());
         let mut frames = Vec::with_capacity(front.functions.len());
-        for ((func, analysis), &kind) in
-            front.functions.iter().zip(&mut analyses).zip(&function_schemes)
+        for (((func, analysis), &kind), unprotected) in
+            front.functions.iter().zip(&mut analyses).zip(&function_schemes).zip(unprotected)
         {
-            let scheme: Box<dyn CanaryScheme>;
-            let scheme_ref: &dyn CanaryScheme = if kind == self.scheme_kind {
-                self.scheme.as_ref()
-            } else {
-                scheme = kind.scheme();
-                scheme.as_ref()
+            let Lowered { layout, body } = match unprotected {
+                Some(lowered) => lowered,
+                None => {
+                    let scheme: Box<dyn CanaryScheme>;
+                    let scheme_ref: &dyn CanaryScheme = if kind == self.scheme_kind {
+                        self.scheme.as_ref()
+                    } else {
+                        scheme = kind.scheme();
+                        scheme.as_ref()
+                    };
+                    self.lower_one(func, scheme_ref, &front.by_name, analysis, scratch)?
+                }
             };
-
-            let layout = layout_frame(func, scheme_ref)?;
-            debug_assert_eq!(analysis.needs_protection, layout.info.protected);
-
-            // Stage 3: lower, then instruction transforms (scheduling,
-            // canary-load elimination, cost estimation).
-            let mut body = lower_function(func, &layout, scheme_ref, &front.by_name)?;
-            let ctx = PassCtx {
-                scheme: kind,
-                layout: &layout,
-                preserve_canary_shapes: self.preserve_canary_shapes,
-            };
-            self.passes.transform_insts(&mut body, &ctx, analysis);
-
             program
-                .add_function(Arc::clone(&func.name), body.insts)
+                .add_function_body(Arc::clone(&func.name), body)
                 .map_err(|_| CompileError::DuplicateFunction { name: func.name.to_string() })?;
             frames.push(layout);
         }
@@ -328,20 +366,55 @@ impl Compiler {
             by_name: Arc::clone(&front.by_name),
         })
     }
+
+    /// Lays out, lowers and runs stage 3 over one function under `scheme`,
+    /// completing its `analysis`.  `scratch` is the instruction buffer the
+    /// passes edit; it is handed back for the next function, so the
+    /// finished body is the only allocation for the instructions.
+    fn lower_one(
+        &self,
+        func: &FunctionDef,
+        scheme: &dyn CanaryScheme,
+        ids: &FunctionIds,
+        analysis: &mut FunctionAnalysis,
+        scratch: &mut Vec<Inst>,
+    ) -> Result<Lowered, CompileError> {
+        let layout = layout_frame(func, scheme)?;
+        debug_assert_eq!(analysis.needs_protection, layout.info.protected);
+
+        // Stage 3: lower, then instruction transforms (scheduling,
+        // canary-load elimination, cost estimation).
+        let mut lowered = lower_function(func, &layout, scheme, ids, std::mem::take(scratch))?;
+        let pass_ctx = PassCtx {
+            scheme: scheme.kind(),
+            layout: &layout,
+            preserve_canary_shapes: self.preserve_canary_shapes,
+        };
+        self.passes.transform_insts(&mut lowered, &pass_ctx, analysis);
+        let body = FunctionBody::new(&lowered.insts);
+        *scratch = lowered.insts;
+        Ok(Lowered { layout, body })
+    }
 }
 
-/// Lowers one function to VM instructions, recording where the scheme
-/// prologue and epilogue landed so instruction-level passes can reason
-/// about them.
+/// The least room the lowering buffer is given: enough that it seldom
+/// grows from one function to the next.
+const SCRATCH_CAPACITY: usize = 64;
+
+/// Lowers one function to VM instructions into `insts` (cleared first),
+/// recording where the scheme prologue and epilogue landed so
+/// instruction-level passes can reason about them.
 pub(crate) fn lower_function(
     func: &FunctionDef,
     layout: &FrameLayout,
     scheme: &dyn CanaryScheme,
     ids: &FunctionIds,
+    mut insts: Vec<Inst>,
 ) -> Result<LoweredBody, CompileError> {
     // Room for the frame, a canary prologue and epilogue and one
     // instruction per statement: most bodies never grow the vector.
-    let mut insts = Vec::with_capacity(24 + func.body.len());
+    insts.clear();
+    insts.reserve(SCRATCH_CAPACITY.max(24 + func.body.len()));
 
     // Frame establishment (Code 1, lines 1–3).
     insts.push(Inst::PushReg(Reg::Rbp));
@@ -352,7 +425,7 @@ pub(crate) fn lower_function(
 
     // Scheme prologue.
     let prologue_start = insts.len();
-    insts.extend(scheme.emit_prologue(&layout.info));
+    scheme.emit_prologue_into(&layout.info, &mut insts);
     let prologue = prologue_start..insts.len();
 
     // Body.
@@ -403,7 +476,7 @@ pub(crate) fn lower_function(
 
     // Scheme epilogue followed by frame teardown (Code 2, lines 6–8).
     let epilogue_start = insts.len();
-    insts.extend(scheme.emit_epilogue(&layout.info));
+    scheme.emit_epilogue_into(&layout.info, &mut insts);
     let epilogue = epilogue_start..insts.len();
     insts.push(Inst::Leave);
     insts.push(Inst::Ret);
@@ -869,7 +942,8 @@ mod tests {
                 let scheme = kind.scheme();
                 let layout = layout_frame(&ir_once, scheme.as_ref()).unwrap();
                 let ids = FunctionIds::from_iter([(Arc::clone(&ir_once.name), FuncId(0))]);
-                let mut body = lower_function(&ir_once, &layout, scheme.as_ref(), &ids).unwrap();
+                let mut body =
+                    lower_function(&ir_once, &layout, scheme.as_ref(), &ids, Vec::new()).unwrap();
                 let mut analysis = pm.run(&ir_once);
                 let ctx = PassCtx { scheme: kind, layout: &layout, preserve_canary_shapes: false };
                 pm.transform_insts(&mut body, &ctx, &mut analysis);

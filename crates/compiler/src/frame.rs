@@ -8,11 +8,13 @@
 //! * under P-SSP-LV, every critical buffer additionally gets a guard canary
 //!   slot at the address directly above it (§IV-B).
 
+use std::sync::Arc;
+
 use polycanary_core::layout::FrameInfo;
 use polycanary_core::scheme::CanaryScheme;
 
 use crate::error::CompileError;
-use crate::ir::FunctionDef;
+use crate::ir::{FunctionDef, Local};
 
 /// Maximum supported frame size (disp32 addressing of locals).
 const MAX_FRAME: i64 = i32::MAX as i64 / 2;
@@ -23,8 +25,9 @@ pub struct FrameLayout {
     /// The scheme-facing summary (size, protection flag, critical slots).
     pub info: FrameInfo,
     /// `%rbp`-relative offset of the *lowest* byte of each local, indexed by
-    /// the local's declaration order in the [`FunctionDef`].
-    pub local_offsets: Vec<i32>,
+    /// the local's declaration order in the [`FunctionDef`].  Shared, so
+    /// every build that reuses a layout clones it without allocating.
+    pub local_offsets: Arc<[i32]>,
     /// Number of canary words reserved directly below the saved `%rbp`.
     pub canary_words: u32,
 }
@@ -53,37 +56,54 @@ pub fn layout_frame(
 ) -> Result<FrameLayout, CompileError> {
     let protected = func.needs_protection();
     let canary_words = if protected { scheme.canary_region_words() } else { 0 };
-    let guard_locals = scheme.properties().protects_local_variables;
-
-    let mut cursor: i64 = -(8 * i64::from(canary_words));
-    let mut local_offsets = vec![0i32; func.locals.len()];
-    let mut critical_slots = Vec::new();
+    let guard_locals = protected && scheme.properties().protects_local_variables;
+    let guarded = |local: &Local| guard_locals && local.kind.is_critical();
+    let slot_size = |local: &Local| (i64::from(local.kind.size()) + 7) / 8 * 8;
+    let depth_of = |local: &Local| slot_size(local) + if guarded(local) { 8 } else { 0 };
+    let region = 8 * i64::from(canary_words);
 
     // Buffers first (nearest the canary), then scalars — the reordering SSP
     // performs so buffer overflows cannot silently corrupt scalars.  Each
-    // pass keeps declaration order.
-    for buffers in [true, false] {
-        for (index, local) in func.locals.iter().enumerate() {
-            if local.kind.is_buffer() != buffers {
-                continue;
-            }
-            if guard_locals && local.kind.is_critical() && protected {
-                cursor -= 8;
-                critical_slots.push(cursor as i32);
-            }
-            let size = (i64::from(local.kind.size()) + 7) / 8 * 8;
-            cursor -= size;
-            if -cursor > MAX_FRAME {
-                return Err(CompileError::FrameTooLarge {
-                    function: func.name.to_string(),
-                    size: (-cursor) as u64,
-                });
-            }
-            local_offsets[index] = cursor as i32;
+    // group keeps declaration order.  The frame only deepens as locals are
+    // placed, so checking each placement in that order finds the first
+    // local that does not fit.
+    let buffers = func.locals.iter().filter(|local| local.kind.is_buffer());
+    let scalars = func.locals.iter().filter(|local| !local.kind.is_buffer());
+    let mut depth = region;
+    let mut buffer_depth = region;
+    for local in buffers.chain(scalars) {
+        depth += depth_of(local);
+        if depth > MAX_FRAME {
+            return Err(CompileError::FrameTooLarge {
+                function: func.name.to_string(),
+                size: depth as u64,
+            });
+        }
+        if local.kind.is_buffer() {
+            buffer_depth = depth;
         }
     }
 
-    let frame_size = ((-cursor + 15) / 16 * 16) as u32;
+    // Offsets in declaration order: one cursor walks down the buffer group
+    // (each critical buffer below its guard slot), one the scalar group.
+    let (mut buffer_cursor, mut scalar_cursor) = (-region, -buffer_depth);
+    let mut critical_slots = Vec::new();
+    let local_offsets = func
+        .locals
+        .iter()
+        .map(|local| {
+            let cursor =
+                if local.kind.is_buffer() { &mut buffer_cursor } else { &mut scalar_cursor };
+            if guarded(local) {
+                *cursor -= 8;
+                critical_slots.push(*cursor as i32);
+            }
+            *cursor -= slot_size(local);
+            *cursor as i32
+        })
+        .collect();
+
+    let frame_size = ((depth + 15) / 16 * 16) as u32;
     let info = if protected {
         FrameInfo::protected(frame_size).with_critical_slots(critical_slots)
     } else {
@@ -156,6 +176,18 @@ mod tests {
         assert!(!layout.info.protected);
         assert_eq!(layout.local_offset(0), -8);
         assert_eq!(layout.local_offset(1), -16);
+    }
+
+    #[test]
+    fn an_unprotected_layout_is_the_same_under_every_scheme() {
+        // The front half lays out unprotected functions once, for every
+        // scheme: that is sound only if no scheme changes their layout.
+        let func = FunctionBuilder::new("leaf").scalar("x").scalar("y").scalar("z").build();
+        let reference = layout_frame(&func, SchemeKind::Native.scheme().as_ref()).unwrap();
+        assert!(!reference.info.protected);
+        for kind in SchemeKind::ALL {
+            assert_eq!(layout_frame(&func, kind.scheme().as_ref()).unwrap(), reference, "{kind}");
+        }
     }
 
     #[test]

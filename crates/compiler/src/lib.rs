@@ -18,9 +18,11 @@
 //! [`Compiler::compile`] runs in two halves.  The front half,
 //! [`Compiler::prepare`], depends only on the module and the optimization
 //! level — validation, the name → function-id table, analysis and the IR
-//! transforms — and yields a [`Frontend`].  The back half,
-//! [`Compiler::lower`], lays out, lowers and finalizes that front half under
-//! one scheme, so a module built under many schemes is prepared once.
+//! transforms, plus the finished lowering of every unprotected function,
+//! whose code no scheme changes — and yields a [`Frontend`].  The back
+//! half, [`Compiler::lower`], lays out and lowers the protected functions
+//! under one scheme, shares the rest, and finalizes, so a module built
+//! under many schemes is prepared once.
 //! Function names are interned once per module, as the `Arc<str>`s of the
 //! [`ir`]; the name table and every lowered program share them.
 //!

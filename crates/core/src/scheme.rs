@@ -200,14 +200,30 @@ pub trait CanaryScheme: Send + Sync {
     /// [`FrameInfo::critical_canary_slots`].)
     fn canary_region_words(&self) -> u32;
 
-    /// Emits the canary part of the function prologue.  The compiler places
-    /// these instructions right after the frame is established
-    /// (`push %rbp; mov %rsp,%rbp; sub $frame,%rsp`).
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst>;
+    /// Appends the canary part of the function prologue to `out`.  The
+    /// compiler places these instructions right after the frame is
+    /// established (`push %rbp; mov %rsp,%rbp; sub $frame,%rsp`).  An
+    /// unprotected frame gets none.
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>);
 
-    /// Emits the canary check of the function epilogue.  The compiler places
-    /// these instructions right before `leaveq; retq`.
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst>;
+    /// Appends the canary check of the function epilogue to `out`.  The
+    /// compiler places these instructions right before `leaveq; retq`.  An
+    /// unprotected frame gets none.
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>);
+
+    /// [`CanaryScheme::emit_prologue_into`] as a vector of its own.
+    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+        let mut out = Vec::new();
+        self.emit_prologue_into(frame, &mut out);
+        out
+    }
+
+    /// [`CanaryScheme::emit_epilogue_into`] as a vector of its own.
+    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+        let mut out = Vec::new();
+        self.emit_epilogue_into(frame, &mut out);
+        out
+    }
 
     /// Creates the runtime hooks (the shared-library part of the scheme).
     /// `seed` makes the runtime's randomness reproducible.

@@ -42,18 +42,18 @@ impl CanaryScheme for RafSspScheme {
         1
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        emit::ssp_style_prologue(TLS_CANARY_OFFSET)
+        out.extend(emit::ssp_style_prologue(TLS_CANARY_OFFSET));
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        emit::ssp_style_epilogue()
+        out.extend(emit::ssp_style_epilogue());
     }
 
     fn runtime_hooks(&self, seed: u64) -> Box<dyn RuntimeHooks> {
@@ -114,22 +114,20 @@ impl CanaryScheme for DynaGuardScheme {
         1
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        let mut insts = emit::ssp_style_prologue(TLS_CANARY_OFFSET);
-        insts.push(Inst::RecordCanaryAddress { offset: -8 });
-        insts
+        out.extend(emit::ssp_style_prologue(TLS_CANARY_OFFSET));
+        out.push(Inst::RecordCanaryAddress { offset: -8 });
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        let mut insts = emit::ssp_style_epilogue();
-        insts.push(Inst::PopCanaryAddress);
-        insts
+        out.extend(emit::ssp_style_epilogue());
+        out.push(Inst::PopCanaryAddress);
     }
 
     fn runtime_hooks(&self, seed: u64) -> Box<dyn RuntimeHooks> {
@@ -207,22 +205,20 @@ impl CanaryScheme for DcrScheme {
         1
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        let mut insts = emit::ssp_style_prologue(TLS_CANARY_OFFSET);
-        insts.push(Inst::LinkCanaryPush { offset: -8 });
-        insts
+        out.extend(emit::ssp_style_prologue(TLS_CANARY_OFFSET));
+        out.push(Inst::LinkCanaryPush { offset: -8 });
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        let mut insts = emit::ssp_style_epilogue();
-        insts.push(Inst::LinkCanaryPop { offset: -8 });
-        insts
+        out.extend(emit::ssp_style_epilogue());
+        out.push(Inst::LinkCanaryPop { offset: -8 });
     }
 
     fn runtime_hooks(&self, seed: u64) -> Box<dyn RuntimeHooks> {

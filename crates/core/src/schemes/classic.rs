@@ -22,13 +22,9 @@ impl CanaryScheme for NativeScheme {
         0
     }
 
-    fn emit_prologue(&self, _frame: &FrameInfo) -> Vec<Inst> {
-        Vec::new()
-    }
+    fn emit_prologue_into(&self, _frame: &FrameInfo, _out: &mut Vec<Inst>) {}
 
-    fn emit_epilogue(&self, _frame: &FrameInfo) -> Vec<Inst> {
-        Vec::new()
-    }
+    fn emit_epilogue_into(&self, _frame: &FrameInfo, _out: &mut Vec<Inst>) {}
 
     fn runtime_hooks(&self, _seed: u64) -> Box<dyn RuntimeHooks> {
         Box::new(NoHooks)
@@ -65,18 +61,18 @@ impl CanaryScheme for SspScheme {
         1
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        emit::ssp_style_prologue(TLS_CANARY_OFFSET)
+        out.extend(emit::ssp_style_prologue(TLS_CANARY_OFFSET));
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        emit::ssp_style_epilogue()
+        out.extend(emit::ssp_style_epilogue());
     }
 
     fn runtime_hooks(&self, _seed: u64) -> Box<dyn RuntimeHooks> {

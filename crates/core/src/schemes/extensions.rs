@@ -33,25 +33,25 @@ impl CanaryScheme for PsspNtScheme {
         2
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
         // Code 7: rdrand %rax; store C0; C1 = C ^ C0; store C1.
-        vec![
+        out.extend([
             Inst::Rdrand(Reg::Rax),
             Inst::MovRegToFrame { src: Reg::Rax, offset: -8 },
             Inst::MovTlsToReg { dst: Reg::Rcx, offset: TLS_CANARY_OFFSET },
             Inst::XorRegReg { dst: Reg::Rcx, src: Reg::Rax },
             Inst::MovRegToFrame { src: Reg::Rcx, offset: -16 },
-        ]
+        ]);
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        emit::split_canary_epilogue()
+        out.extend(emit::split_canary_epilogue());
     }
 
     fn runtime_hooks(&self, _seed: u64) -> Box<dyn RuntimeHooks> {
@@ -89,11 +89,8 @@ pub struct PsspLvScheme;
 impl PsspLvScheme {
     /// All canary slots of a frame in prologue order: the return-address
     /// guard at `-8` followed by the per-variable guards.
-    fn slots(frame: &FrameInfo) -> Vec<i32> {
-        let mut slots = Vec::with_capacity(1 + frame.critical_canary_slots.len());
-        slots.push(-8);
-        slots.extend(frame.critical_canary_slots.iter().copied());
-        slots
+    fn slots(frame: &FrameInfo) -> impl Iterator<Item = i32> + '_ {
+        std::iter::once(-8).chain(frame.critical_canary_slots.iter().copied())
     }
 }
 
@@ -106,39 +103,43 @@ impl CanaryScheme for PsspLvScheme {
         1
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        let slots = Self::slots(frame);
-        let mut insts = vec![Inst::MovTlsToReg { dst: Reg::Rcx, offset: TLS_CANARY_OFFSET }];
+        out.push(Inst::MovTlsToReg { dst: Reg::Rcx, offset: TLS_CANARY_OFFSET });
         // Algorithm 2: random canaries for every slot but the last, then the
         // last canary is C ⊕ C0 ⊕ … ⊕ C_{j-1}, accumulated in %rcx.
-        let (last, randomized) = slots.split_last().expect("slots always contains -8");
-        for slot in randomized {
-            insts.push(Inst::Rdrand(Reg::Rax));
-            insts.push(Inst::MovRegToFrame { src: Reg::Rax, offset: *slot });
-            insts.push(Inst::XorRegReg { dst: Reg::Rcx, src: Reg::Rax });
+        let randomized = frame.critical_canary_slots.len();
+        for offset in Self::slots(frame).take(randomized) {
+            out.extend([
+                Inst::Rdrand(Reg::Rax),
+                Inst::MovRegToFrame { src: Reg::Rax, offset },
+                Inst::XorRegReg { dst: Reg::Rcx, src: Reg::Rax },
+            ]);
         }
-        insts.push(Inst::MovRegToFrame { src: Reg::Rcx, offset: *last });
-        insts
+        let last = Self::slots(frame).last().expect("slots always contains -8");
+        out.push(Inst::MovRegToFrame { src: Reg::Rcx, offset: last });
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        let slots = Self::slots(frame);
-        let (first, rest) = slots.split_first().expect("slots always contains -8");
-        let mut insts = vec![Inst::MovFrameToReg { dst: Reg::Rdx, offset: *first }];
-        for slot in rest {
-            insts.push(Inst::MovFrameToReg { dst: Reg::Rdi, offset: *slot });
-            insts.push(Inst::XorRegReg { dst: Reg::Rdx, src: Reg::Rdi });
+        let mut slots = Self::slots(frame);
+        let first = slots.next().expect("slots always contains -8");
+        out.push(Inst::MovFrameToReg { dst: Reg::Rdx, offset: first });
+        for offset in slots {
+            out.extend([
+                Inst::MovFrameToReg { dst: Reg::Rdi, offset },
+                Inst::XorRegReg { dst: Reg::Rdx, src: Reg::Rdi },
+            ]);
         }
-        insts.push(Inst::XorTlsReg { dst: Reg::Rdx, offset: TLS_CANARY_OFFSET });
-        insts.push(Inst::JeSkip(1));
-        insts.push(Inst::CallStackChkFail);
-        insts
+        out.extend([
+            Inst::XorTlsReg { dst: Reg::Rdx, offset: TLS_CANARY_OFFSET },
+            Inst::JeSkip(1),
+            Inst::CallStackChkFail,
+        ]);
     }
 
     fn runtime_hooks(&self, _seed: u64) -> Box<dyn RuntimeHooks> {
@@ -182,28 +183,28 @@ impl CanaryScheme for PsspOwfScheme {
         3
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
         // Code 8: read the TSC, save the nonce, encrypt (nonce, return
         // address) under the register key and store the 128-bit ciphertext.
-        vec![
+        out.extend([
             Inst::Rdtsc,
             Inst::MovRegToFrame { src: Reg::Rax, offset: -8 },
             Inst::AesEncryptFrame { nonce: Reg::Rax },
             Inst::MovRegToFrame { src: Reg::Rax, offset: -16 },
             Inst::MovRegToFrame { src: Reg::Rdx, offset: -24 },
-        ]
+        ]);
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
         // Code 9: reload the nonce, re-encrypt with the current return
         // address and compare both ciphertext halves with the stored ones.
-        vec![
+        out.extend([
             Inst::MovFrameToReg { dst: Reg::Rcx, offset: -8 },
             Inst::AesEncryptFrame { nonce: Reg::Rcx },
             Inst::CmpFrameReg { reg: Reg::Rax, offset: -16 },
@@ -212,7 +213,7 @@ impl CanaryScheme for PsspOwfScheme {
             Inst::CmpFrameReg { reg: Reg::Rdx, offset: -24 },
             Inst::JeSkip(1),
             Inst::CallStackChkFail,
-        ]
+        ]);
     }
 
     fn runtime_hooks(&self, seed: u64) -> Box<dyn RuntimeHooks> {

@@ -49,16 +49,16 @@ pub(crate) mod emit {
 
     /// The classic SSP prologue canary store (Code 1, lines 4–5), reading
     /// from an arbitrary TLS offset so P-SSP's binary variant can reuse it.
-    pub fn ssp_style_prologue(tls_offset: u64) -> Vec<Inst> {
-        vec![
+    pub fn ssp_style_prologue(tls_offset: u64) -> [Inst; 2] {
+        [
             Inst::MovTlsToReg { dst: Reg::Rax, offset: tls_offset },
             Inst::MovRegToFrame { src: Reg::Rax, offset: -8 },
         ]
     }
 
     /// The classic SSP epilogue check (Code 2, lines 2–5).
-    pub fn ssp_style_epilogue() -> Vec<Inst> {
-        vec![
+    pub fn ssp_style_epilogue() -> [Inst; 4] {
+        [
             Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 },
             Inst::XorTlsReg { dst: Reg::Rdx, offset: TLS_CANARY_OFFSET },
             Inst::JeSkip(1),
@@ -69,8 +69,8 @@ pub(crate) mod emit {
     /// The split-canary epilogue shared by P-SSP and P-SSP-NT (Code 4,
     /// lines 2–7): load both halves, XOR them together, XOR with the TLS
     /// canary and fail on mismatch.
-    pub fn split_canary_epilogue() -> Vec<Inst> {
-        vec![
+    pub fn split_canary_epilogue() -> [Inst; 6] {
+        [
             Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 },
             Inst::MovFrameToReg { dst: Reg::Rdi, offset: -16 },
             Inst::XorRegReg { dst: Reg::Rdx, src: Reg::Rdi },
@@ -114,6 +114,9 @@ mod tests {
 
     #[test]
     fn unprotected_frames_get_no_canary_code() {
+        // The compiler lowers an unprotected function once and shares that
+        // code with every scheme's build, which is sound only because no
+        // scheme instruments an unprotected frame.
         let frame = FrameInfo::unprotected(0x10);
         for kind in SchemeKind::ALL {
             let scheme = scheme_for(kind);

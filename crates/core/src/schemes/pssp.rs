@@ -35,24 +35,24 @@ impl CanaryScheme for PsspScheme {
         2
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
         // Code 3: copy C0 and C1 from the TLS shadow canary into the frame.
-        vec![
+        out.extend([
             Inst::MovTlsToReg { dst: Reg::Rax, offset: TLS_SHADOW_C0_OFFSET },
             Inst::MovRegToFrame { src: Reg::Rax, offset: -8 },
             Inst::MovTlsToReg { dst: Reg::Rax, offset: TLS_SHADOW_C1_OFFSET },
             Inst::MovRegToFrame { src: Reg::Rax, offset: -16 },
-        ]
+        ]);
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
-        emit::split_canary_epilogue()
+        out.extend(emit::split_canary_epilogue());
     }
 
     fn runtime_hooks(&self, seed: u64) -> Box<dyn RuntimeHooks> {
@@ -129,21 +129,21 @@ impl CanaryScheme for PsspBin32Scheme {
         1
     }
 
-    fn emit_prologue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_prologue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
         // Code 5: identical to SSP except the TLS offset.
-        emit::ssp_style_prologue(TLS_SHADOW_C0_OFFSET)
+        out.extend(emit::ssp_style_prologue(TLS_SHADOW_C0_OFFSET));
     }
 
-    fn emit_epilogue(&self, frame: &FrameInfo) -> Vec<Inst> {
+    fn emit_epilogue_into(&self, frame: &FrameInfo, out: &mut Vec<Inst>) {
         if !frame.protected {
-            return Vec::new();
+            return;
         }
         // Code 6: same length as the SSP epilogue; the check happens inside
         // the patched __stack_chk_fail reached through CallCheckCanary32.
-        vec![
+        out.extend([
             Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 },
             Inst::PushReg(Reg::Rdi),
             Inst::PushReg(Reg::Rdx),
@@ -152,7 +152,7 @@ impl CanaryScheme for PsspBin32Scheme {
             Inst::PopReg(Reg::Rdi),
             Inst::JeSkip(1),
             Inst::CallStackChkFail,
-        ]
+        ]);
     }
 
     fn runtime_hooks(&self, seed: u64) -> Box<dyn RuntimeHooks> {

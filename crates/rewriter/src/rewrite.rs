@@ -333,8 +333,7 @@ mod tests {
         let mut insts = program.function(id).unwrap().insts().to_vec();
         let sites = scan_function(&insts);
         let prologue = sites.prologues[0];
-        let extra =
-            vec![insts[prologue.tls_load_index].clone(), insts[prologue.store_index].clone()];
+        let extra = vec![insts[prologue.tls_load_index], insts[prologue.store_index]];
         insts.splice(prologue.store_index + 1..prologue.store_index + 1, extra);
         program.replace_function_body(id, insts).unwrap();
         program.finalize();

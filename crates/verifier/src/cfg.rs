@@ -17,17 +17,16 @@
 use polycanary_vm::inst::Inst;
 
 /// One basic block: the half-open instruction range `[start, end)` plus its
-/// successor edges (block ids).
+/// successor edges (block ids).  A block ends in at most one branch, so it
+/// has at most two successors, kept inline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasicBlock {
     /// Index of the block's first instruction (its leader).
     pub start: usize,
     /// One past the index of the block's last instruction.
     pub end: usize,
-    /// Ids of the blocks control can transfer to from this block's last
-    /// instruction.  A branch target beyond the end of the body contributes
-    /// no edge (control falls off the function).
-    pub successors: Vec<usize>,
+    successors: [usize; 2],
+    successor_count: u8,
 }
 
 impl BasicBlock {
@@ -35,10 +34,28 @@ impl BasicBlock {
     pub fn range(&self) -> std::ops::Range<usize> {
         self.start..self.end
     }
+
+    /// Ids of the blocks control can transfer to from this block's last
+    /// instruction: the fall-through block first, then the branch target.
+    /// A branch target beyond the end of the body contributes no edge
+    /// (control falls off the function).
+    pub fn successors(&self) -> &[usize] {
+        &self.successors[..usize::from(self.successor_count)]
+    }
+
+    fn add_successor(&mut self, id: usize) {
+        if !self.successors().contains(&id) {
+            self.successors[usize::from(self.successor_count)] = id;
+            self.successor_count += 1;
+        }
+    }
 }
 
 /// The control-flow graph of one function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// [`Cfg::rebuild`] reuses the graph's buffers, so a verifier walking many
+/// functions allocates for the largest one only.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cfg {
     blocks: Vec<BasicBlock>,
     /// Instruction index → id of the containing block.
@@ -48,64 +65,72 @@ pub struct Cfg {
 impl Cfg {
     /// Builds the CFG of `insts`.  An empty body yields an empty graph.
     pub fn build(insts: &[Inst]) -> Cfg {
+        let mut cfg = Cfg::default();
+        cfg.rebuild(insts);
+        cfg
+    }
+
+    /// Replaces this graph with the CFG of `insts`, reusing its buffers.
+    pub fn rebuild(&mut self, insts: &[Inst]) {
+        let Cfg { blocks, block_index } = self;
+        blocks.clear();
+        block_index.clear();
         if insts.is_empty() {
-            return Cfg { blocks: Vec::new(), block_index: Vec::new() };
+            return;
         }
 
         // Leaders: entry, branch targets, and the instruction after every
-        // branch, call, return or abort.
-        let mut leader = vec![false; insts.len()];
-        leader[0] = true;
+        // branch, call, return or abort.  They are marked non-zero in the
+        // block index, which the carving pass below then overwrites.
+        block_index.resize(insts.len(), 0);
+        block_index[0] = 1;
         for (i, inst) in insts.iter().enumerate() {
             if let Some(skip) = inst.branch_skip() {
                 if let Some(target) = i.checked_add(1 + skip) {
                     if target < insts.len() {
-                        leader[target] = true;
+                        block_index[target] = 1;
                     }
                 }
                 if i + 1 < insts.len() {
-                    leader[i + 1] = true;
+                    block_index[i + 1] = 1;
                 }
             } else if (inst.is_call() || !inst.falls_through()) && i + 1 < insts.len() {
-                leader[i + 1] = true;
+                block_index[i + 1] = 1;
             }
         }
 
-        // Carve blocks and index instructions.
-        let mut blocks = Vec::new();
-        let mut block_index = vec![0usize; insts.len()];
+        // Carve blocks and index instructions.  Instruction `i + 1` still
+        // holds its leader mark when instruction `i` is indexed.
         let mut start = 0;
         for i in 0..insts.len() {
+            let block_ends = i + 1 == insts.len() || block_index[i + 1] != 0;
             block_index[i] = blocks.len();
-            let block_ends = i + 1 == insts.len() || leader[i + 1];
             if block_ends {
-                blocks.push(BasicBlock { start, end: i + 1, successors: Vec::new() });
+                blocks.push(BasicBlock {
+                    start,
+                    end: i + 1,
+                    successors: [0; 2],
+                    successor_count: 0,
+                });
                 start = i + 1;
             }
         }
 
         // Successor edges from each block's last instruction.
-        for id in 0..blocks.len() {
-            let last = blocks[id].end - 1;
+        for block in blocks.iter_mut() {
+            let last = block.end - 1;
             let inst = &insts[last];
-            let mut successors = Vec::new();
-            if inst.falls_through() && blocks[id].end < insts.len() {
-                successors.push(block_index[blocks[id].end]);
+            if inst.falls_through() && block.end < insts.len() {
+                block.add_successor(block_index[block.end]);
             }
             if let Some(skip) = inst.branch_skip() {
                 if let Some(target) = last.checked_add(1 + skip) {
                     if target < insts.len() {
-                        let succ = block_index[target];
-                        if !successors.contains(&succ) {
-                            successors.push(succ);
-                        }
+                        block.add_successor(block_index[target]);
                     }
                 }
             }
-            blocks[id].successors = successors;
         }
-
-        Cfg { blocks, block_index }
     }
 
     /// The blocks of the graph in instruction order (block 0 is the entry).
@@ -124,21 +149,30 @@ impl Cfg {
 
     /// Per-block reachability from the entry block.
     pub fn reachable(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.blocks.len()];
+        let mut seen = Vec::new();
+        self.mark_reachable(&mut seen, &mut Vec::new());
+        seen
+    }
+
+    /// [`Cfg::reachable`] into `seen`, with `work` as the worklist; both are
+    /// cleared first and keep their capacity.
+    pub(crate) fn mark_reachable(&self, seen: &mut Vec<bool>, work: &mut Vec<usize>) {
+        seen.clear();
+        seen.resize(self.blocks.len(), false);
+        work.clear();
         if self.blocks.is_empty() {
-            return seen;
+            return;
         }
-        let mut work = vec![0usize];
+        work.push(0);
         seen[0] = true;
         while let Some(id) = work.pop() {
-            for &succ in &self.blocks[id].successors {
+            for &succ in self.blocks[id].successors() {
                 if !seen[succ] {
                     seen[succ] = true;
                     work.push(succ);
                 }
             }
         }
-        seen
     }
 }
 
@@ -154,7 +188,7 @@ mod tests {
         let cfg = Cfg::build(&insts);
         assert_eq!(cfg.blocks().len(), 1);
         assert_eq!(cfg.blocks()[0].range(), 0..5);
-        assert!(cfg.blocks()[0].successors.is_empty(), "ret has no successors");
+        assert!(cfg.blocks()[0].successors().is_empty(), "ret has no successors");
     }
 
     #[test]
@@ -170,9 +204,9 @@ mod tests {
         let cfg = Cfg::build(&insts);
         // [test, je] / [fail] / [nop, ret]
         assert_eq!(cfg.blocks().len(), 3);
-        assert_eq!(cfg.blocks()[0].successors, vec![1, 2]);
-        assert!(cfg.blocks()[1].successors.is_empty(), "__stack_chk_fail aborts");
-        assert!(cfg.blocks()[2].successors.is_empty());
+        assert_eq!(cfg.blocks()[0].successors(), [1, 2]);
+        assert!(cfg.blocks()[1].successors().is_empty(), "__stack_chk_fail aborts");
+        assert!(cfg.blocks()[2].successors().is_empty());
         assert_eq!(cfg.block_of(2), 1);
         assert_eq!(cfg.block_of(4), 2);
     }
@@ -183,7 +217,7 @@ mod tests {
         let insts = vec![Inst::JmpSkip(1), Inst::Nop, Inst::Ret];
         let cfg = Cfg::build(&insts);
         assert_eq!(cfg.blocks().len(), 3);
-        assert_eq!(cfg.blocks()[0].successors, vec![2]);
+        assert_eq!(cfg.blocks()[0].successors(), [2]);
         let reachable = cfg.reachable();
         assert!(reachable[0] && !reachable[1] && reachable[2]);
     }
@@ -194,7 +228,7 @@ mod tests {
         let insts = vec![Inst::CallFn(FuncId(1)), Inst::Compute(5), Inst::Ret];
         let cfg = Cfg::build(&insts);
         assert_eq!(cfg.blocks().len(), 2);
-        assert_eq!(cfg.blocks()[0].successors, vec![1]);
+        assert_eq!(cfg.blocks()[0].successors(), [1]);
     }
 
     #[test]
@@ -203,7 +237,7 @@ mod tests {
         let cfg = Cfg::build(&insts);
         let last = &cfg.blocks()[cfg.block_of(1)];
         // Only the fall-through edge to the ret block survives.
-        assert_eq!(last.successors, vec![cfg.block_of(2)]);
+        assert_eq!(last.successors(), [cfg.block_of(2)]);
     }
 
     #[test]
@@ -211,6 +245,24 @@ mod tests {
         let cfg = Cfg::build(&[]);
         assert!(cfg.blocks().is_empty());
         assert!(cfg.reachable().is_empty());
+    }
+
+    #[test]
+    fn a_rebuilt_graph_equals_a_fresh_one() {
+        let branchy = vec![
+            Inst::TestReg(Reg::Rax),
+            Inst::JneSkip(2),
+            Inst::Compute(1),
+            Inst::JmpSkip(1),
+            Inst::Compute(2),
+            Inst::Ret,
+        ];
+        let straight = vec![Inst::Compute(1), Inst::Ret];
+        let mut cfg = Cfg::build(&branchy);
+        for insts in [&straight, &branchy, &Vec::new(), &straight] {
+            cfg.rebuild(insts);
+            assert_eq!(cfg, Cfg::build(insts));
+        }
     }
 
     #[test]

@@ -27,20 +27,29 @@ impl ProtectionPolicy {
     /// `critical_slots` from the frame layout (P-SSP-LV guard slots; empty
     /// for every other scheme).
     pub fn new(scheme: SchemeKind, required: bool, critical_slots: &[i32]) -> Self {
-        let slots = if required { Self::scheme_slots(scheme, critical_slots) } else { Vec::new() };
-        ProtectionPolicy { scheme, required: required && !slots.is_empty(), slots }
+        let mut policy = ProtectionPolicy { scheme, required, slots: Vec::new() };
+        policy.reset(scheme, required, critical_slots);
+        policy
     }
 
-    /// The canary slots `scheme` maintains in a protected frame, matching
-    /// `CanaryScheme::canary_region_words` and the emitted prologues: region
-    /// words sit at `-8`, `-16`, … directly below the saved `%rbp`.
-    fn scheme_slots(scheme: SchemeKind, critical_slots: &[i32]) -> Vec<i32> {
-        let region_words = scheme.scheme().canary_region_words();
-        let mut slots: Vec<i32> = (1..=region_words).map(|w| -8 * w as i32).collect();
-        if scheme.scheme().properties().protects_local_variables {
-            slots.extend_from_slice(critical_slots);
+    /// Turns this policy into [`ProtectionPolicy::new`]`(scheme, required,
+    /// critical_slots)` in place, reusing the slot list's allocation.
+    pub(crate) fn reset(&mut self, scheme: SchemeKind, required: bool, critical_slots: &[i32]) {
+        self.slots.clear();
+        if required {
+            // The canary slots `scheme` maintains in a protected frame,
+            // matching `CanaryScheme::canary_region_words` and the emitted
+            // prologues: region words sit at `-8`, `-16`, … directly below
+            // the saved `%rbp`.
+            let scheme_object = scheme.scheme();
+            let region_words = scheme_object.canary_region_words();
+            self.slots.extend((1..=region_words).map(|w| -8 * w as i32));
+            if scheme_object.properties().protects_local_variables {
+                self.slots.extend_from_slice(critical_slots);
+            }
         }
-        slots
+        self.scheme = scheme;
+        self.required = required && !self.slots.is_empty();
     }
 
     /// Whether `[offset, offset + width)` overlaps the 8-byte slot at `slot`.

@@ -23,7 +23,7 @@ use polycanary_vm::inst::Inst;
 use polycanary_vm::program::Program;
 use polycanary_vm::tls::{TLS_CANARY_OFFSET, TLS_SHADOW_C0_OFFSET};
 
-use crate::dataflow::analyze_function;
+use crate::dataflow::Dataflow;
 use crate::finding::{CheckKind, Finding};
 use crate::policy::ProtectionPolicy;
 
@@ -46,6 +46,10 @@ fn count(insts: &[Inst], pred: impl Fn(&Inst) -> bool) -> usize {
 /// from.  Returns every violated invariant; a sound rewrite yields none.
 pub fn verify_rewritten(original: &Program, rewritten: &Program) -> Vec<Finding> {
     let mut findings = Vec::new();
+    // Every rewritten body must still store and check a canary at -8 on
+    // every path.
+    let policy = ProtectionPolicy::new(SchemeKind::PsspBin32, true, &[]);
+    let mut dataflow = Dataflow::default();
 
     if original.len() != rewritten.len() {
         findings.push(soundness(
@@ -141,10 +145,8 @@ pub fn verify_rewritten(original: &Program, rewritten: &Program) -> Vec<Finding>
             ));
         }
 
-        // Semantic re-proof: the rewritten body must still store and check a
-        // canary at -8 on every path.
-        let policy = ProtectionPolicy::new(SchemeKind::PsspBin32, true, &[]);
-        findings.extend(analyze_function(name, out, &policy));
+        // Semantic re-proof under the 32-bit P-SSP policy.
+        dataflow.analyze(name, out, &policy, &mut findings);
     }
 
     findings

@@ -1,9 +1,10 @@
 //! Top-level entry points tying CFG, dataflow and policy together.
 
 use polycanary_compiler::CompiledModule;
+use polycanary_core::scheme::SchemeKind;
 use polycanary_vm::inst::Inst;
 
-use crate::dataflow::analyze_function;
+use crate::dataflow::{analyze_function, Dataflow};
 use crate::finding::Finding;
 use crate::policy::ProtectionPolicy;
 
@@ -17,14 +18,19 @@ pub fn verify_function(function: &str, insts: &[Inst], policy: &ProtectionPolicy
 ///
 /// A clean compiler is expected to produce zero findings for every scheme ×
 /// workload combination; anything returned here is a code-generation defect.
+/// One policy and one set of dataflow buffers serve every function.
 pub fn verify_compiled(module: &CompiledModule) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let mut dataflow = Dataflow::default();
+    let mut policy = ProtectionPolicy::new(SchemeKind::Native, false, &[]);
     for (id, func) in module.program.iter() {
-        let scheme = module.function_schemes[id.0];
         let frame = &module.frames[id.0];
-        let policy =
-            ProtectionPolicy::new(scheme, frame.info.protected, &frame.info.critical_canary_slots);
-        findings.extend(verify_function(func.name(), func.insts(), &policy));
+        policy.reset(
+            module.function_schemes[id.0],
+            frame.info.protected,
+            &frame.info.critical_canary_slots,
+        );
+        dataflow.analyze(func.name(), func.insts(), &policy, &mut findings);
     }
     findings
 }
@@ -33,7 +39,7 @@ pub fn verify_compiled(module: &CompiledModule) -> Vec<Finding> {
 mod tests {
     use super::*;
     use polycanary_compiler::{Compiler, FunctionBuilder, ModuleBuilder};
-    use polycanary_core::scheme::SchemeKind;
+    use polycanary_vm::inst::FuncId;
     use polycanary_vm::reg::Reg;
     use polycanary_vm::tls::TLS_CANARY_OFFSET;
 
@@ -97,6 +103,50 @@ mod tests {
                 assert!(findings.is_empty(), "{kind}@{opt}: {findings:?}");
             }
         }
+    }
+
+    #[test]
+    fn lv_frames_with_many_guard_slots_still_report_clobbers_and_unchecked_returns() {
+        // Twenty critical buffers give P-SSP-LV 21 policy slots: the state
+        // must track every one of them, with no cap on the slot count.
+        let mut f = FunctionBuilder::new("many");
+        for i in 0..20 {
+            f = f.critical_buffer(format!("secret{i}"), 16);
+        }
+        let module = ModuleBuilder::new()
+            .function(f.safe_copy("secret0").returns(0).build())
+            .build()
+            .expect("module is well-formed");
+        let compiled = Compiler::new(SchemeKind::PsspLv).compile(&module).expect("compiles");
+        assert!(verify_compiled(&compiled).is_empty());
+        let frame = compiled.frame("many").expect("frame exists");
+        assert_eq!(frame.info.critical_canary_slots.len(), 20);
+        let policy =
+            ProtectionPolicy::new(SchemeKind::PsspLv, true, &frame.info.critical_canary_slots);
+        assert_eq!(policy.slots.len(), 21);
+        let insts = compiled.program.function(FuncId(0)).expect("function exists").insts();
+
+        // Clobber the last guard slot right after the prologue stores it.
+        let last = *frame.info.critical_canary_slots.last().expect("20 guard slots");
+        let store = insts
+            .iter()
+            .rposition(|i| matches!(i, Inst::MovRegToFrame { offset, .. } if *offset == last))
+            .expect("the prologue stores every guard slot");
+        let mut clobbered = insts.to_vec();
+        clobbered.insert(store + 1, Inst::MovImmToFrame { offset: last, imm: 0 });
+        let findings = verify_function("many", &clobbered, &policy);
+        assert!(findings.iter().any(|f| f.kind == CheckKind::ClobberedCanary), "{findings:?}");
+
+        // Drop every epilogue check: the return is reachable unchecked.
+        let unchecked: Vec<Inst> = insts
+            .iter()
+            .map(|i| match i {
+                Inst::JeSkip(1) | Inst::CallStackChkFail => Inst::Nop,
+                other => *other,
+            })
+            .collect();
+        let findings = verify_function("many", &unchecked, &policy);
+        assert!(findings.iter().any(|f| f.kind == CheckKind::UncheckedReturn), "{findings:?}");
     }
 
     #[test]

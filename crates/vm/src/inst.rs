@@ -32,7 +32,7 @@ impl fmt::Display for FuncId {
 }
 
 /// One instruction of the simulated machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Inst {
     // ---- frame management -------------------------------------------------

@@ -8,11 +8,16 @@
 //! overflow can overwrite, and the interpreter translates them back to
 //! instruction positions when `ret` executes.
 //!
-//! Each function's sorted `inst_addrs` is the program's only address
-//! index.  [`Program::lookup_addr`] answers from it by two binary searches
-//! (function by entry address, then instruction); that is how the
-//! interpreter's `ret` resolves a return address.  No per-instruction hash
-//! map is kept, and [`Program::finalize`] only lays out addresses.
+//! A function's code is a [`FunctionBody`]: its instructions plus the byte
+//! offset of each from the function's entry, both behind an `Arc`.  The
+//! offsets depend only on the instructions, so a body is laid out once when
+//! it is built and can be shared by any number of programs; cloning a
+//! program bumps reference counts instead of copying code.  The offset
+//! tables are the program's only address index: [`Program::finalize`]
+//! assigns entry addresses only, and [`Program::lookup_addr`] answers by two
+//! binary searches (function by entry address, then `addr - entry` among
+//! the offsets).  That is how the interpreter's `ret` resolves a return
+//! address.  No per-instruction hash map is kept.
 //!
 //! Function names are `Arc<str>`: [`Program::add_function`] keeps the
 //! `Arc` it is handed as both the function's name and its key in the
@@ -73,6 +78,48 @@ impl Hasher for NameHasher {
     }
 }
 
+/// A function's code: its instructions and the byte offset of each from the
+/// function's entry, plus one final entry for the one-past-the-end marker
+/// (the encoded size).  Both live behind an `Arc`, so a clone shares them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FunctionBody {
+    insts: Arc<[Inst]>,
+    /// `insts.len() + 1` ascending offsets; the last is the encoded size.
+    offsets: Arc<[u32]>,
+}
+
+impl FunctionBody {
+    /// Copies `insts` into a shared allocation and lays them out: one pass
+    /// over the instructions fills the offsets.
+    pub fn new(insts: &[Inst]) -> Self {
+        let mut end = 0u32;
+        let offsets = std::iter::once(0)
+            .chain(insts.iter().map(|inst| {
+                // An instruction encodes in at most 15 bytes.
+                end += inst.encoded_size() as u32;
+                end
+            }))
+            .collect();
+        FunctionBody { insts: Arc::from(insts), offsets }
+    }
+
+    /// The instructions.
+    pub fn insts(&self) -> &[Inst] {
+        &self.insts
+    }
+
+    /// The instructions as the shared allocation every clone of this body
+    /// points at.
+    pub fn shared_insts(&self) -> &Arc<[Inst]> {
+        &self.insts
+    }
+
+    /// Total encoded size in bytes.
+    pub fn encoded_size(&self) -> u64 {
+        u64::from(self.offsets[self.insts.len()])
+    }
+}
+
 /// One function of a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
@@ -80,11 +127,10 @@ pub struct Function {
     /// function in every [`Fault::CanaryViolation`](crate::error::Fault))
     /// is a reference-count bump, not a per-fault string allocation.
     name: Arc<str>,
-    insts: Vec<Inst>,
-    /// Entry address, assigned by [`Program::finalize`].
+    body: FunctionBody,
+    /// Entry address, assigned by [`Program::finalize`]; 0 (below
+    /// [`CODE_BASE`]) until then.
     entry_addr: u64,
-    /// Address of each instruction, assigned by [`Program::finalize`].
-    inst_addrs: Vec<u64>,
 }
 
 impl Function {
@@ -100,7 +146,13 @@ impl Function {
 
     /// The function's instructions.
     pub fn insts(&self) -> &[Inst] {
-        &self.insts
+        &self.body.insts
+    }
+
+    /// The function's body, shared by reference count with every program
+    /// built from it.
+    pub fn body(&self) -> &FunctionBody {
+        &self.body
     }
 
     /// The function's entry address (valid after finalization).
@@ -108,24 +160,24 @@ impl Function {
         self.entry_addr
     }
 
-    /// The address of instruction `index` (valid after finalization).
+    /// The address of instruction `index`, or `None` if the index is out of
+    /// range or the function has not been laid out yet.
     pub fn inst_addr(&self, index: usize) -> Option<u64> {
-        self.inst_addrs.get(index).copied()
+        if self.entry_addr == 0 || index >= self.body.insts.len() {
+            return None;
+        }
+        Some(self.entry_addr + u64::from(self.body.offsets[index]))
     }
 
     /// Total encoded size of the function in bytes.
     pub fn encoded_size(&self) -> u64 {
-        self.insts.iter().map(Inst::encoded_size).sum()
+        self.body.encoded_size()
     }
 
-    /// The one-past-the-end marker address: entry plus encoded size, read
-    /// in O(1) from the last instruction address (valid after
-    /// finalization).
+    /// The one-past-the-end marker address: entry plus encoded size (valid
+    /// after finalization).
     pub(crate) fn end_addr(&self) -> u64 {
-        match (self.inst_addrs.last(), self.insts.last()) {
-            (Some(&addr), Some(inst)) => addr + inst.encoded_size(),
-            _ => self.entry_addr,
-        }
+        self.entry_addr + self.encoded_size()
     }
 }
 
@@ -171,6 +223,22 @@ impl Program {
         name: impl Into<Arc<str>>,
         insts: Vec<Inst>,
     ) -> Result<FuncId, VmError> {
+        self.add_function_body(name, FunctionBody::new(&insts))
+    }
+
+    /// Adds a function with an already laid-out body and returns its id.
+    /// The body is shared, not copied: a compiler hands the same body to
+    /// every program whose function compiles to the same code.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::DuplicateFunction`] if a function with the same
+    /// name already exists.
+    pub fn add_function_body(
+        &mut self,
+        name: impl Into<Arc<str>>,
+        body: FunctionBody,
+    ) -> Result<FuncId, VmError> {
         let id = FuncId(self.functions.len());
         let slot = match self.by_name.entry(name.into()) {
             Entry::Occupied(taken) => {
@@ -180,7 +248,7 @@ impl Program {
         };
         let name = Arc::clone(slot.key());
         slot.insert(id);
-        self.functions.push(Function { name, insts, entry_addr: 0, inst_addrs: Vec::new() });
+        self.functions.push(Function { name, body, entry_addr: 0 });
         self.finalized = false;
         Ok(id)
     }
@@ -195,7 +263,7 @@ impl Program {
             .functions
             .get_mut(id.0)
             .ok_or_else(|| VmError::UnknownFunction { name: format!("{id}") })?;
-        func.insts = insts;
+        func.body = FunctionBody::new(&insts);
         self.finalized = false;
         Ok(())
     }
@@ -254,7 +322,8 @@ impl Program {
         &self.extra_sections
     }
 
-    /// Assigns addresses to every function and instruction.
+    /// Assigns every function its entry address; instruction addresses
+    /// follow from each body's offsets.
     ///
     /// Calling `finalize` again after mutation recomputes the layout; the
     /// rewriter uses the before/after sizes to verify layout preservation.
@@ -263,16 +332,10 @@ impl Program {
         for func in &mut self.functions {
             cursor = cursor.next_multiple_of(FUNCTION_ALIGN);
             func.entry_addr = cursor;
-            func.inst_addrs.clear();
-            func.inst_addrs.reserve(func.insts.len());
-            for inst in &func.insts {
-                func.inst_addrs.push(cursor);
-                cursor += inst.encoded_size();
-            }
             // The address immediately after the last instruction is the
             // function's "one past the end" marker (see `lookup_addr`); one
             // padding byte keeps it distinct from the next entry.
-            cursor += 1;
+            cursor += func.encoded_size() + 1;
         }
         self.finalized = true;
     }
@@ -293,18 +356,16 @@ impl Program {
     /// address is detected as either an invalid return or a successful
     /// hijack.
     ///
-    /// Answered by binary search over the sorted entry and instruction
-    /// addresses [`Program::finalize`] assigns.
+    /// Answered by binary search over the sorted entry addresses
+    /// [`Program::finalize`] assigns, then over the function's offsets.
     pub fn lookup_addr(&self, addr: u64) -> Option<(FuncId, usize)> {
         if !self.finalized {
             return None;
         }
         let fidx = self.functions.partition_point(|f| f.entry_addr <= addr).checked_sub(1)?;
-        let func = &self.functions[fidx];
-        if addr == func.end_addr() {
-            return Some((FuncId(fidx), func.insts.len()));
-        }
-        let idx = func.inst_addrs.binary_search(&addr).ok()?;
+        let offset = u32::try_from(addr - self.functions[fidx].entry_addr).ok()?;
+        // The last offset is the end marker, which resolves to `len`.
+        let idx = self.functions[fidx].body.offsets.binary_search(&offset).ok()?;
         Some((FuncId(fidx), idx))
     }
 
@@ -541,6 +602,34 @@ mod tests {
         let before = prog.function(a).unwrap().insts().to_vec();
         prog.finalize();
         assert_eq!(prog.function(a).unwrap().insts(), &before[..]);
+    }
+
+    #[test]
+    fn a_shared_body_is_laid_out_once_and_cloned_by_reference() {
+        let body = FunctionBody::new(&tiny_function());
+        let one: u64 = tiny_function().iter().map(Inst::encoded_size).sum();
+        assert_eq!(body.encoded_size(), one);
+        let mut prog = Program::new();
+        let a = prog.add_function_body("a", body.clone()).unwrap();
+        let b = prog.add_function("b", tiny_function()).unwrap();
+        assert_eq!(prog.function(a).unwrap().inst_addr(0), None, "not laid out before finalize");
+        prog.finalize();
+        let copy = prog.clone();
+        for p in [&prog, &copy] {
+            let fa = p.function(a).unwrap();
+            assert!(Arc::ptr_eq(fa.body().shared_insts(), body.shared_insts()));
+            assert_eq!(fa.insts(), p.function(b).unwrap().insts());
+        }
+        // Two programs sharing a body lay it out at their own addresses.
+        let mut other = Program::new();
+        other.add_function("pad", vec![Inst::Compute(1); 40]).unwrap();
+        let shared = other.add_function_body("a", body).unwrap();
+        other.finalize();
+        let f = other.function(shared).unwrap();
+        for i in 0..f.insts().len() {
+            assert_eq!(other.lookup_addr(f.inst_addr(i).unwrap()), Some((shared, i)));
+        }
+        assert_eq!(other.lookup_addr(f.entry_addr() + f.encoded_size()), Some((shared, 5)));
     }
 
     #[test]

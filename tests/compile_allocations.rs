@@ -1,11 +1,14 @@
-//! Heap allocations of the compiler's back half, `Compiler::lower`.
+//! Heap allocations of the compiler's back half, `Compiler::lower`, and of
+//! the static verifier's `verify_compiled`.
 //!
 //! `harness verify` lowers every verify module under every scheme from one
-//! prepared front half per opt level, so lowering is where a sweep's
-//! per-function bookkeeping lands.  The back half shares the module's
-//! interned names instead of copying them, and copies no per-function
-//! bookkeeping; this test pins both.  A thread-local counting allocator
-//! counts `lower` alone: `prepare` runs debug-only checks that allocate.
+//! prepared front half per opt level, then verifies each build, so these
+//! two calls are where a sweep's per-function bookkeeping lands.  The back
+//! half shares the module's interned names and every unprotected function's
+//! body instead of copying them; the verifier reuses one set of CFG and
+//! dataflow buffers across a module's functions.  These tests pin both.  A
+//! thread-local counting allocator counts the measured call alone:
+//! `prepare` runs debug-only checks that allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +17,7 @@ use std::sync::Arc;
 use polycanary::compiler::ir::ModuleDef;
 use polycanary::compiler::{Compiler, OptLevel};
 use polycanary::core::SchemeKind;
+use polycanary::verifier::verify_compiled;
 use polycanary::workloads::{spec_suite, DatabaseModel, ServerModel};
 
 /// Counts every allocation and reallocation of the current thread.
@@ -73,10 +77,11 @@ fn verify_modules() -> Vec<ModuleDef> {
 
 #[test]
 fn lowering_shares_interned_names_and_stays_within_its_allocation_budget() {
-    /// Allocations per lowered function the back half may make: the body,
-    /// the scheme's prologue and epilogue, the frame offsets, the address
-    /// table, and at O2 the canary-load pass's working copies.
-    const BUDGET_PER_FUNCTION: f64 = 5.0;
+    /// Allocations per lowered function the back half may make.  Only the
+    /// protected functions (under one in five) are lowered per scheme: the
+    /// body and its offsets, the frame offsets, the scheme's prologue and
+    /// epilogue, and at O2 the canary-load pass's working copies.
+    const BUDGET_PER_FUNCTION: f64 = 2.0;
 
     let modules = verify_modules();
     assert_eq!(modules.len(), 32);
@@ -85,6 +90,7 @@ fn lowering_shares_interned_names_and_stays_within_its_allocation_budget() {
         for module in &modules {
             let front = Compiler::new(SchemeKind::Native).with_opt_level(opt).prepare(module);
             let front = front.expect("verify modules compile");
+            let mut builds = Vec::new();
             for kind in SchemeKind::ALL {
                 let compiler = Compiler::new(kind).with_opt_level(opt);
                 let before = allocations();
@@ -103,6 +109,25 @@ fn lowering_shares_interned_names_and_stays_within_its_allocation_budget() {
                         a.name()
                     );
                 }
+                builds.push(first);
+            }
+
+            // An unprotected function compiles to the same code under every
+            // scheme, and all ten builds share that one body.
+            let (reference, others) = builds.split_first().expect("ten schemes");
+            for (id, function) in reference.program.iter() {
+                if reference.frames[id.0].info.protected {
+                    continue;
+                }
+                for build in others {
+                    let other = build.program.function(id).expect("same function ids");
+                    assert!(
+                        Arc::ptr_eq(function.body().shared_insts(), other.body().shared_insts()),
+                        "{}@{opt}: unprotected `{}` was lowered again, not shared",
+                        build.scheme,
+                        function.name()
+                    );
+                }
             }
         }
     }
@@ -111,5 +136,37 @@ fn lowering_shares_interned_names_and_stays_within_its_allocation_budget() {
         per_function <= BUDGET_PER_FUNCTION,
         "lowering made {per_function:.2} allocations per function over {functions} functions \
          (budget {BUDGET_PER_FUNCTION})"
+    );
+}
+
+#[test]
+fn verifying_a_compiled_module_stays_within_its_allocation_budget() {
+    /// Allocations per `verify_compiled` call on a clean build: one set of
+    /// CFG and dataflow buffers per call, grown to the module's largest
+    /// protected function, plus the policy's slot list.
+    const BUDGET_PER_CALL: f64 = 40.0;
+
+    let modules = verify_modules();
+    let (mut counted, mut calls) = (0u64, 0u64);
+    for opt in [OptLevel::O0, OptLevel::O2] {
+        for module in &modules {
+            for kind in SchemeKind::ALL {
+                let compiled = Compiler::new(kind)
+                    .with_opt_level(opt)
+                    .compile(module)
+                    .expect("verify modules compile");
+                let before = allocations();
+                let findings = verify_compiled(&compiled);
+                counted += allocations() - before;
+                calls += 1;
+                assert!(findings.is_empty(), "{kind}@{opt}: {findings:?}");
+            }
+        }
+    }
+    let per_call = counted as f64 / calls as f64;
+    assert!(
+        per_call <= BUDGET_PER_CALL,
+        "verify_compiled made {per_call:.2} allocations per call over {calls} calls \
+         (budget {BUDGET_PER_CALL})"
     );
 }

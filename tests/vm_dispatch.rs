@@ -337,7 +337,7 @@ fn wild_skips_fault_at_the_end_marker_in_both_dispatchers() {
         // to the trailing `jmp`.
         let body = vec![
             Inst::XorRegReg { dst: Reg::Rax, src: Reg::Rax },
-            branch.clone(),
+            branch,
             Inst::JmpSkip(usize::MAX - 1),
             Inst::Ret,
         ];

@@ -11,15 +11,17 @@
 //!
 //! Victims are completely independent, so campaigns fan out over the shared
 //! parallel [`JobPool`], using its sharded executor
-//! ([`JobPool::run_sharded`]): workers pull contiguous chunks of victim
-//! indices from an atomic cursor, and the stop rule is evaluated
-//! *event-driven* on seed-ordered result prefixes as results arrive.  Every
-//! run is deterministic in its seed, which makes the aggregate
-//! deterministic too: the report is identical whatever the worker-thread
-//! count (only `wall_time` and the speculation telemetry vary).  The
-//! adaptive [`StopRule::Sprt`] ends a campaign early — cancelling every
-//! shard not yet claimed — once Wald's sequential probability-ratio test
-//! crosses a decision boundary (after three runs on unanimous populations).
+//! ([`JobPool::run_sharded`]): the calling thread and its helpers pull
+//! contiguous shards of victim indices from an atomic cursor, deposit each
+//! finished shard once, and the stop rule is evaluated *event-driven* on
+//! seed-ordered result prefixes as shards arrive.  Every run is
+//! deterministic in its seed, which makes the aggregate deterministic too:
+//! the report is identical whatever the worker-thread count (only
+//! `wall_time` and the speculation telemetry vary; speculation comes in
+//! whole shards).  The adaptive [`StopRule::Sprt`] ends a campaign early —
+//! cancelling every shard not yet claimed — once Wald's sequential
+//! probability-ratio test crosses a decision boundary (after three runs on
+//! unanimous populations).
 //!
 //! Fleet scale comes from snapshot-keyed victim construction: all victims
 //! sharing a scheme × deployment × buffer-size configuration are built from

@@ -5,13 +5,17 @@
 //! whose results must be reported **in input order** no matter which worker
 //! finishes first.  [`JobPool`] is that executor, extracted from the
 //! campaign engine so Table I rows, Table III/IV cells and the Fig. 5
-//! program sweep can all share it: scoped worker threads claim shards of
-//! job indices from an atomic cursor and a coordinator hands the results
-//! back in index order.
+//! program sweep can all share it.  There is one execution path for every
+//! worker count: the calling thread and `workers - 1` scoped helpers run
+//! the same loop, claiming shards of job indices from an atomic cursor,
+//! running each shard into a local buffer and depositing it once under
+//! the one lock, where an in-order walk hands the results back in index
+//! order.
 //!
 //! Because jobs are pure functions of their input, the output vector is
 //! identical whatever the worker count — parallelism only changes wall
-//! time, never results.
+//! time, never results.  A job that panics cancels the run (no further
+//! shard is claimed) and its own panic payload reaches the caller.
 //!
 //! # Example
 //!
@@ -22,9 +26,9 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Outcome of a [`JobPool::run_sharded`] fan-out.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,9 +50,9 @@ pub struct ShardOutcome<R> {
     pub settled_at: Option<usize>,
 }
 
-/// A fixed-width pool of scoped worker threads draining an indexed work
-/// queue.  Construction is cheap — threads are only spawned inside
-/// [`JobPool::run_sharded`] and join before it returns.
+/// A fixed-width pool draining an indexed work queue: the calling thread
+/// plus `workers - 1` scoped helpers.  Construction is cheap — helpers are
+/// only spawned inside [`JobPool::run_sharded`] and join before it returns.
 ///
 /// ```
 /// use polycanary_attacks::pool::JobPool;
@@ -122,17 +126,21 @@ impl JobPool {
     ///
     /// The scheduling contract, in full:
     ///
-    /// * Workers claim whole shards from an atomic cursor and execute their
-    ///   indices in order, bailing out between jobs once a settle boundary
-    ///   is published.
-    /// * `settle` runs under the coordinator lock, so it may carry state
-    ///   (e.g. a success counter) without further synchronisation; it sees
-    ///   each prefix exactly once, in order, regardless of parallelism.
+    /// * The calling thread and `workers - 1` scoped helpers run one loop:
+    ///   claim a whole shard from an atomic cursor, run all of it into a
+    ///   local buffer and deposit that once under the walk lock.
+    /// * `settle` runs under that lock, so it may carry state (e.g. a
+    ///   success counter) without further synchronisation; it sees each
+    ///   prefix exactly once, in order, regardless of parallelism.
     /// * `results` contains the jobs before the settle point and nothing
     ///   else — speculative results computed past it are discarded, exactly
-    ///   as if the run had been serial and stopped there.  Only
-    ///   [`ShardOutcome::executed`] / [`ShardOutcome::shards_claimed`]
-    ///   reveal the speculation, and those are telemetry, not results.
+    ///   as if the run had been serial and stopped there.  Speculation comes
+    ///   in whole shards, at one worker too; only [`ShardOutcome::executed`]
+    ///   / [`ShardOutcome::shards_claimed`] reveal it, and those are
+    ///   telemetry, not results.
+    /// * A panic in `job` or `settle` cancels the run (no shard is claimed
+    ///   after it) and resumes on the caller with its own payload once
+    ///   every worker has stopped.
     ///
     /// ```
     /// use polycanary_attacks::pool::JobPool;
@@ -151,7 +159,7 @@ impl JobPool {
         jobs: usize,
         shard_size: usize,
         job: F,
-        mut settle: S,
+        settle: S,
     ) -> ShardOutcome<R>
     where
         R: Send,
@@ -159,115 +167,102 @@ impl JobPool {
         S: FnMut(usize, &R) -> bool + Send,
     {
         let shard_size = shard_size.max(1);
-        if jobs == 0 {
-            return ShardOutcome {
-                results: Vec::new(),
-                executed: 0,
-                shards_claimed: 0,
-                settled_at: None,
-            };
-        }
-        let workers = self.resolved_workers(jobs);
-        if workers == 1 {
-            // Serial fast path: execute in index order, settle as results
-            // arrive, stop at the boundary.
-            let mut results = Vec::new();
-            let mut settled_at = None;
-            for index in 0..jobs {
-                let result = job(index);
-                let stop = settle(index, &result);
-                results.push(result);
-                if stop {
-                    settled_at = Some(index + 1);
-                    break;
-                }
-            }
-            let executed = results.len();
-            return ShardOutcome {
-                results,
-                executed,
-                shards_claimed: executed.div_ceil(shard_size),
-                settled_at,
-            };
-        }
-
-        // Parallel path.  Workers claim whole shards from `next_shard`;
-        // `boundary` is the first index no new work may start at (published
-        // once `settle` fires).  The coordinator owns the seed-ordered
-        // prefix walk: results are deposited under their index and consumed
-        // in strictly increasing order, so `settle` observes exactly the
-        // sequence a serial run would have produced.
-        struct Coordinator<R, S> {
-            pending: HashMap<usize, R>,
-            ordered: Vec<R>,
+        // `boundary` is the first index no shard may start at: `jobs`,
+        // lowered to the settle point when `settle` fires and to 0 when a
+        // worker panics.  Slot `k` of `window` holds the shard that starts
+        // `k` shards past the prefix, once it has been deposited.
+        struct Walk<R, S> {
+            results: Vec<R>,
+            window: VecDeque<Option<Vec<R>>>,
             settled_at: Option<usize>,
-            executed: usize,
             settle: S,
         }
         let boundary = AtomicUsize::new(jobs);
-        let next_shard = AtomicUsize::new(0);
-        let shards_claimed = AtomicUsize::new(0);
-        let coordinator = Mutex::new(Coordinator {
-            pending: HashMap::new(),
-            ordered: Vec::new(),
+        let [next_shard, shards_claimed, executed] = [0; 3].map(AtomicUsize::new);
+        let walk = Mutex::new(Walk {
+            results: Vec::new(),
+            window: VecDeque::new(),
             settled_at: None,
-            executed: 0,
             settle,
         });
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let shard = next_shard.fetch_add(1, Ordering::Relaxed);
-                    let Some(start) = shard.checked_mul(shard_size).filter(|&s| s < jobs) else {
-                        break;
-                    };
-                    if start >= boundary.load(Ordering::Acquire) {
-                        break;
-                    }
-                    shards_claimed.fetch_add(1, Ordering::Relaxed);
-                    let end = (start + shard_size).min(jobs);
-                    for index in start..end {
-                        if index >= boundary.load(Ordering::Acquire) {
+        let work = || {
+            let _cancel = CancelOnPanic(&boundary);
+            loop {
+                let shard = next_shard.fetch_add(1, Ordering::Relaxed);
+                let start = shard.saturating_mul(shard_size);
+                if start >= boundary.load(Ordering::Acquire) {
+                    return;
+                }
+                shards_claimed.fetch_add(1, Ordering::Relaxed);
+                let end = start.saturating_add(shard_size).min(jobs);
+                let results: Vec<R> = (start..end).map(&job).collect();
+                executed.fetch_add(results.len(), Ordering::Relaxed);
+                // A poisoned lock means `settle` panicked on another worker,
+                // which cancels the run: stop without touching the walk.
+                let Ok(mut guard) = walk.lock() else { return };
+                let walk = &mut *guard;
+                if walk.settled_at.is_some() {
+                    continue; // a speculative shard past the settle point
+                }
+                let slot = shard - walk.results.len() / shard_size;
+                walk.window.resize_with(walk.window.len().max(slot + 1), || None);
+                walk.window[slot] = Some(results);
+                // Advance the contiguous prefix as far as it goes.
+                while let Some(results) = walk.window.front_mut().and_then(Option::take) {
+                    walk.window.pop_front();
+                    for result in results {
+                        let index = walk.results.len();
+                        let stop = (walk.settle)(index, &result);
+                        walk.results.push(result);
+                        if stop {
+                            walk.settled_at = Some(index + 1);
+                            boundary.fetch_min(index + 1, Ordering::Release);
+                            walk.window.clear();
                             break;
                         }
-                        let result = job(index);
-                        let mut coord =
-                            coordinator.lock().expect("no worker panicked in the coordinator");
-                        coord.executed += 1;
-                        if coord.settled_at.is_some_and(|limit| index >= limit) {
-                            continue; // speculative result past the stop point
-                        }
-                        coord.pending.insert(index, result);
-                        // Advance the contiguous prefix as far as it goes.
-                        while coord.settled_at.is_none() {
-                            let at = coord.ordered.len();
-                            let Some(next) = coord.pending.remove(&at) else { break };
-                            let stop = (coord.settle)(at, &next);
-                            coord.ordered.push(next);
-                            if stop {
-                                coord.settled_at = Some(at + 1);
-                                boundary.store(at + 1, Ordering::Release);
-                                coord.pending.clear();
-                            }
-                        }
                     }
-                });
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> =
+                (1..self.resolved_workers(jobs)).map(|_| scope.spawn(work)).collect();
+            work();
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
-
-        let coordinator = coordinator.into_inner().expect("worker scope completed");
+        let walk = walk.into_inner().unwrap_or_else(PoisonError::into_inner);
         ShardOutcome {
-            results: coordinator.ordered,
-            executed: coordinator.executed,
+            results: walk.results,
+            executed: executed.into_inner(),
             shards_claimed: shards_claimed.into_inner(),
-            settled_at: coordinator.settled_at,
+            settled_at: walk.settled_at,
+        }
+    }
+}
+
+/// Publishes boundary 0 when a worker unwinds, so that after a panic in
+/// `job` or `settle` no worker claims another shard.
+struct CancelOnPanic<'a>(&'a AtomicUsize);
+
+impl Drop for CancelOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(0, Ordering::Release);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::{Cell, RefCell};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -296,6 +291,27 @@ mod tests {
         assert_eq!(JobPool::with_workers(8).resolved_workers(0), 1);
     }
 
+    /// SplitMix64's finalizer: a cheap, seeded source of job costs.
+    fn mix(mut x: u64) -> u64 {
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// A job with skewed, seeded costs: the first `slow` indices spin ten
+    /// times longer than the slowest of the rest, so later shards are
+    /// deposited before the first one and wait in the walk's window.
+    fn skewed_job(slow: usize) -> impl Fn(usize) -> u64 + Sync {
+        move |index| {
+            let mut x = mix(index as u64);
+            let spins = if index < slow { 20_000 } else { x % 2_000 };
+            for _ in 0..spins {
+                x = mix(x);
+            }
+            x
+        }
+    }
+
     #[test]
     fn sharded_results_match_serial_for_any_worker_count_and_shard_size() {
         let serial = JobPool::with_workers(1).run_sharded(50, 1, |i| i * 7, |_, &r| r >= 210);
@@ -316,6 +332,46 @@ mod tests {
                 );
                 assert_eq!(got.settled_at, Some(31));
                 assert!(got.executed >= 31, "speculation may overshoot, never undershoot");
+            }
+        }
+
+        // Skewed costs with the first shard the slowest, so shards finish
+        // out of order: the results, the settle point and the indices
+        // `settle` sees must still be exactly the serial run's.
+        const JOBS: usize = 60;
+        for shard_size in [1, 2, 5] {
+            let job = skewed_job(shard_size);
+            for stop_at in [Some(0), Some(6), Some(17), Some(48), None] {
+                let run = |workers| {
+                    let mut seen = Vec::new();
+                    let outcome = JobPool::with_workers(workers).run_sharded(
+                        JOBS,
+                        shard_size,
+                        &job,
+                        |index, _| {
+                            seen.push(index);
+                            Some(index) == stop_at
+                        },
+                    );
+                    (outcome, seen)
+                };
+                let (serial, serial_seen) = run(1);
+                let settled = serial.settled_at.unwrap_or(JOBS);
+                assert_eq!(serial.settled_at, stop_at.map(|index| index + 1));
+                assert_eq!(serial_seen, (0..settled).collect::<Vec<_>>());
+                assert_eq!(
+                    serial.executed,
+                    settled.next_multiple_of(shard_size).min(JOBS),
+                    "one worker runs the settling shard to its end, and no further"
+                );
+                for workers in [2, 3, 8] {
+                    let context = format!("workers {workers}, shard {shard_size}, {stop_at:?}");
+                    let (got, seen) = run(workers);
+                    assert_eq!(got.results, serial.results, "{context}");
+                    assert_eq!(got.settled_at, serial.settled_at, "{context}");
+                    assert_eq!(seen, serial_seen, "{context}");
+                    assert!((settled..=JOBS).contains(&got.executed), "{context}");
+                }
             }
         }
     }
@@ -378,6 +434,113 @@ mod tests {
         let unit = JobPool::with_workers(1).run_sharded(3, 0, |i| i, |_, _| false);
         assert_eq!(unit.results, vec![0, 1, 2]);
         assert_eq!(unit.shards_claimed, 3);
+    }
+
+    /// Sets its flag when dropped: held in a thread-local, it marks that
+    /// thread's exit.
+    struct SetOnDrop(Arc<AtomicBool>);
+
+    impl Drop for SetOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    thread_local! {
+        static ON_EXIT: RefCell<Option<SetOnDrop>> = const { RefCell::new(None) };
+        static SAW_PANIC: Cell<bool> = const { Cell::new(false) };
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => {
+                payload.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string())
+            }
+        }
+    }
+
+    #[test]
+    fn a_job_panic_cancels_the_run_and_reaches_the_caller_with_its_payload() {
+        const JOBS: usize = 20_000;
+        // One worker: the caller runs the job that panics, and nothing after it.
+        let ran = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            JobPool::with_workers(1).run_sharded(
+                JOBS,
+                1,
+                |index| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if index == 5 {
+                        panic!("job 5 failed");
+                    }
+                },
+                |_, _| false,
+            )
+        }));
+        assert_eq!(panic_message(caught.unwrap_err()), "job 5 failed");
+        assert_eq!(ran.into_inner(), 6);
+
+        // Four workers: the first job past index 5 on a helper thread
+        // panics.  Every other job past index 5 waits until the panicking
+        // helper has exited, i.e. until its unwinding has published the
+        // cancellation, and then marks its own thread.  A job that starts
+        // on a marked thread was claimed after the panic; there must be
+        // none, so each worker runs at most one job past index 5.
+        let caller = std::thread::current().id();
+        let exited = Arc::new(AtomicBool::new(false));
+        let (panicked, late) = (AtomicBool::new(false), AtomicUsize::new(0));
+        let (ran, panicking_index) = (AtomicUsize::new(0), AtomicUsize::new(usize::MAX));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            JobPool::with_workers(4).run_sharded(
+                JOBS,
+                1,
+                |index| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if SAW_PANIC.get() {
+                        late.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if index < 5 {
+                        return;
+                    }
+                    let on_helper = std::thread::current().id() != caller;
+                    if on_helper && !panicked.swap(true, Ordering::AcqRel) {
+                        panicking_index.store(index, Ordering::Relaxed);
+                        ON_EXIT.set(Some(SetOnDrop(Arc::clone(&exited))));
+                        panic!("job {index} failed");
+                    }
+                    while !exited.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    SAW_PANIC.set(true);
+                },
+                |_, _| false,
+            )
+        }));
+        let index = panicking_index.into_inner();
+        assert_eq!(panic_message(caught.unwrap_err()), format!("job {index} failed"));
+        assert_eq!(late.into_inner(), 0, "a shard was claimed after the panic was published");
+        assert!(ran.into_inner() <= 5 + 4, "each worker runs at most one job past index 5");
+    }
+
+    #[test]
+    fn a_settle_panic_reaches_the_caller_and_stops_every_worker() {
+        for workers in [1, 4] {
+            let caught = catch_unwind(|| {
+                JobPool::with_workers(workers).run_sharded(
+                    20_000,
+                    1,
+                    |index| index,
+                    |index, _| {
+                        if index == 5 {
+                            panic!("settle 5 failed");
+                        }
+                        false
+                    },
+                )
+            });
+            assert_eq!(panic_message(caught.unwrap_err()), "settle 5 failed", "workers {workers}");
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::pool::JobPool;
 use crate::population::Population;
 use crate::reuse::CanaryReuseAttack;
 use crate::snapshot::{SnapshotCache, VictimKey};
-use crate::stats::{AttackResult, AttackSummary};
+use crate::stats::AttackResult;
 use crate::victim::{Deployment, ForkingServer, VictimConfig};
 
 /// Strategy selector: which attack a campaign replays against every victim.
@@ -511,15 +511,6 @@ impl CampaignReport {
                 .map(|r| r.result.trials)
                 .collect::<Vec<_>>(),
         )
-    }
-
-    /// Bridges into the pre-existing scalar [`AttackSummary`] type.
-    pub fn summary(&self) -> AttackSummary {
-        let mut summary = AttackSummary::default();
-        for run in &self.runs {
-            summary.record(&run.result);
-        }
-        summary
     }
 
     /// The self-describing record form of this report, including the

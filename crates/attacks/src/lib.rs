@@ -82,5 +82,5 @@ pub use population::{Population, PopulationMember};
 pub use reuse::CanaryReuseAttack;
 pub use server::{Connection, ForkingServer};
 pub use snapshot::{SnapshotCache, VictimKey, VictimSnapshot};
-pub use stats::{AttackResult, AttackSummary};
+pub use stats::AttackResult;
 pub use victim::{Deployment, FrameGeometry, VictimConfig, HIJACK_TARGET};

@@ -306,16 +306,7 @@ impl Population {
     /// different fleets draw independently over the same seed list, and
     /// every (fleet, seed) draw is fixed forever.
     pub fn member_for(&self, seed: u64) -> &PopulationMember {
-        let total: u64 = self.members.iter().map(|m| u64::from(m.weight)).sum();
-        let mut ticket = mix64(seed ^ self.salt) % total;
-        for member in &self.members {
-            let weight = u64::from(member.weight);
-            if ticket < weight {
-                return member;
-            }
-            ticket -= weight;
-        }
-        unreachable!("ticket < total weight by construction")
+        self.draw(seed, self.members.iter().map(|m| m.weight))
     }
 
     /// The member the victim at position `index` with `seed` draws.  For a
@@ -324,20 +315,25 @@ impl Population {
     /// `index`, so the fleet's mix shifts as the campaign progresses while
     /// each individual draw stays a pure function of (fleet, index, seed).
     pub fn member_at(&self, index: usize, seed: u64) -> &PopulationMember {
-        let Some(curve) = &self.rollout else {
-            return self.member_for(seed);
-        };
-        let weights = curve.stage_for(index);
-        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+        match &self.rollout {
+            Some(curve) => self.draw(seed, curve.stage_for(index).iter().copied()),
+            None => self.member_for(seed),
+        }
+    }
+
+    /// The weighted-ticket walk behind every draw: `weights` holds one
+    /// weight per member, in member order, with at least one positive.
+    fn draw(&self, seed: u64, weights: impl Iterator<Item = u32> + Clone) -> &PopulationMember {
+        let total: u64 = weights.clone().map(u64::from).sum();
         let mut ticket = mix64(seed ^ self.salt) % total;
-        for (member, &weight) in self.members.iter().zip(weights) {
+        for (member, weight) in self.members.iter().zip(weights) {
             let weight = u64::from(weight);
             if ticket < weight {
                 return member;
             }
             ticket -= weight;
         }
-        unreachable!("ticket < total stage weight by construction")
+        unreachable!("ticket < total weight by construction")
     }
 
     /// The self-describing record form of this fleet: label plus the

@@ -19,9 +19,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use polycanary_compiler::codegen::Compiler;
+use polycanary_compiler::OptLevel;
 use polycanary_core::scheme::SchemeKind;
-use polycanary_rewriter::{LinkMode, Rewriter};
 use polycanary_vm::cpu::ExecConfig;
 use polycanary_vm::snapshot::Snapshot;
 
@@ -85,39 +84,17 @@ pub struct VictimSnapshot {
     key: VictimKey,
     snapshot: Snapshot,
     geometry: FrameGeometry,
-    runtime_scheme: SchemeKind,
 }
 
 impl VictimSnapshot {
-    /// Compiles (or rewrites) the victim binary for `key` and captures it.
+    /// Builds the victim binary for `key` through its deployment
+    /// pipeline ([`Deployment::build`]) and captures it.
     pub fn build(key: VictimKey) -> Self {
-        let module = victim_module(key.buffer_size, key.program);
-        let (program, runtime_scheme) = match key.deployment {
-            Deployment::Compiler => {
-                let compiled = Compiler::new(key.scheme)
-                    .compile(&module)
-                    .expect("victim module always compiles");
-                (compiled.program, key.scheme)
-            }
-            Deployment::BinaryRewriter => {
-                let compiled = Compiler::new(SchemeKind::Ssp)
-                    .compile(&module)
-                    .expect("victim module always compiles");
-                let mut program = compiled.program;
-                Rewriter::new()
-                    .with_link_mode(LinkMode::Dynamic)
-                    .rewrite(&mut program)
-                    .expect("SSP victim is always rewritable");
-                (program, SchemeKind::PsspBin32)
-            }
-        };
-
-        // The geometry follows the scheme that actually governs the final
-        // binary (the rewriter keeps SSP's single-slot layout).
-        let canary_words = match key.deployment {
-            Deployment::Compiler => key.scheme.scheme().canary_region_words(),
-            Deployment::BinaryRewriter => 1,
-        };
+        let build = key.deployment.build(key.scheme);
+        let program = build.program(&victim_module(key.buffer_size, key.program), OptLevel::O0);
+        // The geometry follows the scheme that governs the final binary
+        // (the rewriter keeps SSP's single-slot layout).
+        let canary_words = build.runtime_scheme().scheme().canary_region_words();
         let geometry = FrameGeometry {
             filler_len: key.buffer_size as usize,
             canary_region_len: (canary_words as usize) * 8,
@@ -126,7 +103,7 @@ impl VictimSnapshot {
         let exec_config =
             ExecConfig { hijack_target: Some(HIJACK_TARGET), ..ExecConfig::default() };
         let snapshot = Snapshot::new(program, exec_config, WORKER_STACK_SIZE);
-        VictimSnapshot { key, snapshot, geometry, runtime_scheme }
+        VictimSnapshot { key, snapshot, geometry }
     }
 
     /// The key this victim was built for.
@@ -148,7 +125,7 @@ impl VictimSnapshot {
     /// scheme under compiler deployment; under the binary rewriter the
     /// deployed scheme is always [`SchemeKind::PsspBin32`].
     pub fn runtime_scheme(&self) -> SchemeKind {
-        self.runtime_scheme
+        self.key.deployment.build(self.key.scheme).runtime_scheme()
     }
 }
 

@@ -1,4 +1,4 @@
-//! Attack results and aggregated statistics.
+//! Attack results.
 
 use polycanary_core::scheme::SchemeKind;
 
@@ -36,82 +36,9 @@ impl AttackResult {
     }
 }
 
-/// Aggregated statistics over repeated attack campaigns (e.g. different
-/// loader seeds), used by the effectiveness experiment of §VI-C.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AttackSummary {
-    /// Number of campaigns run.
-    pub campaigns: u64,
-    /// Number of campaigns ending in a successful hijack.
-    pub successes: u64,
-    /// Total trials over all campaigns.
-    pub total_trials: u64,
-    /// Trials of the successful campaigns only.
-    pub successful_trials: Vec<u64>,
-}
-
-impl AttackSummary {
-    /// Records one campaign result.
-    pub fn record(&mut self, result: &AttackResult) {
-        self.campaigns += 1;
-        self.total_trials += result.trials;
-        if result.success {
-            self.successes += 1;
-            self.successful_trials.push(result.trials);
-        }
-    }
-
-    /// Success rate in [0, 1].
-    pub fn success_rate(&self) -> f64 {
-        if self.campaigns == 0 {
-            0.0
-        } else {
-            self.successes as f64 / self.campaigns as f64
-        }
-    }
-
-    /// Mean trials of the successful campaigns (`None` if none succeeded).
-    pub fn mean_trials_to_success(&self) -> Option<f64> {
-        if self.successful_trials.is_empty() {
-            None
-        } else {
-            Some(
-                self.successful_trials.iter().sum::<u64>() as f64
-                    / self.successful_trials.len() as f64,
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_aggregates_success_rate_and_trials() {
-        let mut summary = AttackSummary::default();
-        summary.record(&AttackResult {
-            strategy: "byte-by-byte",
-            scheme: SchemeKind::Ssp,
-            success: true,
-            trials: 1000,
-            recovered_canary: None,
-            final_outcome: Some(RequestOutcome::Hijacked),
-        });
-        summary.record(&AttackResult::exhausted("byte-by-byte", SchemeKind::Ssp, 2000));
-        assert_eq!(summary.campaigns, 2);
-        assert_eq!(summary.successes, 1);
-        assert!((summary.success_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(summary.mean_trials_to_success(), Some(1000.0));
-        assert_eq!(summary.total_trials, 3000);
-    }
-
-    #[test]
-    fn empty_summary_is_well_defined() {
-        let summary = AttackSummary::default();
-        assert_eq!(summary.success_rate(), 0.0);
-        assert_eq!(summary.mean_trials_to_success(), None);
-    }
 
     #[test]
     fn exhausted_constructor_marks_failure() {

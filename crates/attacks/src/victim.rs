@@ -15,6 +15,7 @@ use std::sync::Arc;
 use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
 use polycanary_core::scheme::SchemeKind;
 use polycanary_crypto::{Prng, SplitMix64};
+use polycanary_rewriter::{Build, LinkMode};
 
 pub use crate::server::{Connection, ForkingServer};
 
@@ -53,6 +54,16 @@ pub enum Deployment {
 }
 
 impl Deployment {
+    /// The deployment pipeline that builds a `scheme` victim under this
+    /// vehicle: the scheme's compiler plugin, or the binary rewriter in
+    /// dynamic-link mode (which always ships [`SchemeKind::PsspBin32`]).
+    pub fn build(&self, scheme: SchemeKind) -> Build {
+        match self {
+            Deployment::Compiler => Build::Compiler(scheme),
+            Deployment::BinaryRewriter => Build::BinaryRewriter(LinkMode::Dynamic),
+        }
+    }
+
     /// Display label used in reports and serialized records.
     pub fn label(&self) -> &'static str {
         match self {

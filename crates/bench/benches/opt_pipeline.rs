@@ -27,8 +27,9 @@
 //!
 //! * `finalize/*` — `Program::finalize` on the SSP build at O0 vs O2:
 //!   address layout only, which every compile and rewrite ends in.
-//! * `rewrite/*` — `Rewriter::rewrite` of the shape-preserved SSP build in
-//!   each link mode, which re-finalizes the upgraded program.
+//! * `rewrite/*` — the rewrite step (`Build::rewrite`) of the
+//!   shape-preserved SSP build in each link mode, which re-finalizes the
+//!   upgraded program.
 //!
 //! The `opt_equivalence` differential suite separately proves the O0 and
 //! O2 builds are semantically identical, so the `run` deltas are pure
@@ -41,7 +42,7 @@ use polycanary_compiler::codegen::Compiler;
 use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::OptLevel;
 use polycanary_core::scheme::SchemeKind;
-use polycanary_rewriter::{LinkMode, Rewriter};
+use polycanary_rewriter::{Build, LinkMode};
 use polycanary_workloads::spec_suite;
 
 /// The most call-heavy program of the SPEC-like suite (403.gcc-like):
@@ -121,18 +122,18 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    let ssp = Compiler::new(SchemeKind::Ssp)
-        .with_preserved_canary_shapes()
+    let ssp = Build::BinaryRewriter(LinkMode::Dynamic)
+        .compiler(OptLevel::O0)
         .compile(&module)
         .expect("module compiles")
         .program;
     for (label, mode) in [("dynamic", LinkMode::Dynamic), ("static", LinkMode::Static)] {
-        let rewriter = Rewriter::new().with_link_mode(mode);
+        let build = Build::BinaryRewriter(mode);
         group.bench_function(BenchmarkId::new("rewrite", label), |b| {
             b.iter_batched(
                 || ssp.clone(),
                 |mut program| {
-                    rewriter.rewrite(&mut program).expect("SSP build is rewritable");
+                    build.rewrite(&mut program).expect("SSP build is rewritable");
                     program
                 },
                 BatchSize::SmallInput,

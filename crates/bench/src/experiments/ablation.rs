@@ -1,12 +1,11 @@
 //! Ablation over the extensions (§IV / §VI-B), swept over the opt-level axis.
 
-use std::fmt::Write as _;
-
 use polycanary_compiler::OptLevel;
 use polycanary_core::analysis::attack_effort;
 use polycanary_core::record::Record;
 use polycanary_core::scheme::SchemeKind;
 
+use super::campaigns::render_table;
 use super::{canary_handling_cycles, Experiment, ExperimentCtx, ScenarioOutput};
 
 /// The ablation scenario: cost and security trade-offs of the extensions.
@@ -95,35 +94,37 @@ pub fn run_ablation(ctx: &ExperimentCtx) -> Vec<AblationRow> {
 
 /// Renders the ablation.
 pub fn format_ablation(rows: &[AblationRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:>5} {:>16} {:>24} {:>16} {:>20}",
-        "Scheme",
-        "Opt",
-        "cycles/call",
-        "byte-by-byte trials",
-        "runtime changes",
-        "exposure resilient"
-    );
-    for row in rows {
-        let trials = if row.analytical_byte_by_byte_trials == u64::MAX {
-            ">= 2^63".to_string()
-        } else {
-            row.analytical_byte_by_byte_trials.to_string()
-        };
-        let _ = writeln!(
-            out,
-            "{:<12} {:>5} {:>16} {:>24} {:>16} {:>20}",
-            row.scheme.name(),
-            row.opt_level,
-            row.per_call_cycles,
-            trials,
-            if row.needs_runtime_changes { "yes" } else { "no" },
-            if row.exposure_resilient { "yes" } else { "no" }
-        );
-    }
-    out
+    let yes_no = |flag: bool| if flag { "yes" } else { "no" }.to_string();
+    let lines: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            let trials = if row.analytical_byte_by_byte_trials == u64::MAX {
+                ">= 2^63".to_string()
+            } else {
+                row.analytical_byte_by_byte_trials.to_string()
+            };
+            vec![
+                row.scheme.name().to_string(),
+                row.opt_level.to_string(),
+                row.per_call_cycles.to_string(),
+                trials,
+                yes_no(row.needs_runtime_changes),
+                yes_no(row.exposure_resilient),
+            ]
+        })
+        .collect();
+    render_table(
+        "per-call canary cycles, analytical attack effort and deployment needs",
+        &[
+            "Scheme",
+            "Opt",
+            "cycles/call",
+            "byte-by-byte trials",
+            "runtime changes",
+            "exposure resilient",
+        ],
+        &lines,
+    )
 }
 
 #[cfg(test)]

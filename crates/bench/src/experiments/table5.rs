@@ -1,13 +1,12 @@
 //! Table V — prologue/epilogue cycles, swept over the opt-level axis.
 
-use std::fmt::Write as _;
-
 use polycanary_compiler::codegen::Compiler;
 use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder};
 use polycanary_compiler::OptLevel;
 use polycanary_core::record::Record;
 use polycanary_core::scheme::SchemeKind;
 
+use super::campaigns::render_table;
 use super::{Experiment, ExperimentCtx, ScenarioOutput};
 
 /// The Table V scenario: canary-handling cycle cost per configuration ×
@@ -122,12 +121,15 @@ pub fn canary_handling_cycles(
 
 /// Renders Table V.
 pub fn format_table5(entries: &[Table5Entry]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<24} {:>5} {:>18}", "Configuration", "Opt", "Cycles (pro+epi)");
-    for entry in entries {
-        let _ = writeln!(out, "{:<24} {:>5} {:>18}", entry.label, entry.opt_level, entry.cycles);
-    }
-    out
+    let rows: Vec<Vec<String>> = entries
+        .iter()
+        .map(|e| vec![e.label.clone(), e.opt_level.to_string(), e.cycles.to_string()])
+        .collect();
+    render_table(
+        "canary-handling cycles over the unprotected build of the same probe",
+        &["Configuration", "Opt", "Cycles (pro+epi)"],
+        &rows,
+    )
 }
 
 #[cfg(test)]
@@ -171,6 +173,21 @@ mod tests {
                 o2.cycles,
                 o0.cycles
             );
+        }
+    }
+
+    #[test]
+    fn table5_and_ablation_align_every_cell_under_its_heading() {
+        // Regression: fixed-width formats printed the `Opt` heading two
+        // columns right of the `O0`/`O2` cells.
+        let ctx = ExperimentCtx::new(5);
+        for text in [Table5.run(&ctx).text, crate::experiments::Ablation.run(&ctx).text] {
+            let lines: Vec<&str> = text.lines().skip(1).collect();
+            let opt = lines[0].find("Opt").expect("an Opt heading");
+            assert!(lines.len() > 2, "{text}");
+            for row in &lines[1..] {
+                assert!(row[opt..].starts_with('O') && &row[opt - 1..opt] == " ", "{text}");
+            }
         }
     }
 

@@ -192,13 +192,11 @@ impl Cell {
         self.runtime_scheme().fork_canary_policy()
     }
 
-    /// The scheme governing the deployed binary: the rewriter always ships
+    /// The scheme governing the deployed binary, as its deployment
+    /// pipeline decides it: the rewriter always ships
     /// [`SchemeKind::PsspBin32`].
     pub fn runtime_scheme(&self) -> SchemeKind {
-        match self.deployment {
-            Deployment::Compiler => self.scheme,
-            Deployment::BinaryRewriter => SchemeKind::PsspBin32,
-        }
+        self.deployment.build(self.scheme).runtime_scheme()
     }
 
     /// The self-describing record form of the cell — embedded in the

@@ -19,8 +19,6 @@
 use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::{Compiler, Frontend, OptLevel};
 use polycanary_core::record::{export_envelope, Record};
-use polycanary_core::scheme::SchemeKind;
-use polycanary_rewriter::{LinkMode, Rewriter};
 use polycanary_verifier::{verify_compiled, verify_rewritten, Finding};
 use polycanary_vm::Program;
 use polycanary_workloads::{spec_suite, Build, DatabaseModel, ServerModel};
@@ -135,33 +133,10 @@ fn workload_modules(quick: bool) -> Vec<(String, ModuleDef)> {
     modules
 }
 
-/// The deployment vehicles every workload is verified under: all ten
-/// compiler schemes plus both rewriter link modes.
-fn builds() -> Vec<Build> {
-    let mut builds: Vec<Build> = SchemeKind::ALL.into_iter().map(Build::Compiler).collect();
-    builds.push(Build::BinaryRewriter(LinkMode::Dynamic));
-    builds.push(Build::BinaryRewriter(LinkMode::Static));
-    builds
-}
-
 /// The optimization levels every cell is verified at: the unoptimized
 /// baseline plus the most aggressive pipeline.
 fn opt_levels() -> [OptLevel; 2] {
     [OptLevel::O0, OptLevel::O2]
-}
-
-/// The compiler of one build vehicle at one level: the scheme's own, or
-/// for the rewriter the SSP compiler of its input.  The rewriter
-/// pattern-matches the canonical SSP sequences, so its input compiles
-/// shape-preserved at every level — matching what `build_machine_at`
-/// ships.
-fn build_compiler(build: Build, opt: OptLevel) -> Compiler {
-    let compiler = match build {
-        Build::Native => Compiler::new(SchemeKind::Native),
-        Build::Compiler(kind) => Compiler::new(kind),
-        Build::BinaryRewriter(_) => Compiler::new(SchemeKind::Ssp).with_preserved_canary_shapes(),
-    };
-    compiler.with_opt_level(opt)
 }
 
 /// Verifies one prepared workload module under one build vehicle, lowered
@@ -180,13 +155,10 @@ fn verify_cell(
             let compiled = lower();
             (compiled.program.len(), verify_compiled(&compiled))
         }
-        Build::BinaryRewriter(mode) => {
+        Build::BinaryRewriter(_) => {
             let original = ssp_build.get_or_insert_with(|| lower().program);
             let mut rewritten = original.clone();
-            Rewriter::new()
-                .with_link_mode(mode)
-                .rewrite(&mut rewritten)
-                .expect("SSP workloads are always rewritable");
+            build.rewrite(&mut rewritten).expect("SSP workloads are always rewritable");
             (original.len(), verify_rewritten(original, &rewritten))
         }
     };
@@ -199,15 +171,14 @@ fn verify_cell(
     }
 }
 
-/// Runs the full verification sweep.  Each build's compiler is built once
-/// per opt level; each workload module is prepared once per opt level (the
-/// compiler's scheme-independent front half) and lowered under every build
-/// vehicle from there.  The cells and their order are those of compiling
-/// every cell from scratch.
+/// Runs the full verification sweep over every [`Build::ALL`] vehicle.
+/// Each build's compiler ([`Build::compiler`]) is built once per opt level;
+/// each workload module is prepared once per opt level (the compiler's
+/// scheme-independent front half) and lowered under every build vehicle
+/// from there.  The cells and their order are those of compiling every
+/// cell from scratch.
 pub fn run_verify(quick: bool) -> VerifyReport {
-    let builds = builds();
-    let compilers = opt_levels()
-        .map(|opt| builds.iter().map(|&build| build_compiler(build, opt)).collect::<Vec<_>>());
+    let compilers = opt_levels().map(|opt| Build::ALL.map(|build| build.compiler(opt)));
     let mut cells = Vec::new();
     for (name, module) in workload_modules(quick) {
         // Any compiler of a level prepares its front half: nothing the
@@ -216,7 +187,7 @@ pub fn run_verify(quick: bool) -> VerifyReport {
             .each_ref()
             .map(|level| level[0].prepare(&module).expect("workload modules always compile"));
         let mut ssp_builds: [Option<Program>; 2] = Default::default();
-        for (index, &build) in builds.iter().enumerate() {
+        for (index, build) in Build::ALL.into_iter().enumerate() {
             for ((front, level), ssp_build) in fronts.iter().zip(&compilers).zip(&mut ssp_builds) {
                 cells.push(verify_cell(&name, front, build, &level[index], ssp_build));
             }
@@ -267,22 +238,13 @@ mod tests {
         build: Build,
         opt: OptLevel,
     ) -> VerifyCell {
-        let compile = |compiler: Compiler| {
-            compiler.with_opt_level(opt).compile(module).expect("workload modules always compile")
-        };
-        let verify_scheme = |kind: SchemeKind| {
-            let compiled = compile(Compiler::new(kind));
-            (compiled.program.len(), verify_compiled(&compiled))
-        };
-        let (functions, findings) = match build {
-            Build::Native => verify_scheme(SchemeKind::Native),
-            Build::Compiler(kind) => verify_scheme(kind),
-            Build::BinaryRewriter(mode) => {
-                let original =
-                    compile(Compiler::new(SchemeKind::Ssp).with_preserved_canary_shapes()).program;
-                let mut rewritten = original.clone();
-                Rewriter::new().with_link_mode(mode).rewrite(&mut rewritten).unwrap();
-                (original.len(), verify_rewritten(&original, &rewritten))
+        let compiled = build.compiler(opt).compile(module).expect("workload modules compile");
+        let functions = compiled.program.len();
+        let findings = match build {
+            Build::Native | Build::Compiler(_) => verify_compiled(&compiled),
+            Build::BinaryRewriter(_) => {
+                let rewritten = build.program(module, opt);
+                verify_rewritten(&compiled.program, &rewritten)
             }
         };
         VerifyCell {
@@ -298,7 +260,7 @@ mod tests {
     fn shared_front_halves_reproduce_per_cell_compiles() {
         let mut reference = Vec::new();
         for (name, module) in workload_modules(true) {
-            for build in builds() {
+            for build in Build::ALL {
                 for opt in opt_levels() {
                     reference.push(compiled_cell(&name, &module, build, opt).record());
                 }

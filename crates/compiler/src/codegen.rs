@@ -178,11 +178,14 @@ impl Compiler {
         }
     }
 
-    /// Selects the optimization level (rebuilds the standard pipeline).
+    /// Selects the optimization level (rebuilds the standard pipeline when
+    /// the level changes).
     #[must_use]
     pub fn with_opt_level(mut self, opt: OptLevel) -> Self {
-        self.opt_level = opt;
-        self.passes = PassManager::standard(opt);
+        if opt != self.opt_level {
+            self.opt_level = opt;
+            self.passes = PassManager::standard(opt);
+        }
         self
     }
 

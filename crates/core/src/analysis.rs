@@ -1,7 +1,7 @@
 //! Security analysis helpers: attacker effort estimates (§III-C) and the
 //! statistical machinery behind the Theorem-1 experiments.
 
-use crate::scheme::{Granularity, SchemeKind, SchemeProperties};
+use crate::scheme::{Granularity, SchemeProperties};
 
 /// Expected number of oracle queries for the *byte-by-byte* attack against a
 /// scheme whose canary survives across worker forks.
@@ -128,35 +128,10 @@ pub fn theorem1_independence_test(observed_c1: &[u64]) -> IndependenceTest {
     }
 }
 
-/// One row of the qualitative part of Table I.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Table1Row {
-    /// The scheme.
-    pub kind: SchemeKind,
-    /// "BROP Prevention" column.
-    pub brop_prevention: bool,
-    /// "Correctness" column.
-    pub correctness: bool,
-}
-
-/// Produces the qualitative columns of Table I for the given schemes.
-pub fn table1_rows(kinds: &[SchemeKind]) -> Vec<Table1Row> {
-    kinds
-        .iter()
-        .map(|&kind| {
-            let props = kind.scheme().properties();
-            Table1Row {
-                kind,
-                brop_prevention: props.prevents_byte_by_byte,
-                correctness: props.correct_across_fork,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeKind;
     use polycanary_crypto::{Prng, SplitMix64};
 
     /// Upper tail `Pr(X > x)` of χ² with an even number `df` of degrees of
@@ -276,20 +251,18 @@ mod tests {
 
     #[test]
     fn table1_rows_match_paper() {
-        let rows = table1_rows(&[
-            SchemeKind::Ssp,
-            SchemeKind::RafSsp,
-            SchemeKind::DynaGuard,
-            SchemeKind::Dcr,
-            SchemeKind::Pssp,
-        ]);
+        // Table I's qualitative columns: (BROP prevention, correctness).
+        let columns = |kind: SchemeKind| {
+            let props = kind.scheme().properties();
+            (props.prevents_byte_by_byte, props.correct_across_fork)
+        };
         // SSP: BROP No, correctness Yes.
-        assert!(!rows[0].brop_prevention && rows[0].correctness);
+        assert_eq!(columns(SchemeKind::Ssp), (false, true));
         // RAF SSP: BROP Yes, correctness No.
-        assert!(rows[1].brop_prevention && !rows[1].correctness);
+        assert_eq!(columns(SchemeKind::RafSsp), (true, false));
         // DynaGuard, DCR, P-SSP: both Yes.
-        for row in &rows[2..] {
-            assert!(row.brop_prevention && row.correctness, "{:?}", row.kind);
+        for kind in [SchemeKind::DynaGuard, SchemeKind::Dcr, SchemeKind::Pssp] {
+            assert_eq!(columns(kind), (true, true), "{kind:?}");
         }
     }
 }

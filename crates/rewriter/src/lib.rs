@@ -9,7 +9,12 @@
 //! * [`rewrite`] replaces them with size-identical P-SSP sequences (32-bit
 //!   packed canaries, patched `__stack_chk_fail`) and — for statically
 //!   linked binaries — appends the extra section holding the customised
-//!   glibc functions.
+//!   glibc functions,
+//! * [`build`] is the one deployment pipeline: [`Build`] knows, for the
+//!   native build, every compiler plugin and both rewriter link modes,
+//!   which compiler builds the program, whether the rewriter upgrades it
+//!   and which runtime it runs under.  Every workload, campaign victim and
+//!   verifier cell is built through it.
 //!
 //! # Quick example
 //!
@@ -36,10 +41,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod build;
 pub mod error;
 pub mod rewrite;
 pub mod scan;
 
+pub use build::Build;
 pub use error::RewriteError;
 pub use rewrite::{instrument_and_load, LinkMode, RewriteReport, Rewriter, STATIC_SECTION_BYTES};
 pub use scan::{scan_function, EpilogueSite, PrologueSite, SspSites};

@@ -23,8 +23,7 @@ use polycanary_vm::program::Program;
 use polycanary_vm::reg::Reg;
 use polycanary_vm::tls::TLS_SHADOW_C0_OFFSET;
 
-use polycanary_core::scheme::SchemeKind;
-
+use crate::build::Build;
 use crate::error::RewriteError;
 use crate::scan::scan_function;
 
@@ -215,8 +214,9 @@ pub fn instrument_and_load(
     link_mode: LinkMode,
     seed: u64,
 ) -> Result<(Machine, RewriteReport), RewriteError> {
-    let report = Rewriter::new().with_link_mode(link_mode).rewrite(&mut program)?;
-    let hooks = SchemeKind::PsspBin32.scheme().runtime_hooks(seed ^ 0x32B1_7C0D_E000_0001);
+    let build = Build::BinaryRewriter(link_mode);
+    let report = build.rewrite(&mut program)?.expect("a rewriter build reports its rewrite");
+    let hooks = build.runtime_scheme().scheme().runtime_hooks(seed ^ 0x32B1_7C0D_E000_0001);
     Ok((Machine::new(program, hooks, seed), report))
 }
 
@@ -225,6 +225,7 @@ mod tests {
     use super::*;
     use polycanary_compiler::codegen::Compiler;
     use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
+    use polycanary_core::scheme::SchemeKind;
     use polycanary_vm::cpu::Exit;
 
     fn server_module() -> ModuleDef {

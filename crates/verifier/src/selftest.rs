@@ -10,9 +10,9 @@
 //! stays silent on these programs is broken, however clean the real cells
 //! look.
 
-use polycanary_compiler::{CompiledModule, Compiler, FunctionBuilder, ModuleBuilder, OptLevel};
+use polycanary_compiler::{CompiledModule, FunctionBuilder, ModuleBuilder, OptLevel};
 use polycanary_core::scheme::SchemeKind;
-use polycanary_rewriter::Rewriter;
+use polycanary_rewriter::{Build, LinkMode};
 use polycanary_vm::inst::Inst;
 
 use crate::finding::{CheckKind, Finding};
@@ -88,9 +88,10 @@ impl InjectedDefect {
     pub fn run(&self) -> Vec<Finding> {
         match self {
             InjectedDefect::StaleRewrite => {
-                let original = victim_module(SchemeKind::Ssp).program;
+                let build = Build::BinaryRewriter(LinkMode::Dynamic);
+                let original = victim_module(build, OptLevel::O0).program;
                 let mut rewritten = original.clone();
-                Rewriter::new().rewrite(&mut rewritten).expect("victim rewrite succeeds");
+                build.rewrite(&mut rewritten).expect("victim rewrite succeeds");
                 let (id, func) = original
                     .iter()
                     .find(|(_, f)| f.name() == "handle_request")
@@ -102,7 +103,7 @@ impl InjectedDefect {
                 // At O2 the leaf victim's epilogue is strength-reduced to an
                 // in-place compare; a buggy pass deleting that 3-instruction
                 // check leaves the stored canary unchecked at `ret`.
-                let mut module = victim_module_at(SchemeKind::Ssp, OptLevel::O2);
+                let mut module = victim_module(SSP, OptLevel::O2);
                 let id = module.by_name["handle_request"];
                 let mut insts = module
                     .program
@@ -119,7 +120,7 @@ impl InjectedDefect {
                 verify_compiled(&module)
             }
             defect => {
-                let mut module = victim_module(SchemeKind::Ssp);
+                let mut module = victim_module(SSP, OptLevel::O0);
                 inject(&mut module, *defect);
                 verify_compiled(&module)
             }
@@ -133,14 +134,13 @@ impl std::fmt::Display for InjectedDefect {
     }
 }
 
-/// The fixed victim every defect is planted into: one protected function
-/// with a buffer and a bounded copy, called from an unprotected `main`.
-fn victim_module(scheme: SchemeKind) -> CompiledModule {
-    victim_module_at(scheme, OptLevel::O0)
-}
+/// The classic SSP compiler build every compiled defect is planted into.
+const SSP: Build = Build::Compiler(SchemeKind::Ssp);
 
-/// [`victim_module`] at an explicit optimization level.
-fn victim_module_at(scheme: SchemeKind, opt: OptLevel) -> CompiledModule {
+/// The fixed victim every defect is planted into, built by `build`'s
+/// compiler at `opt`: one protected function with a buffer and a bounded
+/// copy, called from an unprotected `main`.
+fn victim_module(build: Build, opt: OptLevel) -> CompiledModule {
     let module = ModuleBuilder::new()
         .function(
             FunctionBuilder::new("handle_request")
@@ -156,7 +156,7 @@ fn victim_module_at(scheme: SchemeKind, opt: OptLevel) -> CompiledModule {
         .entry("main")
         .build()
         .expect("victim module is well-formed");
-    Compiler::new(scheme).with_opt_level(opt).compile(&module).expect("victim compiles")
+    build.compiler(opt).compile(&module).expect("victim compiles")
 }
 
 /// Plants `defect` into the victim's `handle_request` body.
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn the_clean_victim_is_finding_free() {
-        let module = victim_module(SchemeKind::Ssp);
+        let module = victim_module(SSP, OptLevel::O0);
         assert!(verify_compiled(&module).is_empty());
     }
 }

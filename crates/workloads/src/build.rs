@@ -1,50 +1,21 @@
 //! Building workload binaries under the different deployment vehicles.
 //!
-//! Every performance experiment of the paper compares three builds of the
-//! same source: the native build (default compiler options), the build
-//! produced by the P-SSP compiler plugin, and the SSP build upgraded by the
-//! binary rewriter.  [`Build`] captures that choice and [`build_machine`]
-//! produces a ready-to-run [`Machine`] for it.
+//! Every performance experiment of the paper compares builds of the same
+//! source: the native build (default compiler options), the build produced
+//! by a compiler plugin, and the SSP build upgraded by the binary rewriter.
+//! [`Build`] is that choice and the one pipeline behind it (it lives in
+//! `polycanary-rewriter`, the lowest crate that sees both the compiler and
+//! the rewriter, and is re-exported here).  This module adds the two steps
+//! the experiments need after the pipeline: [`build_machine`] launches the
+//! built program under its runtime, and [`binary_size`] measures it.
 
-use polycanary_compiler::codegen::Compiler;
 use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::OptLevel;
-use polycanary_core::scheme::SchemeKind;
-use polycanary_rewriter::{LinkMode, Rewriter};
 use polycanary_vm::machine::Machine;
 
-/// One way of producing the workload binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Build {
-    /// Default compilation, no stack protection ("native execution").
-    Native,
-    /// Compiled with the given scheme's compiler plugin.
-    Compiler(SchemeKind),
-    /// Compiled with classic SSP and upgraded by the binary rewriter
-    /// (dynamic-link mode unless stated otherwise).
-    BinaryRewriter(LinkMode),
-}
+pub use polycanary_rewriter::Build;
 
-impl Build {
-    /// Human-readable label used in experiment output.
-    pub fn label(&self) -> String {
-        match self {
-            Build::Native => "native".to_string(),
-            Build::Compiler(kind) => format!("compiler {kind}"),
-            Build::BinaryRewriter(LinkMode::Dynamic) => {
-                "instrumentation (dynamic link)".to_string()
-            }
-            Build::BinaryRewriter(LinkMode::Static) => "instrumentation (static link)".to_string(),
-        }
-    }
-
-    /// The three builds Figure 5 compares.
-    pub fn figure5_builds() -> [Build; 3] {
-        [Build::Native, Build::Compiler(SchemeKind::Pssp), Build::BinaryRewriter(LinkMode::Dynamic)]
-    }
-}
-
-/// Compiles `module` according to `build` and wraps it in a machine with the
+/// Builds `module` under `build` and wraps it in a machine with the
 /// matching runtime (shared library) attached.
 ///
 /// # Panics
@@ -66,69 +37,31 @@ pub fn build_machine(module: &ModuleDef, build: Build, seed: u64) -> Machine {
 ///
 /// Panics under the same conditions as [`build_machine`].
 pub fn build_machine_at(module: &ModuleDef, build: Build, opt: OptLevel, seed: u64) -> Machine {
-    match build {
-        Build::Native => Compiler::new(SchemeKind::Native)
-            .with_opt_level(opt)
-            .compile(module)
-            .expect("workload modules always compile")
-            .into_machine(seed),
-        Build::Compiler(kind) => Compiler::new(kind)
-            .with_opt_level(opt)
-            .compile(module)
-            .expect("workload modules always compile")
-            .into_machine(seed),
-        Build::BinaryRewriter(mode) => {
-            let compiled = Compiler::new(SchemeKind::Ssp)
-                .with_opt_level(opt)
-                .with_preserved_canary_shapes()
-                .compile(module)
-                .expect("workload modules always compile");
-            let mut program = compiled.program;
-            Rewriter::new()
-                .with_link_mode(mode)
-                .rewrite(&mut program)
-                .expect("SSP workloads are always rewritable");
-            let hooks = SchemeKind::PsspBin32.scheme().runtime_hooks(seed ^ 0x5EED_B175);
-            Machine::new(program, hooks, seed)
-        }
-    }
+    // Compiled builds seed their runtime as `CompiledModule::into_machine`
+    // does; rewritten ones with the rewriter's own salt.
+    let salt = match build {
+        Build::Native | Build::Compiler(_) => 0xB007_0000_0000_0001,
+        Build::BinaryRewriter(_) => 0x5EED_B175,
+    };
+    let hooks = build.runtime_scheme().scheme().runtime_hooks(seed ^ salt);
+    Machine::new(build.program(module, opt), hooks, seed)
 }
 
-/// Binary size of `module` under `build`, in bytes (used by Table II).
+/// Binary size of `module` under `build` at O0, in bytes (used by Table II).
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`build_machine`].
 pub fn binary_size(module: &ModuleDef, build: Build) -> u64 {
-    match build {
-        Build::Native => Compiler::new(SchemeKind::Native)
-            .compile(module)
-            .expect("workload modules always compile")
-            .program
-            .binary_size(),
-        Build::Compiler(kind) => Compiler::new(kind)
-            .compile(module)
-            .expect("workload modules always compile")
-            .program
-            .binary_size(),
-        Build::BinaryRewriter(mode) => {
-            let compiled = Compiler::new(SchemeKind::Ssp)
-                .compile(module)
-                .expect("workload modules always compile");
-            let mut program = compiled.program;
-            Rewriter::new()
-                .with_link_mode(mode)
-                .rewrite(&mut program)
-                .expect("SSP workloads are always rewritable");
-            program.binary_size()
-        }
-    }
+    build.program(module, OptLevel::O0).binary_size()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use polycanary_compiler::ir::{FunctionBuilder, ModuleBuilder};
+    use polycanary_core::scheme::SchemeKind;
+    use polycanary_rewriter::LinkMode;
 
     fn sample_module() -> ModuleDef {
         ModuleBuilder::new()
@@ -174,24 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_distinct() {
-        let labels: Vec<_> = [
-            Build::Native,
-            Build::Compiler(SchemeKind::Pssp),
-            Build::BinaryRewriter(LinkMode::Dynamic),
-            Build::BinaryRewriter(LinkMode::Static),
-        ]
-        .iter()
-        .map(Build::label)
-        .collect();
-        for (i, a) in labels.iter().enumerate() {
-            for b in labels.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
-    }
-
-    #[test]
     fn binary_sizes_follow_table2_ordering() {
         let module = sample_module();
         let native = binary_size(&module, Build::Native);
@@ -205,13 +120,5 @@ mod tests {
         assert_eq!(dynamic, ssp);
         // Static-link instrumentation appends the extra glibc section.
         assert!(statically > dynamic);
-    }
-
-    #[test]
-    fn figure5_builds_cover_the_three_bars() {
-        let builds = Build::figure5_builds();
-        assert_eq!(builds[0], Build::Native);
-        assert!(matches!(builds[1], Build::Compiler(SchemeKind::Pssp)));
-        assert!(matches!(builds[2], Build::BinaryRewriter(LinkMode::Dynamic)));
     }
 }

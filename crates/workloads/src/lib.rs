@@ -13,8 +13,9 @@
 //!   request-serving models (Table III),
 //! * [`database`] — MySQL-like and SQLite-like query-path models
 //!   (Table IV),
-//! * [`build`] — the three deployment vehicles every experiment compares
-//!   (native, compiler plugin, binary rewriter).
+//! * [`build`] — launching and measuring builds under the three
+//!   deployment vehicles every experiment compares (native, compiler
+//!   plugin, binary rewriter), through the one pipeline [`Build`].
 //!
 //! # Quick example
 //!

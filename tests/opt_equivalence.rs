@@ -28,7 +28,6 @@ use polycanary::compiler::ir::{FunctionBuilder, ModuleBuilder, ModuleDef};
 use polycanary::compiler::{CompileError, Compiler, OptLevel};
 use polycanary::core::SchemeKind;
 use polycanary::crypto::{Prng, SplitMix64};
-use polycanary::rewriter::LinkMode;
 use polycanary::vm::RunOutcome;
 use polycanary::workloads::{build_machine_at, spec_suite, Build, DatabaseModel, ServerModel};
 
@@ -88,18 +87,9 @@ fn run(module: &ModuleDef, build: Build, opt: OptLevel, seed: u64) -> (RunOutcom
     (outcome, process.take_output())
 }
 
-/// Every deployment vehicle the oracle sweeps: all ten compiler schemes
-/// plus both rewriter link modes.
-fn builds() -> Vec<Build> {
-    let mut builds: Vec<Build> = SchemeKind::ALL.into_iter().map(Build::Compiler).collect();
-    builds.push(Build::BinaryRewriter(LinkMode::Dynamic));
-    builds.push(Build::BinaryRewriter(LinkMode::Static));
-    builds
-}
-
 #[test]
 fn o0_and_o2_builds_agree_on_every_deployment_cell() {
-    for build in builds() {
+    for build in Build::ALL {
         let owf = matches!(build, Build::Compiler(SchemeKind::PsspOwf));
         for case in 0..6u64 {
             let mut rng = SplitMix64::new(case.wrapping_mul(0x0DD5_EED5).wrapping_add(case));
@@ -143,7 +133,7 @@ fn o1_sits_between_the_endpoints_semantically() {
 fn optimization_never_costs_cycles() {
     // Beyond equivalence, the point of the pipeline: on every generated
     // program × vehicle, the O2 build runs at most as many cycles as O0.
-    for build in builds() {
+    for build in Build::ALL {
         let owf = matches!(build, Build::Compiler(SchemeKind::PsspOwf));
         for case in 0..4u64 {
             let mut rng = SplitMix64::new(0xC0DE ^ (case << 8));

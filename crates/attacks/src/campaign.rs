@@ -1314,7 +1314,8 @@ mod tests {
             "staged-patch",
             [PopulationMember::new(1, SchemeKind::Pssp), PopulationMember::new(1, SchemeKind::Ssp)],
         )
-        .with_rollout(RolloutCurve::new(4, vec![vec![0, 1], vec![1, 0]]));
+        .with_rollout(RolloutCurve::new(4, vec![vec![0, 1], vec![1, 0]]).unwrap())
+        .unwrap();
         let base = Campaign::against(AttackKind::ByteByByte { budget: 3_000 }, fleet.clone())
             .with_seed_range(0x5107, 8);
         let serial = base.clone().with_workers(1).run();

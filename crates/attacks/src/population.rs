@@ -27,6 +27,8 @@
 //! assert_eq!(fleet.member_for(42).scheme, fleet.member_for(42).scheme);
 //! ```
 
+use std::fmt;
+
 use polycanary_core::record::{Record, Value};
 use polycanary_core::scheme::SchemeKind;
 
@@ -103,20 +105,23 @@ impl RolloutCurve {
     /// for victims `k*batch .. (k+1)*batch`; the final stage applies to
     /// every victim beyond the schedule.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `batch` is zero, `stages` is empty, or any stage has no
-    /// positive weight — all configuration bugs, not runtime conditions.
-    pub fn new(batch: usize, stages: Vec<Vec<u32>>) -> Self {
-        assert!(batch > 0, "a rollout batch must cover at least one victim");
-        assert!(!stages.is_empty(), "a rollout curve needs at least one stage");
-        for (index, stage) in stages.iter().enumerate() {
-            assert!(
-                stage.iter().any(|&w| w > 0),
-                "rollout stage {index} has no positively weighted member"
-            );
+    /// [`RolloutError::ZeroBatch`] when `batch` is zero,
+    /// [`RolloutError::NoStages`] when `stages` is empty and
+    /// [`RolloutError::UnweightedStage`] when a stage has no positive
+    /// weight.
+    pub fn new(batch: usize, stages: Vec<Vec<u32>>) -> Result<Self, RolloutError> {
+        if batch == 0 {
+            return Err(RolloutError::ZeroBatch);
         }
-        RolloutCurve { batch, stages }
+        if stages.is_empty() {
+            return Err(RolloutError::NoStages);
+        }
+        if let Some(stage) = stages.iter().position(|s| s.iter().all(|&w| w == 0)) {
+            return Err(RolloutError::UnweightedStage { stage });
+        }
+        Ok(RolloutCurve { batch, stages })
     }
 
     /// Victims per stage.
@@ -146,6 +151,47 @@ impl RolloutCurve {
         Record::new().field("batch", self.batch as u64).field("stages", stages)
     }
 }
+
+/// Why a [`RolloutCurve`] or a rollout [`Population`] cannot be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RolloutError {
+    /// The batch covers no victim.
+    ZeroBatch,
+    /// The curve has no stage.
+    NoStages,
+    /// A stage weights no member positively, so it cannot be sampled.
+    UnweightedStage {
+        /// Index of the stage.
+        stage: usize,
+    },
+    /// A stage does not have exactly one weight per population member.
+    StageWidth {
+        /// Index of the stage.
+        stage: usize,
+        /// Weights the stage has.
+        weights: usize,
+        /// Members the population has.
+        members: usize,
+    },
+}
+
+impl fmt::Display for RolloutError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RolloutError::ZeroBatch => write!(f, "a rollout batch must cover at least one victim"),
+            RolloutError::NoStages => write!(f, "a rollout curve needs at least one stage"),
+            RolloutError::UnweightedStage { stage } => {
+                write!(f, "rollout stage {stage} has no positively weighted member")
+            }
+            RolloutError::StageWidth { stage, weights, members } => write!(
+                f,
+                "rollout stage {stage} has {weights} weights but must weight all {members} members"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RolloutError {}
 
 /// A weighted victim fleet: every campaign seed deterministically draws one
 /// [`PopulationMember`] whose scheme/deployment builds that seed's victim.
@@ -211,21 +257,17 @@ impl Population {
     /// the static weights to the curve's per-batch stage weights.  The
     /// result is a different fleet, so its member-draw salt is recomputed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when any stage's weight vector does not have exactly one
-    /// weight per member.
-    #[must_use]
-    pub fn with_rollout(self, curve: RolloutCurve) -> Self {
-        for (index, stage) in curve.stages().iter().enumerate() {
-            assert_eq!(
-                stage.len(),
-                self.members.len(),
-                "rollout stage {index} must weight all {} members",
-                self.members.len()
-            );
+    /// [`RolloutError::StageWidth`] when a stage's weight vector does not
+    /// have exactly one weight per member.
+    pub fn with_rollout(self, curve: RolloutCurve) -> Result<Self, RolloutError> {
+        let members = self.members.len();
+        let mut widths = curve.stages().iter().map(Vec::len).enumerate();
+        if let Some((stage, weights)) = widths.find(|&(_, w)| w != members) {
+            return Err(RolloutError::StageWidth { stage, weights, members });
         }
-        Population::build(self.label, self.members, Some(curve))
+        Ok(Population::build(self.label, self.members, Some(curve)))
     }
 
     /// Finalizes a fleet: the member-draw salt folds the label, the member
@@ -470,8 +512,8 @@ mod tests {
     fn rollout_stages_shift_the_member_draws_over_time() {
         let members =
             [PopulationMember::new(1, SchemeKind::Pssp), PopulationMember::new(1, SchemeKind::Ssp)];
-        let curve = RolloutCurve::new(4, vec![vec![0, 1], vec![1, 0]]);
-        let pop = Population::from_members("rollout", members).with_rollout(curve);
+        let curve = RolloutCurve::new(4, vec![vec![0, 1], vec![1, 0]]).unwrap();
+        let pop = Population::from_members("rollout", members).with_rollout(curve).unwrap();
         let seeds = derive_seeds(7, 16);
         for (index, &seed) in seeds.iter().enumerate() {
             let expected = if index < 4 { SchemeKind::Ssp } else { SchemeKind::Pssp };
@@ -487,18 +529,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must weight all")]
     fn rollout_stage_width_must_match_the_member_count() {
         let members =
             [PopulationMember::new(1, SchemeKind::Pssp), PopulationMember::new(1, SchemeKind::Ssp)];
-        let _ = Population::from_members("bad", members)
-            .with_rollout(RolloutCurve::new(2, vec![vec![1]]));
+        let error = Population::from_members("bad", members)
+            .with_rollout(RolloutCurve::new(2, vec![vec![1]]).unwrap())
+            .unwrap_err();
+        assert_eq!(error, RolloutError::StageWidth { stage: 0, weights: 1, members: 2 });
+        assert!(error.to_string().contains("must weight all 2 members"), "{error}");
     }
 
     #[test]
-    #[should_panic(expected = "no positively weighted member")]
     fn rollout_stages_need_a_positive_weight() {
-        let _ = RolloutCurve::new(2, vec![vec![0, 0]]);
+        let error = RolloutCurve::new(2, vec![vec![0, 0]]).unwrap_err();
+        assert_eq!(error, RolloutError::UnweightedStage { stage: 0 });
+        assert!(error.to_string().contains("no positively weighted member"), "{error}");
+        assert_eq!(RolloutCurve::new(0, vec![vec![1]]), Err(RolloutError::ZeroBatch));
+        assert_eq!(RolloutCurve::new(2, Vec::new()), Err(RolloutError::NoStages));
     }
 
     #[test]
@@ -506,7 +553,8 @@ mod tests {
         let members =
             [PopulationMember::new(1, SchemeKind::Pssp), PopulationMember::new(1, SchemeKind::Ssp)];
         let pop = Population::from_members("curve", members)
-            .with_rollout(RolloutCurve::new(3, vec![vec![1, 9], vec![9, 1]]));
+            .with_rollout(RolloutCurve::new(3, vec![vec![1, 9], vec![9, 1]]).unwrap())
+            .unwrap();
         let rec = pop.record();
         let Some(Value::Record(rollout)) = rec.get("rollout") else { panic!("rollout: {rec:?}") };
         assert_eq!(rollout.get("batch"), Some(&Value::UInt(3)));

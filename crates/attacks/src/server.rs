@@ -30,10 +30,12 @@
 //! fresh fork would be — same pid sequence, TLS, rdrand stream, fork-hook
 //! effects and memory — without allocating.  The memory image is the
 //! expensive part: a worker's first stack write copies the parent's stack
-//! (copy-on-write), and from then on a refork copies back only the byte
-//! range the previous connection dirtied, because the parent still shares
-//! the pages the worker was copied from.  A byte-by-byte request therefore
-//! costs the interpreter plus the bytes it writes, not a stack copy.
+//! (copy-on-write), or allocates it zeroed while the parent's stack is
+//! still untouched, and from then on a refork copies back (or zero-fills)
+//! only the byte range the previous connection dirtied, because the parent
+//! still shares the pages the worker was copied from, or is still zero.  A
+//! byte-by-byte request therefore costs the interpreter plus the bytes it
+//! writes, not a stack copy.
 //!
 //! [`Machine::fork_into`]: polycanary_vm::machine::Machine::fork_into
 //!

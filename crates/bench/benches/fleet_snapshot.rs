@@ -4,9 +4,11 @@
 //! The whole point of the snapshot layer is that booting the Nth server of
 //! a configuration skips the compile/rewrite pipeline: `restore` should
 //! beat `rebuild` by a wide margin on every deployment vehicle.  The
-//! `connect` cells time what a byte-by-byte campaign pays per request on a
-//! long-lived server: fork a connection into the reused worker, serve one
-//! benign request, drop the connection.
+//! `build` cells time the build alone (`VictimSnapshot::build`: compile or
+//! rewrite plus the pristine image), the part a campaign pays once per
+//! configuration.  The `connect` cells time what a byte-by-byte campaign
+//! pays per request on a long-lived server: fork a connection into the
+//! reused worker, serve one benign request, drop the connection.
 
 use std::time::Duration;
 
@@ -35,9 +37,15 @@ fn bench(c: &mut Criterion) {
             b.iter(|| ForkingServer::new(config))
         });
 
+        // The once-per-configuration build the snapshot path amortizes.
+        let key = VictimKey::of(&config);
+        group.bench_with_input(BenchmarkId::new("build", label), &key, |b, &key| {
+            b.iter(|| VictimSnapshot::build(key))
+        });
+
         // Snapshot path: the build happens once per configuration; each
         // victim boots from the captured image.
-        let snapshot = VictimSnapshot::build(VictimKey::of(&config));
+        let snapshot = VictimSnapshot::build(key);
         group.bench_with_input(BenchmarkId::new("restore", label), &snapshot, |b, snapshot| {
             b.iter(|| ForkingServer::from_snapshot(snapshot, 0xF1EE7))
         });

@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 
 use polycanary_attacks::campaign::{AttackKind, Campaign, StopRule};
-use polycanary_attacks::population::{Population, PopulationMember, RolloutCurve};
+use polycanary_attacks::population::{Population, PopulationMember, RolloutCurve, RolloutError};
 use polycanary_attacks::victim::Deployment;
 use polycanary_core::record::Record;
 use polycanary_core::scheme::{ForkCanaryPolicy, SchemeKind};
@@ -93,7 +93,12 @@ impl RolloutShape {
 
     /// The curve over a two-member `[patched, legacy]` population, staged
     /// in `batch`-sized victim batches.
-    pub fn curve(&self, batch: usize) -> RolloutCurve {
+    ///
+    /// # Errors
+    ///
+    /// [`RolloutError::ZeroBatch`] when `batch` is zero; every preset's
+    /// stages are otherwise valid.
+    pub fn curve(&self, batch: usize) -> Result<RolloutCurve, RolloutError> {
         match self {
             RolloutShape::Flat => RolloutCurve::new(batch, vec![vec![1, 1]]),
             RolloutShape::Steep => {
@@ -433,8 +438,12 @@ impl GeneratedExperiment {
                     .with_buffer_size(64);
                 let label = format!("rollout-{}-{}", shape.label(), scheme_slug(self.cell.scheme));
                 let batch = (seeds / 4).max(1);
-                let population = Population::from_members(label, [patched, legacy])
-                    .with_rollout(shape.curve(batch));
+                let population = shape
+                    .curve(batch)
+                    .and_then(|curve| {
+                        Population::from_members(label, [patched, legacy]).with_rollout(curve)
+                    })
+                    .expect("a preset curve over a positive batch weights both members");
                 Campaign::against(attack, population)
             }
             None => Campaign::new(attack, self.cell.scheme)

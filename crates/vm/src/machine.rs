@@ -129,9 +129,9 @@ impl Machine {
     }
 
     /// The fast path of [`Machine::spawn`]: launches a new top-level
-    /// process whose memory image is *cloned* from the snapshot (an `Arc`
-    /// bump per segment, copy-on-write thereafter) instead of freshly
-    /// allocated and zeroed.  Everything seed-dependent — the pid, the
+    /// process whose memory image is *cloned* from the snapshot (a length
+    /// per untouched segment, copy-on-write thereafter) instead of built
+    /// afresh.  Everything seed-dependent — the pid, the
     /// loader's canary draw, the entropy devices, the startup hook — runs
     /// exactly as in `spawn`, so for equal machine state the two paths
     /// return bit-identical processes.

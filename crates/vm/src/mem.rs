@@ -11,21 +11,26 @@
 //! layout-preserving variant (Figure 6) and any global state the synthetic
 //! workloads need.
 //!
-//! Both segments are reference-counted pages with copy-on-write semantics:
-//! cloning a [`Memory`] — which is what `fork()` and snapshot restores do —
-//! only bumps two `Arc`s, and a segment is copied the first time either
-//! side writes to it.  A forked worker that never touches its globals never
-//! pays for them, which is what lets a fleet campaign boot 10^5 victims
-//! without materialising 10^5 address spaces.
+//! Both segments are copy-on-write pages.  A fresh segment is *zero*: it
+//! reads from one static all-zero block and owns no allocation, so building
+//! an image — every snapshot, spawn and `Process::new` — allocates nothing.
+//! Cloning a [`Memory`] — which is what `fork()` and snapshot restores do —
+//! copies a length for a zero segment and bumps an `Arc` for a written one;
+//! a segment is copied (or, from zero, allocated zeroed) the first time
+//! either side writes to it.  A forked worker that never touches its
+//! globals never pays for them, which is what lets a fleet campaign boot
+//! 10^5 victims without materialising 10^5 address spaces.
 //!
 //! A segment copied on write remembers the shared allocation it came from
-//! and the byte range written since.  [`Clone::clone_from`] — the refork of
-//! a reused worker — uses that: when the source still shares that same
-//! allocation, only the written range is copied back, with no allocation
-//! and no reference-count traffic.  A forking server that forks each
-//! connection into one reused worker therefore pays, per connection, for
-//! the bytes the previous connection wrote, not for the whole stack.
+//! (or that it came from the zero block) and the byte range written since.
+//! [`Clone::clone_from`] — the refork of a reused worker — uses that: when
+//! the source is still that same allocation, or still zero, only the
+//! written range is copied back or zero-filled, with no allocation and no
+//! reference-count traffic.  A forking server that forks each connection
+//! into one reused worker therefore pays, per connection, for the bytes the
+//! previous connection wrote, not for the whole stack.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::VmError;
@@ -39,23 +44,32 @@ pub const GLOBAL_BASE: u64 = 0x0060_0000;
 /// Default globals segment size in bytes.
 pub const DEFAULT_GLOBAL_SIZE: u64 = 64 * 1024;
 
-/// One reference-counted segment of a process image.
+/// The bytes every untouched segment reads: large enough for either
+/// default segment.  A larger (custom) stack is allocated zeroed instead.
+static ZERO_BLOCK: [u8; DEFAULT_STACK_SIZE as usize] = [0; DEFAULT_STACK_SIZE as usize];
+
+/// One copy-on-write segment of a process image.
 ///
-/// A segment is `Shared` while it may alias another process (fresh images,
-/// fork children, snapshot restores) and becomes `Owned` on the first
-/// write.  The distinction is what keeps the interpreter's write gateway
-/// atomics-free: `Arc::make_mut` performs a compare-and-swap on the weak
-/// count on *every* call — ~10 ns per guest store even when the segment is
-/// long since unshared — whereas an `Owned` segment hands out `&mut`
-/// directly.  [`Pages::share`] converts back to `Shared` so `fork()` stays
-/// an `Arc` bump per segment.
+/// A segment is `Zero` until anything writes it: its bytes are the static
+/// [`ZERO_BLOCK`], so creating, cloning and restoring it copies a length —
+/// no allocation and no `Arc` traffic.  It is `Shared` while its written
+/// bytes may alias another process (fork children, snapshot restores of a
+/// written image), and `Owned` after its first write.  The distinction is
+/// what keeps the interpreter's write gateway atomics-free:
+/// `Arc::make_mut` performs a compare-and-swap on the weak count on *every*
+/// call — ~10 ns per guest store even when the segment is long since
+/// unshared — whereas an `Owned` segment hands out `&mut` directly.
+/// [`Pages::share`] converts back to `Shared` so `fork()` stays an `Arc`
+/// bump per segment.
 ///
-/// An `Owned` segment copied from a `Shared` one keeps that allocation as
-/// its `origin` and the `dirty` range written since the copy, which is what
-/// lets [`Clone::clone_from`] restore it from the same origin by copying
-/// only the dirty bytes.
+/// An `Owned` segment keeps the allocation it was copied from as its
+/// `origin` (`None` when it was allocated from `Zero`) and the `dirty`
+/// range written since, which is what lets [`Clone::clone_from`] restore
+/// it from the same origin by copying, or zero-filling, only the dirty
+/// bytes.
 #[derive(Debug)]
 enum Pages {
+    Zero(usize),
     Shared(Arc<Vec<u8>>),
     Owned { bytes: Vec<u8>, origin: Option<Arc<Vec<u8>>>, dirty: Dirty },
 }
@@ -76,22 +90,29 @@ impl Dirty {
         self.lo = self.lo.min(start);
         self.hi = self.hi.max(end);
     }
+
+    /// The dirty range (empty when clean), leaving the segment clean.
+    fn take(&mut self) -> Range<usize> {
+        let range = self.lo.min(self.hi)..self.hi;
+        *self = Dirty::CLEAN;
+        range
+    }
 }
 
 impl Pages {
+    /// A fresh all-zero segment: `Zero` when the zero block covers it.
     fn new(size: usize) -> Self {
-        Pages::Shared(Arc::new(vec![0u8; size]))
-    }
-
-    /// A zero-length owned segment with no origin: allocates nothing, and
-    /// the first `clone_from` replaces it outright.
-    fn vacant() -> Self {
-        Pages::Owned { bytes: Vec::new(), origin: None, dirty: Dirty::CLEAN }
+        if size <= ZERO_BLOCK.len() {
+            Pages::Zero(size)
+        } else {
+            Pages::Shared(Arc::new(vec![0u8; size]))
+        }
     }
 
     #[inline]
     fn bytes(&self) -> &[u8] {
         match self {
+            Pages::Zero(len) => &ZERO_BLOCK[..*len],
             Pages::Shared(arc) => arc,
             Pages::Owned { bytes, .. } => bytes,
         }
@@ -99,16 +120,23 @@ impl Pages {
 
     /// The single write gateway: copies `data` to offset `off` (which the
     /// caller has bounds-checked) and records the range as dirty.  The
-    /// first write to a `Shared` segment copies it (the copy-on-write
-    /// fault); an `Owned` segment is written with no refcount traffic.
+    /// first write to a `Zero` segment allocates it zeroed, and the first
+    /// write to a `Shared` one copies it (the copy-on-write fault); an
+    /// `Owned` segment is written with no refcount traffic.
     #[inline]
     fn write(&mut self, off: usize, data: &[u8]) {
-        if let Pages::Shared(_) = self {
+        match self {
+            Pages::Owned { .. } => {}
+            Pages::Zero(len) => {
+                *self = Pages::Owned { bytes: vec![0u8; *len], origin: None, dirty: Dirty::CLEAN }
+            }
             // Move the `Arc` into `origin` rather than cloning it: the copy
             // costs no refcount update.
-            if let Pages::Shared(origin) = std::mem::replace(self, Pages::vacant()) {
-                let bytes = origin.as_ref().clone();
-                *self = Pages::Owned { bytes, origin: Some(origin), dirty: Dirty::CLEAN };
+            Pages::Shared(_) => {
+                if let Pages::Shared(origin) = std::mem::replace(self, Pages::Zero(0)) {
+                    let bytes = origin.as_ref().clone();
+                    *self = Pages::Owned { bytes, origin: Some(origin), dirty: Dirty::CLEAN };
+                }
             }
         }
         if let Pages::Owned { bytes, dirty, .. } = self {
@@ -121,15 +149,18 @@ impl Pages {
     /// subsequent [`Clone`] is an `Arc` bump.  `fork()` calls this on the
     /// parent: the child then shares the parent's written frames — the
     /// §II-B caveat — and the byte copy is deferred to whichever side
-    /// writes first.
+    /// writes first.  A `Zero` segment stays zero.
     fn share(&mut self) {
         if let Pages::Owned { bytes, .. } = self {
             *self = Pages::Shared(Arc::new(std::mem::take(bytes)));
         }
     }
 
+    /// Whether both sides read the same bytes without either owning them:
+    /// the same zero-block prefix, or the same shared allocation.
     fn ptr_eq(&self, other: &Pages) -> bool {
         match (self, other) {
+            (Pages::Zero(a), Pages::Zero(b)) => a == b,
             (Pages::Shared(a), Pages::Shared(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
@@ -139,6 +170,7 @@ impl Pages {
 impl Clone for Pages {
     fn clone(&self) -> Self {
         match self {
+            Pages::Zero(len) => Pages::Zero(*len),
             Pages::Shared(arc) => Pages::Shared(Arc::clone(arc)),
             // Cloning an owned segment has to copy; fork avoids this by
             // calling `share` on the parent first.
@@ -147,18 +179,23 @@ impl Clone for Pages {
     }
 
     /// The refork: when `self` was copied from the very allocation `source`
-    /// shares, only the dirty range is copied back — no allocation, no
-    /// refcount update.  Any other pairing falls back to a plain clone.
+    /// shares, only the dirty range is copied back; when it was allocated
+    /// from zero and `source` is still zero, only the dirty range is
+    /// zero-filled — no allocation, no refcount update.  Any other pairing
+    /// falls back to a plain clone.
     fn clone_from(&mut self, source: &Self) {
         match (&mut *self, source) {
             (Pages::Shared(mine), Pages::Shared(theirs)) if Arc::ptr_eq(mine, theirs) => {}
             (Pages::Owned { bytes, origin: Some(origin), dirty }, Pages::Shared(theirs))
                 if Arc::ptr_eq(origin, theirs) =>
             {
-                if dirty.lo < dirty.hi {
-                    bytes[dirty.lo..dirty.hi].copy_from_slice(&theirs[dirty.lo..dirty.hi]);
-                }
-                *dirty = Dirty::CLEAN;
+                let range = dirty.take();
+                bytes[range.clone()].copy_from_slice(&theirs[range]);
+            }
+            (Pages::Owned { bytes, origin: None, dirty }, Pages::Zero(len))
+                if bytes.len() == *len =>
+            {
+                bytes[dirty.take()].fill(0);
             }
             _ => *self = source.clone(),
         }
@@ -171,13 +208,16 @@ impl Clone for Pages {
 /// image which, for the purposes of canary semantics, behaves as an
 /// independent byte-for-byte copy — crucially *including* the stack frames
 /// that the parent pushed before forking (§II-B, "Caveat").  The clone
-/// itself is an `Arc` bump per segment; the actual byte copy happens lazily
-/// on the first write to each segment (see the private `Pages` state).
+/// itself copies a length per untouched segment and bumps an `Arc` per
+/// written one; the actual byte copy happens lazily on the first write to
+/// each segment (see the private `Pages` state).  A fresh image allocates
+/// nothing: its segments read from one static all-zero block until
+/// written.
 ///
 /// [`Clone::clone_from`] is the reusing form of the same fork: the result
 /// equals `source.clone()` byte for byte, but a segment that was copied
-/// from the allocation `source` still shares gets back only the bytes
-/// written since.
+/// from the allocation `source` still shares, or allocated from zero while
+/// `source`'s is still zero, gets back only the bytes written since.
 #[derive(Debug)]
 pub struct Memory {
     stack: Pages,
@@ -225,6 +265,8 @@ impl Memory {
     }
 
     /// Creates a memory image with a custom stack size (rounded up to 16).
+    /// Both segments start untouched and allocate nothing, unless the stack
+    /// is larger than [`DEFAULT_STACK_SIZE`]: that one is allocated zeroed.
     pub fn with_stack_size(stack_size: u64) -> Self {
         let stack_size = stack_size.max(4096).next_multiple_of(16);
         Memory {
@@ -235,23 +277,25 @@ impl Memory {
         }
     }
 
-    /// An image with zero-length segments that allocates nothing: the
-    /// placeholder a fork clones into.
+    /// An image with zero-length segments: the placeholder a fork clones
+    /// into.
     pub(crate) fn vacant() -> Self {
-        Memory { stack: Pages::vacant(), stack_size: 0, globals: Pages::vacant(), global_size: 0 }
+        Memory { stack: Pages::Zero(0), stack_size: 0, globals: Pages::Zero(0), global_size: 0 }
     }
 
     /// Re-shares any segment this process owns outright, so that a
     /// subsequent [`Clone`] — i.e. a `fork()` — is an `Arc` bump per
-    /// segment instead of a byte copy.  The owned bytes are moved, not
-    /// copied; the next write to either side pays the copy-on-write fault.
+    /// written segment instead of a byte copy.  The owned bytes are moved,
+    /// not copied; the next write to either side pays the copy-on-write
+    /// fault.  An untouched segment stays on the zero block.
     pub fn share_pages(&mut self) {
         self.stack.share();
         self.globals.share();
     }
 
-    /// Whether `self` and `other` still share both underlying segment
-    /// allocations — i.e. neither side has written since the clone.  A
+    /// Whether `self` and `other` still share both underlying segments —
+    /// the same allocation, or both still untouched on the zero block —
+    /// i.e. neither side has written since the clone.  A
     /// diagnostic for the copy-on-write machinery; equality of *contents*
     /// is what `==` checks.
     pub fn shares_pages_with(&self, other: &Memory) -> bool {
@@ -563,8 +607,10 @@ mod tests {
 
     #[test]
     fn refork_from_the_same_origin_copies_back_in_place() {
-        let parent = Memory::new();
-        let Pages::Shared(origin) = &parent.stack else { panic!("fresh images are shared") };
+        let mut parent = Memory::new();
+        parent.write_u64(STACK_TOP - 0x100, 9).unwrap();
+        parent.share_pages();
+        let Pages::Shared(origin) = &parent.stack else { panic!("re-shared images are shared") };
         let mut worker = parent.clone();
         worker.write_u64(STACK_TOP - 0x80, 1).unwrap();
         let refs = Arc::strong_count(origin);
@@ -575,6 +621,21 @@ mod tests {
         assert_eq!(worker, parent);
         assert_eq!(worker.stack.bytes().as_ptr(), allocation, "no new allocation");
         assert_eq!(Arc::strong_count(origin), refs, "no refcount update");
+        assert!(matches!(worker.stack, Pages::Owned { dirty, .. } if dirty.lo >= dirty.hi));
+    }
+
+    #[test]
+    fn refork_from_a_zero_parent_zero_fills_in_place() {
+        let parent = Memory::new();
+        assert!(matches!(parent.stack, Pages::Zero(_)), "fresh images are zero");
+        let mut worker = parent.clone();
+        worker.write_u64(STACK_TOP - 0x80, 1).unwrap();
+        let allocation = worker.stack.bytes().as_ptr();
+        worker.write_u32(STACK_TOP - 0x200, 2).unwrap();
+        worker.write_bytes(STACK_TOP - 0x40, b"dirty").unwrap();
+        worker.clone_from(&parent);
+        assert_eq!(worker, parent);
+        assert_eq!(worker.stack.bytes().as_ptr(), allocation, "no new allocation");
         assert!(matches!(worker.stack, Pages::Owned { dirty, .. } if dirty.lo >= dirty.hi));
     }
 
@@ -592,8 +653,10 @@ mod tests {
 
     #[test]
     fn equality_is_by_contents_not_by_sharing() {
-        let a = Memory::new();
-        let b = Memory::new();
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write_u64(STACK_TOP - 8, 0).unwrap();
+        b.write_u64(GLOBAL_BASE, 0).unwrap();
         assert!(!a.shares_pages_with(&b), "independent images share nothing");
         assert_eq!(a, b, "but their zeroed contents are equal");
     }

@@ -56,7 +56,8 @@ pub struct Process {
 }
 
 impl Process {
-    /// Creates a fresh process with a zeroed memory image.
+    /// Creates a fresh process with a zeroed memory image, which allocates
+    /// nothing until the process writes it (see [`Memory`]).
     ///
     /// `seed` parameterises the per-process hardware entropy devices so that
     /// runs are reproducible; the *TLS canary itself* is set by the loader
@@ -67,7 +68,7 @@ impl Process {
 
     /// Creates a process from a pre-built memory image — the snapshot
     /// restore path, where `image` is a copy-on-write clone of a pristine
-    /// captured image rather than a fresh allocation.
+    /// captured image rather than a fresh one.
     ///
     /// Everything besides the image matches [`Process::new`] exactly; with
     /// an all-zero image the two constructors are indistinguishable, which

@@ -10,7 +10,9 @@
 //! [`Machine::restore`](crate::machine::Machine::restore) reproduce
 //! [`Machine::new`](crate::machine::Machine::new) plus
 //! [`Machine::spawn`](crate::machine::Machine::spawn) bit for bit, at the
-//! cost of two `Arc` bumps instead of a compile and a page allocation.
+//! cost of one `Arc` bump for the program instead of a compile.  The
+//! pristine image is untouched, so it reads from the VM's static zero block
+//! and neither capturing nor restoring it allocates anything.
 //!
 //! Everything seed-*dependent* (the pid sequence, the loader's canary
 //! draws, the per-process entropy devices, the runtime hooks' startup
@@ -29,8 +31,9 @@ use crate::program::Program;
 /// memory image new processes start from.
 ///
 /// Cloning a `Snapshot` — and restoring a process from one — shares the
-/// program and the image pages by reference count; the copy-on-write
-/// [`Memory`] unshares pages only when a process writes to them.
+/// program by reference count and copies the untouched image's segment
+/// lengths; the copy-on-write [`Memory`] allocates a segment only when a
+/// process writes to it.
 ///
 /// ```
 /// use polycanary_vm::{Inst, Machine, NoHooks, Program, Reg, Snapshot};
@@ -102,7 +105,8 @@ impl Snapshot {
     }
 
     /// The pristine post-`init` memory image restored processes start
-    /// from.  Restores clone it, which shares its pages copy-on-write.
+    /// from.  Restores clone it; its segments stay on the zero block until
+    /// a process writes them.
     pub fn image(&self) -> &Memory {
         &self.image
     }

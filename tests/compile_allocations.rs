@@ -6,8 +6,14 @@
 //! two calls are where a sweep's per-function bookkeeping lands.  The back
 //! half shares the module's interned names and every unprotected function's
 //! body instead of copying them; the verifier reuses one set of CFG and
-//! dataflow buffers across a module's functions.  These tests pin both.  A
-//! thread-local counting allocator counts the measured call alone:
+//! dataflow buffers across a module's functions.  These tests pin both.
+//!
+//! The VM's memory image is pinned too: an untouched segment reads from a
+//! static zero block, so building an image, capturing a snapshot and
+//! reforking a worker from an untouched parent allocate no segment — the
+//! costs every victim build and every boot of a fleet campaign pays.
+//!
+//! A thread-local counting allocator counts the measured call alone:
 //! `prepare` runs debug-only checks that allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -18,6 +24,7 @@ use polycanary::compiler::ir::ModuleDef;
 use polycanary::compiler::{Compiler, OptLevel};
 use polycanary::core::SchemeKind;
 use polycanary::verifier::verify_compiled;
+use polycanary::vm::{ExecConfig, Inst, Machine, Memory, NoHooks, Process, Program, Reg, Snapshot};
 use polycanary::workloads::{spec_suite, DatabaseModel, ServerModel};
 
 /// Counts every allocation and reallocation of the current thread.
@@ -169,4 +176,58 @@ fn verifying_a_compiled_module_stays_within_its_allocation_budget() {
         "verify_compiled made {per_call:.2} allocations per call over {calls} calls \
          (budget {BUDGET_PER_CALL})"
     );
+}
+
+/// A one-function program, finalized so that capturing it allocates only
+/// the `Arc` a snapshot shares it through.
+fn finalized_program() -> Program {
+    let mut program = Program::new();
+    let main = program
+        .add_function("main", vec![Inst::MovImmToReg { dst: Reg::Rax, imm: 7 }, Inst::Ret])
+        .expect("fresh program");
+    program.set_entry(main);
+    program.finalize();
+    program
+}
+
+#[test]
+fn a_fresh_memory_image_allocates_no_segment() {
+    let before = allocations();
+    let image = Memory::with_stack_size(16 * 1024);
+    let copy = image.clone();
+    assert_eq!(allocations() - before, 0, "building and cloning an untouched image");
+    assert!(copy == image);
+}
+
+#[test]
+fn a_snapshot_allocates_only_the_shared_program() {
+    let program = finalized_program();
+    let before = allocations();
+    let snapshot = Snapshot::new(program, ExecConfig::default(), 16 * 1024);
+    assert_eq!(allocations() - before, 1, "the program's `Arc`, and no image segment");
+    assert_eq!(snapshot.image().stack_top() - snapshot.image().stack_limit(), 16 * 1024);
+}
+
+#[test]
+fn reforking_a_worker_from_an_untouched_parent_allocates_nothing() {
+    let snapshot = Snapshot::new(finalized_program(), ExecConfig::default(), 16 * 1024);
+    let mut machine = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 5);
+    let mut parent = machine.restore(&snapshot);
+    // A connection's writes: the worker's first write allocates its stack,
+    // and from then on each refork zero-fills the written range in place.
+    let serve = |worker: &mut Process, round: u64| {
+        let top = worker.memory.stack_top();
+        worker.memory.write_u64(top - 8 * (1 + round), round).expect("in-stack word");
+        worker.memory.write_bytes(top - 0x200, b"request").expect("in-stack bytes");
+    };
+    let mut worker = machine.fork(&mut parent);
+    serve(&mut worker, 0);
+    for round in 1..5 {
+        let before = allocations();
+        machine.fork_into(&mut parent, &mut worker);
+        let clean = worker.memory == parent.memory;
+        serve(&mut worker, round);
+        assert_eq!(allocations() - before, 0, "refork and serve {round}");
+        assert!(clean, "refork {round} restores the parent's image");
+    }
 }

@@ -13,10 +13,18 @@
 //! * the DCR fork hook, which writes the child's stack,
 //! * parents that themselves write or re-share between forks, so the
 //!   worker's origin no longer matches and the full-copy fallback runs.
+//!
+//! Both paths could share one error and still agree, so
+//! `memory_matches_a_flat_reference_model` also drives `Memory` against a
+//! plain `Vec<u8>` per segment: every read, fault and equality must match
+//! the model through clones, reforks, re-shares and snapshot restores, from
+//! parents that are untouched (on the zero block), written, or written and
+//! re-shared, and with a stack larger than the zero block.
 
 use polycanary::core::SchemeKind;
 use polycanary::crypto::{Prng, SplitMix64};
-use polycanary::vm::{Inst, Machine, Memory, Pid, Process, Program, Reg};
+use polycanary::vm::mem::DEFAULT_STACK_SIZE;
+use polycanary::vm::{Inst, Machine, Memory, NoHooks, Pid, Process, Program, Reg, VmError};
 
 const STACK: u64 = 4096;
 const STACK_TOP: u64 = polycanary::vm::mem::STACK_TOP;
@@ -211,5 +219,225 @@ fn machine_fork_into_equals_fork_with_the_dcr_hook() {
             }
         }
         assert_eq!(reuse_machine.forks(), fresh_machine.forks());
+    }
+}
+
+/// The reference model of a [`Memory`]: each segment a plain zeroed
+/// `Vec<u8>`, with the fault rules written out.  An access is unmapped
+/// unless its first byte lies in a segment, and partial unless its last
+/// byte lies in the same one; an empty access always succeeds.
+#[derive(Debug, Clone, PartialEq)]
+struct Flat {
+    stack: Vec<u8>,
+    globals: Vec<u8>,
+}
+
+impl Flat {
+    fn new(stack: u64) -> Flat {
+        Flat { stack: vec![0; stack as usize], globals: vec![0; 64 * 1024] }
+    }
+
+    fn locate(&self, addr: u64, len: usize) -> Result<(bool, usize), VmError> {
+        let end = addr.checked_add(len as u64).ok_or(VmError::UnmappedAddress { addr })?;
+        let stack_base = STACK_TOP - self.stack.len() as u64;
+        for (is_stack, base, size) in
+            [(true, stack_base, self.stack.len()), (false, GLOBAL_BASE, self.globals.len())]
+        {
+            if (base..base + size as u64).contains(&addr) {
+                if end > base + size as u64 {
+                    return Err(VmError::PartialAccess { addr, len });
+                }
+                return Ok((is_stack, (addr - base) as usize));
+            }
+        }
+        Err(VmError::UnmappedAddress { addr })
+    }
+
+    fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), VmError> {
+        if data.is_empty() {
+            return Ok(());
+        }
+        let (is_stack, off) = self.locate(addr, data.len())?;
+        let segment = if is_stack { &mut self.stack } else { &mut self.globals };
+        segment[off..off + data.len()].copy_from_slice(data);
+        Ok(())
+    }
+
+    fn read(&self, addr: u64, len: usize) -> Result<Vec<u8>, VmError> {
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let (is_stack, off) = self.locate(addr, len)?;
+        let segment = if is_stack { &self.stack } else { &self.globals };
+        Ok(segment[off..off + len].to_vec())
+    }
+}
+
+/// A `Memory` and its model, which every operation drives in step.
+#[derive(Debug, Clone)]
+struct Twin {
+    mem: Memory,
+    flat: Flat,
+}
+
+impl Twin {
+    fn new(stack: u64) -> Twin {
+        Twin { mem: Memory::with_stack_size(stack), flat: Flat::new(stack) }
+    }
+
+    /// A process image restored from a snapshot of a machine with this
+    /// stack size: the fleet engine's boot path.
+    fn restored(stack: u64, seed: u64) -> Twin {
+        let mut machine = Machine::new(trivial_program(), Box::new(NoHooks), seed);
+        machine.set_stack_size(stack);
+        let snapshot = machine.snapshot();
+        let process = Machine::from_snapshot(&snapshot, Box::new(NoHooks), seed).restore(&snapshot);
+        Twin { mem: process.memory, flat: Flat::new(stack) }
+    }
+
+    /// Every byte of both segments equals the model.
+    fn assert_matches(&self, what: &str) {
+        let stack = self.flat.stack.len();
+        let limit = self.mem.stack_limit();
+        assert_eq!(self.mem.stack_top() - limit, stack as u64, "{what}: stack size");
+        assert_eq!(
+            self.mem.read_bytes(limit, stack).as_deref(),
+            Ok(&self.flat.stack[..]),
+            "{what}"
+        );
+        let globals = self.flat.globals.len();
+        assert_eq!(self.mem.global_size(), globals as u64, "{what}: globals size");
+        assert_eq!(
+            self.mem.read_bytes(GLOBAL_BASE, globals).as_deref(),
+            Ok(&self.flat.globals[..]),
+            "{what}"
+        );
+    }
+
+    /// One random write of a random width and place; the result, fault
+    /// included, must be the model's.
+    fn write(&mut self, rng: &mut SplitMix64) {
+        let (addr, width) = random_access(&self.flat, rng);
+        let value = rng.next_u64();
+        let data: Vec<u8> = (0..width).map(|i| (value >> (i % 8 * 8)) as u8).collect();
+        let expected = self.flat.write(addr, &data);
+        let got = match (width, rng.next_below(2)) {
+            (1, 0) => self.mem.write_u8(addr, data[0]),
+            (4, 0) => self.mem.write_u32(addr, value as u32),
+            (8, 0) => self.mem.write_u64(addr, value),
+            _ => self.mem.write_bytes(addr, &data),
+        };
+        assert_eq!(got, expected, "write of {width} at {addr:#x}");
+    }
+
+    /// One random read; value and fault must be the model's.
+    fn read(&self, rng: &mut SplitMix64) {
+        let (addr, width) = random_access(&self.flat, rng);
+        let expected = self.flat.read(addr, width);
+        let word = |bytes: Vec<u8>| bytes.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
+        match (width, rng.next_below(2)) {
+            (1, 0) => assert_eq!(self.mem.read_u8(addr).map(u64::from), expected.map(word)),
+            (4, 0) => assert_eq!(self.mem.read_u32(addr).map(u64::from), expected.map(word)),
+            (8, 0) => assert_eq!(self.mem.read_u64(addr), expected.map(word)),
+            _ => assert_eq!(self.mem.read_bytes(addr, width), expected, "{width} at {addr:#x}"),
+        }
+    }
+
+    fn scribble(&mut self, rng: &mut SplitMix64) {
+        for _ in 0..1 + rng.next_below(16) {
+            self.write(rng);
+        }
+    }
+}
+
+/// A random access against `flat`'s layout: inside either segment, flush
+/// against an edge, straddling the top edge, just below a segment, between
+/// the segments, wrapping past `u64::MAX`, or empty.
+fn random_access(flat: &Flat, rng: &mut SplitMix64) -> (u64, usize) {
+    let (base, size) = match rng.next_below(2) {
+        0 => (STACK_TOP - flat.stack.len() as u64, flat.stack.len() as u64),
+        _ => (GLOBAL_BASE, flat.globals.len() as u64),
+    };
+    let width = match rng.next_below(5) {
+        0 => 1,
+        1 => 4,
+        2 => 8,
+        3 => 1 + rng.next_below(256),
+        _ => rng.next_below(9),
+    };
+    let addr = match rng.next_below(10) {
+        0 => base,
+        1 => (base + size).wrapping_sub(width),
+        2 => base + size - width.max(1) + 1 + rng.next_below(width.max(2) - 1),
+        3 => base.wrapping_sub(1 + rng.next_below(16)),
+        4 => GLOBAL_BASE + 64 * 1024 + rng.next_below(1 << 20),
+        5 => u64::MAX - rng.next_below(16),
+        _ => base + rng.next_below(size.saturating_sub(width) + 1),
+    };
+    (addr, width as usize)
+}
+
+#[test]
+fn memory_matches_a_flat_reference_model() {
+    // A stack below, at and above the zero block's size: the last one is
+    // allocated zeroed up front instead of reading the zero block.
+    const STACKS: [u64; 4] = [4096, 16 * 1024, DEFAULT_STACK_SIZE, DEFAULT_STACK_SIZE + 4096];
+    let mut rng = SplitMix64::new(0x5EED_F1A7);
+    for case in 0..48u64 {
+        let stack = STACKS[case as usize % STACKS.len()];
+        let mut parent =
+            if case % 2 == 0 { Twin::new(stack) } else { Twin::restored(stack, rng.next_u64()) };
+        // The parent starts untouched, written, or written then re-shared.
+        match case / 2 % 3 {
+            0 => {}
+            1 => parent.scribble(&mut rng),
+            _ => {
+                parent.scribble(&mut rng);
+                parent.mem.share_pages();
+            }
+        }
+        parent.assert_matches("parent");
+        let other = STACKS[rng.next_below(4) as usize];
+        let mut workers = vec![parent.clone(), Twin::new(other), Twin::restored(other, case)];
+        for round in 0..24 {
+            let what = format!("case {case} round {round}");
+            let w = rng.next_below(workers.len() as u64) as usize;
+            match rng.next_below(10) {
+                0 => parent.scribble(&mut rng),
+                1 => parent.mem.share_pages(),
+                2 => {
+                    parent.scribble(&mut rng);
+                    parent.mem.share_pages();
+                }
+                3 => workers[w] = parent.clone(),
+                4 => {
+                    let v = rng.next_below(workers.len() as u64) as usize;
+                    let source = workers[v].clone();
+                    workers[w].mem.clone_from(&source.mem);
+                    workers[w].flat.clone_from(&source.flat);
+                }
+                5 => workers[w].mem.share_pages(),
+                _ => {
+                    // The refork of a reused worker, as `fork_into` does it.
+                    if rng.next_below(2) == 0 {
+                        parent.mem.share_pages();
+                    }
+                    workers[w].mem.clone_from(&parent.mem);
+                    workers[w].flat.clone_from(&parent.flat);
+                    workers[w].assert_matches(&what);
+                    workers[w].scribble(&mut rng);
+                }
+            }
+            for _ in 0..8 {
+                parent.read(&mut rng);
+                workers[w].read(&mut rng);
+            }
+            parent.assert_matches(&what);
+            workers[w].assert_matches(&what);
+            for twin in &workers {
+                assert_eq!(twin.mem == parent.mem, twin.flat == parent.flat, "{what}: equality");
+                assert_eq!(workers[w].mem == twin.mem, workers[w].flat == twin.flat, "{what}");
+            }
+        }
     }
 }

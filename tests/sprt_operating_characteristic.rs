@@ -253,7 +253,7 @@ fn sprt_walk_under_rollout_curves_matches_the_exact_walk() {
     }
     let pool = JobPool::with_workers(1);
     for (k, shape) in [RolloutShape::Flat, RolloutShape::Steep].into_iter().enumerate() {
-        let curve = shape.curve(BATCH);
+        let curve = shape.curve(BATCH).expect("a positive batch");
         let legacy_share = |n: usize| {
             let weights = curve.stage_for(n);
             f64::from(weights[1]) / f64::from(weights[0] + weights[1])
@@ -261,7 +261,8 @@ fn sprt_walk_under_rollout_curves_matches_the_exact_walk() {
         let members =
             [PopulationMember::new(1, SchemeKind::Pssp), PopulationMember::new(1, SchemeKind::Ssp)];
         let fleet = Population::from_members(format!("rollout-{}", shape.label()), members)
-            .with_rollout(curve.clone());
+            .with_rollout(curve.clone())
+            .expect("a two-member curve");
         let base = |c: u64| ((0xB0 + k as u64) << 32) | c;
         check_walk(fleet.label(), exact_walk(legacy_share), |c| {
             campaign(pool, base(c), |i, seed| fleet.member_at(i, seed).scheme == SchemeKind::Ssp)

@@ -23,7 +23,7 @@
 
 use polycanary::core::SchemeKind;
 use polycanary::crypto::{Prng, SplitMix64};
-use polycanary::vm::mem::DEFAULT_STACK_SIZE;
+use polycanary::vm::mem::{DEFAULT_GLOBAL_SIZE, DEFAULT_STACK_SIZE};
 use polycanary::vm::{Inst, Machine, Memory, NoHooks, Pid, Process, Program, Reg, VmError};
 
 const STACK: u64 = 4096;
@@ -234,7 +234,7 @@ struct Flat {
 
 impl Flat {
     fn new(stack: u64) -> Flat {
-        Flat { stack: vec![0; stack as usize], globals: vec![0; 64 * 1024] }
+        Flat { stack: vec![0; stack as usize], globals: vec![0; DEFAULT_GLOBAL_SIZE as usize] }
     }
 
     fn locate(&self, addr: u64, len: usize) -> Result<(bool, usize), VmError> {
@@ -370,7 +370,7 @@ fn random_access(flat: &Flat, rng: &mut SplitMix64) -> (u64, usize) {
         1 => (base + size).wrapping_sub(width),
         2 => base + size - width.max(1) + 1 + rng.next_below(width.max(2) - 1),
         3 => base.wrapping_sub(1 + rng.next_below(16)),
-        4 => GLOBAL_BASE + 64 * 1024 + rng.next_below(1 << 20),
+        4 => GLOBAL_BASE + DEFAULT_GLOBAL_SIZE + rng.next_below(1 << 20),
         5 => u64::MAX - rng.next_below(16),
         _ => base + rng.next_below(size.saturating_sub(width) + 1),
     };

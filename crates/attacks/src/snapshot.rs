@@ -7,7 +7,7 @@
 //! module hoists that seed-independent work into a [`VictimSnapshot`]
 //! (wrapping a VM [`Snapshot`]) and memoizes snapshots per campaign in a
 //! [`SnapshotCache`], so a 10^5-victim fleet compiles each distinct victim
-//! binary exactly once and boots every server from the captured image.
+//! binary exactly once and boots every server from the captured program.
 //!
 //! Equivalence with the from-scratch path is a hard invariant: for any seed,
 //! `ForkingServer::from_snapshot(&VictimSnapshot::build(key), seed)` behaves
@@ -111,7 +111,7 @@ impl VictimSnapshot {
         self.key
     }
 
-    /// The captured VM snapshot (program + exec config + pristine image).
+    /// The captured VM snapshot (program + exec config + stack size).
     pub fn vm_snapshot(&self) -> &Snapshot {
         &self.snapshot
     }

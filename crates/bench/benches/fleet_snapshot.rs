@@ -5,7 +5,7 @@
 //! a configuration skips the compile/rewrite pipeline: `restore` should
 //! beat `rebuild` by a wide margin on every deployment vehicle.  The
 //! `build` cells time the build alone (`VictimSnapshot::build`: compile or
-//! rewrite plus the pristine image), the part a campaign pays once per
+//! rewrite plus the snapshot), the part a campaign pays once per
 //! configuration.  The `connect` cells time what a byte-by-byte campaign
 //! pays per request on a long-lived server: fork a connection into the
 //! reused worker, serve one benign request, drop the connection.
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
         });
 
         // Snapshot path: the build happens once per configuration; each
-        // victim boots from the captured image.
+        // victim boots from the captured program.
         let snapshot = VictimSnapshot::build(key);
         group.bench_with_input(BenchmarkId::new("restore", label), &snapshot, |b, snapshot| {
             b.iter(|| ForkingServer::from_snapshot(snapshot, 0xF1EE7))

@@ -19,17 +19,14 @@
 //!   on the module and the level only.  `harness verify` pays this once
 //!   per module and level instead of once per build.
 //! * `lower/ssp/*` — `Compiler::lower` of that prepared module under SSP:
-//!   layout, lowering, the instruction passes and finalize, the per-scheme
-//!   share of a compile.
+//!   frame layout, lowering, the instruction passes and address layout,
+//!   the per-scheme share of a compile.
 //!
-//! Two more groups time the layers every build passes through, with the
-//! input clone kept outside the timed window:
+//! One more group times the rewrite layer, with the input clone kept
+//! outside the timed window:
 //!
-//! * `finalize/*` — `Program::finalize` on the SSP build at O0 vs O2:
-//!   address layout only, which every compile and rewrite ends in.
 //! * `rewrite/*` — the rewrite step (`Build::rewrite`) of the
-//!   shape-preserved SSP build in each link mode, which re-finalizes the
-//!   upgraded program.
+//!   shape-preserved SSP build in each link mode.
 //!
 //! The `opt_equivalence` differential suite separately proves the O0 and
 //! O2 builds are semantically identical, so the `run` deltas are pure
@@ -101,24 +98,6 @@ fn bench(c: &mut Criterion) {
         let front = ssp.prepare(&module).expect("module compiles");
         group.bench_with_input(BenchmarkId::new("lower/ssp", opt), &opt, |b, _| {
             b.iter(|| ssp.lower(&front).expect("module compiles"))
-        });
-    }
-
-    for opt in [OptLevel::O0, OptLevel::O2] {
-        let program = Compiler::new(SchemeKind::Ssp)
-            .with_opt_level(opt)
-            .compile(&module)
-            .expect("module compiles")
-            .program;
-        group.bench_with_input(BenchmarkId::new("finalize", opt), &opt, |b, _| {
-            b.iter_batched(
-                || program.clone(),
-                |mut program| {
-                    program.finalize();
-                    program
-                },
-                BatchSize::SmallInput,
-            )
         });
     }
 

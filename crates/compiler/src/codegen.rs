@@ -17,10 +17,11 @@
 //!   yields a [`Frontend`];
 //! * the **back half**, [`Compiler::lower`], runs per scheme: override
 //!   resolution, then frame layout, lowering and the stage-3 instruction
-//!   passes of the protected functions only, and [`Program::finalize`].
-//!   It borrows the [`Frontend`]: every unprotected function's body and
-//!   layout, and the name table, are shared with the output by reference
-//!   count rather than copied.
+//!   passes of the protected functions only.  The output [`Program`] lays
+//!   out each function as it is added.  The back half borrows the
+//!   [`Frontend`]: every unprotected function's body and layout, and the
+//!   name table, are shared with the output by reference count rather than
+//!   copied.
 //!
 //! Names are interned once per module: every function name is the
 //! `Arc<str>` of its [`FunctionDef`], and the front half's table, the
@@ -357,7 +358,6 @@ impl Compiler {
         }
 
         program.set_entry(front.entry);
-        program.finalize();
 
         Ok(CompiledModule {
             program,

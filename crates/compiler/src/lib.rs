@@ -21,8 +21,8 @@
 //! transforms, plus the finished lowering of every unprotected function,
 //! whose code no scheme changes — and yields a [`Frontend`].  The back
 //! half, [`Compiler::lower`], lays out and lowers the protected functions
-//! under one scheme, shares the rest, and finalizes, so a module built
-//! under many schemes is prepared once.
+//! under one scheme and shares the rest, so a module built under many
+//! schemes is prepared once.
 //! Function names are interned once per module, as the `Arc<str>`s of the
 //! [`ir`]; the name table and every lowered program share them.
 //!

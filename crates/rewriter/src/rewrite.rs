@@ -162,7 +162,6 @@ impl Rewriter {
             program.add_extra_section(".pssp_static_glibc", STATIC_SECTION_BYTES);
         }
 
-        program.finalize();
         report.size_after = program.binary_size();
         Ok(report)
     }
@@ -337,7 +336,6 @@ mod tests {
         let extra = vec![insts[prologue.tls_load_index], insts[prologue.store_index]];
         insts.splice(prologue.store_index + 1..prologue.store_index + 1, extra);
         program.replace_function_body(id, insts).unwrap();
-        program.finalize();
         let err = Rewriter::new().rewrite(&mut program).unwrap_err();
         assert_eq!(
             err,

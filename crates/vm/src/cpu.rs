@@ -1,11 +1,12 @@
 //! The CPU interpreter.
 //!
-//! [`Cpu::run`] executes a finalized [`Program`] against a [`Process`],
-//! charging cycle costs per instruction and faulting exactly where a real
-//! machine (plus glibc's `__stack_chk_fail`) would: canary mismatches abort
-//! the process, unmapped accesses segfault, and a `ret` through a corrupted
-//! return address either lands on an invalid address or — when it matches the
-//! attacker's chosen target — counts as a successful control-flow hijack.
+//! [`Cpu::run`] executes a [`Program`] against a [`Process`], charging
+//! cycle costs per instruction and faulting exactly where a real machine
+//! (plus glibc's `__stack_chk_fail`) would: canary mismatches abort the
+//! process, unmapped accesses segfault, and a `ret` through a corrupted
+//! return address either lands on an invalid address or — when it matches
+//! the attacker's chosen target — counts as a successful control-flow
+//! hijack.
 //!
 //! # Dispatch
 //!
@@ -132,16 +133,9 @@ impl Cpu {
 
     /// Runs `entry` to completion.
     ///
-    /// The program must be finalized (addresses assigned); running an
-    /// unfinalized program is a programming error, not a simulated fault,
-    /// hence the panic.  An unresolvable function id faults as
-    /// [`Fault::UnknownFunction`] on the fetch after the budget check, and
-    /// stack-pointer underflow in `push` or `sub $imm,%rsp` faults as
-    /// [`Fault::StackExhausted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program has not been finalized.
+    /// An unresolvable function id faults as [`Fault::UnknownFunction`] on
+    /// the fetch after the budget check, and stack-pointer underflow in
+    /// `push` or `sub $imm,%rsp` faults as [`Fault::StackExhausted`].
     pub fn run(
         &mut self,
         program: &Program,
@@ -149,8 +143,6 @@ impl Cpu {
         entry: FuncId,
         cfg: &ExecConfig,
     ) -> Exit {
-        assert!(program.is_finalized(), "program must be finalized before execution");
-
         self.boot(process);
         if let Err(fault) = self.push_word(process, RETURN_SENTINEL) {
             return Exit::Fault(fault);
@@ -535,7 +527,6 @@ mod tests {
         let mut prog = Program::new();
         let f = prog.add_function("main", insts).unwrap();
         prog.set_entry(f);
-        prog.finalize();
         let mut cpu = Cpu::new();
         let exit = cpu.run(&prog, process, f, &ExecConfig::default());
         (exit, cpu)
@@ -632,7 +623,6 @@ mod tests {
         let mut prog = Program::new();
         let f = prog.add_function("victim", insts).unwrap();
         prog.set_entry(f);
-        prog.finalize();
         let mut cpu = Cpu::new();
         let cfg = ExecConfig { hijack_target: Some(target), ..ExecConfig::default() };
         let exit = cpu.run(&prog, &mut p, f, &cfg);
@@ -658,7 +648,6 @@ mod tests {
             )
             .unwrap();
         prog.set_entry(caller);
-        prog.finalize();
         let mut p = fresh_process();
         let mut cpu = Cpu::new();
         let exit = cpu.run(&prog, &mut p, caller, &ExecConfig::default());
@@ -675,7 +664,6 @@ mod tests {
         // JmpSkip(0) just falls through; build a self-call instead.
         prog.replace_function_body(f, vec![Inst::CallFn(FuncId(0)), Inst::Ret]).unwrap();
         prog.set_entry(f);
-        prog.finalize();
         let mut cpu = Cpu::new();
         let cfg = ExecConfig { max_instructions: 10_000, ..ExecConfig::default() };
         let exit = cpu.run(&prog, &mut p, f, &cfg);
@@ -732,7 +720,6 @@ mod tests {
         ];
         let f = prog.add_function("owf", insts).unwrap();
         prog.set_entry(f);
-        prog.finalize();
 
         let run = || {
             let mut p = fresh_process();
@@ -805,7 +792,6 @@ mod tests {
         let mut prog = Program::new();
         let f = prog.add_function("main", insts.to_vec()).unwrap();
         prog.set_entry(f);
-        prog.finalize();
         let mut p = fresh_process();
         setup(&mut p);
         let mut cpu = Cpu::new();
@@ -844,7 +830,6 @@ mod tests {
         let mut prog = Program::new();
         let f = prog.add_function("main", vec![Inst::Ret]).unwrap();
         prog.set_entry(f);
-        prog.finalize();
         let mut p = fresh_process();
         let exit = Cpu::new().run(&prog, &mut p, FuncId(5), &ExecConfig::default());
         assert_eq!(exit, Exit::Fault(Fault::UnknownFunction { id: 5 }));

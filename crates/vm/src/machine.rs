@@ -55,7 +55,7 @@ impl RuntimeHooks for NoHooks {
     }
 }
 
-/// A machine: a finalized program plus the runtime that launches processes.
+/// A machine: a program plus the runtime that launches processes.
 ///
 /// The program is shared by `Arc`, so machines booted from the same
 /// [`Snapshot`] — one per victim in a fleet campaign — share a single
@@ -82,33 +82,21 @@ impl std::fmt::Debug for Machine {
 }
 
 impl Machine {
-    /// Creates a machine for `program` using the given runtime hooks.
+    /// Creates a machine for `program` using the given runtime hooks, with
+    /// the default execution configuration and stack size.
     ///
     /// `seed` drives the loader's canary choice and all per-process entropy,
     /// making every experiment reproducible.
-    ///
-    /// The program is finalized if it was not already.
-    pub fn new(mut program: Program, hooks: Box<dyn RuntimeHooks>, seed: u64) -> Self {
-        if !program.is_finalized() {
-            program.finalize();
-        }
-        Machine {
-            program: Arc::new(program),
-            hooks,
-            loader_rng: SplitMix64::new(seed),
-            next_pid: 1,
-            stack_size: DEFAULT_STACK_SIZE,
-            forks: 0,
-            exec_config: ExecConfig::default(),
-        }
+    pub fn new(program: Program, hooks: Box<dyn RuntimeHooks>, seed: u64) -> Self {
+        let snapshot = Snapshot::new(program, ExecConfig::default(), DEFAULT_STACK_SIZE);
+        Machine::from_snapshot(&snapshot, hooks, seed)
     }
 
-    /// Boots a machine from a [`Snapshot`] instead of a program: the
-    /// compiled program and the execution configuration are shared from the
-    /// snapshot (no re-finalization, no copy), while the seed-dependent
-    /// state — pid sequence, loader RNG — starts fresh from `seed`, exactly
-    /// as in [`Machine::new`].  For any given `(program, seed)` the two
-    /// boot paths are indistinguishable.
+    /// Boots a machine from a [`Snapshot`]: the program and the execution
+    /// configuration are shared from the snapshot (no copy), while the
+    /// seed-dependent state — pid sequence, loader RNG — starts fresh from
+    /// `seed`.  Machines booted from equal snapshots with equal seeds spawn
+    /// identical processes.
     pub fn from_snapshot(snapshot: &Snapshot, hooks: Box<dyn RuntimeHooks>, seed: u64) -> Self {
         Machine {
             program: snapshot.program_arc(),
@@ -128,22 +116,11 @@ impl Machine {
         Snapshot::from_parts(Arc::clone(&self.program), self.exec_config.clone(), self.stack_size)
     }
 
-    /// The fast path of [`Machine::spawn`]: launches a new top-level
-    /// process whose memory image is *cloned* from the snapshot (a length
-    /// per untouched segment, copy-on-write thereafter) instead of built
-    /// afresh.  Everything seed-dependent — the pid, the
-    /// loader's canary draw, the entropy devices, the startup hook — runs
-    /// exactly as in `spawn`, so for equal machine state the two paths
-    /// return bit-identical processes.
+    /// [`Machine::spawn`] with the snapshot's stack size: launches a new
+    /// top-level process through the same loader path, so for equal machine
+    /// state and stack size the two return bit-identical processes.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Process {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        let seed = self.loader_rng.next_u64();
-        let mut process = Process::from_image(pid, seed, snapshot.image().clone());
-        process.tls.set_canary(self.loader_rng.next_u64());
-        let mut cpu = Cpu::new();
-        self.hooks.on_startup(&mut process, &mut cpu);
-        process
+        self.boot(snapshot.stack_size())
     }
 
     /// Sets the stack size used for newly spawned processes.
@@ -165,10 +142,17 @@ impl Machine {
     /// (as glibc does at program startup) and the runtime's startup hook
     /// runs (the P-SSP constructor, when installed).
     pub fn spawn(&mut self) -> Process {
+        self.boot(self.stack_size)
+    }
+
+    /// The one boot path of [`Machine::spawn`] and [`Machine::restore`]:
+    /// draws the pid, the entropy seed and the canary, then runs the
+    /// startup hook on a fresh, untouched image.
+    fn boot(&mut self, stack_size: u64) -> Process {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
         let seed = self.loader_rng.next_u64();
-        let mut process = Process::new(pid, seed, self.stack_size);
+        let mut process = Process::new(pid, seed, stack_size);
         // glibc: the canary has its lowest byte zeroed (a terminator canary)
         // in some configurations; the paper treats it as a full random word,
         // which we follow.
@@ -449,12 +433,14 @@ mod tests {
         let snapshot = machine.snapshot();
         let mut booted = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 8);
         let a = booted.restore(&snapshot);
-        let b = booted.restore(&snapshot);
-        // Neither process has written yet: both still share the snapshot's
-        // pristine image pages — the allocation-free boot the fleet engine
+        let mut b = booted.restore(&snapshot);
+        // Neither process has written yet: both still read the same
+        // untouched pages — the allocation-free boot the fleet engine
         // depends on.
-        assert!(a.memory.shares_pages_with(snapshot.image()));
-        assert!(b.memory.shares_pages_with(snapshot.image()));
+        assert!(a.memory.shares_pages_with(&b.memory));
+        b.memory.write_u8(b.memory.stack_top() - 1, 0x41).unwrap();
+        assert!(!a.memory.shares_pages_with(&b.memory));
+        assert!(a.memory.shares_pages_with(&booted.restore(&snapshot).memory));
     }
 
     #[test]

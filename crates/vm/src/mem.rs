@@ -13,10 +13,10 @@
 //!
 //! Both segments are copy-on-write pages.  A fresh segment is *zero*: it
 //! reads from one static all-zero block and owns no allocation, so building
-//! an image — every snapshot, spawn and `Process::new` — allocates nothing.
-//! Cloning a [`Memory`] — which is what `fork()` and snapshot restores do —
-//! copies a length for a zero segment and bumps an `Arc` for a written one;
-//! a segment is copied (or, from zero, allocated zeroed) the first time
+//! an image — every spawn, snapshot restore and `Process::new` — allocates
+//! nothing.  Cloning a [`Memory`] — which is what `fork()` does — copies a
+//! length for a zero segment and bumps an `Arc` for a written one; a
+//! segment is copied (or, from zero, allocated zeroed) the first time
 //! either side writes to it.  A forked worker that never touches its
 //! globals never pays for them, which is what lets a fleet campaign boot
 //! 10^5 victims without materialising 10^5 address spaces.
@@ -51,10 +51,10 @@ static ZERO_BLOCK: [u8; DEFAULT_STACK_SIZE as usize] = [0; DEFAULT_STACK_SIZE as
 /// One copy-on-write segment of a process image.
 ///
 /// A segment is `Zero` until anything writes it: its bytes are the static
-/// [`ZERO_BLOCK`], so creating, cloning and restoring it copies a length —
-/// no allocation and no `Arc` traffic.  It is `Shared` while its written
-/// bytes may alias another process (fork children, snapshot restores of a
-/// written image), and `Owned` after its first write.  The distinction is
+/// [`ZERO_BLOCK`], so creating and cloning it copies a length — no
+/// allocation and no `Arc` traffic.  It is `Shared` while its written bytes
+/// may alias another process (fork children), and `Owned` after its first
+/// write.  The distinction is
 /// what keeps the interpreter's write gateway atomics-free:
 /// `Arc::make_mut` performs a compare-and-swap on the weak count on *every*
 /// call — ~10 ns per guest store even when the segment is long since
@@ -275,12 +275,6 @@ impl Memory {
             globals: Pages::new(DEFAULT_GLOBAL_SIZE as usize),
             global_size: DEFAULT_GLOBAL_SIZE,
         }
-    }
-
-    /// An image with zero-length segments: the placeholder a fork clones
-    /// into.
-    pub(crate) fn vacant() -> Self {
-        Memory { stack: Pages::Zero(0), stack_size: 0, globals: Pages::Zero(0), global_size: 0 }
     }
 
     /// Re-shares any segment this process owns outright, so that a

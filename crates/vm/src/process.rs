@@ -63,20 +63,9 @@ impl Process {
     /// runs are reproducible; the *TLS canary itself* is set by the loader
     /// (see `Machine::spawn`), not here.
     pub fn new(pid: Pid, seed: u64, stack_size: u64) -> Self {
-        Process::from_image(pid, seed, Memory::with_stack_size(stack_size))
-    }
-
-    /// Creates a process from a pre-built memory image — the snapshot
-    /// restore path, where `image` is a copy-on-write clone of a pristine
-    /// captured image rather than a fresh one.
-    ///
-    /// Everything besides the image matches [`Process::new`] exactly; with
-    /// an all-zero image the two constructors are indistinguishable, which
-    /// is what makes `Machine::restore` bit-identical to `Machine::spawn`.
-    pub fn from_image(pid: Pid, seed: u64, image: Memory) -> Self {
         Process {
             pid,
-            memory: image,
+            memory: Memory::with_stack_size(stack_size),
             tls: Tls::new(),
             hwrng: HardwareRng::new(seed ^ pid.0.rotate_left(17)),
             tsc: TimeStampCounter::new(seed & 0xFFFF),
@@ -95,11 +84,11 @@ impl Process {
     }
 
     /// A placeholder process that allocates nothing, for a fork to clone
-    /// into.
+    /// into: a fresh image and an empty TLS block.
     pub(crate) fn vacant() -> Process {
         Process {
             pid: Pid(0),
-            memory: Memory::vacant(),
+            memory: Memory::new(),
             tls: Tls::vacant(),
             hwrng: HardwareRng::new(0),
             tsc: TimeStampCounter::default(),

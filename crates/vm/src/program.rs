@@ -12,12 +12,13 @@
 //! offset of each from the function's entry, both behind an `Arc`.  The
 //! offsets depend only on the instructions, so a body is laid out once when
 //! it is built and can be shared by any number of programs; cloning a
-//! program bumps reference counts instead of copying code.  The offset
-//! tables are the program's only address index: [`Program::finalize`]
-//! assigns entry addresses only, and [`Program::lookup_addr`] answers by two
-//! binary searches (function by entry address, then `addr - entry` among
-//! the offsets).  That is how the interpreter's `ret` resolves a return
-//! address.  No per-instruction hash map is kept.
+//! program bumps reference counts instead of copying code.  A program is
+//! always laid out: adding a function gives it its entry address at once,
+//! and the offset tables are the program's only address index.
+//! [`Program::lookup_addr`] answers by two binary searches (function by
+//! entry address, then `addr - entry` among the offsets).  That is how the
+//! interpreter's `ret` resolves a return address.  No per-instruction hash
+//! map is kept.
 //!
 //! Function names are `Arc<str>`: [`Program::add_function`] keeps the
 //! `Arc` it is handed as both the function's name and its key in the
@@ -128,8 +129,7 @@ pub struct Function {
     /// is a reference-count bump, not a per-fault string allocation.
     name: Arc<str>,
     body: FunctionBody,
-    /// Entry address, assigned by [`Program::finalize`]; 0 (below
-    /// [`CODE_BASE`]) until then.
+    /// Entry address, assigned when the function is added.
     entry_addr: u64,
 }
 
@@ -155,18 +155,16 @@ impl Function {
         &self.body
     }
 
-    /// The function's entry address (valid after finalization).
+    /// The function's entry address.
     pub fn entry_addr(&self) -> u64 {
         self.entry_addr
     }
 
     /// The address of instruction `index`, or `None` if the index is out of
-    /// range or the function has not been laid out yet.
+    /// range.
     pub fn inst_addr(&self, index: usize) -> Option<u64> {
-        if self.entry_addr == 0 || index >= self.body.insts.len() {
-            return None;
-        }
-        Some(self.entry_addr + u64::from(self.body.offsets[index]))
+        (index < self.body.insts.len())
+            .then(|| self.entry_addr + u64::from(self.body.offsets[index]))
     }
 
     /// Total encoded size of the function in bytes.
@@ -174,10 +172,17 @@ impl Function {
         self.body.encoded_size()
     }
 
-    /// The one-past-the-end marker address: entry plus encoded size (valid
-    /// after finalization).
+    /// The one-past-the-end marker address: entry plus encoded size.
     pub(crate) fn end_addr(&self) -> u64 {
         self.entry_addr + self.encoded_size()
+    }
+
+    /// The entry address of the function laid out after this one: aligned
+    /// to [`FUNCTION_ALIGN`] past the end marker, with at least one padding
+    /// byte so the marker stays distinct from the next entry (see
+    /// [`Program::lookup_addr`]).
+    fn next_entry(&self) -> u64 {
+        (self.end_addr() + 1).next_multiple_of(FUNCTION_ALIGN)
     }
 }
 
@@ -189,7 +194,6 @@ pub struct Program {
     entry: Option<FuncId>,
     /// Extra sections appended by the binary rewriter (name → size in bytes).
     extra_sections: Vec<(String, u64)>,
-    finalized: bool,
 }
 
 impl Program {
@@ -206,13 +210,12 @@ impl Program {
             by_name: FunctionIds::with_capacity_and_hasher(functions, Default::default()),
             entry: None,
             extra_sections: Vec::new(),
-            finalized: false,
         }
     }
 
-    /// Adds a function and returns its id.  The name is kept as given: an
-    /// `Arc<str>` becomes both the function's name and its table key
-    /// without a copy.
+    /// Adds a function at the end of `.text` and returns its id.  The name
+    /// is kept as given: an `Arc<str>` becomes both the function's name and
+    /// its table key without a copy.
     ///
     /// # Errors
     ///
@@ -248,12 +251,14 @@ impl Program {
         };
         let name = Arc::clone(slot.key());
         slot.insert(id);
-        self.functions.push(Function { name, body, entry_addr: 0 });
-        self.finalized = false;
+        let entry_addr = self.functions.last().map_or(CODE_BASE, Function::next_entry);
+        self.functions.push(Function { name, body, entry_addr });
         Ok(id)
     }
 
     /// Replaces the body of an existing function (used by the rewriter).
+    /// When the encoded size changes, every later function moves to keep the
+    /// layout contiguous; a same-size replacement moves nothing.
     ///
     /// # Errors
     ///
@@ -263,8 +268,13 @@ impl Program {
             .functions
             .get_mut(id.0)
             .ok_or_else(|| VmError::UnknownFunction { name: format!("{id}") })?;
+        let old_size = func.encoded_size();
         func.body = FunctionBody::new(&insts);
-        self.finalized = false;
+        if func.encoded_size() != old_size {
+            for next in id.0 + 1..self.functions.len() {
+                self.functions[next].entry_addr = self.functions[next - 1].next_entry();
+            }
+        }
         Ok(())
     }
 
@@ -322,46 +332,19 @@ impl Program {
         &self.extra_sections
     }
 
-    /// Assigns every function its entry address; instruction addresses
-    /// follow from each body's offsets.
-    ///
-    /// Calling `finalize` again after mutation recomputes the layout; the
-    /// rewriter uses the before/after sizes to verify layout preservation.
-    pub fn finalize(&mut self) {
-        let mut cursor = CODE_BASE;
-        for func in &mut self.functions {
-            cursor = cursor.next_multiple_of(FUNCTION_ALIGN);
-            func.entry_addr = cursor;
-            // The address immediately after the last instruction is the
-            // function's "one past the end" marker (see `lookup_addr`); one
-            // padding byte keeps it distinct from the next entry.
-            cursor += func.encoded_size() + 1;
-        }
-        self.finalized = true;
-    }
-
-    /// Whether [`Program::finalize`] has been called since the last mutation.
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
-    }
-
     /// Translates a virtual address back to `(function, instruction index)`.
     ///
     /// Each function's one-past-the-end marker (entry plus encoded size)
     /// resolves to `(function, len)`, so a call as the final instruction
     /// still has a valid return address (it behaves as falling off the
     /// end).  Returns `None` for every other address — mid-instruction
-    /// bytes, alignment padding, anything outside `.text`, and every
-    /// address of an unfinalized program.  This is how a corrupted return
-    /// address is detected as either an invalid return or a successful
-    /// hijack.
+    /// bytes, alignment padding and anything outside `.text`.  This is how a
+    /// corrupted return address is detected as either an invalid return or
+    /// a successful hijack.
     ///
-    /// Answered by binary search over the sorted entry addresses
-    /// [`Program::finalize`] assigns, then over the function's offsets.
+    /// Answered by binary search over the sorted entry addresses, then over
+    /// the function's offsets.
     pub fn lookup_addr(&self, addr: u64) -> Option<(FuncId, usize)> {
-        if !self.finalized {
-            return None;
-        }
         let fidx = self.functions.partition_point(|f| f.entry_addr <= addr).checked_sub(1)?;
         let offset = u32::try_from(addr - self.functions[fidx].entry_addr).ok()?;
         // The last offset is the end marker, which resolves to `len`.
@@ -393,6 +376,7 @@ mod tests {
     use crate::mem::DEFAULT_STACK_SIZE;
     use crate::process::{Pid, Process};
     use crate::reg::Reg;
+    use polycanary_crypto::{Prng, SplitMix64};
 
     fn tiny_function() -> Vec<Inst> {
         vec![
@@ -439,11 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn finalize_assigns_monotonic_addresses() {
+    fn add_function_assigns_monotonic_addresses() {
         let mut prog = Program::new();
         let a = prog.add_function("a", tiny_function()).unwrap();
         let b = prog.add_function("b", tiny_function()).unwrap();
-        prog.finalize();
         let fa = prog.function(a).unwrap();
         let fb = prog.function(b).unwrap();
         assert_eq!(fa.entry_addr(), CODE_BASE);
@@ -458,7 +441,6 @@ mod tests {
     fn lookup_addr_roundtrips() {
         let mut prog = Program::new();
         let a = prog.add_function("a", tiny_function()).unwrap();
-        prog.finalize();
         let fa = prog.function(a).unwrap();
         for i in 0..fa.insts().len() {
             let addr = fa.inst_addr(i).unwrap();
@@ -474,8 +456,6 @@ mod tests {
         let a = prog.add_function("a", tiny_function()).unwrap();
         let empty = prog.add_function("empty", Vec::new()).unwrap();
         let b = prog.add_function("b", tiny_function()).unwrap();
-        assert_eq!(prog.lookup_addr(CODE_BASE), None, "unfinalized programs resolve nothing");
-        prog.finalize();
         let fa = prog.function(a).unwrap();
         let end = fa.entry_addr() + fa.encoded_size();
         assert_eq!(fa.inst_addr(fa.insts().len()), None);
@@ -523,15 +503,20 @@ mod tests {
     }
 
     #[test]
-    fn replace_body_invalidates_finalization() {
+    fn replace_body_relays_out_only_on_a_size_change() {
         let mut prog = Program::new();
-        let a = prog.add_function("a", tiny_function()).unwrap();
-        prog.finalize();
-        assert!(prog.is_finalized());
+        let a = prog.add_function("a", vec![Inst::Compute(1); 20]).unwrap();
+        let b = prog.add_function("b", tiny_function()).unwrap();
+        let entries = |p: &Program| [a, b].map(|id| p.function(id).unwrap().entry_addr());
+        let before = entries(&prog);
+        prog.replace_function_body(a, vec![Inst::Compute(2); 20]).unwrap();
+        assert_eq!(entries(&prog), before, "a same-size body moves nothing");
         prog.replace_function_body(a, vec![Inst::Ret]).unwrap();
-        assert!(!prog.is_finalized());
-        prog.finalize();
         assert_eq!(prog.function(a).unwrap().insts().len(), 1);
+        let fa = prog.function(a).unwrap();
+        assert_eq!(entries(&prog), [CODE_BASE, CODE_BASE + FUNCTION_ALIGN]);
+        assert_eq!(prog.lookup_addr(fa.end_addr()), Some((a, 1)));
+        assert_eq!(prog.lookup_addr(CODE_BASE + FUNCTION_ALIGN), Some((b, 0)));
     }
 
     /// Runs the program's entry on a fresh process.
@@ -548,15 +533,13 @@ mod tests {
 
     #[test]
     fn a_run_after_a_body_replacement_executes_the_new_body() {
-        // A run after `replace_function_body` + `finalize` executes the new
-        // body, not the one that ran before.
+        // A run after `replace_function_body` executes the new body, not the
+        // one that ran before.
         let mut prog = Program::new();
         let a = prog.add_function("a", returning(1)).unwrap();
         prog.set_entry(a);
-        prog.finalize();
         assert_eq!(run(&prog).exit, Exit::Normal(1));
         prog.replace_function_body(a, returning(2)).unwrap();
-        prog.finalize();
         assert_eq!(run(&prog).exit, Exit::Normal(2), "the run executes the new body");
     }
 
@@ -570,7 +553,6 @@ mod tests {
         main.insert(2, Inst::CallFn(helper));
         let main = prog.add_function("main", main).unwrap();
         prog.set_entry(main);
-        prog.finalize();
         let expected = run(&prog.clone());
         let prog = Arc::new(prog);
         let outcomes: Vec<RunOutcome> = std::thread::scope(|scope| {
@@ -587,21 +569,22 @@ mod tests {
         let mut prog = Program::new();
         let a = prog.add_function("a", tiny_function()).unwrap();
         prog.set_entry(a);
-        prog.finalize();
         let fresh = prog.clone();
         assert!(run(&prog).exit.is_normal());
         assert_eq!(prog, fresh);
     }
 
     #[test]
-    fn finalize_leaves_source_bodies_untouched() {
+    fn layout_leaves_source_bodies_untouched() {
         // The `&[Inst]` bodies the static verifier proves invariants over
-        // are byte-identical before and after layout.
+        // are byte-identical before and after a relayout moves them.
         let mut prog = Program::new();
         let a = prog.add_function("a", tiny_function()).unwrap();
-        let before = prog.function(a).unwrap().insts().to_vec();
-        prog.finalize();
-        assert_eq!(prog.function(a).unwrap().insts(), &before[..]);
+        let b = prog.add_function("b", tiny_function()).unwrap();
+        let entry = prog.function(b).unwrap().entry_addr();
+        prog.replace_function_body(a, vec![Inst::Compute(1); 40]).unwrap();
+        assert_ne!(prog.function(b).unwrap().entry_addr(), entry, "b moved");
+        assert_eq!(prog.function(b).unwrap().insts(), &tiny_function()[..]);
     }
 
     #[test]
@@ -612,8 +595,6 @@ mod tests {
         let mut prog = Program::new();
         let a = prog.add_function_body("a", body.clone()).unwrap();
         let b = prog.add_function("b", tiny_function()).unwrap();
-        assert_eq!(prog.function(a).unwrap().inst_addr(0), None, "not laid out before finalize");
-        prog.finalize();
         let copy = prog.clone();
         for p in [&prog, &copy] {
             let fa = p.function(a).unwrap();
@@ -624,12 +605,135 @@ mod tests {
         let mut other = Program::new();
         other.add_function("pad", vec![Inst::Compute(1); 40]).unwrap();
         let shared = other.add_function_body("a", body).unwrap();
-        other.finalize();
         let f = other.function(shared).unwrap();
         for i in 0..f.insts().len() {
             assert_eq!(other.lookup_addr(f.inst_addr(i).unwrap()), Some((shared, i)));
         }
         assert_eq!(other.lookup_addr(f.entry_addr() + f.encoded_size()), Some((shared, 5)));
+    }
+
+    /// Random instructions of thirteen encoded sizes between 1 and 16
+    /// bytes, so bodies end at every offset modulo [`FUNCTION_ALIGN`].
+    fn random_insts(rng: &mut SplitMix64) -> Vec<Inst> {
+        let palette = [
+            Inst::Nop,
+            Inst::PushReg(Reg::R12),
+            Inst::MovRegReg { dst: Reg::Rbp, src: Reg::Rsp },
+            Inst::Rdrand(Reg::Rax),
+            Inst::CallFn(FuncId(0)),
+            Inst::MovRegToFrame { src: Reg::Rax, offset: -4096 },
+            Inst::OutputReg(Reg::Rax),
+            Inst::Rdtsc,
+            Inst::MovImmToReg { dst: Reg::Rax, imm: 1 },
+            Inst::CopyInputToFrame { offset: -64 },
+            Inst::LinkCanaryPush { offset: -8 },
+            Inst::CopyInputToFrameBounded { offset: -64, max_len: 8 },
+            Inst::Compute(3),
+        ];
+        let len = rng.next_u64() % 9;
+        (0..len).map(|_| palette[(rng.next_u64() % palette.len() as u64) as usize]).collect()
+    }
+
+    /// The flat layout model: per function, the encoded size of each
+    /// instruction.  The first entry is [`CODE_BASE`]; each next entry is
+    /// the previous end marker plus one padding byte, rounded up to 16.
+    /// Returns `(entry, instruction addresses, end marker)` per function.
+    fn model_layout(sizes: &[Vec<u64>]) -> Vec<(u64, Vec<u64>, u64)> {
+        let mut cursor = CODE_BASE;
+        sizes
+            .iter()
+            .map(|insts| {
+                let entry = cursor.next_multiple_of(16);
+                let mut addr = entry;
+                let addrs = insts
+                    .iter()
+                    .map(|size| {
+                        addr += size;
+                        addr - size
+                    })
+                    .collect();
+                cursor = addr + 1;
+                (entry, addrs, addr)
+            })
+            .collect()
+    }
+
+    /// Checks every address of `prog` against [`model_layout`]: entries,
+    /// instruction addresses, end markers, and `lookup_addr` on every byte
+    /// from below `.text` to past its top.
+    fn assert_matches_model(prog: &Program, sizes: &[Vec<u64>], step: &str) {
+        let layout = model_layout(sizes);
+        let mut resolves = HashMap::new();
+        for ((id, func), (entry, addrs, end)) in prog.iter().zip(&layout) {
+            assert_eq!(func.entry_addr(), *entry, "{step}: entry of {id}");
+            for (i, addr) in addrs.iter().enumerate() {
+                assert_eq!(func.inst_addr(i), Some(*addr), "{step}: {id} instruction {i}");
+                resolves.insert(*addr, (id, i));
+            }
+            assert_eq!(func.inst_addr(addrs.len()), None, "{step}: {id} past its end");
+            resolves.insert(*end, (id, addrs.len()));
+        }
+        assert_eq!(prog.len(), layout.len(), "{step}");
+        let top = layout.last().map_or(CODE_BASE, |(_, _, end)| *end);
+        for addr in CODE_BASE - 1..=top + FUNCTION_ALIGN {
+            assert_eq!(prog.lookup_addr(addr), resolves.get(&addr).copied(), "{step}: {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn layout_matches_a_flat_reference_model() {
+        let sizes_of = |insts: &[Inst]| insts.iter().map(Inst::encoded_size).collect::<Vec<_>>();
+        let mut rng = SplitMix64::new(0x1A70_u64);
+        let (mut resized, mut kept) = (0, 0);
+        for case in 0..60 {
+            let mut prog = Program::new();
+            let mut sizes: Vec<Vec<u64>> = Vec::new();
+            for op in 0..24 {
+                let step = format!("case {case} op {op}");
+                let kind = if prog.is_empty() { 0 } else { rng.next_u64() % 4 };
+                if kind < 2 {
+                    let insts = random_insts(&mut rng);
+                    let name = format!("f{}", prog.len());
+                    if kind == 0 {
+                        prog.add_function(name, insts.clone()).unwrap();
+                    } else {
+                        prog.add_function_body(name, FunctionBody::new(&insts)).unwrap();
+                    }
+                    sizes.push(sizes_of(&insts));
+                } else {
+                    // First, middle and last function, then any.
+                    let last = prog.len() - 1;
+                    let index = match rng.next_u64() % 4 {
+                        0 => 0,
+                        1 => last / 2,
+                        2 => last,
+                        _ => (rng.next_u64() % prog.len() as u64) as usize,
+                    };
+                    let id = FuncId(index);
+                    let insts = if kind == 2 {
+                        // The same instructions reversed: the same size,
+                        // different offsets.
+                        let mut same = prog.function(id).unwrap().insts().to_vec();
+                        same.reverse();
+                        same
+                    } else {
+                        let mut other = random_insts(&mut rng);
+                        other.push(Inst::Nop);
+                        other
+                    };
+                    let old_size: u64 = sizes[index].iter().sum();
+                    sizes[index] = sizes_of(&insts);
+                    if sizes[index].iter().sum::<u64>() == old_size {
+                        kept += 1;
+                    } else {
+                        resized += 1;
+                    }
+                    prog.replace_function_body(id, insts).unwrap();
+                }
+                assert_matches_model(&prog, &sizes, &step);
+            }
+        }
+        assert!(resized > 100 && kept > 100, "{resized} resized, {kept} kept");
     }
 
     #[test]

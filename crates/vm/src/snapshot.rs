@@ -1,18 +1,17 @@
 //! Immutable machine snapshots: build a victim once, boot it many times.
 //!
 //! Fleet-scale campaigns (10^5+ victims of the same binary) cannot afford
-//! to re-compile the program and re-allocate a zeroed address space per
-//! victim.  A [`Snapshot`] captures everything about a booted
-//! [`Machine`](crate::machine::Machine) that is *seed-independent* — the
-//! finalized program (shared by `Arc`), the execution configuration and
-//! the pristine post-`init` memory image — so that
+//! to re-compile the program per victim.  A [`Snapshot`] captures
+//! everything about a [`Machine`](crate::machine::Machine) that is
+//! *seed-independent* — the program (shared by `Arc`), the execution
+//! configuration and the stack size — so that
 //! [`Machine::from_snapshot`](crate::machine::Machine::from_snapshot) plus
 //! [`Machine::restore`](crate::machine::Machine::restore) reproduce
 //! [`Machine::new`](crate::machine::Machine::new) plus
 //! [`Machine::spawn`](crate::machine::Machine::spawn) bit for bit, at the
-//! cost of one `Arc` bump for the program instead of a compile.  The
-//! pristine image is untouched, so it reads from the VM's static zero block
-//! and neither capturing nor restoring it allocates anything.
+//! cost of one `Arc` bump for the program instead of a compile.  A snapshot
+//! holds no memory image: every boot starts from a fresh one, which reads
+//! from the VM's static zero block and allocates nothing.
 //!
 //! Everything seed-*dependent* (the pid sequence, the loader's canary
 //! draws, the per-process entropy devices, the runtime hooks' startup
@@ -23,17 +22,13 @@
 use std::sync::Arc;
 
 use crate::cpu::ExecConfig;
-use crate::mem::Memory;
 use crate::program::Program;
 
 /// An immutable, cheaply clonable capture of a machine's seed-independent
-/// boot state: finalized program, execution configuration and the pristine
-/// memory image new processes start from.
+/// boot state: program, execution configuration and the stack size of the
+/// processes it boots.
 ///
-/// Cloning a `Snapshot` — and restoring a process from one — shares the
-/// program by reference count and copies the untouched image's segment
-/// lengths; the copy-on-write [`Memory`] allocates a segment only when a
-/// process writes to it.
+/// Cloning a `Snapshot` shares the program by reference count.
 ///
 /// ```
 /// use polycanary_vm::{Inst, Machine, NoHooks, Program, Reg, Snapshot};
@@ -44,7 +39,7 @@ use crate::program::Program;
 ///     .unwrap();
 /// program.set_entry(main);
 ///
-/// // The classic boot path and the snapshot path produce identical
+/// // A machine and one booted from its snapshot produce identical
 /// // processes for the same seed.
 /// let mut fresh = Machine::new(program.clone(), Box::new(NoHooks), 9);
 /// let snapshot = fresh.snapshot();
@@ -60,19 +55,14 @@ pub struct Snapshot {
     program: Arc<Program>,
     exec_config: ExecConfig,
     stack_size: u64,
-    image: Memory,
 }
 
 impl Snapshot {
-    /// Captures a snapshot directly from its parts, finalizing the program
-    /// if needed.  Equivalent to booting a
-    /// throwaway [`Machine`](crate::machine::Machine) with this
+    /// Captures a snapshot directly from its parts.  Equivalent to booting
+    /// a throwaway [`Machine`](crate::machine::Machine) with this
     /// configuration and calling
     /// [`Machine::snapshot`](crate::machine::Machine::snapshot).
-    pub fn new(mut program: Program, exec_config: ExecConfig, stack_size: u64) -> Self {
-        if !program.is_finalized() {
-            program.finalize();
-        }
+    pub fn new(program: Program, exec_config: ExecConfig, stack_size: u64) -> Self {
         Snapshot::from_parts(Arc::new(program), exec_config, stack_size)
     }
 
@@ -81,11 +71,10 @@ impl Snapshot {
         exec_config: ExecConfig,
         stack_size: u64,
     ) -> Self {
-        let image = Memory::with_stack_size(stack_size);
-        Snapshot { program, exec_config, stack_size, image }
+        Snapshot { program, exec_config, stack_size }
     }
 
-    /// The finalized program this snapshot boots.
+    /// The program this snapshot boots.
     pub fn program(&self) -> &Program {
         &self.program
     }
@@ -103,13 +92,6 @@ impl Snapshot {
     pub fn stack_size(&self) -> u64 {
         self.stack_size
     }
-
-    /// The pristine post-`init` memory image restored processes start
-    /// from.  Restores clone it; its segments stay on the zero block until
-    /// a process writes them.
-    pub fn image(&self) -> &Memory {
-        &self.image
-    }
 }
 
 #[cfg(test)]
@@ -117,6 +99,7 @@ mod tests {
     use super::*;
     use crate::inst::Inst;
     use crate::machine::{Machine, NoHooks};
+    use crate::program::{CODE_BASE, FUNCTION_ALIGN};
     use crate::reg::Reg;
 
     fn trivial_program() -> Program {
@@ -128,20 +111,28 @@ mod tests {
         prog
     }
 
+    /// Whether every function of `program` sits at or above [`CODE_BASE`]
+    /// on a [`FUNCTION_ALIGN`] boundary.
+    fn laid_out(program: &Program) -> bool {
+        program.iter().all(|(_, f)| {
+            f.entry_addr() >= CODE_BASE && f.entry_addr().is_multiple_of(FUNCTION_ALIGN)
+        })
+    }
+
     #[test]
-    fn snapshot_finalizes_the_program() {
+    fn snapshot_keeps_the_program_laid_out() {
         let snapshot = Snapshot::new(trivial_program(), ExecConfig::default(), 8192);
-        assert!(snapshot.program().is_finalized());
+        assert!(laid_out(snapshot.program()));
         assert_eq!(snapshot.stack_size(), 8192);
     }
 
     #[test]
     fn machine_snapshot_shares_the_finalized_program() {
-        // The snapshot boots the machine's own finalized program, shared
-        // by reference count rather than copied.
+        // The snapshot boots the machine's own laid-out program, shared by
+        // reference count rather than copied.
         let machine = Machine::new(trivial_program(), Box::new(NoHooks), 3);
         let snapshot = machine.snapshot();
-        assert!(snapshot.program().is_finalized());
+        assert!(laid_out(snapshot.program()));
         assert!(std::ptr::eq(snapshot.program(), machine.program()));
     }
 
@@ -150,18 +141,23 @@ mod tests {
         let snapshot = Snapshot::new(trivial_program(), ExecConfig::default(), 8192);
         let clone = snapshot.clone();
         assert!(Arc::ptr_eq(&snapshot.program, &clone.program));
-        assert!(snapshot.image().shares_pages_with(clone.image()));
+        let a = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 1).restore(&snapshot);
+        let b = Machine::from_snapshot(&clone, Box::new(NoHooks), 2).restore(&clone);
+        assert!(a.memory.shares_pages_with(&b.memory));
     }
 
     #[test]
     fn restored_image_clones_share_pages_until_written() {
         let snapshot = Snapshot::new(trivial_program(), ExecConfig::default(), 8192);
-        let a = snapshot.image().clone();
-        let mut b = snapshot.image().clone();
+        let restored = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 5).restore(&snapshot);
+        let image = &restored.memory;
+        assert_eq!(image.stack_top() - image.stack_limit(), 8192);
+        let a = image.clone();
+        let mut b = image.clone();
         assert!(a.shares_pages_with(&b));
         b.write_u8(b.stack_top() - 1, 0x41).unwrap();
-        assert!(!snapshot.image().shares_pages_with(&b));
-        assert!(snapshot.image().shares_pages_with(&a));
+        assert!(!image.shares_pages_with(&b));
+        assert!(image.shares_pages_with(&a));
     }
 
     #[test]

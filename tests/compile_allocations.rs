@@ -9,9 +9,10 @@
 //! dataflow buffers across a module's functions.  These tests pin both.
 //!
 //! The VM's memory image is pinned too: an untouched segment reads from a
-//! static zero block, so building an image, capturing a snapshot and
-//! reforking a worker from an untouched parent allocate no segment — the
-//! costs every victim build and every boot of a fleet campaign pays.
+//! static zero block, so building an image, capturing a snapshot, booting
+//! a process and reforking a worker from an untouched parent allocate no
+//! segment — the costs every victim build and every boot of a fleet
+//! campaign pays.
 //!
 //! A thread-local counting allocator counts the measured call alone:
 //! `prepare` runs debug-only checks that allocate.
@@ -178,15 +179,14 @@ fn verifying_a_compiled_module_stays_within_its_allocation_budget() {
     );
 }
 
-/// A one-function program, finalized so that capturing it allocates only
-/// the `Arc` a snapshot shares it through.
-fn finalized_program() -> Program {
+/// A one-function program; it is laid out as it is built, so capturing it
+/// allocates only the `Arc` a snapshot shares it through.
+fn one_function_program() -> Program {
     let mut program = Program::new();
     let main = program
         .add_function("main", vec![Inst::MovImmToReg { dst: Reg::Rax, imm: 7 }, Inst::Ret])
         .expect("fresh program");
     program.set_entry(main);
-    program.finalize();
     program
 }
 
@@ -201,16 +201,34 @@ fn a_fresh_memory_image_allocates_no_segment() {
 
 #[test]
 fn a_snapshot_allocates_only_the_shared_program() {
-    let program = finalized_program();
+    let program = one_function_program();
     let before = allocations();
     let snapshot = Snapshot::new(program, ExecConfig::default(), 16 * 1024);
     assert_eq!(allocations() - before, 1, "the program's `Arc`, and no image segment");
-    assert_eq!(snapshot.image().stack_top() - snapshot.image().stack_limit(), 16 * 1024);
+    assert_eq!(snapshot.stack_size(), 16 * 1024);
+}
+
+/// What one boot allocates: the TLS block, and no image segment.
+const BOOT_ALLOCATIONS: u64 = 1;
+
+#[test]
+fn spawn_and_restore_each_allocate_only_the_tls_block() {
+    let snapshot = Snapshot::new(one_function_program(), ExecConfig::default(), 16 * 1024);
+    let mut machine = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 5);
+    for round in 0..3 {
+        let before = allocations();
+        let spawned = machine.spawn();
+        assert_eq!(allocations() - before, BOOT_ALLOCATIONS, "spawn {round}");
+        let before = allocations();
+        let restored = machine.restore(&snapshot);
+        assert_eq!(allocations() - before, BOOT_ALLOCATIONS, "restore {round}");
+        assert!(spawned.memory.shares_pages_with(&restored.memory));
+    }
 }
 
 #[test]
 fn reforking_a_worker_from_an_untouched_parent_allocates_nothing() {
-    let snapshot = Snapshot::new(finalized_program(), ExecConfig::default(), 16 * 1024);
+    let snapshot = Snapshot::new(one_function_program(), ExecConfig::default(), 16 * 1024);
     let mut machine = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 5);
     let mut parent = machine.restore(&snapshot);
     // A connection's writes: the worker's first write allocates its stack,

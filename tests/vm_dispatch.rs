@@ -119,7 +119,6 @@ fn gen_program(rng: &mut SplitMix64) -> Program {
         prog.add_function(format!("f{f}"), insts).unwrap();
     }
     prog.set_entry(FuncId(0));
-    prog.finalize();
     prog
 }
 
@@ -317,7 +316,6 @@ fn unstructured_programs_fault_typed() {
             prog.add_function(format!("f{f}"), insts).unwrap();
         }
         prog.set_entry(FuncId(0));
-        prog.finalize();
         let seed = rng.next_u64();
         let input_len = (rng.next_u64() % 64) as usize;
         for max_instructions in [0u64, 1, 2, 4, 7, 300] {
@@ -343,7 +341,6 @@ fn wild_skips_fault_at_the_end_marker_in_both_dispatchers() {
         ];
         let f = prog.add_function("f", body).unwrap();
         prog.set_entry(f);
-        prog.finalize();
         let func = prog.function(f).unwrap();
         let end = func.entry_addr() + func.encoded_size();
         let cfg = ExecConfig { max_instructions: 1_000, hijack_target: None };
@@ -391,7 +388,6 @@ fn last_end_marker(prog: &Program) -> u64 {
 /// Returns the `(roomy, tight)` outcomes.
 fn return_to(prog: &mut Program, stub: FuncId, addr: u64, digest: &mut Digest) -> [RunOutcome; 2] {
     prog.replace_function_body(stub, ret_to(addr)).unwrap();
-    prog.finalize();
     [300, 3].map(|max_instructions| {
         let cfg = ExecConfig { max_instructions, hijack_target: None };
         let observed = observe(prog, stub, &cfg, addr, 8);
@@ -417,7 +413,6 @@ fn return_addresses_resolve_identically_at_every_address() {
     for case in 0..40u32 {
         let mut prog = gen_program(&mut rng);
         let stub = prog.add_function("ret_to", ret_to(0)).unwrap();
-        prog.finalize();
         let top = last_end_marker(&prog);
         for addr in CODE_BASE - 1..=top + 1 {
             let resolves = scan_addr(&prog, addr);
@@ -445,7 +440,6 @@ fn returns_to_every_address_class_agree_across_dispatchers() {
         )
         .unwrap();
     let stub = prog.add_function("ret_to", ret_to(0)).unwrap();
-    prog.finalize();
     let func = prog.function(f).unwrap();
     let ret = func.inst_addr(4).unwrap();
     let mid = func.inst_addr(1).unwrap() + 1;

@@ -10,7 +10,8 @@
 //! the same loop, claiming shards of job indices from an atomic cursor,
 //! running each shard into a local buffer and depositing it once under
 //! the one lock, where an in-order walk hands the results back in index
-//! order.
+//! order.  A shard that lands at the prefix is walked straight from the
+//! worker's buffer, which the worker keeps for its next shard.
 //!
 //! Because jobs are pure functions of their input, the output vector is
 //! identical whatever the worker count — parallelism only changes wall
@@ -128,7 +129,9 @@ impl JobPool {
     ///
     /// * The calling thread and `workers - 1` scoped helpers run one loop:
     ///   claim a whole shard from an atomic cursor, run all of it into a
-    ///   local buffer and deposit that once under the walk lock.
+    ///   local buffer and deposit that once under the walk lock.  A shard
+    ///   that continues the prefix is settled straight from the buffer;
+    ///   one that lands past it waits in the walk's window.
     /// * `settle` runs under that lock, so it may carry state (e.g. a
     ///   success counter) without further synchronisation; it sees each
     ///   prefix exactly once, in order, regardless of parallelism.
@@ -169,14 +172,7 @@ impl JobPool {
         let shard_size = shard_size.max(1);
         // `boundary` is the first index no shard may start at: `jobs`,
         // lowered to the settle point when `settle` fires and to 0 when a
-        // worker panics.  Slot `k` of `window` holds the shard that starts
-        // `k` shards past the prefix, once it has been deposited.
-        struct Walk<R, S> {
-            results: Vec<R>,
-            window: VecDeque<Option<Vec<R>>>,
-            settled_at: Option<usize>,
-            settle: S,
-        }
+        // worker panics.
         let boundary = AtomicUsize::new(jobs);
         let [next_shard, shards_claimed, executed] = [0; 3].map(AtomicUsize::new);
         let walk = Mutex::new(Walk {
@@ -187,6 +183,9 @@ impl JobPool {
         });
         let work = || {
             let _cancel = CancelOnPanic(&boundary);
+            // The worker's shard buffer, kept across shards that land at
+            // the prefix and so are walked straight from it.
+            let mut buffer = Vec::new();
             loop {
                 let shard = next_shard.fetch_add(1, Ordering::Relaxed);
                 let start = shard.saturating_mul(shard_size);
@@ -195,8 +194,9 @@ impl JobPool {
                 }
                 shards_claimed.fetch_add(1, Ordering::Relaxed);
                 let end = start.saturating_add(shard_size).min(jobs);
-                let results: Vec<R> = (start..end).map(&job).collect();
-                executed.fetch_add(results.len(), Ordering::Relaxed);
+                buffer.clear();
+                buffer.extend((start..end).map(&job));
+                executed.fetch_add(buffer.len(), Ordering::Relaxed);
                 // A poisoned lock means `settle` panicked on another worker,
                 // which cancels the run: stop without touching the walk.
                 let Ok(mut guard) = walk.lock() else { return };
@@ -205,22 +205,25 @@ impl JobPool {
                     continue; // a speculative shard past the settle point
                 }
                 let slot = shard - walk.results.len() / shard_size;
-                walk.window.resize_with(walk.window.len().max(slot + 1), || None);
-                walk.window[slot] = Some(results);
-                // Advance the contiguous prefix as far as it goes.
-                while let Some(results) = walk.window.front_mut().and_then(Option::take) {
+                if slot == 0 {
+                    // The shard continues the prefix: its window slot, if
+                    // any, is empty, and its results never leave the buffer.
                     walk.window.pop_front();
-                    for result in results {
-                        let index = walk.results.len();
-                        let stop = (walk.settle)(index, &result);
-                        walk.results.push(result);
-                        if stop {
-                            walk.settled_at = Some(index + 1);
-                            boundary.fetch_min(index + 1, Ordering::Release);
-                            walk.window.clear();
-                            break;
-                        }
-                    }
+                    walk.extend(buffer.drain(..));
+                } else {
+                    walk.window.resize_with(walk.window.len().max(slot + 1), || None);
+                    walk.window[slot] = Some(std::mem::take(&mut buffer));
+                }
+                // Advance the contiguous prefix as far as it goes.
+                while walk.settled_at.is_none() {
+                    let Some(results) = walk.window.front_mut().and_then(Option::take) else {
+                        break;
+                    };
+                    walk.window.pop_front();
+                    walk.extend(results);
+                }
+                if let Some(settled_at) = walk.settled_at {
+                    boundary.fetch_min(settled_at, Ordering::Release);
                 }
             }
         };
@@ -240,6 +243,33 @@ impl JobPool {
             executed: executed.into_inner(),
             shards_claimed: shards_claimed.into_inner(),
             settled_at: walk.settled_at,
+        }
+    }
+}
+
+/// The in-order walk of a [`JobPool::run_sharded`] run, behind its lock.
+/// Slot `k` of `window` holds the shard that starts `k` shards past the
+/// prefix, once it has been deposited out of order.
+struct Walk<R, S> {
+    results: Vec<R>,
+    window: VecDeque<Option<Vec<R>>>,
+    settled_at: Option<usize>,
+    settle: S,
+}
+
+impl<R, S: FnMut(usize, &R) -> bool> Walk<R, S> {
+    /// Settles `shard`, which starts at the end of the prefix, result by
+    /// result, and appends it up to the first result `settle` stops at.
+    fn extend(&mut self, shard: impl IntoIterator<Item = R>) {
+        for result in shard {
+            let index = self.results.len();
+            let stop = (self.settle)(index, &result);
+            self.results.push(result);
+            if stop {
+                self.settled_at = Some(index + 1);
+                self.window.clear();
+                return;
+            }
         }
     }
 }

@@ -28,6 +28,13 @@
 //! * `rewrite/*` — the rewrite step (`Build::rewrite`) of the
 //!   shape-preserved SSP build in each link mode.
 //!
+//! The last group times the whole static verification sweep:
+//!
+//! * `sweep/*` — `run_verify` over the `--quick` matrix (192 cells) and
+//!   the full one (768 cells), one job pool worker per CPU.  Run it on
+//!   all CPUs and under `taskset -c 0` to see what the pool buys and what
+//!   it costs at one worker.
+//!
 //! The `opt_equivalence` differential suite separately proves the O0 and
 //! O2 builds are semantically identical, so the `run` deltas are pure
 //! per-call savings.
@@ -35,6 +42,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use polycanary_bench::verify::run_verify;
 use polycanary_compiler::codegen::Compiler;
 use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::OptLevel;
@@ -118,6 +126,10 @@ fn bench(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
+    }
+
+    for (label, quick) in [("quick", true), ("full", false)] {
+        group.bench_function(BenchmarkId::new("sweep", label), |b| b.iter(|| run_verify(quick)));
     }
     group.finish();
 }

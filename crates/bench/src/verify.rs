@@ -12,10 +12,15 @@
 //! optimizer trustworthy: every transformed body re-proves all five canary
 //! invariants.
 //!
+//! The sweep runs one [`JobPool`] job per workload module, one worker per
+//! CPU; the pool returns each module's cells in input order, so the
+//! report, its text and its export are the same at any worker count.
+//!
 //! Results export in the same schema-versioned envelope as every scenario
 //! (`scenario: "verify"`), so `harness diff` and `polycanary-analysis`
 //! consume them without special cases.
 
+use polycanary_attacks::pool::JobPool;
 use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::{Compiler, Frontend, OptLevel};
 use polycanary_core::record::{export_envelope, Record};
@@ -171,28 +176,50 @@ fn verify_cell(
     }
 }
 
-/// Runs the full verification sweep over every [`Build::ALL`] vehicle.
-/// Each build's compiler ([`Build::compiler`]) is built once per opt level;
-/// each workload module is prepared once per opt level (the compiler's
-/// scheme-independent front half) and lowered under every build vehicle
-/// from there.  The cells and their order are those of compiling every
-/// cell from scratch.
-pub fn run_verify(quick: bool) -> VerifyReport {
-    let compilers = opt_levels().map(|opt| Build::ALL.map(|build| build.compiler(opt)));
-    let mut cells = Vec::new();
-    for (name, module) in workload_modules(quick) {
-        // Any compiler of a level prepares its front half: nothing the
-        // front half does depends on the scheme.
-        let fronts = compilers
-            .each_ref()
-            .map(|level| level[0].prepare(&module).expect("workload modules always compile"));
-        let mut ssp_builds: [Option<Program>; 2] = Default::default();
-        for (index, build) in Build::ALL.into_iter().enumerate() {
-            for ((front, level), ssp_build) in fronts.iter().zip(&compilers).zip(&mut ssp_builds) {
-                cells.push(verify_cell(&name, front, build, &level[index], ssp_build));
-            }
+/// Verifies one workload module's cells, build-major and then by opt
+/// level, under the sweep's `compilers` (one row per opt level, one
+/// compiler per [`Build::ALL`] vehicle).  The module is prepared once per
+/// level and lowered under every build from there.
+fn verify_module(
+    name: &str,
+    module: &ModuleDef,
+    compilers: &[[Compiler; Build::ALL.len()]; 2],
+) -> Vec<VerifyCell> {
+    // Any compiler of a level prepares its front half: nothing the front
+    // half does depends on the scheme.
+    let fronts = compilers
+        .each_ref()
+        .map(|level| level[0].prepare(module).expect("workload modules always compile"));
+    let mut ssp_builds: [Option<Program>; 2] = Default::default();
+    let mut cells = Vec::with_capacity(Build::ALL.len() * compilers.len());
+    for (index, build) in Build::ALL.into_iter().enumerate() {
+        for ((front, level), ssp_build) in fronts.iter().zip(compilers).zip(&mut ssp_builds) {
+            cells.push(verify_cell(name, front, build, &level[index], ssp_build));
         }
     }
+    cells
+}
+
+/// Runs the full verification sweep over every [`Build::ALL`] vehicle on
+/// one [`JobPool`] job per workload module, one worker per CPU.  Each
+/// build's compiler ([`Build::compiler`]) is built once per opt level and
+/// shared by every job; each job prepares its module once per opt level
+/// (the compiler's scheme-independent front half) and lowers it under
+/// every build vehicle from there.  The cells and their order are those of
+/// compiling every cell from scratch, whatever the worker count.
+pub fn run_verify(quick: bool) -> VerifyReport {
+    sweep(&workload_modules(quick), JobPool::new())
+}
+
+/// [`run_verify`] over `modules` on `pool`: the per-module cell lists are
+/// concatenated in input order.
+fn sweep(modules: &[(String, ModuleDef)], pool: JobPool) -> VerifyReport {
+    let compilers = opt_levels().map(|opt| Build::ALL.map(|build| build.compiler(opt)));
+    let cells = pool
+        .run(modules, |_, (name, module)| verify_module(name, module, &compilers))
+        .into_iter()
+        .flatten()
+        .collect();
     VerifyReport { cells }
 }
 
@@ -268,6 +295,44 @@ mod tests {
         }
         let records: Vec<Record> = run_verify(true).cells.iter().map(VerifyCell::record).collect();
         assert_eq!(records, reference);
+    }
+
+    #[test]
+    fn the_sweep_is_the_same_at_every_worker_count() {
+        let modules = workload_modules(true);
+        let mut reference = Vec::new();
+        for (name, module) in &modules {
+            for build in Build::ALL {
+                for opt in opt_levels() {
+                    reference.push(compiled_cell(name, module, build, opt).record());
+                }
+            }
+        }
+        for workers in [1, 2, 8] {
+            let report = sweep(&modules, JobPool::with_workers(workers));
+            let records: Vec<Record> = report.cells.iter().map(VerifyCell::record).collect();
+            assert_eq!(records, reference, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn a_failing_module_job_reaches_the_caller_with_its_own_payload() {
+        use polycanary_compiler::ir::FunctionBuilder;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let broken = ModuleDef {
+            functions: vec![FunctionBuilder::new("main").call("ghost").build()],
+            entry: "main".into(),
+        };
+        let error = Build::ALL[0].compiler(OptLevel::O0).compile(&broken).unwrap_err();
+        let expected = format!("workload modules always compile: {error:?}");
+        let mut modules = workload_modules(true);
+        modules.insert(3, ("broken".to_string(), broken));
+        for workers in [1, 2, 8] {
+            let sweep = || sweep(&modules, JobPool::with_workers(workers));
+            let payload = catch_unwind(AssertUnwindSafe(sweep)).unwrap_err();
+            assert_eq!(payload.downcast_ref::<String>(), Some(&expected), "workers = {workers}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Victims are completely independent, so campaigns fan out over the shared
 //! parallel [`JobPool`], using its sharded executor
-//! ([`JobPool::run_sharded`]): the calling thread and its helpers pull
+//! ([`JobPool::run_sharded_with`]): the calling thread and its helpers pull
 //! contiguous shards of victim indices from an atomic cursor, deposit each
 //! finished shard once, and the stop rule is evaluated *event-driven* on
 //! seed-ordered result prefixes as shards arrive.  Every run is
@@ -26,9 +26,10 @@
 //! Fleet scale comes from snapshot-keyed victim construction: all victims
 //! sharing a scheme × deployment × buffer-size configuration are built from
 //! one memoized [`VictimSnapshot`](crate::snapshot::VictimSnapshot) (see
-//! [`SnapshotCache`]), and seeds are drawn lazily per index — a
-//! 10^5-victim campaign allocates nothing proportional to the fleet size
-//! beyond the runs it actually reports.
+//! [`SnapshotCache`]), each worker boots its victims into one kept
+//! [`ForkingServer`] ([`ForkingServer::reboot`]), and seeds are drawn
+//! lazily per index — a 10^5-victim campaign allocates nothing
+//! proportional to the fleet size beyond the runs it actually reports.
 //!
 //! # Example
 //!
@@ -94,14 +95,28 @@ impl AttackKind {
         self.drive(&mut server, victim.scheme)
     }
 
-    /// Runs this strategy once against a victim booted from `cache` — the
-    /// campaign path, where every victim sharing a configuration boots from
-    /// one memoized snapshot.  Bit-identical to [`AttackKind::run_once`]
-    /// for any seed; only the construction cost differs.
-    pub fn run_once_with(&self, cache: &SnapshotCache, victim: VictimConfig) -> AttackResult {
+    /// Runs this strategy once against a victim booted from `cache` into
+    /// `server` — the campaign path, where every victim sharing a
+    /// configuration boots from one memoized snapshot and each campaign
+    /// worker boots all of its victims into one kept server
+    /// ([`ForkingServer::reboot`]); an empty slot gets a new server.
+    /// Bit-identical to [`AttackKind::run_once`] for any seed, whatever
+    /// the slot held; only the construction cost differs.
+    pub fn run_once_with(
+        &self,
+        cache: &SnapshotCache,
+        victim: VictimConfig,
+        server: &mut Option<ForkingServer>,
+    ) -> AttackResult {
         let snapshot = cache.get(VictimKey::of(&victim));
-        let mut server = ForkingServer::from_snapshot(&snapshot, victim.seed);
-        self.drive(&mut server, victim.scheme)
+        let server = match server {
+            Some(server) => {
+                server.reboot(&snapshot, victim.seed);
+                server
+            }
+            None => server.insert(ForkingServer::from_snapshot(&snapshot, victim.seed)),
+        };
+        self.drive(server, victim.scheme)
     }
 
     fn drive(&self, server: &mut ForkingServer, scheme: SchemeKind) -> AttackResult {
@@ -781,11 +796,14 @@ impl Campaign {
     }
 
     /// Runs the campaign, fanning the per-seed runs out over the sharded
-    /// [`JobPool`] executor ([`JobPool::run_sharded`]).
+    /// [`JobPool`] executor ([`JobPool::run_sharded_with`]).
     ///
     /// Workers pull shards of victim indices ([`Campaign::with_shard_size`])
     /// and boot each victim from the campaign's [`SnapshotCache`], so each
-    /// distinct victim configuration is compiled exactly once.  Under an
+    /// distinct victim configuration is compiled exactly once.  Each worker
+    /// keeps one server and boots every victim it runs into it
+    /// ([`AttackKind::run_once_with`]), so the victim's worker process is
+    /// allocated once per campaign worker, not once per victim.  Under an
     /// adaptive [`StopRule`] the rule is evaluated event-driven on every
     /// seed-ordered result prefix, and the first settling prefix cancels
     /// all unscheduled shards; results a parallel worker computed past that
@@ -803,15 +821,14 @@ impl Campaign {
         let started = Instant::now();
 
         let mut successes = 0u64;
-        let outcome = pool.run_sharded(
+        let outcome = pool.run_sharded_with(
             total,
             shard_size,
-            |index| {
+            || None,
+            |server, index| {
                 let seed = self.seeds.get(index);
-                CampaignRun {
-                    seed,
-                    result: self.attack.run_once_with(&cache, self.victim_config_at(index, seed)),
-                }
+                let victim = self.victim_config_at(index, seed);
+                CampaignRun { seed, result: self.attack.run_once_with(&cache, victim, server) }
             },
             |index, run: &CampaignRun| {
                 successes += u64::from(run.result.success);
@@ -948,7 +965,7 @@ mod tests {
             let victim = VictimConfig::new(SchemeKind::Ssp, 0xD15EA5E);
             assert_eq!(
                 attack.run_once(victim),
-                attack.run_once_with(&cache, victim),
+                attack.run_once_with(&cache, victim, &mut None),
                 "{} must not depend on the construction path",
                 attack.name()
             );

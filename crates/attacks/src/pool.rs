@@ -11,7 +11,10 @@
 //! running each shard into a local buffer and depositing it once under
 //! the one lock, where an in-order walk hands the results back in index
 //! order.  A shard that lands at the prefix is walked straight from the
-//! worker's buffer, which the worker keeps for its next shard.
+//! worker's buffer, which the worker keeps for its next shard.  A worker
+//! can keep state of its own across its jobs too
+//! ([`JobPool::run_sharded_with`]): a campaign worker keeps one victim
+//! server and boots each of its victims into it.
 //!
 //! Because jobs are pure functions of their input, the output vector is
 //! identical whatever the worker count — parallelism only changes wall
@@ -169,6 +172,54 @@ impl JobPool {
         F: Fn(usize) -> R + Sync,
         S: FnMut(usize, &R) -> bool + Send,
     {
+        self.run_sharded_with(jobs, shard_size, || (), |(), index| job(index), settle)
+    }
+
+    /// [`JobPool::run_sharded`] with per-worker state: each worker calls
+    /// `init` once, before its first job, and hands the value to every job
+    /// it runs as `job(&mut state, index)`.  The value lives for the whole
+    /// run — across every shard the worker claims — and is dropped when
+    /// the worker stops, so a job can reuse what an earlier job on the
+    /// same worker allocated (a campaign worker keeps one victim server
+    /// and boots every victim it runs into it).
+    ///
+    /// Which jobs share a value depends on scheduling, so the determinism
+    /// guarantee needs `job`'s result to be independent of the state it
+    /// is handed: a job may reuse the state's allocations, never its
+    /// contents.  A worker that claims no shard never calls `init`, and a
+    /// panic in `init` cancels the run like a panic in `job`.
+    ///
+    /// ```
+    /// use polycanary_attacks::pool::JobPool;
+    ///
+    /// // Each worker keeps one scratch buffer across all of its jobs.
+    /// let outcome = JobPool::with_workers(2).run_sharded_with(
+    ///     6,
+    ///     2,
+    ///     Vec::<u64>::new,
+    ///     |scratch, i| {
+    ///         scratch.clear();
+    ///         scratch.extend(0..=i as u64);
+    ///         scratch.iter().sum::<u64>()
+    ///     },
+    ///     |_, _| false,
+    /// );
+    /// assert_eq!(outcome.results, vec![0, 1, 3, 6, 10, 15]);
+    /// ```
+    pub fn run_sharded_with<W, R, I, F, S>(
+        &self,
+        jobs: usize,
+        shard_size: usize,
+        init: I,
+        job: F,
+        settle: S,
+    ) -> ShardOutcome<R>
+    where
+        R: Send,
+        I: Fn() -> W + Sync,
+        F: Fn(&mut W, usize) -> R + Sync,
+        S: FnMut(usize, &R) -> bool + Send,
+    {
         let shard_size = shard_size.max(1);
         // `boundary` is the first index no shard may start at: `jobs`,
         // lowered to the settle point when `settle` fires and to 0 when a
@@ -184,8 +235,10 @@ impl JobPool {
         let work = || {
             let _cancel = CancelOnPanic(&boundary);
             // The worker's shard buffer, kept across shards that land at
-            // the prefix and so are walked straight from it.
+            // the prefix and so are walked straight from it, and its
+            // state, made on its first claimed shard.
             let mut buffer = Vec::new();
+            let mut state = None;
             loop {
                 let shard = next_shard.fetch_add(1, Ordering::Relaxed);
                 let start = shard.saturating_mul(shard_size);
@@ -194,8 +247,9 @@ impl JobPool {
                 }
                 shards_claimed.fetch_add(1, Ordering::Relaxed);
                 let end = start.saturating_add(shard_size).min(jobs);
+                let state = state.get_or_insert_with(&init);
                 buffer.clear();
-                buffer.extend((start..end).map(&job));
+                buffer.extend((start..end).map(|index| job(state, index)));
                 executed.fetch_add(buffer.len(), Ordering::Relaxed);
                 // A poisoned lock means `settle` panicked on another worker,
                 // which cancels the run: stop without touching the walk.
@@ -571,6 +625,148 @@ mod tests {
             });
             assert_eq!(panic_message(caught.unwrap_err()), "settle 5 failed", "workers {workers}");
         }
+    }
+
+    #[test]
+    fn worker_state_is_made_at_most_once_per_worker() {
+        for workers in [1, 2, 8] {
+            let inits = AtomicUsize::new(0);
+            let outcome = JobPool::with_workers(workers).run_sharded_with(
+                100,
+                3,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, index| index,
+                |_, _| false,
+            );
+            assert_eq!(outcome.results, (0..100).collect::<Vec<_>>(), "workers {workers}");
+            let inits = inits.into_inner();
+            assert!((1..=workers).contains(&inits), "workers {workers}: {inits} inits");
+        }
+        // Two workers but one shard: the worker that claims nothing never
+        // makes its state.
+        let inits = AtomicUsize::new(0);
+        let outcome = JobPool::with_workers(2).run_sharded_with(
+            2,
+            8,
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, index| index,
+            |_, _| false,
+        );
+        assert_eq!(outcome.results, vec![0, 1]);
+        assert_eq!(inits.into_inner(), 1);
+    }
+
+    #[test]
+    fn worker_state_persists_across_the_workers_shards() {
+        // Each worker's state is (token, jobs run so far).  Every token's
+        // counts are exactly 1..=k, so no worker's state was made twice
+        // or shared; at one worker the one state sees all 20 shards.
+        for workers in [1, 2, 8] {
+            let tokens = AtomicUsize::new(0);
+            let outcome = JobPool::with_workers(workers).run_sharded_with(
+                40,
+                2,
+                || (tokens.fetch_add(1, Ordering::Relaxed), 0usize),
+                |(token, ran), _| {
+                    *ran += 1;
+                    (*token, *ran)
+                },
+                |_, _| false,
+            );
+            let mut per_token = vec![Vec::new(); tokens.into_inner()];
+            for (token, ran) in outcome.results {
+                per_token[token].push(ran);
+            }
+            for (token, mut counts) in per_token.into_iter().enumerate() {
+                counts.sort_unstable();
+                let expected: Vec<_> = (1..=counts.len()).collect();
+                assert_eq!(counts, expected, "workers {workers}, token {token}");
+            }
+        }
+        let serial = JobPool::with_workers(1).run_sharded_with(
+            40,
+            2,
+            || 0usize,
+            |ran, _| {
+                *ran += 1;
+                *ran
+            },
+            |_, _| false,
+        );
+        assert_eq!(serial.results, (1..=40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn stateful_results_match_across_worker_counts() {
+        // The state is scratch whose contents each job overwrites, so the
+        // results, the settle point and the indices settle sees are the
+        // same at every worker count, with skewed costs too.
+        let job = skewed_job(4);
+        let run = |workers| {
+            let mut seen = Vec::new();
+            let outcome = JobPool::with_workers(workers).run_sharded_with(
+                60,
+                4,
+                Vec::<u64>::new,
+                |scratch, index| {
+                    scratch.clear();
+                    scratch.extend((0..=index as u64).map(mix));
+                    scratch.iter().fold(job(index), |acc, &x| acc ^ x)
+                },
+                |index, _| {
+                    seen.push(index);
+                    index == 45
+                },
+            );
+            (outcome.results, outcome.settled_at, seen)
+        };
+        let serial = run(1);
+        assert_eq!(serial.1, Some(46));
+        assert_eq!(serial.2, (0..46).collect::<Vec<_>>());
+        for workers in [2, 8] {
+            assert_eq!(run(workers), serial, "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn an_init_panic_reaches_the_caller_with_its_payload() {
+        // One worker: the caller's own `init` panics.
+        let caught = catch_unwind(|| {
+            JobPool::with_workers(1).run_sharded_with(
+                100,
+                1,
+                || -> usize { panic!("init failed") },
+                |_, index| index,
+                |_, _| false,
+            )
+        });
+        assert_eq!(panic_message(caught.unwrap_err()), "init failed");
+
+        // Four workers: only a helper's `init` panics.  The caller's first
+        // job waits until a helper has reached `init`, so the panic
+        // happens, and the run must still end with the helper's payload.
+        let caller = std::thread::current().id();
+        let reached = AtomicBool::new(false);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            JobPool::with_workers(4).run_sharded_with(
+                20_000,
+                1,
+                || {
+                    if std::thread::current().id() != caller {
+                        reached.store(true, Ordering::Release);
+                        panic!("helper init failed");
+                    }
+                },
+                |_, index| {
+                    while !reached.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    index
+                },
+                |_, _| false,
+            )
+        }));
+        assert_eq!(panic_message(caught.unwrap_err()), "helper init failed");
     }
 
     #[test]

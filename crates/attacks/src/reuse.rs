@@ -47,7 +47,8 @@ impl CanaryReuseAttack {
         let hijack_target = self.hijack_target;
 
         let (leaked, outcome) = server.serve_leak_then_overflow(b"STATUS", |leaked| {
-            let mut payload = vec![0x41u8; geometry.filler_len];
+            let mut payload = Vec::with_capacity(geometry.full_overwrite_len());
+            payload.resize(geometry.filler_len, 0x41u8);
             if leaked.len() >= canary_end {
                 payload.extend_from_slice(&leaked[canary_start..canary_end]);
             } else {

@@ -37,6 +37,14 @@
 //! byte-by-byte request therefore costs the interpreter plus the bytes it
 //! writes, not a stack copy.
 //!
+//! A campaign boots thousands of victims of one configuration, one after
+//! another, on each worker thread.  [`ForkingServer::reboot`] boots the
+//! next victim into the same server and keeps its worker process, so the
+//! worker's stack and I/O buffers are allocated once per campaign worker,
+//! not once per victim: the new victim's first fork
+//! zero-fills only the range the previous victim's worker wrote, and is
+//! still exactly a fresh fork.
+//!
 //! [`Machine::fork_into`]: polycanary_vm::machine::Machine::fork_into
 //!
 //! # Example
@@ -142,6 +150,20 @@ impl ForkingServer {
             requests: 0,
             crashed_workers: 0,
         }
+    }
+
+    /// Boots the victim `victim` with `seed` into this server: afterwards
+    /// the server equals `ForkingServer::from_snapshot(victim, seed)` in
+    /// every observable way, but it keeps its worker process.  The first
+    /// [`ForkingServer::connect`] then forks into that worker, which
+    /// zero-fills only what the previous victim's worker wrote instead of
+    /// allocating a fresh stack and I/O buffers.  Whatever state the
+    /// previous worker was left in — crashed, or mid keep-alive — the
+    /// refork makes it exactly the child a fresh fork would be.
+    pub fn reboot(&mut self, victim: &VictimSnapshot, seed: u64) {
+        let worker = self.worker.take();
+        *self = ForkingServer::from_snapshot(victim, seed);
+        self.worker = worker;
     }
 
     /// The victim's frame geometry (the attacker derives this from the

@@ -26,11 +26,14 @@ use polycanary_vm::snapshot::Snapshot;
 
 use crate::victim::{victim_module, Deployment, FrameGeometry, VictimConfig, HIJACK_TARGET};
 
-/// Stack size of fleet victims.  A server copies its stack once, on its
-/// worker's first write; every later connection reforks the reused worker
-/// by copying back only the bytes the previous one wrote, so the stack size
-/// no longer sets the cost of a fork.  A small stack keeps that one copy
-/// and the worker's footprint small without affecting any result.
+/// Stack size of fleet victims.  A campaign worker allocates its stack
+/// once, on the first write of the first victim it runs: every later
+/// connection, and every later victim booted into the same server
+/// ([`ForkingServer::reboot`](crate::server::ForkingServer::reboot)),
+/// reforks the kept worker by copying back or zero-filling only the bytes
+/// the previous one wrote, so the stack size no longer sets the cost of a
+/// fork or a boot.  A small stack keeps that one allocation and the
+/// worker's footprint small without affecting any result.
 pub(crate) const WORKER_STACK_SIZE: u64 = 16 * 1024;
 
 /// The seed-independent part of a [`VictimConfig`]: everything that decides

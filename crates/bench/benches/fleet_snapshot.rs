@@ -9,10 +9,19 @@
 //! configuration.  The `connect` cells time what a byte-by-byte campaign
 //! pays per request on a long-lived server: fork a connection into the
 //! reused worker, serve one benign request, drop the connection.
+//!
+//! The `victim/<label>` cells time one whole canary-reuse victim, boot
+//! plus attack, the unit of a reuse campaign.  `fresh` boots it into a new
+//! server (`ForkingServer::from_snapshot`), whose first connection
+//! allocates the worker's stack and I/O buffers; `reboot` boots it
+//! into a kept server (`ForkingServer::reboot`), as a campaign worker does
+//! for every victim after its first, which reforks the kept worker
+//! instead.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use polycanary_attacks::reuse::CanaryReuseAttack;
 use polycanary_attacks::snapshot::{VictimKey, VictimSnapshot};
 use polycanary_attacks::victim::{Deployment, ForkingServer, VictimConfig};
 use polycanary_core::scheme::SchemeKind;
@@ -48,6 +57,26 @@ fn bench(c: &mut Criterion) {
         let snapshot = VictimSnapshot::build(key);
         group.bench_with_input(BenchmarkId::new("restore", label), &snapshot, |b, snapshot| {
             b.iter(|| ForkingServer::from_snapshot(snapshot, 0xF1EE7))
+        });
+
+        // One canary-reuse victim, booted into a new server and into a
+        // kept one.
+        group.bench_with_input(
+            BenchmarkId::new("victim", format!("{label}/fresh")),
+            &snapshot,
+            |b, snapshot| {
+                b.iter(|| {
+                    let mut server = ForkingServer::from_snapshot(snapshot, 0xF1EE7);
+                    CanaryReuseAttack::default().run(&mut server)
+                })
+            },
+        );
+        let mut kept = ForkingServer::from_snapshot(&snapshot, 0xF1EE7);
+        group.bench_function(BenchmarkId::new("victim", format!("{label}/reboot")), |b| {
+            b.iter(|| {
+                kept.reboot(&snapshot, 0xF1EE7);
+                CanaryReuseAttack::default().run(&mut kept)
+            })
         });
 
         // Per-request fork path: one benign request per connection.

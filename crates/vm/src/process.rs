@@ -25,7 +25,8 @@ impl std::fmt::Display for Pid {
 /// processes sharing a program, which is how the simulator models them too).
 ///
 /// [`Clone::clone_from`] reuses the target's allocations (memory segments,
-/// TLS block, bookkeeping vectors); [`Process::fork_into`] is built on it.
+/// bookkeeping vectors, input and output buffers); [`Process::fork_into`]
+/// is built on it.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Process {
     pid: Pid,
@@ -56,8 +57,9 @@ pub struct Process {
 }
 
 impl Process {
-    /// Creates a fresh process with a zeroed memory image, which allocates
-    /// nothing until the process writes it (see [`Memory`]).
+    /// Creates a fresh process with a zeroed memory image and TLS block.
+    /// It allocates nothing until the process writes its memory (see
+    /// [`Memory`]).
     ///
     /// `seed` parameterises the per-process hardware entropy devices so that
     /// runs are reproducible; the *TLS canary itself* is set by the loader
@@ -84,12 +86,12 @@ impl Process {
     }
 
     /// A placeholder process that allocates nothing, for a fork to clone
-    /// into: a fresh image and an empty TLS block.
+    /// into: a fresh image and a zeroed TLS block.
     pub(crate) fn vacant() -> Process {
         Process {
             pid: Pid(0),
             memory: Memory::new(),
-            tls: Tls::vacant(),
+            tls: Tls::new(),
             hwrng: HardwareRng::new(0),
             tsc: TimeStampCounter::default(),
             canary_addresses: Vec::new(),
@@ -183,9 +185,13 @@ impl Process {
         self.output.extend_from_slice(bytes);
     }
 
-    /// Takes and clears the accumulated output.
+    /// Takes and clears the accumulated output.  The bytes are copied
+    /// out and the channel keeps its capacity, so a reused worker's
+    /// output grows once, not once per connection.
     pub fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.output)
+        let output = self.output.clone();
+        self.output.clear();
+        output
     }
 
     /// The accumulated output without clearing it.

@@ -29,32 +29,18 @@ pub const TLS_SIZE: u64 = 0x400;
 ///
 /// Cloning a [`Tls`] is exactly what `fork()` does to the child's TLS: a
 /// byte-for-byte copy of the parent's block (§II-B of the paper explains why
-/// this is the root cause of the byte-by-byte attack).  [`Clone::clone_from`]
-/// copies into the existing block instead of allocating a new one.
-#[derive(Debug, PartialEq, Eq)]
+/// this is the root cause of the byte-by-byte attack).  The block is held
+/// inline, so creating, cloning and booting a process with one allocates
+/// nothing: a clone is a 1 KiB copy into the child's own block.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tls {
-    bytes: Vec<u8>,
-}
-
-impl Clone for Tls {
-    fn clone(&self) -> Self {
-        Tls { bytes: self.bytes.clone() }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.bytes.clone_from(&source.bytes);
-    }
+    bytes: [u8; TLS_SIZE as usize],
 }
 
 impl Tls {
     /// Creates a zeroed TLS block.
     pub fn new() -> Self {
-        Tls { bytes: vec![0u8; TLS_SIZE as usize] }
-    }
-
-    /// An empty placeholder that allocates nothing, for `clone_from` to fill.
-    pub(crate) fn vacant() -> Self {
-        Tls { bytes: Vec::new() }
+        Tls { bytes: [0u8; TLS_SIZE as usize] }
     }
 
     /// Reads a 64-bit word at `offset`.

@@ -9,10 +9,12 @@
 //! dataflow buffers across a module's functions.  These tests pin both.
 //!
 //! The VM's memory image is pinned too: an untouched segment reads from a
-//! static zero block, so building an image, capturing a snapshot, booting
-//! a process and reforking a worker from an untouched parent allocate no
-//! segment — the costs every victim build and every boot of a fleet
-//! campaign pays.
+//! static zero block and the TLS block is inline, so building an image,
+//! capturing a snapshot, booting a process and reforking a worker from an
+//! untouched parent allocate no segment — the costs every victim build and
+//! every boot of a fleet campaign pays.  A campaign worker boots each of
+//! its victims into one kept server, so a canary-reuse victim allocates
+//! only what it returns.
 //!
 //! A thread-local counting allocator counts the measured call alone:
 //! `prepare` runs debug-only checks that allocate.
@@ -21,10 +23,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use polycanary::attacks::{
+    CanaryReuseAttack, Deployment, ForkingServer, VictimConfig, VictimKey, VictimSnapshot,
+};
 use polycanary::compiler::ir::ModuleDef;
 use polycanary::compiler::{Compiler, OptLevel};
 use polycanary::core::SchemeKind;
 use polycanary::verifier::verify_compiled;
+use polycanary::vm::tls::TLS_SIZE;
 use polycanary::vm::{ExecConfig, Inst, Machine, Memory, NoHooks, Process, Program, Reg, Snapshot};
 use polycanary::workloads::{spec_suite, DatabaseModel, ServerModel};
 
@@ -33,30 +39,34 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation of `bytes` bytes (a reallocation counts its new
+/// size).
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also serves threads that are tearing down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call forwards unchanged to the system allocator; counting
 // touches only a thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded with the caller's layout.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded with the caller's layout.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from this allocator, which is the system one.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -72,6 +82,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn bytes_allocated() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// The 32 modules of the full `harness verify` sweep: every SPEC-like
@@ -208,11 +222,12 @@ fn a_snapshot_allocates_only_the_shared_program() {
     assert_eq!(snapshot.stack_size(), 16 * 1024);
 }
 
-/// What one boot allocates: the TLS block, and no image segment.
-const BOOT_ALLOCATIONS: u64 = 1;
+/// What one boot allocates: nothing.  The TLS block is inline and no
+/// image segment is made before the process writes.
+const BOOT_ALLOCATIONS: u64 = 0;
 
 #[test]
-fn spawn_and_restore_each_allocate_only_the_tls_block() {
+fn spawn_and_restore_allocate_nothing() {
     let snapshot = Snapshot::new(one_function_program(), ExecConfig::default(), 16 * 1024);
     let mut machine = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 5);
     for round in 0..3 {
@@ -247,5 +262,44 @@ fn reforking_a_worker_from_an_untouched_parent_allocates_nothing() {
         serve(&mut worker, round);
         assert_eq!(allocations() - before, 0, "refork and serve {round}");
         assert!(clean, "refork {round} restores the parent's image");
+    }
+}
+
+#[test]
+fn a_reuse_victim_rebooted_into_a_kept_server_allocates_only_its_results() {
+    /// Allocations of one canary-reuse victim booted into a kept server
+    /// (`ForkingServer::reboot`), by scheme: the leaked bytes, the
+    /// overflow payload and the recovered canary, plus the runtime hooks'
+    /// `Box` for the P-SSP schemes.  No stack and no I/O buffer.
+    const CELLS: [(SchemeKind, Deployment, u64); 3] = [
+        (SchemeKind::Ssp, Deployment::Compiler, 3),
+        (SchemeKind::Pssp, Deployment::Compiler, 4),
+        (SchemeKind::PsspBin32, Deployment::BinaryRewriter, 4),
+    ];
+    let snapshots = CELLS.map(|(scheme, deployment, _)| {
+        VictimSnapshot::build(VictimKey::of(
+            &VictimConfig::new(scheme, 0).with_deployment(deployment),
+        ))
+    });
+    let mut server = ForkingServer::from_snapshot(&snapshots[0], 1);
+    // Round 0 warms the kept worker on every scheme; from then on each
+    // victim's count is exact.
+    for round in 0..4u64 {
+        for ((scheme, _, expected), snapshot) in CELLS.iter().zip(&snapshots) {
+            let seed = 0x5EED + round;
+            let (before, bytes_before) = (allocations(), bytes_allocated());
+            server.reboot(snapshot, seed);
+            let result = CanaryReuseAttack::default().run(&mut server);
+            let (made, bytes) = (allocations() - before, bytes_allocated() - bytes_before);
+            assert_eq!(
+                result,
+                CanaryReuseAttack::default().run(&mut ForkingServer::from_snapshot(snapshot, seed)),
+                "{scheme}, round {round}: a rebooted victim is a fresh one"
+            );
+            if round > 0 {
+                assert_eq!(made, *expected, "{scheme}, round {round} ({bytes} bytes)");
+                assert!(bytes < TLS_SIZE, "{scheme}, round {round}: {bytes} bytes");
+            }
+        }
     }
 }

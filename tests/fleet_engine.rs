@@ -12,12 +12,16 @@
 //!   nothing until a seed is actually drawn,
 //! * the reused worker slot behind `ForkingServer::connect` reproduces the
 //!   values pinned from the allocate-per-connection server: leaked canary
-//!   bytes, request outcomes, counters and byte-by-byte results.
+//!   bytes, request outcomes, counters and byte-by-byte results,
+//! * a server rebooted into its kept worker (`ForkingServer::reboot`, the
+//!   campaign boot path) reproduces the same values, and a mixed canary
+//!   reuse campaign on kept servers equals from-scratch victims at 1, 2
+//!   and 8 workers.
 
 use polycanary::analysis::scrub::scrub;
 use polycanary::attacks::{
-    derive_seed, AttackKind, ByteByByteAttack, Campaign, Deployment, ForkingServer, StopRule,
-    VictimConfig, VictimKey, VictimSnapshot, HIJACK_TARGET,
+    derive_seed, AttackKind, ByteByByteAttack, Campaign, Deployment, ForkingServer, Population,
+    PopulationMember, StopRule, VictimConfig, VictimKey, VictimSnapshot, HIJACK_TARGET,
 };
 use polycanary::core::SchemeKind;
 
@@ -169,7 +173,12 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// leak-then-overflow reuse — logged as `kind outcome(s) canary/leak-hash`,
 /// then the server's counters.
 fn connection_log(config: VictimConfig) -> Vec<String> {
-    let mut server = ForkingServer::new(config);
+    log_connections(&mut ForkingServer::new(config))
+}
+
+/// [`connection_log`] against an already booted server.  The last
+/// connection is a hijack, so the server's worker is left crashed.
+fn log_connections(server: &mut ForkingServer) -> Vec<String> {
     let geom = server.geometry();
     let region = geom.filler_len..geom.filler_len + geom.canary_region_len;
     let leak = |leaked: &[u8]| format!("{}/{:016x}", hex(&leaked[region.clone()]), fnv64(leaked));
@@ -295,6 +304,87 @@ fn reused_worker_reproduces_pinned_connection_values() {
     for (scheme, deployment, expected) in cells {
         let config = VictimConfig::new(scheme, 0x601D).with_deployment(deployment);
         assert_eq!(connection_log(config), expected, "{scheme}");
+    }
+}
+
+/// The victim configurations whose connection logs
+/// `reused_worker_reproduces_pinned_connection_values` pins.
+const PINNED_CELLS: [(SchemeKind, Deployment); 4] = [
+    (SchemeKind::Ssp, Deployment::Compiler),
+    (SchemeKind::Pssp, Deployment::Compiler),
+    (SchemeKind::PsspNt, Deployment::Compiler),
+    (SchemeKind::PsspBin32, Deployment::BinaryRewriter),
+];
+
+#[test]
+fn kept_server_rebooted_through_every_config_reproduces_the_pinned_logs() {
+    // One server is rebooted through every pinned configuration in turn,
+    // forwards and backwards, so each victim boots into a worker another
+    // scheme's victim used.  That worker is left crashed (every log ends
+    // in a hijack) or holding a keep-alive connection that survived a
+    // request.  Each victim must still log exactly what a server of its
+    // own logs, which the pinned test fixes value by value.
+    let configs = PINNED_CELLS
+        .map(|(scheme, deployment)| VictimConfig::new(scheme, 0x601D).with_deployment(deployment));
+    let fresh = configs.map(connection_log);
+    let snapshots = configs.map(|config| VictimSnapshot::build(VictimKey::of(&config)));
+    for keep_alive in [false, true] {
+        for reversed in [false, true] {
+            let mut order: Vec<usize> = (0..configs.len()).collect();
+            if reversed {
+                order.reverse();
+            }
+            let warm = order[order.len() - 1];
+            let mut server = ForkingServer::from_snapshot(&snapshots[warm], 0xBEEF);
+            log_connections(&mut server);
+            for index in order {
+                if keep_alive {
+                    let mut conn = server.connect();
+                    assert!(conn.send(b"ping").survived());
+                    assert!(conn.is_open());
+                }
+                server.reboot(&snapshots[index], configs[index].seed);
+                let context = format!("{} (keep-alive {keep_alive})", configs[index].scheme);
+                assert_eq!(log_connections(&mut server), fresh[index], "{context}");
+            }
+        }
+    }
+}
+
+#[test]
+fn mixed_reuse_campaign_on_kept_servers_matches_from_scratch_victims() {
+    // Every campaign worker boots its victims into one kept server; the
+    // runs must equal per-victim from-scratch compiles and boots at every
+    // worker count.
+    let population = Population::from_members(
+        "ssp-pssp-bin32",
+        [
+            PopulationMember::new(1, SchemeKind::Ssp),
+            PopulationMember::new(1, SchemeKind::Pssp),
+            PopulationMember::new(1, SchemeKind::PsspBin32)
+                .with_deployment(Deployment::BinaryRewriter),
+        ],
+    );
+    let base = Campaign::against(AttackKind::Reuse, population)
+        .with_seed_range(0x4EE5_F1EE7, 300)
+        .with_stop_rule(StopRule::Exhaustive)
+        .with_shard_size(8);
+    let expected: Vec<_> = (0..base.seed_count())
+        .map(|index| {
+            let seed = base.seed_at(index);
+            AttackKind::Reuse.run_once(base.victim_config_at(index, seed))
+        })
+        .collect();
+    for scheme in [SchemeKind::Ssp, SchemeKind::Pssp, SchemeKind::PsspBin32] {
+        assert!(expected.iter().any(|result| result.scheme == scheme), "the fleet mixes {scheme}");
+    }
+    for workers in [1, 2, 8] {
+        let report = base.clone().with_workers(workers).run();
+        assert_eq!(report.runs.len(), expected.len(), "{workers} workers");
+        for (index, (run, result)) in report.runs.iter().zip(&expected).enumerate() {
+            assert_eq!(run.seed, base.seed_at(index), "{workers} workers, victim {index}");
+            assert_eq!(&run.result, result, "{workers} workers, victim {index}");
+        }
     }
 }
 

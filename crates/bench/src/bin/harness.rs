@@ -126,7 +126,7 @@ fn print_usage() {
          \x20      deployment x opt-level cell; exits 1 on any finding.  --inject DEFECT\n\
          \x20      runs the known-bad battery instead (defects: skipped-prologue,\n\
          \x20      clobbered-canary, dropped-epilogue, dead-check, stale-rewrite,\n\
-         \x20      optimizer-dropped-check)"
+         \x20      optimizer-dropped-check, self-compared-canary)"
     );
 }
 

@@ -28,8 +28,8 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use polycanary_core::scheme::SchemeKind;
-use polycanary_vm::inst::Inst;
-use polycanary_vm::reg::Reg;
+use polycanary_vm::inst::{is_abort_guard, Inst};
+use polycanary_vm::reg::{Reg, RegSet};
 
 use crate::frame::FrameLayout;
 use crate::ir::{FunctionDef, Stmt};
@@ -460,184 +460,33 @@ fn canary_slots(layout: &FrameLayout) -> Vec<i32> {
     slots
 }
 
-/// A set of registers as a bit mask: bit [`Reg::index`] stands for the
-/// register.
-type RegMask = u16;
-
-/// Every register: the conservative answer for a call or an unknown
-/// instruction.
-const ALL_REGS: RegMask = RegMask::MAX;
-
-/// The mask of one register.
-fn bit(reg: Reg) -> RegMask {
-    1 << reg.index()
-}
-
-/// Registers referenced (read or written) by an instruction, including the
-/// implicit operands of `rdtsc` and the AES helper.  Unknown instructions
-/// conservatively reference every register, which empties the cache pool
-/// and makes the elimination bail.
-fn regs_referenced(inst: &Inst) -> RegMask {
-    match inst {
-        Inst::PushReg(r)
-        | Inst::PopReg(r)
-        | Inst::TestReg(r)
-        | Inst::Rdrand(r)
-        | Inst::InputLenToReg(r)
-        | Inst::OutputReg(r) => bit(*r),
-        Inst::MovRegReg { dst, src }
-        | Inst::XorRegReg { dst, src }
-        | Inst::AddRegReg { dst, src }
-        | Inst::OrRegReg { dst, src } => bit(*dst) | bit(*src),
-        Inst::MovTlsToReg { dst, .. }
-        | Inst::MovFrameToReg { dst, .. }
-        | Inst::MovFrameToReg32 { dst, .. }
-        | Inst::MovImmToReg { dst, .. }
-        | Inst::LeaFrameToReg { dst, .. }
-        | Inst::XorTlsReg { dst, .. }
-        | Inst::ShlRegImm { dst, .. }
-        | Inst::ShrRegImm { dst, .. } => bit(*dst),
-        Inst::MovRegToTls { src, .. }
-        | Inst::MovRegToFrame { src, .. }
-        | Inst::MovRegToFrame32 { src, .. } => bit(*src),
-        Inst::MovMemToReg { dst, base, .. } => bit(*dst) | bit(*base),
-        Inst::MovRegToMem { src, base, .. } => bit(*src) | bit(*base),
-        Inst::CmpFrameReg { reg, .. } | Inst::CmpRegImm { reg, .. } => bit(*reg),
-        Inst::Rdtsc => bit(Reg::Rax) | bit(Reg::Rdx),
-        Inst::AesEncryptFrame { nonce } => {
-            bit(*nonce) | bit(Reg::Rax) | bit(Reg::Rdx) | bit(Reg::R12) | bit(Reg::R13)
-        }
-        Inst::CallFn(_) => ALL_REGS,
-        Inst::CallCheckCanary32 => bit(Reg::Rdi),
-        Inst::SubRspImm(_)
-        | Inst::AddRspImm(_)
-        | Inst::Leave
-        | Inst::Ret
-        | Inst::MovImmToFrame { .. }
-        | Inst::JeSkip(_)
-        | Inst::JneSkip(_)
-        | Inst::JmpSkip(_)
-        | Inst::CallStackChkFail
-        | Inst::Nop
-        | Inst::RecordCanaryAddress { .. }
-        | Inst::PopCanaryAddress
-        | Inst::LinkCanaryPush { .. }
-        | Inst::LinkCanaryPop { .. }
-        | Inst::CopyInputToFrame { .. }
-        | Inst::CopyInputToFrameBounded { .. }
-        | Inst::Compute(_) => 0,
-        // `Inst` is non_exhaustive: a variant this pass has never seen must
-        // poison the whole pool rather than be silently treated as dead.
-        _ => ALL_REGS,
-    }
-}
-
-/// The cache-pool registers not referenced anywhere in the function.
+/// The cache-pool registers not referenced anywhere in the function.  A
+/// call references every register, which empties the pool.
 fn free_regs(insts: &[Inst]) -> Vec<Reg> {
-    let used = insts.iter().fold(0, |used, inst| used | regs_referenced(inst));
-    CACHE_POOL.iter().copied().filter(|&r| used & bit(r) == 0).collect()
-}
-
-/// Registers written by an instruction (register destinations only).
-fn regs_written(inst: &Inst) -> RegMask {
-    match inst {
-        Inst::PopReg(r) | Inst::Rdrand(r) | Inst::InputLenToReg(r) => bit(*r),
-        Inst::MovRegReg { dst, .. }
-        | Inst::MovTlsToReg { dst, .. }
-        | Inst::MovFrameToReg { dst, .. }
-        | Inst::MovFrameToReg32 { dst, .. }
-        | Inst::MovImmToReg { dst, .. }
-        | Inst::LeaFrameToReg { dst, .. }
-        | Inst::MovMemToReg { dst, .. }
-        | Inst::XorRegReg { dst, .. }
-        | Inst::XorTlsReg { dst, .. }
-        | Inst::AddRegReg { dst, .. }
-        | Inst::ShlRegImm { dst, .. }
-        | Inst::ShrRegImm { dst, .. }
-        | Inst::OrRegReg { dst, .. } => bit(*dst),
-        Inst::Rdtsc | Inst::AesEncryptFrame { .. } => bit(Reg::Rax) | bit(Reg::Rdx),
-        Inst::CallFn(_) => ALL_REGS,
-        _ => 0,
-    }
-}
-
-/// Whether the instruction both reads and writes its destination (so the
-/// def-chain of the value continues through it).
-fn is_read_modify_write(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::XorRegReg { .. }
-            | Inst::XorTlsReg { .. }
-            | Inst::AddRegReg { .. }
-            | Inst::ShlRegImm { .. }
-            | Inst::ShrRegImm { .. }
-            | Inst::OrRegReg { .. }
-    )
-}
-
-/// Renames every occurrence of `from` (as any operand) to `to`.
-fn rename_reg(inst: &mut Inst, from: Reg, to: Reg) {
-    let fix = |r: &mut Reg| {
-        if *r == from {
-            *r = to;
-        }
-    };
-    match inst {
-        Inst::PushReg(r)
-        | Inst::PopReg(r)
-        | Inst::TestReg(r)
-        | Inst::Rdrand(r)
-        | Inst::InputLenToReg(r)
-        | Inst::OutputReg(r) => fix(r),
-        Inst::MovRegReg { dst, src }
-        | Inst::XorRegReg { dst, src }
-        | Inst::AddRegReg { dst, src }
-        | Inst::OrRegReg { dst, src } => {
-            fix(dst);
-            fix(src);
-        }
-        Inst::MovTlsToReg { dst, .. }
-        | Inst::MovFrameToReg { dst, .. }
-        | Inst::MovFrameToReg32 { dst, .. }
-        | Inst::MovImmToReg { dst, .. }
-        | Inst::LeaFrameToReg { dst, .. }
-        | Inst::XorTlsReg { dst, .. }
-        | Inst::ShlRegImm { dst, .. }
-        | Inst::ShrRegImm { dst, .. } => fix(dst),
-        Inst::MovRegToTls { src, .. }
-        | Inst::MovRegToFrame { src, .. }
-        | Inst::MovRegToFrame32 { src, .. } => fix(src),
-        Inst::MovMemToReg { dst, base, .. } => {
-            fix(dst);
-            fix(base);
-        }
-        Inst::MovRegToMem { src, base, .. } => {
-            fix(src);
-            fix(base);
-        }
-        Inst::CmpFrameReg { reg, .. } | Inst::CmpRegImm { reg, .. } => fix(reg),
-        Inst::AesEncryptFrame { nonce } => fix(nonce),
-        _ => {}
-    }
+    let used = insts.iter().fold(RegSet::EMPTY, |used, inst| {
+        let effects = inst.effects();
+        used.union(effects.reads).union(effects.writes)
+    });
+    CACHE_POOL.iter().copied().filter(|&r| !used.contains(r)).collect()
 }
 
 /// Index of the latest instruction before `before` that writes `reg`.
 fn find_write_before(insts: &[Inst], before: usize, reg: Reg) -> Option<usize> {
-    (0..before).rev().find(|&i| regs_written(&insts[i]) & bit(reg) != 0)
+    (0..before).rev().find(|&i| insts[i].effects().writes.contains(reg))
 }
 
 /// Index of the first instruction after `after` that writes `reg`.
 fn find_write_after(insts: &[Inst], after: usize, reg: Reg) -> Option<usize> {
-    (after + 1..insts.len()).find(|&i| regs_written(&insts[i]) & bit(reg) != 0)
+    (after + 1..insts.len()).find(|&i| insts[i].effects().writes.contains(reg))
 }
 
 /// Rewrites `prologue` so the value stored to each canary slot survives in a
-/// register from `free` until the (replaced) epilogue: explicit definitions
-/// (`rdrand`, TLS loads, moves) are renamed along their def-use chain;
-/// implicit definitions (`rdtsc`, the AES helper, whose destinations are
-/// architecturally fixed) get a `mov` copy inserted right after the
-/// definition.  Returns the `(slot, register)` cache map, or `None` if any
-/// slot's value cannot be traced (in which case `prologue` must be
+/// register from `free` until the (replaced) epilogue: a definition through
+/// an explicit operand (`rdrand`, TLS loads, moves) is renamed along its
+/// def-use chain; an implicit one (`rdtsc`, the AES helper, whose
+/// destinations are architecturally fixed) gets a `mov` copy inserted right
+/// after the definition.  Returns the `(slot, register)` cache map, or `None`
+/// if any slot's value cannot be traced (in which case `prologue` must be
 /// discarded).
 fn cache_canary_values(
     prologue: &mut Vec<Inst>,
@@ -646,37 +495,34 @@ fn cache_canary_values(
 ) -> Option<Vec<(i32, Reg)>> {
     let mut cached = Vec::with_capacity(slots.len());
     for &slot in slots {
-        let store = prologue
-            .iter()
-            .position(|i| matches!(i, Inst::MovRegToFrame { offset, .. } if *offset == slot))?;
-        let src = match prologue[store] {
-            Inst::MovRegToFrame { src, .. } => src,
-            _ => unreachable!("position above matched MovRegToFrame"),
-        };
+        let (store, src) = prologue.iter().enumerate().find_map(|(i, inst)| match *inst {
+            Inst::MovRegToFrame { src, offset } if offset == slot => Some((i, src)),
+            _ => None,
+        })?;
 
         // Walk the def chain back through read-modify-write instructions to
         // the terminal definition of the stored value.
         let mut def = find_write_before(prologue, store, src)?;
-        while is_read_modify_write(&prologue[def]) {
+        while prologue[def].effects().updates.contains(src) {
             def = find_write_before(prologue, def, src)?;
         }
 
         let cache_reg = free.pop()?;
-        match prologue[def] {
-            Inst::Rdtsc | Inst::AesEncryptFrame { .. } => {
-                prologue.insert(def + 1, Inst::MovRegReg { dst: cache_reg, src });
+        let def_effects = prologue[def].effects();
+        if def_effects.implicit_writes.contains(src) {
+            prologue.insert(def + 1, Inst::MovRegReg { dst: cache_reg, src });
+        } else if def_effects.reads.contains(src) {
+            // Renaming would rename the definition's own input too.
+            return None;
+        } else {
+            let end = find_write_after(prologue, store, src).unwrap_or(prologue.len());
+            for inst in &mut prologue[def..end] {
+                inst.for_each_operand_mut(|reg, _| {
+                    if *reg == src {
+                        *reg = cache_reg;
+                    }
+                });
             }
-            Inst::MovTlsToReg { .. }
-            | Inst::Rdrand(_)
-            | Inst::MovRegReg { .. }
-            | Inst::MovFrameToReg { .. }
-            | Inst::MovImmToReg { .. } => {
-                let end = find_write_after(prologue, store, src).unwrap_or(prologue.len());
-                for inst in &mut prologue[def..end] {
-                    rename_reg(inst, src, cache_reg);
-                }
-            }
-            _ => return None,
         }
         cached.push((slot, cache_reg));
     }
@@ -787,9 +633,7 @@ pub fn estimate_cycles(insts: &[Inst]) -> u64 {
     let mut i = 0;
     while i < insts.len() {
         total += insts[i].cycles();
-        if matches!(insts[i], Inst::JeSkip(1))
-            && matches!(insts.get(i + 1), Some(Inst::CallStackChkFail))
-        {
+        if is_abort_guard(insts, i) {
             i += 1;
         }
         i += 1;
@@ -1084,13 +928,12 @@ mod tests {
     #[test]
     fn register_masks_cover_implicit_operands_and_poison_on_calls() {
         use polycanary_vm::inst::FuncId;
-        assert_eq!(regs_referenced(&Inst::MovRegReg { dst: Reg::Rbx, src: Reg::R15 }), 0x8002);
-        assert_eq!(regs_written(&Inst::MovRegReg { dst: Reg::Rbx, src: Reg::R15 }), 0x0002);
-        assert_eq!(regs_referenced(&Inst::Rdtsc), bit(Reg::Rax) | bit(Reg::Rdx));
-        assert_eq!(regs_referenced(&Inst::Compute(5)), 0);
-        assert_eq!(regs_referenced(&Inst::CallFn(FuncId(0))), ALL_REGS);
-        assert_eq!(regs_written(&Inst::CallFn(FuncId(0))), ALL_REGS);
+        // The exact masks are pinned against execution in `polycanary_vm`'s
+        // effects property test; here, what the pass makes of them.
         assert!(free_regs(&[Inst::CallFn(FuncId(0))]).is_empty(), "a call empties the pool");
+        assert_eq!(free_regs(&[Inst::Rdtsc, Inst::Compute(5)]), CACHE_POOL);
+        let prologue = [Inst::Rdtsc, Inst::MovRegToFrame { src: Reg::Rdx, offset: -8 }];
+        assert_eq!(find_write_before(&prologue, 1, Reg::Rdx), Some(0), "rdtsc writes rdx");
         let free = free_regs(&[Inst::MovRegReg { dst: Reg::Rbx, src: Reg::R15 }]);
         assert_eq!(free, [Reg::Rsi, Reg::R8, Reg::R9, Reg::R10, Reg::R11, Reg::R14]);
     }

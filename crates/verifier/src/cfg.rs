@@ -2,19 +2,19 @@
 //!
 //! The instruction set encodes control flow as *relative skips*: a branch at
 //! index `i` with skip `n` transfers to index `i + 1 + n` when taken (see
-//! [`Inst::branch_skip`]).  Block leaders are therefore the function entry,
-//! every branch target, and every instruction following a branch, call or
-//! return; successor edges follow the interpreter semantics exactly —
-//! `jmp` has only its taken edge, `ret` has none, and
-//! [`Inst::CallStackChkFail`] aborts the process, so it has no successors
-//! either.
+//! [`Flow::Branch`], read from [`Inst::effects`]).  Block leaders are
+//! therefore the function entry, every branch target, and every instruction
+//! following a branch, call, return or abort; successor edges follow the
+//! interpreter semantics exactly — `jmp` has only its taken edge, `ret` has
+//! none, and [`Inst::CallStackChkFail`] aborts the process, so it has no
+//! successors either.
 //!
 //! The graph is deliberately generic (no canary knowledge): it is the
 //! substrate for the dataflow pass in [`crate::dataflow`] and is exposed so
 //! future passes — instruction scheduling, dead-store elimination — can
 //! reuse it unchanged.
 
-use polycanary_vm::inst::Inst;
+use polycanary_vm::inst::{Flow, Inst};
 
 /// One basic block: the half-open instruction range `[start, end)` plus its
 /// successor edges (block ids).  A block ends in at most one branch, so it
@@ -27,6 +27,7 @@ pub struct BasicBlock {
     pub end: usize,
     successors: [usize; 2],
     successor_count: u8,
+    taken: Option<usize>,
 }
 
 impl BasicBlock {
@@ -41,6 +42,12 @@ impl BasicBlock {
     /// (control falls off the function).
     pub fn successors(&self) -> &[usize] {
         &self.successors[..usize::from(self.successor_count)]
+    }
+
+    /// Id of the block the taken edge of this block's closing branch leads
+    /// to, if it has one inside the body.
+    pub fn taken(&self) -> Option<usize> {
+        self.taken
     }
 
     fn add_successor(&mut self, id: usize) {
@@ -85,16 +92,11 @@ impl Cfg {
         block_index.resize(insts.len(), 0);
         block_index[0] = 1;
         for (i, inst) in insts.iter().enumerate() {
-            if let Some(skip) = inst.branch_skip() {
-                if let Some(target) = i.checked_add(1 + skip) {
-                    if target < insts.len() {
-                        block_index[target] = 1;
-                    }
-                }
-                if i + 1 < insts.len() {
-                    block_index[i + 1] = 1;
-                }
-            } else if (inst.is_call() || !inst.falls_through()) && i + 1 < insts.len() {
+            let flow = inst.effects().flow;
+            if let Some(target) = taken_target(i, flow, insts.len()) {
+                block_index[target] = 1;
+            }
+            if flow != Flow::Next && i + 1 < insts.len() {
                 block_index[i + 1] = 1;
             }
         }
@@ -111,6 +113,7 @@ impl Cfg {
                     end: i + 1,
                     successors: [0; 2],
                     successor_count: 0,
+                    taken: None,
                 });
                 start = i + 1;
             }
@@ -119,16 +122,13 @@ impl Cfg {
         // Successor edges from each block's last instruction.
         for block in blocks.iter_mut() {
             let last = block.end - 1;
-            let inst = &insts[last];
-            if inst.falls_through() && block.end < insts.len() {
+            let flow = insts[last].effects().flow;
+            if flow.falls_through() && block.end < insts.len() {
                 block.add_successor(block_index[block.end]);
             }
-            if let Some(skip) = inst.branch_skip() {
-                if let Some(target) = last.checked_add(1 + skip) {
-                    if target < insts.len() {
-                        block.add_successor(block_index[target]);
-                    }
-                }
+            if let Some(target) = taken_target(last, flow, insts.len()) {
+                block.taken = Some(block_index[target]);
+                block.add_successor(block_index[target]);
             }
         }
     }
@@ -147,33 +147,26 @@ impl Cfg {
         self.block_index[index]
     }
 
-    /// Per-block reachability from the entry block.
+    /// Per-block reachability from the entry block.  Every edge leads to a
+    /// later block (a skip is never negative), so one pass in block order
+    /// marks them all.
     pub fn reachable(&self) -> Vec<bool> {
-        let mut seen = Vec::new();
-        self.mark_reachable(&mut seen, &mut Vec::new());
-        seen
-    }
-
-    /// [`Cfg::reachable`] into `seen`, with `work` as the worklist; both are
-    /// cleared first and keep their capacity.
-    pub(crate) fn mark_reachable(&self, seen: &mut Vec<bool>, work: &mut Vec<usize>) {
-        seen.clear();
-        seen.resize(self.blocks.len(), false);
-        work.clear();
-        if self.blocks.is_empty() {
-            return;
-        }
-        work.push(0);
-        seen[0] = true;
-        while let Some(id) = work.pop() {
-            for &succ in self.blocks[id].successors() {
-                if !seen[succ] {
-                    seen[succ] = true;
-                    work.push(succ);
-                }
+        let mut seen = vec![false; self.blocks.len()];
+        for (id, block) in self.blocks.iter().enumerate() {
+            if id == 0 || seen[id] {
+                seen[id] = true;
+                block.successors().iter().for_each(|&succ| seen[succ] = true);
             }
         }
+        seen
     }
+}
+
+/// The index the taken edge of the instruction at `index` leads to, when it
+/// is a branch whose target lies inside a body of `len` instructions.
+fn taken_target(index: usize, flow: Flow, len: usize) -> Option<usize> {
+    let Flow::Branch { skip, .. } = flow else { return None };
+    index.checked_add(1)?.checked_add(skip).filter(|&target| target < len)
 }
 
 #[cfg(test)]
@@ -205,6 +198,7 @@ mod tests {
         // [test, je] / [fail] / [nop, ret]
         assert_eq!(cfg.blocks().len(), 3);
         assert_eq!(cfg.blocks()[0].successors(), [1, 2]);
+        assert_eq!(cfg.blocks()[0].taken(), Some(2));
         assert!(cfg.blocks()[1].successors().is_empty(), "__stack_chk_fail aborts");
         assert!(cfg.blocks()[2].successors().is_empty());
         assert_eq!(cfg.block_of(2), 1);
@@ -238,6 +232,7 @@ mod tests {
         let last = &cfg.blocks()[cfg.block_of(1)];
         // Only the fall-through edge to the ret block survives.
         assert_eq!(last.successors(), [cfg.block_of(2)]);
+        assert_eq!(last.taken(), None);
     }
 
     #[test]

@@ -7,10 +7,20 @@
 //!   (joins are bitwise unions, so "some path reaches here with the slot
 //!   unset" is never lost),
 //! * whether every path since the last canary store has passed an epilogue
-//!   check, and
+//!   check,
+//! * which registers hold a value loaded from a canary slot on every path
+//!   (a slot load, or the XOR of two such values), and
 //! * what last defined the zero flag — a canary comparison or unrelated ALU
 //!   work — so a `je; __stack_chk_fail` guard only counts as an epilogue
-//!   check when it actually tests the canary.
+//!   check when it actually tests the canary.  `xor %fs:0x28,%reg` is a
+//!   canary comparison only when `%reg` holds a slot value: XORing the TLS
+//!   canary into anything else (the canary itself, say) proves nothing about
+//!   the frame.
+//!
+//! Every fact about an instruction — its register writes, zero-flag,
+//! frame-store and input-copy effects and its control flow — comes from its
+//! one effects description, [`Inst::effects`], read once per instruction
+//! visit.
 //!
 //! Check semantics follow the interpreter: [`Inst::CallStackChkFail`] aborts
 //! (its block has no successors), so the *taken* edge of a `je +1` guarding
@@ -18,19 +28,21 @@
 //! aborts or returns with ZF set, so falling through it also proves the
 //! check passed.
 //!
-//! On top of the fixpoint, four of the five checks are evaluated
+//! Every branch skips forward, so the blocks in index order are a
+//! topological order of the CFG: one pass in that order reaches the
+//! fixpoint, and four of the five checks are evaluated during it
 //! (*unprotected-buffer*, *unchecked-return*, *clobbered-canary*,
 //! *dead-check*); *rewrite-soundness* is structural and lives in
 //! [`crate::rewrite_check`].
 //!
-//! All per-function state lives in one reusable [`Dataflow`]: the CFG, the
-//! entry state of every block as one flat byte array (one may-set per
-//! block × slot, so the slot count has no cap), the worklist and the
-//! reachability marks.  States are updated in place and joined byte-wise;
-//! no edge clones a state.  A caller verifying many functions keeps one
+//! All per-function state lives in one reusable [`Dataflow`]: the CFG and
+//! the entry state of every block as one flat byte array (one may-set per
+//! block × slot, so the slot count has no cap).  States are updated in
+//! place and joined byte-wise; no edge clones a state.  A caller verifying many functions keeps one
 //! [`Dataflow`] and allocates only for the largest function.
 
-use polycanary_vm::inst::Inst;
+use polycanary_vm::inst::{is_abort_guard, Flow, Inst};
+use polycanary_vm::reg::{Reg, RegSet};
 use polycanary_vm::tls::TLS_CANARY_OFFSET;
 
 use crate::cfg::Cfg;
@@ -65,10 +77,13 @@ struct AbsState<'s> {
 struct PathBits {
     checked: u8,
     flags: u8,
+    /// Registers that may hold something other than a canary-slot value.
+    foreign: RegSet,
 }
 
 impl PathBits {
-    const ENTRY: PathBits = PathBits { checked: CHECKED_NO, flags: FLAGS_OTHER };
+    const ENTRY: PathBits =
+        PathBits { checked: CHECKED_NO, flags: FLAGS_OTHER, foreign: RegSet::ALL };
 }
 
 impl AbsState<'_> {
@@ -91,64 +106,64 @@ struct BlockEntry {
     bits: PathBits,
 }
 
-/// Bitwise-union join of `from` into `into`; returns whether `into` changed.
-fn join(into: &mut [u8], into_bits: &mut PathBits, from: &[u8], from_bits: PathBits) -> bool {
-    let mut changed = false;
+/// Bitwise-union join of `from` into `into`.
+fn join(into: &mut [u8], into_bits: &mut PathBits, from: &[u8], from_bits: PathBits) {
     for (mine, theirs) in into.iter_mut().zip(from) {
-        let joined = *mine | theirs;
-        changed |= joined != *mine;
-        *mine = joined;
+        *mine |= theirs;
     }
-    let joined = PathBits {
+    *into_bits = PathBits {
         checked: into_bits.checked | from_bits.checked,
         flags: into_bits.flags | from_bits.flags,
+        foreign: into_bits.foreign.union(from_bits.foreign),
     };
-    changed |= joined != *into_bits;
-    *into_bits = joined;
-    changed
 }
 
-/// Whether `inst` compares the canary (as opposed to unrelated ALU work).
-fn is_canary_compare(inst: &Inst, policy: &ProtectionPolicy) -> bool {
+/// Whether `inst` compares the canary (as opposed to unrelated ALU work),
+/// given the registers `foreign` that may hold a non-slot value.
+fn is_canary_compare(inst: &Inst, policy: &ProtectionPolicy, foreign: RegSet) -> bool {
     match inst {
-        Inst::XorTlsReg { offset, .. } => *offset == TLS_CANARY_OFFSET,
+        Inst::XorTlsReg { dst, offset } => *offset == TLS_CANARY_OFFSET && !foreign.contains(*dst),
         Inst::CmpFrameReg { offset, .. } => policy.slots.contains(offset),
         Inst::CallCheckCanary32 => true,
         _ => false,
     }
 }
 
-/// Whether the instruction at `index` is the conditional guard of an abort:
-/// `je +1` immediately followed by `__stack_chk_fail`.
-fn is_guard_site(insts: &[Inst], index: usize) -> bool {
-    matches!(insts.get(index), Some(Inst::JeSkip(1)))
-        && matches!(insts.get(index + 1), Some(Inst::CallStackChkFail))
+/// The register `inst` leaves holding a canary-slot value: the load of a
+/// policy slot, or the XOR of two distinct registers that both hold one.
+fn slot_value_def(inst: &Inst, policy: &ProtectionPolicy, foreign: RegSet) -> Option<Reg> {
+    match *inst {
+        Inst::MovFrameToReg { dst, offset } if policy.slots.contains(&offset) => Some(dst),
+        Inst::XorRegReg { dst, src }
+            if dst != src && !foreign.contains(dst) && !foreign.contains(src) =>
+        {
+            Some(dst)
+        }
+        _ => None,
+    }
 }
 
-/// Per-instruction transfer function.  `report` receives findings during the
-/// final reporting pass and is `None` while iterating to the fixpoint.
+/// Per-instruction transfer function; findings go to `findings`.
 fn transfer(
     state: &mut AbsState<'_>,
     inst: &Inst,
     index: usize,
     policy: &ProtectionPolicy,
-    mut report: Option<&mut Vec<Finding>>,
+    findings: &mut Vec<Finding>,
 ) {
-    let reporting = report.is_some();
+    let effects = inst.effects();
     let mut emit = |kind: CheckKind, message: String| {
-        if let Some(findings) = report.as_deref_mut() {
-            findings.push(Finding {
-                kind,
-                function: String::new(), // filled in by the caller
-                scheme: policy.scheme.to_string(),
-                index: Some(index),
-                message,
-            });
-        }
+        findings.push(Finding {
+            kind,
+            function: String::new(), // filled in by the caller
+            scheme: policy.scheme.to_string(),
+            index: Some(index),
+            message,
+        });
     };
 
     // Statically-bounded frame stores: canary-slot stores and clobbers.
-    if let Some((offset, width)) = inst.frame_store() {
+    if let Some((offset, width)) = effects.frame_store {
         for (slot_index, &slot) in policy.slots.iter().enumerate() {
             if !ProtectionPolicy::overlaps_slot(slot, offset, width) {
                 continue;
@@ -193,8 +208,8 @@ fn transfer(
     }
 
     // Buffer writes (the overflow vectors a canary guards against).
-    if let Some(offset) = inst.input_copy_offset() {
-        if policy.required && reporting {
+    if let Some(offset) = effects.input_copy {
+        if policy.required {
             let unset: Vec<i32> = policy
                 .slots
                 .iter()
@@ -217,7 +232,7 @@ fn transfer(
     }
 
     // Returns must be covered by a check on every path.
-    if inst.is_ret() && policy.required && state.bits.checked & CHECKED_NO != 0 {
+    if effects.flow == Flow::Return && policy.required && state.bits.checked & CHECKED_NO != 0 {
         emit(
             CheckKind::UncheckedReturn,
             "return reachable without passing an epilogue canary check".to_string(),
@@ -230,9 +245,18 @@ fn transfer(
         state.apply_check();
     }
 
-    // Zero-flag provenance.
-    if inst.sets_zero_flag() {
-        state.bits.flags = if is_canary_compare(inst, policy) { FLAGS_CANARY } else { FLAGS_OTHER };
+    // Zero-flag provenance, from the registers before this instruction.
+    let foreign = state.bits.foreign;
+    if effects.sets_zero_flag {
+        state.bits.flags =
+            if is_canary_compare(inst, policy, foreign) { FLAGS_CANARY } else { FLAGS_OTHER };
+    }
+
+    // Register provenance: every write makes its register foreign, except
+    // the definition of a slot value.
+    state.bits.foreign = foreign.union(effects.writes);
+    if let Some(reg) = slot_value_def(inst, policy, foreign) {
+        state.bits.foreign.remove(reg);
     }
 }
 
@@ -252,12 +276,10 @@ pub struct Dataflow {
     /// are `in_slots[b * slot_count..][..slot_count]`.
     in_slots: Vec<u8>,
     in_bits: Vec<BlockEntry>,
-    work: Vec<usize>,
     /// The running state of the block being walked, and its copy along a
     /// check-passing edge.
     state: Vec<u8>,
     edge: Vec<u8>,
-    reachable: Vec<bool>,
 }
 
 impl Dataflow {
@@ -275,7 +297,7 @@ impl Dataflow {
             // (or the scheme maintains no slots, e.g. Native).
             return;
         }
-        let Dataflow { cfg, in_slots, in_bits, work, state, edge, reachable } = self;
+        let Dataflow { cfg, in_slots, in_bits, state, edge } = self;
         let slot_count = policy.slots.len();
         let slots_of = |id: usize| id * slot_count..(id + 1) * slot_count;
 
@@ -290,28 +312,30 @@ impl Dataflow {
         edge.clear();
         edge.resize(slot_count, 0);
 
-        // Fixpoint over block entry states.
+        // Every edge leads forward (a skip is never negative), so index
+        // order is a topological order of the blocks: a block's entry state
+        // is final once every lower block has been walked, and one pass in
+        // that order reaches the fixpoint and reports against it.
         in_slots[slots_of(0)].fill(UNSET);
         in_bits[0].reached = true;
-        work.clear();
-        work.push(0);
-        while let Some(id) = work.pop() {
+        let first = findings.len();
+        for id in 0..blocks.len() {
+            if !in_bits[id].reached {
+                continue;
+            }
             state.copy_from_slice(&in_slots[slots_of(id)]);
             let mut current = AbsState { slots: state, bits: in_bits[id].bits };
             for index in blocks[id].range() {
-                transfer(&mut current, &insts[index], index, policy, None);
+                transfer(&mut current, &insts[index], index, policy, findings);
             }
             let last = blocks[id].end - 1;
             // The taken edge of a canary-guarded `je +1; __stack_chk_fail`
             // is the "check passed" path.
             let guarded_check =
-                is_guard_site(insts, last) && current.bits.flags & FLAGS_CANARY != 0;
-            let taken_block = insts[last]
-                .branch_skip()
-                .and_then(|skip| last.checked_add(1 + skip))
-                .filter(|&target| target < insts.len())
-                .map(|target| cfg.block_of(target));
+                is_abort_guard(insts, last) && current.bits.flags & FLAGS_CANARY != 0;
+            let taken_block = blocks[id].taken();
             for &succ in blocks[id].successors() {
+                debug_assert!(succ > id, "an edge leads back");
                 let (from, from_bits) = if guarded_check && Some(succ) == taken_block {
                     edge.copy_from_slice(current.slots);
                     let mut checked = AbsState { slots: edge, bits: current.bits };
@@ -323,39 +347,19 @@ impl Dataflow {
                 };
                 let entry = &mut in_bits[succ];
                 if entry.reached {
-                    if join(&mut in_slots[slots_of(succ)], &mut entry.bits, from, from_bits)
-                        && !work.contains(&succ)
-                    {
-                        work.push(succ);
-                    }
+                    join(&mut in_slots[slots_of(succ)], &mut entry.bits, from, from_bits);
                 } else {
                     in_slots[slots_of(succ)].copy_from_slice(from);
                     *entry = BlockEntry { reached: true, bits: from_bits };
-                    work.push(succ);
                 }
             }
         }
 
-        // Reporting pass: replay each reached block once against its final
-        // entry state.
-        let first = findings.len();
-        for (id, block) in blocks.iter().enumerate() {
-            if !in_bits[id].reached {
-                continue;
-            }
-            state.copy_from_slice(&in_slots[slots_of(id)]);
-            let mut current = AbsState { slots: state, bits: in_bits[id].bits };
-            for index in block.range() {
-                transfer(&mut current, &insts[index], index, policy, Some(findings));
-            }
-        }
-
         // Dead checks: epilogue check sites in blocks unreachable from entry.
-        cfg.mark_reachable(reachable, work);
         for index in 0..insts.len() {
             let is_check_site =
-                is_guard_site(insts, index) || matches!(insts[index], Inst::CallCheckCanary32);
-            if is_check_site && !reachable[cfg.block_of(index)] {
+                is_abort_guard(insts, index) || matches!(insts[index], Inst::CallCheckCanary32);
+            if is_check_site && !in_bits[cfg.block_of(index)].reached {
                 findings.push(Finding {
                     kind: CheckKind::DeadCheck,
                     function: String::new(),

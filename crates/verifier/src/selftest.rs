@@ -3,10 +3,10 @@
 //! Every [`InjectedDefect`] builds a clean victim, plants one specific
 //! instrumentation defect — a skipped prologue, a canary-slot clobber, an
 //! epilogue dropped on one branch, a jumped-over (dead) check, a stale
-//! rewrite, or an optimizer pass deleting the strength-reduced check from
-//! an O2 build — and runs the verifier over the result.  The battery
-//! doubles as
-//! the negative control for the `harness verify` CI gate: a verifier that
+//! rewrite, an optimizer pass deleting the strength-reduced check from an
+//! O2 build, or an epilogue comparing the TLS canary with itself — and runs
+//! the verifier over the result.  The battery doubles as the negative
+//! control for the `harness verify` CI gate: a verifier that
 //! stays silent on these programs is broken, however clean the real cells
 //! look.
 
@@ -14,6 +14,7 @@ use polycanary_compiler::{CompiledModule, FunctionBuilder, ModuleBuilder, OptLev
 use polycanary_core::scheme::SchemeKind;
 use polycanary_rewriter::{Build, LinkMode};
 use polycanary_vm::inst::Inst;
+use polycanary_vm::tls::TLS_CANARY_OFFSET;
 
 use crate::finding::{CheckKind, Finding};
 use crate::rewrite_check::verify_rewritten;
@@ -36,18 +37,24 @@ pub enum InjectedDefect {
     /// A miscompiling optimizer: the strength-reduced epilogue check of an
     /// O2 build is deleted, as a buggy transform pass would.
     OptimizerDroppedCheck,
+    /// The epilogue reloads the TLS canary instead of the canary slot, so
+    /// its check compares the canary with itself and passes whatever the
+    /// frame holds: an overflow that rewrites the slot is never detected.
+    SelfComparedCanary,
 }
 
 impl InjectedDefect {
     /// Every defect, in [`CheckKind::ALL`] order (with the optimizer
-    /// miscompile — a second `UncheckedReturn` producer — last).
-    pub const ALL: [InjectedDefect; 6] = [
+    /// miscompile and the self-compared canary — two more `UncheckedReturn`
+    /// producers — last).
+    pub const ALL: [InjectedDefect; 7] = [
         InjectedDefect::SkippedPrologue,
         InjectedDefect::ClobberedCanary,
         InjectedDefect::DroppedEpilogue,
         InjectedDefect::DeadCheck,
         InjectedDefect::StaleRewrite,
         InjectedDefect::OptimizerDroppedCheck,
+        InjectedDefect::SelfComparedCanary,
     ];
 
     /// Stable CLI label (`harness verify --inject <label>`).
@@ -59,6 +66,7 @@ impl InjectedDefect {
             InjectedDefect::DeadCheck => "dead-check",
             InjectedDefect::StaleRewrite => "stale-rewrite",
             InjectedDefect::OptimizerDroppedCheck => "optimizer-dropped-check",
+            InjectedDefect::SelfComparedCanary => "self-compared-canary",
         }
     }
 
@@ -76,6 +84,7 @@ impl InjectedDefect {
             InjectedDefect::DeadCheck => CheckKind::DeadCheck,
             InjectedDefect::StaleRewrite => CheckKind::RewriteSoundness,
             InjectedDefect::OptimizerDroppedCheck => CheckKind::UncheckedReturn,
+            InjectedDefect::SelfComparedCanary => CheckKind::UncheckedReturn,
         }
     }
 
@@ -193,6 +202,12 @@ fn inject(module: &mut CompiledModule, defect: InjectedDefect) {
         InjectedDefect::DeadCheck => {
             // Both paths skip the check: it becomes unreachable.
             insts.splice(guard..guard, [Inst::JmpSkip(4)]);
+        }
+        InjectedDefect::SelfComparedCanary => {
+            let Inst::MovFrameToReg { dst, .. } = insts[guard] else {
+                unreachable!("the guard reload matched MovFrameToReg above")
+            };
+            insts[guard] = Inst::MovTlsToReg { dst, offset: TLS_CANARY_OFFSET };
         }
         InjectedDefect::StaleRewrite | InjectedDefect::OptimizerDroppedCheck => {
             unreachable!("handled by InjectedDefect::run")

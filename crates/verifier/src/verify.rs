@@ -210,6 +210,44 @@ mod tests {
     }
 
     #[test]
+    fn the_tls_compare_counts_only_when_every_folded_word_is_a_slot_value() {
+        // The P-SSP epilogue folds both canary words before the TLS XOR.
+        let body = |second: Inst, tail: &[Inst]| {
+            let mut insts = vec![
+                Inst::MovTlsToReg { dst: Reg::Rax, offset: TLS_CANARY_OFFSET },
+                Inst::MovRegToFrame { src: Reg::Rax, offset: -8 },
+                Inst::MovRegToFrame { src: Reg::Rax, offset: -16 },
+                Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 },
+                second,
+            ];
+            insts.extend_from_slice(tail);
+            insts.extend([
+                Inst::XorRegReg { dst: Reg::Rdx, src: Reg::Rdi },
+                Inst::XorTlsReg { dst: Reg::Rdx, offset: TLS_CANARY_OFFSET },
+                Inst::JeSkip(1),
+                Inst::CallStackChkFail,
+                Inst::Leave,
+                Inst::Ret,
+            ]);
+            insts
+        };
+        let policy = ProtectionPolicy::new(SchemeKind::Pssp, true, &[]);
+        let unchecked = |insts: &[Inst]| {
+            verify_function("f", insts, &policy)
+                .iter()
+                .any(|f| f.kind == CheckKind::UncheckedReturn)
+        };
+        let slot = Inst::MovFrameToReg { dst: Reg::Rdi, offset: -16 };
+        assert!(!unchecked(&body(slot, &[])));
+        // A folded word that is not a slot value, on every path or one.
+        assert!(unchecked(&body(Inst::MovTlsToReg { dst: Reg::Rdi, offset: 0x2a8 }, &[])));
+        let one_path = [Inst::TestReg(Reg::Rcx), Inst::JeSkip(1), Inst::Rdrand(Reg::Rdi)];
+        assert!(unchecked(&body(slot, &one_path)));
+        // A register XORed with itself holds zero, not a slot value.
+        assert!(unchecked(&body(slot, &[Inst::XorRegReg { dst: Reg::Rdx, src: Reg::Rdx }])));
+    }
+
+    #[test]
     fn split_scheme_tracks_both_slots() {
         let module = Compiler::new(SchemeKind::Pssp).compile(&victim()).expect("compiles");
         assert!(verify_compiled(&module).is_empty());

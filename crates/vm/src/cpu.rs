@@ -482,6 +482,7 @@ impl Cpu {
 }
 
 /// Internal control-flow outcome of a single instruction.
+#[cfg_attr(test, derive(Debug, PartialEq, Eq))]
 enum Flow {
     Next,
     Skip(usize),
@@ -518,6 +519,7 @@ mod tests {
     use super::*;
     use crate::mem::DEFAULT_STACK_SIZE;
     use crate::process::Pid;
+    use polycanary_crypto::{Prng, SplitMix64};
 
     fn fresh_process() -> Process {
         Process::new(Pid(1), 7, DEFAULT_STACK_SIZE)
@@ -1051,5 +1053,154 @@ mod tests {
         let (exit, _) = run_single(insts, &mut p);
         assert!(exit.is_normal());
         assert_eq!(p.output(), b"ABCDEFGH");
+    }
+
+    /// The frame window the effects test randomizes: `[rbp - BELOW, rbp +
+    /// ABOVE)` covers every sample's frame offsets and the saved return
+    /// address the AES helper reads.
+    const FRAME_BELOW: u64 = 256;
+    const FRAME_ABOVE: u64 = 16;
+
+    /// A register value: random, small (so results can be zero) or an
+    /// address in the globals segment (so loads and stores through a base
+    /// register can succeed).  Never a frame address: only `%rbp` and
+    /// `%rsp` point into the frame.
+    fn random_value(rng: &mut SplitMix64) -> u64 {
+        match rng.next_below(3) {
+            0 => rng.next_u64(),
+            1 => rng.next_below(64),
+            _ => crate::mem::GLOBAL_BASE + 8 * rng.next_below(32),
+        }
+    }
+
+    /// A CPU and process with a randomized register file, zero flag, frame,
+    /// TLS block and input.
+    fn random_state(rng: &mut SplitMix64) -> (Cpu, Process) {
+        let mut process = Process::new(Pid(1), rng.next_u64(), 4096);
+        let rbp = process.memory.stack_top() - 0x400;
+        for addr in (rbp - FRAME_BELOW..rbp + FRAME_ABOVE).step_by(8) {
+            process.memory.write_u64(addr, rng.next_u64()).unwrap();
+        }
+        for offset in (0..crate::tls::TLS_SIZE).step_by(8) {
+            process.tls.write_word(offset, rng.next_u64()).unwrap();
+        }
+        let input: Vec<u8> = (0..rng.next_below(49)).map(|_| rng.next_u64() as u8).collect();
+        process.set_input(input);
+        let mut cpu = Cpu::new();
+        for reg in Reg::ALL {
+            cpu.regs.write(reg, random_value(rng));
+        }
+        if rng.next_below(2) == 0 {
+            // Lets the patched 32-bit check pass as often as it fails.
+            cpu.regs.write(Reg::Rdi, process.tls.canary());
+        }
+        cpu.regs.write(Reg::Rbp, rbp);
+        cpu.regs.write(Reg::Rsp, rbp - 0x200);
+        cpu.zero_flag = rng.next_below(2) == 0;
+        (cpu, process)
+    }
+
+    fn frame_bytes(cpu: &Cpu, process: &Process) -> Vec<u8> {
+        let rbp = cpu.regs.read(Reg::Rbp);
+        process.memory.read_bytes(rbp - FRAME_BELOW, (FRAME_BELOW + FRAME_ABOVE) as usize).unwrap()
+    }
+
+    #[test]
+    fn effects_bound_what_the_interpreter_does() {
+        use crate::inst::tests::{samples, variant_ordinal, VARIANT_COUNT};
+        use crate::inst::Flow as Declared;
+        use crate::reg::RegSet;
+
+        // The exact sets the optimizer's canary-load pass reads.
+        let touched = |inst: Inst| inst.effects().reads.union(inst.effects().writes);
+        let mov = Inst::MovRegReg { dst: Reg::Rbx, src: Reg::R15 };
+        assert_eq!(touched(mov), RegSet(0x8002));
+        assert_eq!(mov.effects().writes, RegSet(0x0002));
+        assert_eq!(touched(Inst::Rdtsc), RegSet::of(Reg::Rax).union(RegSet::of(Reg::Rdx)));
+        assert_eq!(touched(Inst::Compute(5)), RegSet::EMPTY);
+        assert_eq!(touched(Inst::CallFn(FuncId(0))), RegSet::ALL);
+        assert_eq!(Inst::CallFn(FuncId(0)).effects().writes, RegSet::ALL);
+
+        let mut program = Program::new();
+        let id = program.add_function("probe", vec![Inst::Nop, Inst::Nop]).unwrap();
+        let func = program.function(id).unwrap();
+        let run =
+            |inst: &Inst, cpu: &mut Cpu, process: &mut Process| cpu.step(func, 0, inst, process);
+        // `%rbp` and `%rsp` hold the frame; randomized operands use the rest.
+        let general: Vec<Reg> =
+            Reg::ALL.into_iter().filter(|r| !matches!(r, Reg::Rbp | Reg::Rsp)).collect();
+        let mut rng = SplitMix64::new(0xEFFE_C75E);
+        let mut covered = [false; VARIANT_COUNT];
+        for sample in samples() {
+            covered[variant_ordinal(&sample)] = true;
+            for trial in 0..24 {
+                let mut inst = sample;
+                if trial > 0 {
+                    inst.for_each_operand_mut(|reg, _| {
+                        *reg = general[rng.next_below(general.len() as u64) as usize];
+                    });
+                }
+                let effects = inst.effects();
+                let (cpu0, process0) = random_state(&mut rng);
+                let (mut cpu, mut process) = (cpu0.clone(), process0.clone());
+                let result = run(&inst, &mut cpu, &mut process);
+
+                for reg in Reg::ALL {
+                    let changed = cpu.regs.read(reg) != cpu0.regs.read(reg);
+                    assert!(!changed || effects.writes.contains(reg), "{inst} wrote %{reg}");
+                }
+                assert!(
+                    cpu.zero_flag == cpu0.zero_flag || effects.sets_zero_flag,
+                    "{inst} changed ZF"
+                );
+                let copy_end = |offset: i32| i64::from(offset) + process0.input().len() as i64;
+                let extents = [
+                    effects.frame_store.map(|(o, w)| (i64::from(o), i64::from(o) + i64::from(w))),
+                    effects.input_copy.map(|o| (i64::from(o), copy_end(o))),
+                ];
+                let (old, new) = (frame_bytes(&cpu0, &process0), frame_bytes(&cpu0, &process));
+                for (i, (a, b)) in old.iter().zip(&new).enumerate() {
+                    let offset = i as i64 - FRAME_BELOW as i64;
+                    let declared =
+                        extents.iter().flatten().any(|&(lo, hi)| (lo..hi).contains(&offset));
+                    assert!(a == b || declared, "{inst} wrote frame byte {offset}");
+                }
+                match (&result, effects.flow) {
+                    (
+                        Ok(Flow::Next),
+                        Declared::Next | Declared::Branch { conditional: true, .. },
+                    )
+                    | (Ok(Flow::Call { .. }), Declared::Call)
+                    | (Ok(Flow::Return), Declared::Return)
+                    | (Err(Fault::CanaryViolation { .. }), Declared::Abort) => {}
+                    (Ok(Flow::Skip(n)), Declared::Branch { skip, .. }) if *n == skip => {}
+                    // Any other instruction may fault (an unmapped access,
+                    // a failed check).
+                    (Err(_), declared) if declared != Declared::Abort => {}
+                    (observed, declared) => {
+                        panic!("{inst}: ran {observed:?}, declared {declared:?}")
+                    }
+                }
+
+                // An undeclared input changes nothing: no register but the
+                // perturbed one, no byte of memory, TLS or output, no fault.
+                for reg in Reg::ALL.into_iter().filter(|&r| !effects.reads.contains(r)) {
+                    let (mut cpu1, mut process1) = (cpu0.clone(), process0.clone());
+                    let value = cpu0.regs.read(reg) ^ (1 + rng.next_below(u64::MAX));
+                    cpu1.regs.write(reg, value);
+                    let result1 = run(&inst, &mut cpu1, &mut process1);
+                    assert_eq!(result1, result, "{inst}: %{reg} is an undeclared input");
+                    assert_eq!(process1, process, "{inst}: %{reg} is an undeclared input");
+                    assert_eq!(cpu1.zero_flag, cpu.zero_flag, "{inst}: %{reg} feeds ZF");
+                    for other in Reg::ALL {
+                        let (after, after1) = (cpu.regs.read(other), cpu1.regs.read(other));
+                        let perturbed = other == reg && (after1 == after || after1 == value);
+                        assert!(after1 == after || perturbed, "{inst}: %{reg} feeds %{other}");
+                    }
+                }
+            }
+        }
+        let missing: Vec<usize> = (0..VARIANT_COUNT).filter(|&v| !covered[v]).collect();
+        assert!(missing.is_empty(), "no effects sample for variant ordinal(s) {missing:?}");
     }
 }

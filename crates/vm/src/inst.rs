@@ -11,15 +11,20 @@
 //!
 //! * an **encoded size** in bytes approximating its x86-64 encoding — used by
 //!   the code-expansion experiment (Table II) and by the binary rewriter's
-//!   layout-preservation checks (§V-C), and
+//!   layout-preservation checks (§V-C),
 //! * a **cycle cost** — used by the runtime-overhead experiments (Fig. 5,
-//!   Tables III–V).
+//!   Tables III–V), and
+//! * an **effects description** ([`Inst::effects`]) — the registers it reads
+//!   and writes, its zero-flag, frame-store and input-copy effects and its
+//!   control flow.  The optimizer's canary-load pass and the static verifier
+//!   read this one description instead of keeping tables of their own; it is
+//!   tested against the interpreter, which stays the semantics.
 
 use std::fmt;
 
 use polycanary_crypto::cost;
 
-use crate::reg::Reg;
+use crate::reg::{Reg, RegSet};
 
 /// Identifier of a function within a [`crate::program::Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -425,100 +430,205 @@ impl Inst {
             Inst::Compute(cycles) => *cycles,
         }
     }
+}
 
-    /// Whether this instruction transfers control to another function.
-    pub fn is_call(&self) -> bool {
-        matches!(self, Inst::CallFn(_))
+/// How an instruction uses one of its explicit register operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The operand's value is read.
+    Read,
+    /// The operand is overwritten without being read.
+    Write,
+    /// The operand is read, then overwritten with a value computed from it.
+    ReadWrite,
+}
+
+/// Where control goes after an instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Flow {
+    /// On to the next instruction.
+    #[default]
+    Next,
+    /// A branch whose taken edge skips the next `skip` instructions (from
+    /// index `i` to `i + 1 + skip`); a `conditional` one also falls through.
+    #[allow(missing_docs)]
+    Branch { skip: usize, conditional: bool },
+    /// A call into another function, which returns to the next instruction.
+    Call,
+    /// `ret`: leaves the function.
+    Return,
+    /// `__stack_chk_fail`: aborts the process.
+    Abort,
+}
+
+impl Flow {
+    /// Whether execution can continue at the next instruction (the patched
+    /// [`Inst::CallCheckCanary32`] is [`Flow::Next`]: it returns on success).
+    pub fn falls_through(self) -> bool {
+        matches!(self, Flow::Next | Flow::Call | Flow::Branch { conditional: true, .. })
     }
+}
 
-    /// Whether this instruction terminates the current function.
-    pub fn is_ret(&self) -> bool {
-        matches!(self, Inst::Ret)
-    }
+/// What one instruction reads, writes and where control goes next
+/// ([`Inst::effects`]).  It may over-declare an effect but never
+/// under-declares one: `cpu.rs`'s `effects_bound_what_the_interpreter_does`
+/// executes every variant and checks that nothing outside it changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Effects {
+    /// Registers read: explicit operands and implicit ones (`%rbp` of a
+    /// frame access, `%rsp` of a push) alike.
+    pub reads: RegSet,
+    /// Registers written, explicit and implicit.
+    pub writes: RegSet,
+    /// Explicit operands read and overwritten with a value computed from
+    /// them (`xor`, `add`, `shl`, …): a value's def chain continues there.
+    pub updates: RegSet,
+    /// Registers written that no operand names: the fixed `%rax:%rdx` of
+    /// `rdtsc` and the AES helper, `%rsp` of a push, everything on a call.
+    pub implicit_writes: RegSet,
+    /// Whether the zero flag is (re)defined.  [`Inst::CallCheckCanary32`]
+    /// sets it on a passing check; a failing one never returns.
+    pub sets_zero_flag: bool,
+    /// A frame store of static extent: `(offset, width)` writes `[offset,
+    /// offset + width)` from `%rbp`.  The unbounded [`Inst::CopyInputToFrame`]
+    /// has none: its extent is the input's, a runtime overflow vector.
+    pub frame_store: Option<(i32, u32)>,
+    /// The destination offset of an input copy, bounded or not: the write a
+    /// stack protector guards against.
+    pub input_copy: Option<i32>,
+    /// Where control goes next.
+    pub flow: Flow,
+}
 
-    // ---- CFG-support accessors --------------------------------------------
-    //
-    // Control-flow and memory-effect classification consumed by CFG builders
-    // and dataflow passes (the `polycanary-verifier` crate); kept here so the
-    // classification lives next to the instruction set and cannot drift when
-    // variants are added.
+/// An explicit register operand and how the instruction uses it.
+type Operand<'a> = Option<(&'a mut Reg, Access)>;
 
-    /// For a branch (`je`/`jne`/`jmp`), the number of following instructions
-    /// skipped when the branch is taken: the taken-edge target of the
-    /// instruction at index `i` is index `i + 1 + skip`.
-    pub fn branch_skip(&self) -> Option<usize> {
-        match self {
-            Inst::JeSkip(n) | Inst::JneSkip(n) | Inst::JmpSkip(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Whether this is a conditional branch (both the taken and the
-    /// fall-through edge are possible).
-    pub fn is_conditional_branch(&self) -> bool {
-        matches!(self, Inst::JeSkip(_) | Inst::JneSkip(_))
-    }
-
-    /// Whether execution can continue at the next instruction.
-    ///
-    /// `ret` leaves the function, `jmp` always takes its skip edge, and
-    /// `__stack_chk_fail` aborts the process ([`crate::error::Fault::CanaryViolation`]) —
-    /// none of them has a fall-through successor.  Every other instruction
-    /// (including [`Inst::CallCheckCanary32`], which returns with ZF set when
-    /// the check passes) falls through.
-    pub fn falls_through(&self) -> bool {
-        !matches!(self, Inst::Ret | Inst::JmpSkip(_) | Inst::CallStackChkFail)
-    }
-
-    /// The `(offset, width)` in bytes of a frame store with a statically
-    /// known extent: the instruction writes `[offset, offset + width)`
-    /// relative to `%rbp`.
-    ///
-    /// The *unbounded* [`Inst::CopyInputToFrame`] is deliberately excluded —
-    /// its extent depends on the process input, so it is a runtime overflow
-    /// vector, not a statically decidable write.
-    pub fn frame_store(&self) -> Option<(i32, u32)> {
-        match self {
-            Inst::MovRegToFrame { offset, .. } => Some((*offset, 8)),
-            Inst::MovRegToFrame32 { offset, .. } | Inst::MovImmToFrame { offset, .. } => {
-                Some((*offset, 4))
+impl Inst {
+    /// The instruction's effects: the one description the optimizer and the
+    /// verifier read.  Always inlined, so that each caller keeps only the
+    /// part it reads (the CFG, say, just the flow).
+    #[inline(always)]
+    pub fn effects(&self) -> Effects {
+        let (mut reads, mut writes, mut updates) = (RegSet::EMPTY, RegSet::EMPTY, RegSet::EMPTY);
+        let mut copy = *self;
+        let implicit = copy.describe(|reg, access| {
+            let reg = RegSet::of(*reg);
+            if access != Access::Write {
+                reads = reads.union(reg);
             }
-            Inst::CopyInputToFrameBounded { offset, max_len } => Some((*offset, *max_len)),
-            _ => None,
-        }
-    }
-
-    /// The destination frame offset of an input-copy pseudo-instruction
-    /// (bounded or unbounded) — the writes a stack protector guards against.
-    pub fn input_copy_offset(&self) -> Option<i32> {
-        match self {
-            Inst::CopyInputToFrame { offset } | Inst::CopyInputToFrameBounded { offset, .. } => {
-                Some(*offset)
+            if access != Access::Read {
+                writes = writes.union(reg);
             }
-            _ => None,
+            if access == Access::ReadWrite {
+                updates = updates.union(reg);
+            }
+        });
+        Effects {
+            reads: implicit.reads.union(reads),
+            writes: implicit.writes.union(writes),
+            updates,
+            ..implicit
         }
     }
 
-    /// Whether executing the instruction (re)defines the zero flag.
-    ///
-    /// Mirrors the interpreter exactly: the ALU instructions compare/compute
-    /// into ZF, and [`Inst::CallCheckCanary32`] sets ZF on a passing check
-    /// (on a failing one it never returns).
-    pub fn sets_zero_flag(&self) -> bool {
-        matches!(
-            self,
-            Inst::XorRegReg { .. }
-                | Inst::XorTlsReg { .. }
-                | Inst::AddRegReg { .. }
-                | Inst::ShlRegImm { .. }
-                | Inst::ShrRegImm { .. }
-                | Inst::OrRegReg { .. }
-                | Inst::CmpFrameReg { .. }
-                | Inst::CmpRegImm { .. }
-                | Inst::TestReg(_)
-                | Inst::CallCheckCanary32
-        )
+    /// Calls `f` on every explicit register operand with its access, so the
+    /// operands can be rewritten in place (e.g. to rename a register).
+    pub fn for_each_operand_mut(&mut self, f: impl FnMut(&mut Reg, Access)) {
+        self.describe(f);
     }
+
+    /// The one exhaustive match behind [`Inst::effects`] and
+    /// [`Inst::for_each_operand_mut`]: hands each explicit register operand
+    /// to `operand` and returns the implicit effects.
+    #[inline(always)]
+    fn describe(&mut self, mut operand: impl FnMut(&mut Reg, Access)) -> Effects {
+        use Access::{Read, ReadWrite, Write};
+        const RSP: RegSet = RegSet::of(Reg::Rsp);
+        const RBP: RegSet = RegSet::of(Reg::Rbp);
+        const RAX_RDX: RegSet = RegSet::of(Reg::Rax).union(RegSet::of(Reg::Rdx));
+        const AES_IN: RegSet = RBP.union(RegSet::of(Reg::R12)).union(RegSet::of(Reg::R13));
+        let next = Effects::default();
+        let implicit = |reads, writes| Effects { reads, writes, implicit_writes: writes, ..next };
+        // A `%rbp`-relative access, a push or pop moving `%rsp`, an ALU op.
+        let frame = implicit(RBP, RegSet::EMPTY);
+        let stack = implicit(RSP, RSP);
+        let alu = Effects { sets_zero_flag: true, ..next };
+        let store = |offset, width| Effects { frame_store: Some((offset, width)), ..frame };
+        let flow = |flow| Effects { flow, ..next };
+        fn op(reg: &mut Reg, access: Access) -> Operand<'_> {
+            Some((reg, access))
+        }
+        let mut with = |effects, operands: [Operand<'_>; 2]| {
+            for (reg, access) in operands.into_iter().flatten() {
+                operand(reg, access);
+            }
+            effects
+        };
+        match self {
+            Inst::PushReg(r) => with(stack, [op(r, Read), None]),
+            Inst::PopReg(r) => with(stack, [op(r, Write), None]),
+            Inst::SubRspImm(_) | Inst::AddRspImm(_) => stack,
+            // mov %rbp,%rsp; pop %rbp
+            Inst::Leave => implicit(RBP, RSP.union(RBP)),
+            Inst::Ret => Effects { flow: Flow::Return, ..stack },
+            Inst::MovRegReg { dst, src } => with(next, [op(src, Read), op(dst, Write)]),
+            Inst::MovTlsToReg { dst: r, .. }
+            | Inst::MovImmToReg { dst: r, .. }
+            | Inst::Rdrand(r)
+            | Inst::InputLenToReg(r) => with(next, [op(r, Write), None]),
+            Inst::MovRegToTls { src: r, .. } | Inst::OutputReg(r) => {
+                with(next, [op(r, Read), None])
+            }
+            Inst::MovRegToFrame { src, offset } => with(store(*offset, 8), [op(src, Read), None]),
+            Inst::MovRegToFrame32 { src, offset } => with(store(*offset, 4), [op(src, Read), None]),
+            Inst::MovImmToFrame { offset, .. } => store(*offset, 4),
+            Inst::MovFrameToReg { dst: r, .. }
+            | Inst::MovFrameToReg32 { dst: r, .. }
+            | Inst::LeaFrameToReg { dst: r, .. } => with(frame, [op(r, Write), None]),
+            Inst::MovMemToReg { dst, base, .. } => with(next, [op(base, Read), op(dst, Write)]),
+            Inst::MovRegToMem { src, base, .. } => with(next, [op(src, Read), op(base, Read)]),
+            Inst::XorRegReg { dst, src }
+            | Inst::AddRegReg { dst, src }
+            | Inst::OrRegReg { dst, src } => with(alu, [op(src, Read), op(dst, ReadWrite)]),
+            Inst::XorTlsReg { dst: r, .. }
+            | Inst::ShlRegImm { dst: r, .. }
+            | Inst::ShrRegImm { dst: r, .. } => with(alu, [op(r, ReadWrite), None]),
+            Inst::CmpFrameReg { reg, .. } => {
+                with(Effects { reads: RBP, ..alu }, [op(reg, Read), None])
+            }
+            Inst::CmpRegImm { reg: r, .. } | Inst::TestReg(r) => with(alu, [op(r, Read), None]),
+            Inst::JeSkip(skip) | Inst::JneSkip(skip) => {
+                flow(Flow::Branch { skip: *skip, conditional: true })
+            }
+            Inst::JmpSkip(skip) => flow(Flow::Branch { skip: *skip, conditional: false }),
+            Inst::CallFn(_) => Effects { flow: Flow::Call, ..implicit(RegSet::ALL, RegSet::ALL) },
+            Inst::CallStackChkFail => flow(Flow::Abort),
+            // The packed canary pair travels in `%rdi`.
+            Inst::CallCheckCanary32 => Effects { reads: RegSet::of(Reg::Rdi), ..alu },
+            // rdtsc; shl $0x20,%rdx; or %rdx,%rax: the folded sequence writes
+            // `%rdx` too, though the interpreter only sets `%rax`.
+            Inst::Rdtsc => implicit(RegSet::EMPTY, RAX_RDX),
+            // Encrypts (nonce, the return address at 8(%rbp)) under r12:r13.
+            Inst::AesEncryptFrame { nonce } => {
+                with(implicit(AES_IN, RAX_RDX), [op(nonce, Read), None])
+            }
+            Inst::RecordCanaryAddress { .. } | Inst::LinkCanaryPush { .. } => frame,
+            Inst::Nop | Inst::PopCanaryAddress | Inst::LinkCanaryPop { .. } | Inst::Compute(_) => {
+                next
+            }
+            Inst::CopyInputToFrame { offset } => Effects { input_copy: Some(*offset), ..frame },
+            Inst::CopyInputToFrameBounded { offset, max_len } => {
+                Effects { input_copy: Some(*offset), ..store(*offset, *max_len) }
+            }
+        }
+    }
+}
+
+/// Whether `insts[index]` guards an abort: `je +1` directly followed by
+/// `__stack_chk_fail`, so its taken edge is the path where the check passed.
+pub fn is_abort_guard(insts: &[Inst], index: usize) -> bool {
+    matches!(insts.get(index), Some(Inst::JeSkip(1)))
+        && matches!(insts.get(index + 1), Some(Inst::CallStackChkFail))
 }
 
 impl fmt::Display for Inst {
@@ -587,7 +697,7 @@ impl fmt::Display for Inst {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -686,24 +796,24 @@ mod tests {
 
     #[test]
     fn call_and_ret_classification() {
-        assert!(Inst::CallFn(FuncId(3)).is_call());
-        assert!(!Inst::CallStackChkFail.is_call());
-        assert!(Inst::Ret.is_ret());
-        assert!(!Inst::Leave.is_ret());
+        assert_eq!(Inst::CallFn(FuncId(3)).effects().flow, Flow::Call);
+        assert_eq!(Inst::CallStackChkFail.effects().flow, Flow::Abort);
+        assert_eq!(Inst::Ret.effects().flow, Flow::Return);
+        assert_eq!(Inst::Leave.effects().flow, Flow::Next);
     }
 
     /// Number of `Inst` variants, pinned by [`variant_ordinal`]'s exhaustive
     /// match below.
-    const VARIANT_COUNT: usize = 46;
+    pub(crate) const VARIANT_COUNT: usize = 46;
 
     /// Sequential ordinal of an instruction's variant.
     ///
     /// The match is exhaustive *without a wildcard arm* (the crate-internal
     /// view of the `#[non_exhaustive]` enum), so adding a variant fails this
-    /// module at compile time until both this function and the sample list in
-    /// `every_instruction_has_nonzero_size_and_cycles` are extended — a new
-    /// instruction can't silently inherit an untested size or cycle cost.
-    fn variant_ordinal(inst: &Inst) -> usize {
+    /// module at compile time until both this function and [`samples`] are
+    /// extended — a new instruction can't silently inherit an untested size,
+    /// cycle cost or effects description.
+    pub(crate) fn variant_ordinal(inst: &Inst) -> usize {
         match inst {
             Inst::PushReg(_) => 0,
             Inst::PopReg(_) => 1,
@@ -754,9 +864,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_instruction_has_nonzero_size_and_cycles() {
-        let samples = vec![
+    /// One sample of every variant: the size, cycle and effects tests (the
+    /// last in `cpu.rs`, against the interpreter) all run over this list.
+    pub(crate) fn samples() -> Vec<Inst> {
+        vec![
             Inst::PushReg(Reg::Rbp),
             Inst::PopReg(Reg::Rdi),
             Inst::MovRegReg { dst: Reg::Rbp, src: Reg::Rsp },
@@ -803,9 +914,13 @@ mod tests {
             Inst::InputLenToReg(Reg::Rax),
             Inst::OutputReg(Reg::Rax),
             Inst::Compute(100),
-        ];
+        ]
+    }
+
+    #[test]
+    fn every_instruction_has_nonzero_size_and_cycles() {
         let mut covered = [false; VARIANT_COUNT];
-        for inst in samples {
+        for inst in samples() {
             covered[variant_ordinal(&inst)] = true;
             assert!(inst.encoded_size() > 0, "{inst} has zero size");
             assert!(inst.cycles() > 0, "{inst} has zero cycles");
@@ -818,42 +933,35 @@ mod tests {
 
     #[test]
     fn branch_skip_and_fall_through_classification() {
-        assert_eq!(Inst::JeSkip(1).branch_skip(), Some(1));
-        assert_eq!(Inst::JneSkip(2).branch_skip(), Some(2));
-        assert_eq!(Inst::JmpSkip(3).branch_skip(), Some(3));
-        assert_eq!(Inst::Nop.branch_skip(), None);
-        assert!(Inst::JeSkip(1).is_conditional_branch());
-        assert!(!Inst::JmpSkip(1).is_conditional_branch());
+        let flow = |inst: Inst| inst.effects().flow;
+        assert_eq!(flow(Inst::JeSkip(1)), Flow::Branch { skip: 1, conditional: true });
+        assert_eq!(flow(Inst::JneSkip(2)), Flow::Branch { skip: 2, conditional: true });
+        assert_eq!(flow(Inst::JmpSkip(3)), Flow::Branch { skip: 3, conditional: false });
+        assert_eq!(flow(Inst::Nop), Flow::Next);
         // Fall-through: jmp always diverts, ret leaves, __stack_chk_fail
         // aborts; the patched 32-bit check *returns* on success.
-        assert!(!Inst::JmpSkip(1).falls_through());
-        assert!(!Inst::Ret.falls_through());
-        assert!(!Inst::CallStackChkFail.falls_through());
-        assert!(Inst::JeSkip(1).falls_through());
-        assert!(Inst::CallCheckCanary32.falls_through());
-        assert!(Inst::CallFn(FuncId(0)).falls_through());
+        assert!(!flow(Inst::JmpSkip(1)).falls_through());
+        assert!(!flow(Inst::Ret).falls_through());
+        assert!(!flow(Inst::CallStackChkFail).falls_through());
+        assert!(flow(Inst::JeSkip(1)).falls_through());
+        assert!(flow(Inst::CallCheckCanary32).falls_through());
+        assert!(flow(Inst::CallFn(FuncId(0))).falls_through());
     }
 
     #[test]
     fn frame_store_extents_match_interpreter_widths() {
-        assert_eq!(Inst::MovRegToFrame { src: Reg::Rax, offset: -8 }.frame_store(), Some((-8, 8)));
-        assert_eq!(
-            Inst::MovRegToFrame32 { src: Reg::Rdi, offset: -8 }.frame_store(),
-            Some((-8, 4))
-        );
-        assert_eq!(Inst::MovImmToFrame { offset: -16, imm: 7 }.frame_store(), Some((-16, 4)));
-        assert_eq!(
-            Inst::CopyInputToFrameBounded { offset: -64, max_len: 48 }.frame_store(),
-            Some((-64, 48))
-        );
+        let store = |inst: Inst| inst.effects().frame_store;
+        let copy = |inst: Inst| inst.effects().input_copy;
+        assert_eq!(store(Inst::MovRegToFrame { src: Reg::Rax, offset: -8 }), Some((-8, 8)));
+        assert_eq!(store(Inst::MovRegToFrame32 { src: Reg::Rdi, offset: -8 }), Some((-8, 4)));
+        assert_eq!(store(Inst::MovImmToFrame { offset: -16, imm: 7 }), Some((-16, 4)));
+        let bounded = Inst::CopyInputToFrameBounded { offset: -64, max_len: 48 };
+        assert_eq!(store(bounded), Some((-64, 48)));
         // The unbounded copy has no static extent — it is the overflow vector.
-        assert_eq!(Inst::CopyInputToFrame { offset: -64 }.frame_store(), None);
-        assert_eq!(Inst::CopyInputToFrame { offset: -64 }.input_copy_offset(), Some(-64));
-        assert_eq!(
-            Inst::CopyInputToFrameBounded { offset: -64, max_len: 48 }.input_copy_offset(),
-            Some(-64)
-        );
-        assert_eq!(Inst::MovRegToFrame { src: Reg::Rax, offset: -8 }.input_copy_offset(), None);
+        assert_eq!(store(Inst::CopyInputToFrame { offset: -64 }), None);
+        assert_eq!(copy(Inst::CopyInputToFrame { offset: -64 }), Some(-64));
+        assert_eq!(copy(bounded), Some(-64));
+        assert_eq!(copy(Inst::MovRegToFrame { src: Reg::Rax, offset: -8 }), None);
     }
 
     #[test]
@@ -866,7 +974,7 @@ mod tests {
             Inst::TestReg(Reg::Rax),
             Inst::CallCheckCanary32,
         ] {
-            assert!(setter.sets_zero_flag(), "{setter}");
+            assert!(setter.effects().sets_zero_flag, "{setter}");
         }
         for non_setter in [
             Inst::MovRegToFrame { src: Reg::Rax, offset: -8 },
@@ -875,7 +983,36 @@ mod tests {
             Inst::JeSkip(1),
             Inst::CallStackChkFail,
         ] {
-            assert!(!non_setter.sets_zero_flag(), "{non_setter}");
+            assert!(!non_setter.effects().sets_zero_flag, "{non_setter}");
         }
+    }
+
+    #[test]
+    fn operands_are_renamed_through_the_description() {
+        let mut inst = Inst::MovMemToReg { dst: Reg::Rax, base: Reg::Rax, offset: 8 };
+        inst.for_each_operand_mut(|reg, _| {
+            if *reg == Reg::Rax {
+                *reg = Reg::R9;
+            }
+        });
+        assert_eq!(inst, Inst::MovMemToReg { dst: Reg::R9, base: Reg::R9, offset: 8 });
+        // Implicit operands are fixed: the AES helper keeps `%rax:%rdx`.
+        let aes = Inst::AesEncryptFrame { nonce: Reg::Rax };
+        let effects = aes.effects();
+        assert!(effects.reads.contains(Reg::Rax) && effects.implicit_writes.contains(Reg::Rax));
+        assert_eq!(effects.updates, RegSet::EMPTY);
+        let xor = Inst::XorRegReg { dst: Reg::Rdx, src: Reg::Rdi }.effects();
+        assert_eq!(xor.updates, RegSet::of(Reg::Rdx));
+        assert_eq!(xor.implicit_writes, RegSet::EMPTY);
+    }
+
+    #[test]
+    fn only_je_over_stack_chk_fail_guards_an_abort() {
+        let guard = [Inst::JeSkip(1), Inst::CallStackChkFail];
+        assert!(is_abort_guard(&guard, 0));
+        assert!(!is_abort_guard(&guard, 1));
+        assert!(!is_abort_guard(&[Inst::JneSkip(1), Inst::CallStackChkFail], 0));
+        assert!(!is_abort_guard(&[Inst::JeSkip(1), Inst::Nop], 0));
+        assert!(!is_abort_guard(&[Inst::JeSkip(1)], 0));
     }
 }

@@ -102,6 +102,37 @@ impl fmt::Display for Reg {
     }
 }
 
+/// A set of registers: bit [`Reg::index`] stands for the register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RegSet(pub u16);
+
+impl RegSet {
+    /// No register.
+    pub const EMPTY: RegSet = RegSet(0);
+    /// Every register (what a call may read and clobber).
+    pub const ALL: RegSet = RegSet(u16::MAX);
+
+    /// The set holding `reg` alone.
+    pub const fn of(reg: Reg) -> RegSet {
+        RegSet(1 << reg as u16)
+    }
+
+    /// The registers in either set.
+    pub const fn union(self, other: RegSet) -> RegSet {
+        RegSet(self.0 | other.0)
+    }
+
+    /// Whether `reg` is in the set.
+    pub fn contains(self, reg: Reg) -> bool {
+        self.0 & RegSet::of(reg).0 != 0
+    }
+
+    /// Removes `reg` from the set.
+    pub fn remove(&mut self, reg: Reg) {
+        self.0 &= !RegSet::of(reg).0;
+    }
+}
+
 /// The register file of one executing CPU context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterFile {

@@ -280,9 +280,9 @@ fn diff_scenario(
 /// The field names of `old` followed by the names only `new` has, without
 /// duplicates — the iteration order every record-pair comparison uses.
 fn union_keys<'a>(old: &'a Record, new: &'a Record) -> Vec<&'a str> {
-    let mut keys: Vec<&str> = old.fields().iter().map(|(k, _)| k.as_str()).collect();
+    let mut keys: Vec<&str> = old.fields().iter().map(|(k, _)| k.as_ref()).collect();
     for (key, _) in new.fields() {
-        if !keys.contains(&key.as_str()) {
+        if !keys.contains(&key.as_ref()) {
             keys.push(key);
         }
     }

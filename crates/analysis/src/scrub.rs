@@ -20,7 +20,7 @@ pub const VOLATILE_FIELDS: &[&str] = &["wall_ms", "workers", "format"];
 pub fn scrub(record: &Record) -> Record {
     let mut out = Record::new();
     for (name, value) in record.fields() {
-        if VOLATILE_FIELDS.contains(&name.as_str()) {
+        if VOLATILE_FIELDS.contains(&name.as_ref()) {
             continue;
         }
         out.push(name.clone(), scrub_value(value));

@@ -189,7 +189,7 @@ fn render_record_table(records: &[Record], out: &mut String) {
     let mut columns: Vec<&str> = Vec::new();
     for record in records {
         for (name, _) in record.fields() {
-            if !columns.contains(&name.as_str()) {
+            if !columns.contains(&name.as_ref()) {
                 columns.push(name);
             }
         }

@@ -49,7 +49,7 @@
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use polycanary_core::record::Record;
+use polycanary_core::record::{Record, Value};
 use polycanary_core::scheme::SchemeKind;
 
 use crate::byte_by_byte::ByteByByteAttack;
@@ -531,7 +531,7 @@ impl CampaignReport {
     /// The self-describing record form of this report, including the
     /// per-seed runs, for JSON/CSV export.
     pub fn record(&self) -> Record {
-        let runs: Vec<Record> = self
+        let runs: Vec<Value> = self
             .runs
             .iter()
             .map(|run| {
@@ -540,9 +540,9 @@ impl CampaignReport {
                     .field("success", run.result.success)
                     .field("requests", run.result.trials);
                 if let Some(outcome) = run.result.final_outcome {
-                    rec.push("final_outcome", format!("{outcome:?}"));
+                    rec.push("final_outcome", outcome.label());
                 }
-                rec
+                Value::Record(rec)
             })
             .collect();
         let mut rec = Record::new()

@@ -34,6 +34,17 @@ impl RequestOutcome {
     pub fn hijacked(self) -> bool {
         matches!(self, RequestOutcome::Hijacked)
     }
+
+    /// The variant's name, as `Debug` prints it: the `final_outcome` an
+    /// exported run records.
+    pub fn label(self) -> &'static str {
+        match self {
+            RequestOutcome::Survived => "Survived",
+            RequestOutcome::Detected => "Detected",
+            RequestOutcome::Crashed => "Crashed",
+            RequestOutcome::Hijacked => "Hijacked",
+        }
+    }
 }
 
 /// An oracle the attack strategies drive.  [`crate::victim::ForkingServer`]

@@ -165,7 +165,11 @@ fn cell_record(cell: &[CampaignReport]) -> Record {
 
 /// A row's record: its [`fleet_key`], then the scenario's `extra` fields,
 /// then one [`cell_record`] per attack column.
-pub(super) fn row_record(fleet: &Population, cells: &[Cell], extra: Vec<(&str, Value)>) -> Record {
+pub(super) fn row_record(
+    fleet: &Population,
+    cells: &[Cell],
+    extra: Vec<(&'static str, Value)>,
+) -> Record {
     let mut record = fleet_key(fleet);
     for (name, value) in extra {
         record.push(name, value);

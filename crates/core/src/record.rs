@@ -18,6 +18,23 @@
 //! numeric ([`Value::as_f64`]) rather than variant-exact for float fields.
 //! The text itself is stable: writer → parser → writer is a fixed point.
 //!
+//! # Ownership and allocation
+//!
+//! A record allocates only for what it carries.  Field names are
+//! [`Cow<'static, str>`](Cow): a record built in code borrows its static
+//! names, and a parsed record owns the names it read.  Per stage:
+//!
+//! - **build** allocates the field vector, each [`Value::Str`] and each
+//!   nested list or record; a static field name costs nothing;
+//! - **serialize** ([`Record::to_json`], [`records_to_json`]) allocates only
+//!   its output string: numbers are formatted straight into it, and each
+//!   run of unescaped string bytes is copied as one slice;
+//! - **parse** ([`Record::from_json`], [`records_from_json`]) allocates
+//!   once per returned string (a name or a [`Value::Str`]) and per
+//!   container.  A string with no escape is copied from the input at its
+//!   exact length; only a string with a `\` escape is decoded char by
+//!   char.  Numbers are parsed from a slice of the input.
+//!
 //! # Example
 //!
 //! ```
@@ -30,6 +47,9 @@
 //! assert_eq!(rec.to_json(), r#"{"scheme":"P-SSP","successes":0,"rate":0}"#);
 //! assert_eq!(rec.get("scheme"), Some(&Value::Str("P-SSP".into())));
 //! ```
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Version of the export-envelope layout produced by
 /// [`export_envelope`].  Cross-run trend tooling keys on this: bump it
@@ -294,9 +314,10 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::UInt(n) => out.push_str(&n.to_string()),
-            Value::Int(n) => out.push_str(&n.to_string()),
-            Value::Float(f) if f.is_finite() => out.push_str(&f.to_string()),
+            // Writing to a `String` cannot fail.
+            Value::UInt(n) => _ = write!(out, "{n}"),
+            Value::Int(n) => _ = write!(out, "{n}"),
+            Value::Float(f) if f.is_finite() => _ = write!(out, "{f}"),
             Value::Float(_) => out.push_str("null"),
             Value::Str(s) => write_json_string(s, out),
             Value::List(items) => {
@@ -378,19 +399,27 @@ impl Value {
 
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every escaped byte is ASCII, so each unescaped run between two of
+    // them is a `str` slice, copied whole.
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => _ = write!(out, "\\u{byte:04x}"),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -420,6 +449,7 @@ pub const MAX_NESTING_DEPTH: usize = 128;
 /// Recursive-descent parser over the subset of JSON the writers emit (which
 /// is all of JSON except exotic number forms like leading `+`).
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Objects and arrays currently open.
@@ -428,7 +458,7 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { bytes: input.as_bytes(), pos: 0, depth: 0 }
+        Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0 }
     }
 
     /// Parses one object or array with `parse`, one nesting level deeper.
@@ -568,7 +598,17 @@ impl<'a> Parser<'a> {
 
     fn parse_string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Up to the closing quote or the first escape, the string is the
+        // input verbatim; both bytes are ASCII, so the run is a `str` slice.
+        let start = self.pos;
+        let run = self.bytes[start..].iter().position(|b| matches!(b, b'"' | b'\\'));
+        self.pos = run.map_or(self.bytes.len(), |run| start + run);
+        let verbatim = &self.input[start..self.pos];
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(verbatim.to_owned());
+        }
+        let mut out = verbatim.to_owned();
         loop {
             match self.bytes.get(self.pos) {
                 None => return Err(self.error("unterminated string")),
@@ -656,7 +696,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number token");
+        let text = &self.input[start..self.pos];
         if text.contains(['.', 'e', 'E']) {
             text.parse::<f64>().map(Value::Float).map_err(|_| self.error("invalid number"))
         } else if text.starts_with('-') {
@@ -687,7 +727,7 @@ fn csv_escape(s: &str) -> String {
 /// row, campaign report or benchmark result.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Record {
-    fields: Vec<(String, Value)>,
+    fields: Vec<(Cow<'static, str>, Value)>,
 }
 
 impl Record {
@@ -698,18 +738,19 @@ impl Record {
 
     /// Appends a field (builder style).
     #[must_use]
-    pub fn field(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn field(mut self, name: impl Into<Cow<'static, str>>, value: impl Into<Value>) -> Self {
         self.fields.push((name.into(), value.into()));
         self
     }
 
     /// Appends a field in place.
-    pub fn push(&mut self, name: impl Into<String>, value: impl Into<Value>) {
+    pub fn push(&mut self, name: impl Into<Cow<'static, str>>, value: impl Into<Value>) {
         self.fields.push((name.into(), value.into()));
     }
 
-    /// The fields in insertion order.
-    pub fn fields(&self) -> &[(String, Value)] {
+    /// The fields in insertion order.  A built record borrows its static
+    /// names; a parsed record owns its names.
+    pub fn fields(&self) -> &[(Cow<'static, str>, Value)] {
         &self.fields
     }
 
@@ -797,7 +838,7 @@ pub fn records_to_csv(records: &[Record]) -> String {
     let mut columns: Vec<&str> = Vec::new();
     for rec in records {
         for (name, _) in rec.fields() {
-            if !columns.contains(&name.as_str()) {
+            if !columns.contains(&name.as_ref()) {
                 columns.push(name);
             }
         }

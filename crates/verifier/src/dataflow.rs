@@ -9,18 +9,24 @@
 //! * whether every path since the last canary store has passed an epilogue
 //!   check,
 //! * which registers hold a value loaded from a canary slot on every path
-//!   (a slot load, or the XOR of two such values), and
+//!   (a slot load, or the XOR of two such values),
+//! * which registers may hold a value loaded from a canary slot on some
+//!   path (a slot load, anything an explicit operand computes from such a
+//!   register, and any reload from memory once such a register was
+//!   stored), and
 //! * what last defined the zero flag — a canary comparison or unrelated ALU
 //!   work — so a `je; __stack_chk_fail` guard only counts as an epilogue
 //!   check when it actually tests the canary.  `xor %fs:0x28,%reg` is a
 //!   canary comparison only when `%reg` holds a slot value: XORing the TLS
 //!   canary into anything else (the canary itself, say) proves nothing about
-//!   the frame.
+//!   the frame.  `cmp %reg,slot` is one only when `%reg` cannot hold a slot
+//!   value: comparing a slot with its own reload proves nothing either.
 //!
 //! Every fact about an instruction — its register writes, zero-flag,
 //! frame-store and input-copy effects and its control flow — comes from its
 //! one effects description, [`Inst::effects`], read once per instruction
-//! visit.
+//! visit, and once more while a register may hold a slot value in a
+//! function that compares a slot with a register.
 //!
 //! Check semantics follow the interpreter: [`Inst::CallStackChkFail`] aborts
 //! (its block has no successors), so the *taken* edge of a `je +1` guarding
@@ -79,11 +85,21 @@ struct PathBits {
     flags: u8,
     /// Registers that may hold something other than a canary-slot value.
     foreign: RegSet,
+    /// Registers that may hold a value loaded from a canary slot.
+    loaded: RegSet,
+    /// Whether a register in `loaded` may have been stored to memory, so
+    /// that any reload may hold a slot value.
+    spilled: bool,
 }
 
 impl PathBits {
-    const ENTRY: PathBits =
-        PathBits { checked: CHECKED_NO, flags: FLAGS_OTHER, foreign: RegSet::ALL };
+    const ENTRY: PathBits = PathBits {
+        checked: CHECKED_NO,
+        flags: FLAGS_OTHER,
+        foreign: RegSet::ALL,
+        loaded: RegSet::EMPTY,
+        spilled: false,
+    };
 }
 
 impl AbsState<'_> {
@@ -115,15 +131,21 @@ fn join(into: &mut [u8], into_bits: &mut PathBits, from: &[u8], from_bits: PathB
         checked: into_bits.checked | from_bits.checked,
         flags: into_bits.flags | from_bits.flags,
         foreign: into_bits.foreign.union(from_bits.foreign),
+        loaded: into_bits.loaded.union(from_bits.loaded),
+        spilled: into_bits.spilled | from_bits.spilled,
     };
 }
 
 /// Whether `inst` compares the canary (as opposed to unrelated ALU work),
-/// given the registers `foreign` that may hold a non-slot value.
-fn is_canary_compare(inst: &Inst, policy: &ProtectionPolicy, foreign: RegSet) -> bool {
+/// given the path bits before it.
+fn is_canary_compare(inst: &Inst, policy: &ProtectionPolicy, bits: PathBits) -> bool {
     match inst {
-        Inst::XorTlsReg { dst, offset } => *offset == TLS_CANARY_OFFSET && !foreign.contains(*dst),
-        Inst::CmpFrameReg { offset, .. } => policy.slots.contains(offset),
+        Inst::XorTlsReg { dst, offset } => {
+            *offset == TLS_CANARY_OFFSET && !bits.foreign.contains(*dst)
+        }
+        Inst::CmpFrameReg { reg, offset } => {
+            policy.slots.contains(offset) && !bits.loaded.contains(*reg)
+        }
         Inst::CallCheckCanary32 => true,
         _ => false,
     }
@@ -143,12 +165,53 @@ fn slot_value_def(inst: &Inst, policy: &ProtectionPolicy, foreign: RegSet) -> Op
     }
 }
 
+/// Updates the may-load bits for `inst`, which writes `writes`.  A
+/// register its explicit operands write may hold a slot value when it loads
+/// a policy slot, reloads memory after a spill, or reads a register that
+/// may hold one.  Implicit results (a call's, or the AES helper's
+/// ciphertext of the nonce) are computed, not loaded, and hold none.
+fn track_loads(inst: &Inst, writes: RegSet, policy: &ProtectionPolicy, bits: &mut PathBits) {
+    let slot_load =
+        matches!(*inst, Inst::MovFrameToReg { offset, .. } if policy.slots.contains(&offset));
+    // Until a slot is loaded no register can hold its value.
+    if !slot_load && bits.loaded == RegSet::EMPTY && !bits.spilled {
+        return;
+    }
+    if let Inst::PushReg(src)
+    | Inst::MovRegToTls { src, .. }
+    | Inst::MovRegToFrame { src, .. }
+    | Inst::MovRegToFrame32 { src, .. }
+    | Inst::MovRegToMem { src, .. } = *inst
+    {
+        bits.spilled |= bits.loaded.contains(src);
+    }
+    if writes == RegSet::EMPTY {
+        return;
+    }
+    // The read set, which nothing else here needs, from a second look.
+    let effects = inst.effects();
+    let loads = slot_load
+        || match *inst {
+            Inst::PopReg(_)
+            | Inst::MovTlsToReg { .. }
+            | Inst::MovFrameToReg { .. }
+            | Inst::MovFrameToReg32 { .. }
+            | Inst::MovMemToReg { .. } => bits.spilled,
+            _ => effects.reads.intersects(bits.loaded),
+        };
+    bits.loaded = bits.loaded.difference(writes);
+    if loads {
+        bits.loaded = bits.loaded.union(writes.difference(effects.implicit_writes));
+    }
+}
+
 /// Per-instruction transfer function; findings go to `findings`.
 fn transfer(
     state: &mut AbsState<'_>,
     inst: &Inst,
     index: usize,
     policy: &ProtectionPolicy,
+    compares_slots: bool,
     findings: &mut Vec<Finding>,
 ) {
     let effects = inst.effects();
@@ -249,14 +312,18 @@ fn transfer(
     let foreign = state.bits.foreign;
     if effects.sets_zero_flag {
         state.bits.flags =
-            if is_canary_compare(inst, policy, foreign) { FLAGS_CANARY } else { FLAGS_OTHER };
+            if is_canary_compare(inst, policy, state.bits) { FLAGS_CANARY } else { FLAGS_OTHER };
     }
 
     // Register provenance: every write makes its register foreign, except
-    // the definition of a slot value.
+    // the definition of a slot value.  Only `cmp %reg,slot` reads the
+    // may-load bits, so a function without one does not track them.
     state.bits.foreign = foreign.union(effects.writes);
     if let Some(reg) = slot_value_def(inst, policy, foreign) {
         state.bits.foreign.remove(reg);
+    }
+    if compares_slots {
+        track_loads(inst, effects.writes, policy, &mut state.bits);
     }
 }
 
@@ -319,6 +386,9 @@ impl Dataflow {
         in_slots[slots_of(0)].fill(UNSET);
         in_bits[0].reached = true;
         let first = findings.len();
+        let compares_slots = insts.iter().any(
+            |inst| matches!(inst, Inst::CmpFrameReg { offset, .. } if policy.slots.contains(offset)),
+        );
         for id in 0..blocks.len() {
             if !in_bits[id].reached {
                 continue;
@@ -326,7 +396,7 @@ impl Dataflow {
             state.copy_from_slice(&in_slots[slots_of(id)]);
             let mut current = AbsState { slots: state, bits: in_bits[id].bits };
             for index in blocks[id].range() {
-                transfer(&mut current, &insts[index], index, policy, findings);
+                transfer(&mut current, &insts[index], index, policy, compares_slots, findings);
             }
             let last = blocks[id].end - 1;
             // The taken edge of a canary-guarded `je +1; __stack_chk_fail`

@@ -122,6 +122,16 @@ impl RegSet {
         RegSet(self.0 | other.0)
     }
 
+    /// The registers in `self` but not in `other`.
+    pub const fn difference(self, other: RegSet) -> RegSet {
+        RegSet(self.0 & !other.0)
+    }
+
+    /// Whether the sets share a register.
+    pub const fn intersects(self, other: RegSet) -> bool {
+        self.0 & other.0 != 0
+    }
+
     /// Whether `reg` is in the set.
     pub fn contains(self, reg: Reg) -> bool {
         self.0 & RegSet::of(reg).0 != 0

@@ -16,6 +16,10 @@
 //! its victims into one kept server, so a canary-reuse victim allocates
 //! only what it returns.
 //!
+//! Export records are pinned last: a record built in code borrows its static
+//! field names, the JSON writer allocates only its output, and the parser
+//! allocates once per string it returns and per container it fills.
+//!
 //! A thread-local counting allocator counts the measured call alone:
 //! `prepare` runs debug-only checks that allocate.
 
@@ -24,10 +28,12 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use polycanary::attacks::{
-    CanaryReuseAttack, Deployment, ForkingServer, VictimConfig, VictimKey, VictimSnapshot,
+    AttackKind, Campaign, CanaryReuseAttack, Deployment, ForkingServer, VictimConfig, VictimKey,
+    VictimSnapshot,
 };
 use polycanary::compiler::ir::ModuleDef;
 use polycanary::compiler::{Compiler, OptLevel};
+use polycanary::core::record::Record;
 use polycanary::core::SchemeKind;
 use polycanary::verifier::verify_compiled;
 use polycanary::vm::tls::TLS_SIZE;
@@ -302,4 +308,53 @@ fn a_reuse_victim_rebooted_into_a_kept_server_allocates_only_its_results() {
             }
         }
     }
+}
+
+/// Allocations of a record's three export stages: build (`build` alone),
+/// serialize and parse.  The parsed record must re-serialize to the same
+/// text.
+fn export_allocations(build: impl FnOnce() -> Record) -> [u64; 3] {
+    let before = allocations();
+    let record = build();
+    let built = allocations() - before;
+    let before = allocations();
+    let json = record.to_json();
+    let serialized = allocations() - before;
+    let before = allocations();
+    let parsed = Record::from_json(&json).expect("an export parses");
+    let parsed_count = allocations() - before;
+    assert_eq!(parsed.to_json(), json, "writer -> parser -> writer is a fixed point");
+    [built, serialized, parsed_count]
+}
+
+#[test]
+fn a_server_stats_record_allocates_only_what_it_carries() {
+    /// Build: the field vector (4, then 8 fields) and the three label
+    /// strings.  Serialize: the output string as it grows.  Parse: the
+    /// field vector (two steps), the eight names and the three strings.
+    const EXPECTED: [u64; 3] = [5, 6, 13];
+
+    let mut server = ForkingServer::new(VictimConfig::new(SchemeKind::Ssp, 3));
+    let _ = server.serve(b"GET / HTTP/1.1");
+    assert_eq!(export_allocations(|| server.stats_record()), EXPECTED, "build, serialize, parse");
+}
+
+#[test]
+fn a_reuse_report_record_allocates_only_what_it_carries_per_victim() {
+    /// Build, serialize and parse of a 512-victim canary-reuse report.
+    /// Each run is a record of four fields: built, it allocates its field
+    /// vector and its `final_outcome` string (2 per victim); parsed, also
+    /// its four names (6 per victim).  Serializing appends to one growing
+    /// string.  The rest is the report's summary fields and the runs list.
+    const VICTIMS: usize = 512;
+    const EXPECTED: [u64; 3] = [1_046, 14, 3_113];
+
+    let report = Campaign::new(AttackKind::Reuse, SchemeKind::Ssp)
+        .with_seed_range(0xE4_0127, VICTIMS)
+        .with_workers(1)
+        .run();
+    assert_eq!(report.runs.len(), VICTIMS);
+    let counts = export_allocations(|| report.record());
+    let per_victim = counts.map(|n| n as f64 / VICTIMS as f64);
+    assert_eq!(counts, EXPECTED, "build, serialize, parse ({per_victim:.3?} per victim)");
 }

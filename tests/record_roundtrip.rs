@@ -6,7 +6,7 @@
 //! other side: random values are writer → parser → writer fixed points,
 //! and mutated or arbitrary text never panics the parser.
 
-use polycanary::attacks::{AttackKind, Campaign, StopRule};
+use polycanary::attacks::{AttackKind, Campaign, RequestOutcome, StopRule};
 use polycanary::core::record::{records_from_json, records_to_json, Record, Value};
 use polycanary::core::SchemeKind;
 use polycanary::crypto::{Prng, SplitMix64};
@@ -196,5 +196,139 @@ fn mutated_and_arbitrary_inputs_never_panic_the_parser() {
             _ => random_text(&mut rng, 24),
         };
         assert_parses_to_a_fixed_point(&mutate(&mut rng, &seed));
+    }
+}
+
+/// The writer as it was first written, kept as the byte-for-byte reference:
+/// every number through `to_string`, every string escaped char by char.
+fn reference_json(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::UInt(n) => out.push_str(&n.to_string()),
+        Value::Int(n) => out.push_str(&n.to_string()),
+        Value::Float(f) if f.is_finite() => out.push_str(&f.to_string()),
+        Value::Float(_) => out.push_str("null"),
+        Value::Str(s) => reference_string(s, out),
+        Value::List(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                reference_json(item, out);
+            }
+            out.push(']');
+        }
+        Value::Record(rec) => {
+            out.push('{');
+            for (i, (name, value)) in rec.fields().iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                reference_string(name, out);
+                out.push(':');
+                reference_json(value, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn reference_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn assert_writes_like_the_reference(value: &Value) {
+    let mut expected = String::new();
+    reference_json(value, &mut expected);
+    assert_eq!(value.to_json(), expected, "{value:?}");
+}
+
+#[test]
+fn the_writer_matches_the_reference_writer_byte_for_byte() {
+    let every_control: String = (0..0x20u8).map(char::from).collect();
+    let edges = [
+        Value::Str(every_control.clone()),
+        Value::Str("quote \" backslash \\ slash / end\\".into()),
+        Value::Str("\u{e9}\u{20ac}\u{1F414}\n\u{7f}\u{80}\u{10FFFF}".into()),
+        Value::Str(String::new()),
+        Value::Float(-0.0),
+        Value::Float(f64::NAN),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(f64::MIN_POSITIVE / 2.0),
+        Value::Float(f64::MAX),
+        Value::UInt(u64::MAX),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Record(Record::new().field(every_control, "\"").field("\u{1F414}\\", -0.0f64)),
+    ];
+    for value in &edges {
+        assert_writes_like_the_reference(value);
+    }
+    let mut rng = SplitMix64::new(0xD1FF_3127);
+    for _ in 0..5_000 {
+        assert_writes_like_the_reference(&random_value(&mut rng, 3));
+    }
+}
+
+#[test]
+fn strings_with_and_without_escapes_parse_back_exactly() {
+    let needs_escape = |c: char| c == '"' || c == '\\' || (c as u32) < 0x20;
+    let mut rng = SplitMix64::new(0x5711_C3D5);
+    let (mut plain, mut escaped) = (0, 0);
+    for _ in 0..5_000 {
+        let text = random_text(&mut rng, 12);
+        let clean: String = text.chars().filter(|&c| !needs_escape(c)).collect();
+        for s in [text, clean] {
+            if s.chars().any(needs_escape) {
+                escaped += 1;
+            } else {
+                plain += 1;
+            }
+            let json = Value::Str(s.clone()).to_json();
+            assert_eq!(Value::from_json(&json), Ok(Value::Str(s)), "{json}");
+        }
+    }
+    assert!(plain > 1_000 && escaped > 1_000, "{plain} plain, {escaped} escaped");
+
+    // An escape at either end, and the errors a string can end in, at the
+    // byte they name.
+    for s in ["\nx", "x\n", "\"", "\\\\", "\u{1F414}\t\u{1F414}"] {
+        assert_eq!(Value::from_json(&Value::Str(s.into()).to_json()), Ok(Value::Str(s.into())));
+    }
+    for (bad, offset, message) in [
+        ("\"abc", 4, "unterminated string"),
+        ("\"ab\\q\"", 4, "invalid escape sequence"),
+        ("\"ab\\n", 5, "unterminated string"),
+        ("\"\\u12\"", 2, "truncated \\u escape"),
+    ] {
+        let err = Value::from_json(bad).unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (offset, message), "{bad}");
+    }
+}
+
+#[test]
+fn request_outcome_labels_are_their_debug_names() {
+    for outcome in [
+        RequestOutcome::Survived,
+        RequestOutcome::Detected,
+        RequestOutcome::Crashed,
+        RequestOutcome::Hijacked,
+    ] {
+        assert_eq!(outcome.label(), format!("{outcome:?}"));
     }
 }

@@ -13,12 +13,33 @@ use polycanary::vm::reg::Reg;
 use polycanary::vm::tls::TLS_CANARY_OFFSET;
 use polycanary::vm::{Exit, Fault};
 
-/// The canonical victim server (64-byte buffer, `program` 0) under SSP at O0.
-fn ssp_victim() -> CompiledModule {
+/// The canonical victim server (64-byte buffer, `program` 0) under SSP.
+fn ssp_victim(opt: OptLevel) -> CompiledModule {
     Build::Compiler(SchemeKind::Ssp)
-        .compiler(OptLevel::O0)
+        .compiler(opt)
         .compile(&victim_module(64, 0))
         .expect("the victim compiles")
+}
+
+/// `module` with `handle_request`'s body edited by `mutate`.
+fn mutate_handler(module: &CompiledModule, mutate: impl FnOnce(&mut Vec<Inst>)) -> CompiledModule {
+    let mut mutant = module.clone();
+    let id = mutant.by_name["handle_request"];
+    let mut insts = mutant.program.function(id).expect("id is valid").insts().to_vec();
+    mutate(&mut insts);
+    mutant.program.replace_function_body(id, insts).expect("id is valid");
+    mutant
+}
+
+/// Asserts that the verifier flags `handle_request`'s return as unchecked.
+fn assert_unchecked_return(module: &CompiledModule) {
+    let findings = verify_compiled(module);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.kind == CheckKind::UncheckedReturn && f.function == "handle_request"),
+        "{findings:?}"
+    );
 }
 
 /// Serves one request whose overflow rewrites the canary with wrong bytes,
@@ -36,7 +57,7 @@ fn overflow(module: &CompiledModule) -> Exit {
 
 #[test]
 fn an_epilogue_comparing_the_canary_with_itself_is_flagged_and_hijackable() {
-    let clean = ssp_victim();
+    let clean = ssp_victim(OptLevel::O0);
     assert!(verify_compiled(&clean).is_empty());
     assert!(
         matches!(overflow(&clean), Exit::Fault(Fault::CanaryViolation { .. })),
@@ -44,23 +65,68 @@ fn an_epilogue_comparing_the_canary_with_itself_is_flagged_and_hijackable() {
     );
 
     // The epilogue reloads the TLS canary where it should reload the slot.
-    let mut mutant = clean.clone();
-    let id = mutant.by_name["handle_request"];
-    let mut insts = mutant.program.function(id).expect("id is valid").insts().to_vec();
-    assert_eq!(insts[8], Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 });
-    insts[8] = Inst::MovTlsToReg { dst: Reg::Rdx, offset: TLS_CANARY_OFFSET };
-    mutant.program.replace_function_body(id, insts).expect("id is valid");
+    let mutant = mutate_handler(&clean, |insts| {
+        assert_eq!(insts[8], Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 });
+        insts[8] = Inst::MovTlsToReg { dst: Reg::Rdx, offset: TLS_CANARY_OFFSET };
+    });
 
-    let findings = verify_compiled(&mutant);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.kind == CheckKind::UncheckedReturn && f.function == "handle_request"),
-        "{findings:?}"
-    );
+    assert_unchecked_return(&mutant);
     assert_eq!(
         overflow(&mutant),
         Exit::Fault(Fault::InvalidReturn { addr: HIJACK_TARGET }),
         "the self-compared check lets the overflow through"
     );
+}
+
+#[test]
+fn an_epilogue_comparing_the_slot_with_its_own_reload_is_flagged_and_hijackable() {
+    // At O2 the SSP epilogue compares the slot with the prologue's canary,
+    // kept in a register: `cmp %reg,-0x8(%rbp)`.
+    let clean = ssp_victim(OptLevel::O2);
+    assert!(verify_compiled(&clean).is_empty());
+    assert!(
+        matches!(overflow(&clean), Exit::Fault(Fault::CanaryViolation { .. })),
+        "the clean victim detects the overflow"
+    );
+
+    // `mov -0x8(%rbp),%reg` before the compare makes it compare the slot
+    // with itself; so does the reload passed through an ALU operation that
+    // keeps it, or saved on the stack across a clobber.
+    let reloads: [fn(Reg) -> Vec<Inst>; 3] = [
+        |reg| vec![Inst::MovFrameToReg { dst: reg, offset: -8 }],
+        |reg| {
+            vec![
+                Inst::MovFrameToReg { dst: reg, offset: -8 },
+                Inst::OrRegReg { dst: reg, src: reg },
+            ]
+        },
+        |reg| {
+            vec![
+                Inst::MovFrameToReg { dst: reg, offset: -8 },
+                Inst::PushReg(reg),
+                Inst::MovImmToReg { dst: reg, imm: 0 },
+                Inst::PopReg(reg),
+            ]
+        },
+    ];
+    for reload in reloads {
+        let mutant = mutate_handler(&clean, |insts| {
+            let (at, reg) = insts
+                .iter()
+                .enumerate()
+                .find_map(|(at, inst)| match *inst {
+                    Inst::CmpFrameReg { reg, offset: -8 } => Some((at, reg)),
+                    _ => None,
+                })
+                .expect("the O2 epilogue compares the slot with a register");
+            insts.splice(at..at, reload(reg));
+        });
+
+        assert_unchecked_return(&mutant);
+        assert_eq!(
+            overflow(&mutant),
+            Exit::Fault(Fault::InvalidReturn { addr: HIJACK_TARGET }),
+            "the self-compared slot lets the overflow through"
+        );
+    }
 }

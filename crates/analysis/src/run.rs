@@ -100,7 +100,7 @@ impl Run {
         let fail = |kind: LoadErrorKind| LoadError { source: source.to_string(), kind };
         let value = Value::from_json(json).map_err(|err| fail(LoadErrorKind::Json(err)))?;
         match value {
-            Value::Record(record) => self.ingest_envelope(source, &record),
+            Value::Record(record) => self.ingest_envelope(source, record),
             Value::List(items) => {
                 // An array is either all envelopes or all timings; decide by
                 // the first element so a mixed file is an explicit error.
@@ -110,14 +110,14 @@ impl Run {
                     )));
                 };
                 let is_timings = first.get("wall_ms").is_some();
-                for item in &items {
+                for item in items {
                     let Value::Record(record) = item else {
                         return Err(fail(LoadErrorKind::Shape(
                             "array export must contain objects (envelopes or timings)".into(),
                         )));
                     };
                     if is_timings {
-                        self.ingest_timing(source, record)?;
+                        self.ingest_timing(source, &record)?;
                     } else {
                         self.ingest_envelope(source, record)?;
                     }
@@ -130,11 +130,11 @@ impl Run {
         }
     }
 
-    fn ingest_envelope(&mut self, source: &str, record: &Record) -> Result<(), LoadError> {
+    fn ingest_envelope(&mut self, source: &str, record: Record) -> Result<(), LoadError> {
         let fail = |kind: LoadErrorKind| LoadError { source: source.to_string(), kind };
         let envelope =
-            Envelope::from_record(record).map_err(|err| fail(LoadErrorKind::Envelope(err)))?;
-        let scenario = envelope.scenario.clone();
+            Envelope::try_from(record).map_err(|err| fail(LoadErrorKind::Envelope(err)))?;
+        let scenario = envelope.scenario;
         let run = ScenarioRun {
             schema_version: envelope.schema_version,
             ctx: envelope.ctx,

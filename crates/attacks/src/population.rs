@@ -31,6 +31,7 @@ use std::fmt;
 
 use polycanary_core::record::{Record, Value};
 use polycanary_core::scheme::SchemeKind;
+use polycanary_crypto::{Prng, SplitMix64};
 
 use crate::victim::Deployment;
 
@@ -367,7 +368,7 @@ impl Population {
     /// weight per member, in member order, with at least one positive.
     fn draw(&self, seed: u64, weights: impl Iterator<Item = u32> + Clone) -> &PopulationMember {
         let total: u64 = weights.clone().map(u64::from).sum();
-        let mut ticket = mix64(seed ^ self.salt) % total;
+        let mut ticket = SplitMix64::new(seed ^ self.salt).next_u64() % total;
         for (member, weight) in self.members.iter().zip(weights) {
             let weight = u64::from(weight);
             if ticket < weight {
@@ -390,16 +391,6 @@ impl Population {
             None => record,
         }
     }
-}
-
-/// SplitMix64 finalizer: a cheap bijective scrambler whose output bits are
-/// individually well mixed, so `mix64(seed) % total_weight` is unbiased
-/// enough for fleet sampling even over structured seed sequences.
-fn mix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

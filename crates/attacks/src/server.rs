@@ -24,18 +24,17 @@
 //!
 //! # The reused worker
 //!
-//! The server owns a single worker process, created by the first
-//! [`ForkingServer::connect`].  Every later connection forks into that same
-//! process ([`Machine::fork_into`]), which makes it exactly the child a
-//! fresh fork would be — same pid sequence, TLS, rdrand stream, fork-hook
-//! effects and memory — without allocating.  The memory image is the
-//! expensive part: a worker's first stack write copies the parent's stack
-//! (copy-on-write), or allocates it zeroed while the parent's stack is
-//! still untouched, and from then on a refork copies back (or zero-fills)
-//! only the byte range the previous connection dirtied, because the parent
-//! still shares the pages the worker was copied from, or is still zero.  A
-//! byte-by-byte request therefore costs the interpreter plus the bytes it
-//! writes, not a stack copy.
+//! The server owns a single worker process, vacant until the first
+//! [`ForkingServer::connect`].  Every connection forks into that process
+//! ([`Machine::fork_into`]), which makes it exactly the child a fresh fork
+//! would be — same pid sequence, TLS, rdrand stream, fork-hook effects and
+//! memory — without allocating.  The memory image is the expensive part.
+//! A memory segment is either zero or owned, and an owned segment is zero
+//! outside the byte range written to it.  The worker's first stack write
+//! allocates its stack; from then on a refork zero-fills the range the
+//! previous connection wrote and copies the range the parent wrote, if
+//! any.  A byte-by-byte request therefore costs the interpreter plus the
+//! bytes it writes, not a stack copy.
 //!
 //! A campaign boots thousands of victims of one configuration, one after
 //! another, on each worker thread.  [`ForkingServer::reboot`] boots the
@@ -81,9 +80,9 @@ pub use crate::victim::{Deployment, FrameGeometry, VictimConfig, HIJACK_TARGET};
 pub struct ForkingServer {
     machine: Machine,
     parent: Process,
-    /// The worker slot: created by the first `connect`, then re-forked in
-    /// place for every later connection (see [`ForkingServer::connect`]).
-    worker: Option<Process>,
+    /// The worker: vacant until the first `connect`, then re-forked in
+    /// place for every connection (see [`ForkingServer::connect`]).
+    worker: Process,
     geometry: FrameGeometry,
     config: VictimConfig,
     policy: ForkCanaryPolicy,
@@ -140,7 +139,7 @@ impl ForkingServer {
         ForkingServer {
             machine,
             parent,
-            worker: None,
+            worker: Process::vacant(),
             geometry: victim.geometry(),
             config,
             policy: runtime_scheme.fork_canary_policy(),
@@ -161,7 +160,7 @@ impl ForkingServer {
     /// previous worker was left in — crashed, or mid keep-alive — the
     /// refork makes it exactly the child a fresh fork would be.
     pub fn reboot(&mut self, victim: &VictimSnapshot, seed: u64) {
-        let worker = self.worker.take();
+        let worker = std::mem::replace(&mut self.worker, Process::vacant());
         *self = ForkingServer::from_snapshot(victim, seed);
         self.worker = worker;
     }
@@ -212,10 +211,7 @@ impl ForkingServer {
     /// connection wrote, and allocates nothing.
     pub fn connect(&mut self) -> Connection<'_> {
         self.connections += 1;
-        match &mut self.worker {
-            Some(worker) => self.machine.fork_into(&mut self.parent, worker),
-            None => self.worker = Some(self.machine.fork(&mut self.parent)),
-        }
+        self.machine.fork_into(&mut self.parent, &mut self.worker);
         Connection { server: self, open: true }
     }
 
@@ -274,17 +270,10 @@ impl ForkingServer {
         self.machine.forks()
     }
 
-    /// The open connection's worker (an associated function so callers can
-    /// borrow the machine alongside it).
-    fn slot(worker: &mut Option<Process>) -> &mut Process {
-        worker.as_mut().expect("`connect` forks the worker before any request")
-    }
-
     fn run_in(&mut self, endpoint: FuncId, payload: &[u8]) -> RequestOutcome {
         self.requests += 1;
-        let worker = Self::slot(&mut self.worker);
-        worker.set_input_from(payload);
-        let outcome = self.machine.run_function_id(worker, endpoint);
+        self.worker.set_input_from(payload);
+        let outcome = self.machine.run_function_id(&mut self.worker, endpoint);
         let classified = classify(outcome.exit);
         if classified != RequestOutcome::Survived {
             self.crashed_workers += 1;
@@ -310,7 +299,7 @@ impl OverflowOracle for ForkingServer {
 /// are frozen for the connection's lifetime under per-fork schemes — which
 /// is why the reuse attack works against basic P-SSP over a keep-alive
 /// connection — while per-call schemes re-randomize on every request.  The
-/// worker lives in the server's worker slot; the connection borrows the
+/// worker is the server's one worker process; the connection borrows the
 /// server, so only one connection is open at a time.
 #[derive(Debug)]
 pub struct Connection<'s> {
@@ -348,7 +337,7 @@ impl Connection<'_> {
         }
         let endpoint = self.server.leak_fn;
         let outcome = self.server.run_in(endpoint, payload);
-        let leaked = ForkingServer::slot(&mut self.server.worker).take_output();
+        let leaked = self.server.worker.take_output();
         if outcome != RequestOutcome::Survived {
             self.open = false;
         }

@@ -110,54 +110,27 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Validates a parsed record as an export envelope.
+    /// Validates a borrowed record as an export envelope: a clone of
+    /// `record` through [`Envelope::try_from`].
     ///
     /// # Errors
     ///
-    /// [`EnvelopeError::FutureSchema`] when the export was written by a
-    /// newer envelope layout than this library supports, and
-    /// [`EnvelopeError::Malformed`] when a required field is missing or
-    /// has the wrong type.
+    /// Everything [`Envelope::try_from`] rejects.
     pub fn from_record(record: &Record) -> Result<Envelope, EnvelopeError> {
-        let malformed = |what: &str| EnvelopeError::Malformed { field: what.to_string() };
-        let schema_version = record
-            .get("schema_version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| malformed("schema_version"))?;
-        if schema_version > SCHEMA_VERSION {
-            return Err(EnvelopeError::FutureSchema {
-                found: schema_version,
-                supported: SCHEMA_VERSION,
-            });
-        }
-        let scenario =
-            record.get("scenario").and_then(Value::as_str).ok_or_else(|| malformed("scenario"))?;
-        let ctx = match record.get("ctx") {
-            Some(Value::Record(ctx)) => ctx.clone(),
-            _ => return Err(malformed("ctx")),
-        };
-        let Some(Value::List(items)) = record.get("records") else {
-            return Err(malformed("records"));
-        };
-        let records = items
-            .iter()
-            .map(|item| match item {
-                Value::Record(rec) => Ok(rec.clone()),
-                _ => Err(malformed("records")),
-            })
-            .collect::<Result<Vec<Record>, EnvelopeError>>()?;
-        Ok(Envelope { schema_version, scenario: scenario.to_string(), ctx, records })
+        Envelope::try_from(record.clone())
     }
 
     /// Parses one JSON export envelope, enforcing schema compatibility.
+    /// The parsed context and records are moved into the envelope, not
+    /// copied.
     ///
     /// # Errors
     ///
     /// [`EnvelopeError::Json`] when `input` is not well-formed JSON, plus
-    /// everything [`Envelope::from_record`] rejects.
+    /// everything [`Envelope::try_from`] rejects.
     pub fn from_json(input: &str) -> Result<Envelope, EnvelopeError> {
         let record = Record::from_json(input).map_err(EnvelopeError::Json)?;
-        Envelope::from_record(&record)
+        Envelope::try_from(record)
     }
 
     /// The record form of this envelope — the inverse of
@@ -169,6 +142,50 @@ impl Envelope {
             self.ctx.clone(),
             &self.records,
         )
+    }
+}
+
+impl TryFrom<Record> for Envelope {
+    type Error = EnvelopeError;
+
+    /// Validates a record as an export envelope, moving its context and
+    /// records out of it.
+    ///
+    /// # Errors
+    ///
+    /// [`EnvelopeError::FutureSchema`] when the export was written by a
+    /// newer envelope layout than this library supports, and
+    /// [`EnvelopeError::Malformed`] when a required field is missing or
+    /// has the wrong type.
+    fn try_from(mut record: Record) -> Result<Envelope, EnvelopeError> {
+        let malformed = |what: &str| EnvelopeError::Malformed { field: what.to_string() };
+        let schema_version = record
+            .get("schema_version")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| malformed("schema_version"))?;
+        if schema_version > SCHEMA_VERSION {
+            return Err(EnvelopeError::FutureSchema {
+                found: schema_version,
+                supported: SCHEMA_VERSION,
+            });
+        }
+        let Some(Value::Str(scenario)) = record.take("scenario") else {
+            return Err(malformed("scenario"));
+        };
+        let Some(Value::Record(ctx)) = record.take("ctx") else {
+            return Err(malformed("ctx"));
+        };
+        let Some(Value::List(items)) = record.take("records") else {
+            return Err(malformed("records"));
+        };
+        let records = items
+            .into_iter()
+            .map(|item| match item {
+                Value::Record(rec) => Ok(rec),
+                _ => Err(malformed("records")),
+            })
+            .collect::<Result<Vec<Record>, EnvelopeError>>()?;
+        Ok(Envelope { schema_version, scenario, ctx, records })
     }
 }
 
@@ -757,6 +774,13 @@ impl Record {
     /// The first field named `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// Removes the first field named `name` and returns its value, if
+    /// any: [`Record::get`] by value.
+    pub fn take(&mut self, name: &str) -> Option<Value> {
+        let index = self.fields.iter().position(|(n, _)| n == name)?;
+        Some(self.fields.remove(index).1)
     }
 
     /// Renders this record as a JSON object (fields in insertion order).

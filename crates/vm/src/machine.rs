@@ -434,13 +434,13 @@ mod tests {
         let mut booted = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 8);
         let a = booted.restore(&snapshot);
         let mut b = booted.restore(&snapshot);
-        // Neither process has written yet: both still read the same
-        // untouched pages — the allocation-free boot the fleet engine
-        // depends on.
-        assert!(a.memory.shares_pages_with(&b.memory));
+        // Neither process has written yet: both read the same untouched
+        // zero pages (that the boot allocates nothing is pinned in
+        // `tests/compile_allocations.rs`).
+        assert_eq!(a.memory, b.memory);
         b.memory.write_u8(b.memory.stack_top() - 1, 0x41).unwrap();
-        assert!(!a.memory.shares_pages_with(&b.memory));
-        assert!(a.memory.shares_pages_with(&booted.restore(&snapshot).memory));
+        assert_ne!(a.memory, b.memory);
+        assert_eq!(a.memory, booted.restore(&snapshot).memory);
     }
 
     #[test]

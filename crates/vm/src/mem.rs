@@ -11,27 +11,28 @@
 //! layout-preserving variant (Figure 6) and any global state the synthetic
 //! workloads need.
 //!
-//! Both segments are copy-on-write pages.  A fresh segment is *zero*: it
-//! reads from one static all-zero block and owns no allocation, so building
-//! an image — every spawn, snapshot restore and `Process::new` — allocates
-//! nothing.  Cloning a [`Memory`] — which is what `fork()` does — copies a
-//! length for a zero segment and bumps an `Arc` for a written one; a
-//! segment is copied (or, from zero, allocated zeroed) the first time
-//! either side writes to it.  A forked worker that never touches its
-//! globals never pays for them, which is what lets a fleet campaign boot
-//! 10^5 victims without materialising 10^5 address spaces.
+//! A segment is in one of two states.  A *zero* segment reads from one
+//! static all-zero block and owns no allocation, so building an image —
+//! every spawn, snapshot restore and `Process::new` — allocates nothing,
+//! and so does cloning one.  The first write makes a segment *owned*: it
+//! allocates the segment zeroed and from then on remembers the byte range
+//! `written` since.  The invariant is that **an owned segment is zero
+//! outside `written`**, so a segment's contents are its `written` bytes
+//! and nothing else.  A forked worker that never touches its globals never
+//! pays for them, which is what lets a fleet campaign boot 10^5 victims
+//! without materialising 10^5 address spaces.
 //!
-//! A segment copied on write remembers the shared allocation it came from
-//! (or that it came from the zero block) and the byte range written since.
-//! [`Clone::clone_from`] — the refork of a reused worker — uses that: when
-//! the source is still that same allocation, or still zero, only the
-//! written range is copied back or zero-filled, with no allocation and no
-//! reference-count traffic.  A forking server that forks each connection
-//! into one reused worker therefore pays, per connection, for the bytes the
-//! previous connection wrote, not for the whole stack.
+//! Cloning an owned segment — what `fork()` does to a parent that has
+//! written — copies only the `written` range into a zeroed allocation.
+//! [`Clone::clone_from`] — the refork of a reused worker — zero-fills the
+//! worker's own `written` range in place and then, from an owned parent of
+//! the same length, copies the parent's `written` range: it allocates
+//! nothing whether the parent is still zero or has written.  A forking
+//! server that forks each connection into one reused worker therefore
+//! pays, per connection, for the bytes written on either side, not for the
+//! whole stack.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use crate::error::VmError;
 
@@ -48,42 +49,27 @@ pub const DEFAULT_GLOBAL_SIZE: u64 = 64 * 1024;
 /// default segment.  A larger (custom) stack is allocated zeroed instead.
 static ZERO_BLOCK: [u8; DEFAULT_STACK_SIZE as usize] = [0; DEFAULT_STACK_SIZE as usize];
 
-/// One copy-on-write segment of a process image.
-///
-/// A segment is `Zero` until anything writes it: its bytes are the static
-/// [`ZERO_BLOCK`], so creating and cloning it copies a length — no
-/// allocation and no `Arc` traffic.  It is `Shared` while its written bytes
-/// may alias another process (fork children), and `Owned` after its first
-/// write.  The distinction is
-/// what keeps the interpreter's write gateway atomics-free:
-/// `Arc::make_mut` performs a compare-and-swap on the weak count on *every*
-/// call — ~10 ns per guest store even when the segment is long since
-/// unshared — whereas an `Owned` segment hands out `&mut` directly.
-/// [`Pages::share`] converts back to `Shared` so `fork()` stays an `Arc`
-/// bump per segment.
-///
-/// An `Owned` segment keeps the allocation it was copied from as its
-/// `origin` (`None` when it was allocated from `Zero`) and the `dirty`
-/// range written since, which is what lets [`Clone::clone_from`] restore
-/// it from the same origin by copying, or zero-filling, only the dirty
-/// bytes.
+/// One segment of a process image: `Zero` until anything writes it (its
+/// bytes are the static [`ZERO_BLOCK`], so creating and cloning it copies
+/// a length), then `Owned`, zero outside its `written` range.  An owned
+/// segment hands out `&mut` directly, which keeps the interpreter's write
+/// gateway a bounds check and a copy.
 #[derive(Debug)]
 enum Pages {
     Zero(usize),
-    Shared(Arc<Vec<u8>>),
-    Owned { bytes: Vec<u8>, origin: Option<Arc<Vec<u8>>>, dirty: Dirty },
+    Owned { bytes: Vec<u8>, written: Written },
 }
 
-/// The byte range `lo..hi` written since an owned segment was last in sync
-/// with its origin; empty when `lo >= hi`.
+/// The byte range `lo..hi` an owned segment may hold non-zero bytes in;
+/// empty when `lo >= hi`.
 #[derive(Debug, Clone, Copy)]
-struct Dirty {
+struct Written {
     lo: usize,
     hi: usize,
 }
 
-impl Dirty {
-    const CLEAN: Dirty = Dirty { lo: usize::MAX, hi: 0 };
+impl Written {
+    const NONE: Written = Written { lo: usize::MAX, hi: 0 };
 
     #[inline]
     fn mark(&mut self, start: usize, end: usize) {
@@ -91,11 +77,9 @@ impl Dirty {
         self.hi = self.hi.max(end);
     }
 
-    /// The dirty range (empty when clean), leaving the segment clean.
-    fn take(&mut self) -> Range<usize> {
-        let range = self.lo.min(self.hi)..self.hi;
-        *self = Dirty::CLEAN;
-        range
+    /// The written range (empty when nothing is).
+    fn range(self) -> Range<usize> {
+        self.lo.min(self.hi)..self.hi
     }
 }
 
@@ -105,7 +89,7 @@ impl Pages {
         if size <= ZERO_BLOCK.len() {
             Pages::Zero(size)
         } else {
-            Pages::Shared(Arc::new(vec![0u8; size]))
+            Pages::Owned { bytes: vec![0u8; size], written: Written::NONE }
         }
     }
 
@@ -113,89 +97,59 @@ impl Pages {
     fn bytes(&self) -> &[u8] {
         match self {
             Pages::Zero(len) => &ZERO_BLOCK[..*len],
-            Pages::Shared(arc) => arc,
             Pages::Owned { bytes, .. } => bytes,
         }
     }
 
     /// The single write gateway: copies `data` to offset `off` (which the
-    /// caller has bounds-checked) and records the range as dirty.  The
-    /// first write to a `Zero` segment allocates it zeroed, and the first
-    /// write to a `Shared` one copies it (the copy-on-write fault); an
-    /// `Owned` segment is written with no refcount traffic.
+    /// caller has bounds-checked) and widens `written` over it.  The first
+    /// write to a `Zero` segment allocates it zeroed.
     #[inline]
     fn write(&mut self, off: usize, data: &[u8]) {
-        match self {
-            Pages::Owned { .. } => {}
-            Pages::Zero(len) => {
-                *self = Pages::Owned { bytes: vec![0u8; *len], origin: None, dirty: Dirty::CLEAN }
-            }
-            // Move the `Arc` into `origin` rather than cloning it: the copy
-            // costs no refcount update.
-            Pages::Shared(_) => {
-                if let Pages::Shared(origin) = std::mem::replace(self, Pages::Zero(0)) {
-                    let bytes = origin.as_ref().clone();
-                    *self = Pages::Owned { bytes, origin: Some(origin), dirty: Dirty::CLEAN };
-                }
-            }
+        if let Pages::Zero(len) = self {
+            *self = Pages::Owned { bytes: vec![0u8; *len], written: Written::NONE };
         }
-        if let Pages::Owned { bytes, dirty, .. } = self {
+        if let Pages::Owned { bytes, written } = self {
             bytes[off..off + data.len()].copy_from_slice(data);
-            dirty.mark(off, off + data.len());
-        }
-    }
-
-    /// Converts an `Owned` segment back to `Shared` (without copying) so a
-    /// subsequent [`Clone`] is an `Arc` bump.  `fork()` calls this on the
-    /// parent: the child then shares the parent's written frames — the
-    /// §II-B caveat — and the byte copy is deferred to whichever side
-    /// writes first.  A `Zero` segment stays zero.
-    fn share(&mut self) {
-        if let Pages::Owned { bytes, .. } = self {
-            *self = Pages::Shared(Arc::new(std::mem::take(bytes)));
-        }
-    }
-
-    /// Whether both sides read the same bytes without either owning them:
-    /// the same zero-block prefix, or the same shared allocation.
-    fn ptr_eq(&self, other: &Pages) -> bool {
-        match (self, other) {
-            (Pages::Zero(a), Pages::Zero(b)) => a == b,
-            (Pages::Shared(a), Pages::Shared(b)) => Arc::ptr_eq(a, b),
-            _ => false,
+            written.mark(off, off + data.len());
         }
     }
 }
 
 impl Clone for Pages {
+    /// A zero segment copies its length; an owned one copies only its
+    /// `written` range into a zeroed allocation.
     fn clone(&self) -> Self {
         match self {
             Pages::Zero(len) => Pages::Zero(*len),
-            Pages::Shared(arc) => Pages::Shared(Arc::clone(arc)),
-            // Cloning an owned segment has to copy; fork avoids this by
-            // calling `share` on the parent first.
-            Pages::Owned { bytes, .. } => Pages::Shared(Arc::new(bytes.clone())),
+            Pages::Owned { bytes, written } => {
+                let mut copy = vec![0u8; bytes.len()];
+                let range = written.range();
+                copy[range.clone()].copy_from_slice(&bytes[range]);
+                Pages::Owned { bytes: copy, written: *written }
+            }
         }
     }
 
-    /// The refork: when `self` was copied from the very allocation `source`
-    /// shares, only the dirty range is copied back; when it was allocated
-    /// from zero and `source` is still zero, only the dirty range is
-    /// zero-filled — no allocation, no refcount update.  Any other pairing
-    /// falls back to a plain clone.
+    /// The refork: an owned segment zero-fills its own `written` range and,
+    /// from an owned source of the same length, copies the source's
+    /// `written` range — no allocation.  Any other pairing is a plain
+    /// clone.
     fn clone_from(&mut self, source: &Self) {
         match (&mut *self, source) {
-            (Pages::Shared(mine), Pages::Shared(theirs)) if Arc::ptr_eq(mine, theirs) => {}
-            (Pages::Owned { bytes, origin: Some(origin), dirty }, Pages::Shared(theirs))
-                if Arc::ptr_eq(origin, theirs) =>
-            {
-                let range = dirty.take();
-                bytes[range.clone()].copy_from_slice(&theirs[range]);
+            // First: every fleet parent is still zero.
+            (Pages::Owned { bytes, written }, Pages::Zero(len)) if bytes.len() == *len => {
+                bytes[written.range()].fill(0);
+                *written = Written::NONE;
             }
-            (Pages::Owned { bytes, origin: None, dirty }, Pages::Zero(len))
-                if bytes.len() == *len =>
-            {
-                bytes[dirty.take()].fill(0);
+            (
+                Pages::Owned { bytes, written },
+                Pages::Owned { bytes: theirs, written: their_written },
+            ) if bytes.len() == theirs.len() => {
+                bytes[written.range()].fill(0);
+                let range = their_written.range();
+                bytes[range.clone()].copy_from_slice(&theirs[range]);
+                *written = *their_written;
             }
             _ => *self = source.clone(),
         }
@@ -204,20 +158,17 @@ impl Clone for Pages {
 
 /// The memory of one simulated process (stack + globals).
 ///
-/// Cloning a [`Memory`] models `fork()`: the child receives a copy-on-write
-/// image which, for the purposes of canary semantics, behaves as an
-/// independent byte-for-byte copy — crucially *including* the stack frames
-/// that the parent pushed before forking (§II-B, "Caveat").  The clone
-/// itself copies a length per untouched segment and bumps an `Arc` per
-/// written one; the actual byte copy happens lazily on the first write to
-/// each segment (see the private `Pages` state).  A fresh image allocates
-/// nothing: its segments read from one static all-zero block until
-/// written.
+/// Cloning a [`Memory`] models `fork()`: the child receives an independent
+/// byte-for-byte copy — crucially *including* the stack frames that the
+/// parent pushed before forking (§II-B, "Caveat").  The clone copies a
+/// length per untouched segment and only the written range of a written
+/// one.  A fresh image allocates nothing: its segments read from one
+/// static all-zero block until written.
 ///
 /// [`Clone::clone_from`] is the reusing form of the same fork: the result
-/// equals `source.clone()` byte for byte, but a segment that was copied
-/// from the allocation `source` still shares, or allocated from zero while
-/// `source`'s is still zero, gets back only the bytes written since.
+/// equals `source.clone()` byte for byte, but a segment of the same length
+/// that `self` already owns is reused — only the bytes written on either
+/// side are zero-filled and copied.
 #[derive(Debug)]
 pub struct Memory {
     stack: Pages,
@@ -246,8 +197,7 @@ impl Clone for Memory {
 
 impl PartialEq for Memory {
     /// Equality is by *contents*: two images are equal iff their segments
-    /// hold the same bytes, regardless of whether those bytes are shared,
-    /// owned or aliased.
+    /// hold the same bytes, whether those read the zero block or are owned.
     fn eq(&self, other: &Memory) -> bool {
         self.stack_size == other.stack_size
             && self.global_size == other.global_size
@@ -275,25 +225,6 @@ impl Memory {
             globals: Pages::new(DEFAULT_GLOBAL_SIZE as usize),
             global_size: DEFAULT_GLOBAL_SIZE,
         }
-    }
-
-    /// Re-shares any segment this process owns outright, so that a
-    /// subsequent [`Clone`] — i.e. a `fork()` — is an `Arc` bump per
-    /// written segment instead of a byte copy.  The owned bytes are moved,
-    /// not copied; the next write to either side pays the copy-on-write
-    /// fault.  An untouched segment stays on the zero block.
-    pub fn share_pages(&mut self) {
-        self.stack.share();
-        self.globals.share();
-    }
-
-    /// Whether `self` and `other` still share both underlying segments —
-    /// the same allocation, or both still untouched on the zero block —
-    /// i.e. neither side has written since the clone.  A
-    /// diagnostic for the copy-on-write machinery; equality of *contents*
-    /// is what `==` checks.
-    pub fn shares_pages_with(&self, other: &Memory) -> bool {
-        self.stack.ptr_eq(&other.stack) && self.globals.ptr_eq(&other.globals)
     }
 
     /// The highest valid stack address + 1 (initial `rsp`).
@@ -358,7 +289,8 @@ impl Memory {
     }
 
     /// The single write gateway: writes `data` at a resolved offset of the
-    /// touched segment (unsharing that segment, and only that one).
+    /// touched segment (allocating that segment, and only that one, if it
+    /// is still zero).
     #[inline]
     fn write_segment(&mut self, seg: Segment, off: usize, data: &[u8]) {
         match seg {
@@ -395,10 +327,9 @@ impl Memory {
     /// Writes a 64-bit little-endian word.
     ///
     /// Same in-stack fast path as [`Memory::read_u64`], taken only when the
-    /// segment is already unshared (an owned stack is the steady state of a
-    /// running process; the first write after a fork still pays the
-    /// copy-on-write fault in the fallback).  The fast path records its
-    /// dirty range like every other write.
+    /// stack is already owned (the steady state of a running process; the
+    /// first write to a zero stack allocates it in the fallback).  The fast
+    /// path widens the written range like every other write.
     ///
     /// # Errors
     ///
@@ -409,10 +340,10 @@ impl Memory {
         let limit = self.stack_limit();
         if addr >= limit && addr <= STACK_TOP - 8 {
             let off = (addr - limit) as usize;
-            if let Pages::Owned { bytes, dirty, .. } = &mut self.stack {
+            if let Pages::Owned { bytes, written } = &mut self.stack {
                 if let Some(chunk) = bytes.get_mut(off..off + 8) {
                     chunk.copy_from_slice(&value.to_le_bytes());
-                    dirty.mark(off, off + 8);
+                    written.mark(off, off + 8);
                     return Ok(());
                 }
             }
@@ -585,37 +516,27 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_pages_until_first_write() {
-        let parent = Memory::new();
-        let mut child = parent.clone();
-        assert!(parent.shares_pages_with(&child), "a fresh clone copies nothing");
-        // A stack write unshares only the stack segment.
-        child.write_u64(STACK_TOP - 0x80, 7).unwrap();
-        assert!(!parent.shares_pages_with(&child));
-        // The globals page is still the parent's allocation: a second clone
-        // of the parent shares pages with the parent but not the child.
-        assert!(parent.shares_pages_with(&parent.clone()));
-        // Contents stay equal wherever untouched.
-        assert_eq!(parent.read_u64(GLOBAL_BASE).unwrap(), child.read_u64(GLOBAL_BASE).unwrap());
-    }
-
-    #[test]
-    fn refork_from_the_same_origin_copies_back_in_place() {
+    fn refork_from_a_written_parent_copies_in_place() {
         let mut parent = Memory::new();
         parent.write_u64(STACK_TOP - 0x100, 9).unwrap();
-        parent.share_pages();
-        let Pages::Shared(origin) = &parent.stack else { panic!("re-shared images are shared") };
+        // A clone copies only what was written: the untouched globals stay
+        // on the zero block.
         let mut worker = parent.clone();
-        worker.write_u64(STACK_TOP - 0x80, 1).unwrap();
-        let refs = Arc::strong_count(origin);
+        assert_eq!(worker, parent);
+        assert!(matches!(worker.globals, Pages::Zero(_)), "an untouched segment stays zero");
         let allocation = worker.stack.bytes().as_ptr();
         worker.write_u32(STACK_TOP - 0x200, 2).unwrap();
-        worker.write_bytes(STACK_TOP - 0x40, b"dirty").unwrap();
+        worker.write_bytes(STACK_TOP - 0x40, b"written").unwrap();
+        // The parent writes between forks, above and below its own range.
+        parent.write_u64(STACK_TOP - 0x80, 3).unwrap();
+        parent.write_u8(STACK_TOP - 0x400, 4).unwrap();
         worker.clone_from(&parent);
         assert_eq!(worker, parent);
         assert_eq!(worker.stack.bytes().as_ptr(), allocation, "no new allocation");
-        assert_eq!(Arc::strong_count(origin), refs, "no refcount update");
-        assert!(matches!(worker.stack, Pages::Owned { dirty, .. } if dirty.lo >= dirty.hi));
+        let Pages::Owned { bytes, written } = &worker.stack else { panic!("the worker owns") };
+        let (range, size) = (written.range(), DEFAULT_STACK_SIZE as usize);
+        assert_eq!(range, size - 0x400..size - 0x78, "the parent's written range");
+        assert!(bytes[..range.start].iter().chain(&bytes[range.end..]).all(|&b| b == 0));
     }
 
     #[test]
@@ -626,23 +547,11 @@ mod tests {
         worker.write_u64(STACK_TOP - 0x80, 1).unwrap();
         let allocation = worker.stack.bytes().as_ptr();
         worker.write_u32(STACK_TOP - 0x200, 2).unwrap();
-        worker.write_bytes(STACK_TOP - 0x40, b"dirty").unwrap();
+        worker.write_bytes(STACK_TOP - 0x40, b"written").unwrap();
         worker.clone_from(&parent);
         assert_eq!(worker, parent);
         assert_eq!(worker.stack.bytes().as_ptr(), allocation, "no new allocation");
-        assert!(matches!(worker.stack, Pages::Owned { dirty, .. } if dirty.lo >= dirty.hi));
-    }
-
-    #[test]
-    fn refork_after_the_parent_reshared_falls_back_to_a_full_clone() {
-        let mut parent = Memory::new();
-        let mut worker = parent.clone();
-        worker.write_u64(STACK_TOP - 0x80, 1).unwrap();
-        parent.write_u64(STACK_TOP - 0x88, 2).unwrap();
-        parent.share_pages();
-        worker.clone_from(&parent);
-        assert_eq!(worker, parent);
-        assert!(worker.shares_pages_with(&parent), "the fallback is a plain clone");
+        assert!(matches!(worker.stack, Pages::Owned { written, .. } if written.range().is_empty()));
     }
 
     #[test]
@@ -651,8 +560,9 @@ mod tests {
         let mut b = Memory::new();
         a.write_u64(STACK_TOP - 8, 0).unwrap();
         b.write_u64(GLOBAL_BASE, 0).unwrap();
-        assert!(!a.shares_pages_with(&b), "independent images share nothing");
-        assert_eq!(a, b, "but their zeroed contents are equal");
+        assert!(matches!((&a.stack, &b.stack), (Pages::Owned { .. }, Pages::Zero(_))));
+        assert!(matches!((&a.globals, &b.globals), (Pages::Zero(_), Pages::Owned { .. })));
+        assert_eq!(a, b, "one segment owned on each side, but their zeroed contents are equal");
     }
 
     #[test]

@@ -86,8 +86,8 @@ impl Process {
     }
 
     /// A placeholder process that allocates nothing, for a fork to clone
-    /// into: a fresh image and a zeroed TLS block.
-    pub(crate) fn vacant() -> Process {
+    /// into ([`Process::fork_into`]): a fresh image and a zeroed TLS block.
+    pub fn vacant() -> Process {
         Process {
             pid: Pid(0),
             memory: Memory::new(),
@@ -117,15 +117,11 @@ impl Process {
 
     /// [`Process::fork`] into an existing process, reusing its allocations:
     /// whatever `child` was before, it ends up exactly as the child `fork`
-    /// would return.  Re-forking a worker that was last forked from this
-    /// same parent copies back only the memory the worker wrote since (see
+    /// would return.  Re-forking a worker zero-fills only the memory the
+    /// worker wrote and copies only the memory this parent wrote (see
     /// [`Memory`]).
     pub fn fork_into(&mut self, child: &mut Process, child_pid: Pid) {
         self.forks += 1;
-        // Re-share any segment this process owns outright, so the clone
-        // below is an `Arc` bump per segment (kernel COW) even when the
-        // parent has already written its stack.
-        self.memory.share_pages();
         child.clone_from(self);
         child.pid = child_pid;
         child.hwrng = self.hwrng.split();

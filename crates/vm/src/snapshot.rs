@@ -143,7 +143,7 @@ mod tests {
         assert!(Arc::ptr_eq(&snapshot.program, &clone.program));
         let a = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 1).restore(&snapshot);
         let b = Machine::from_snapshot(&clone, Box::new(NoHooks), 2).restore(&clone);
-        assert!(a.memory.shares_pages_with(&b.memory));
+        assert_eq!(a.memory, b.memory);
     }
 
     #[test]
@@ -154,10 +154,10 @@ mod tests {
         assert_eq!(image.stack_top() - image.stack_limit(), 8192);
         let a = image.clone();
         let mut b = image.clone();
-        assert!(a.shares_pages_with(&b));
+        assert_eq!(a, b);
         b.write_u8(b.stack_top() - 1, 0x41).unwrap();
-        assert!(!image.shares_pages_with(&b));
-        assert!(image.shares_pages_with(&a));
+        assert_ne!(*image, b);
+        assert_eq!(*image, a);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use polycanary::attacks::{
 };
 use polycanary::compiler::ir::ModuleDef;
 use polycanary::compiler::{Compiler, OptLevel};
-use polycanary::core::record::Record;
+use polycanary::core::record::{export_envelope, Envelope, Record};
 use polycanary::core::SchemeKind;
 use polycanary::verifier::verify_compiled;
 use polycanary::vm::tls::TLS_SIZE;
@@ -243,8 +243,15 @@ fn spawn_and_restore_allocate_nothing() {
         let before = allocations();
         let restored = machine.restore(&snapshot);
         assert_eq!(allocations() - before, BOOT_ALLOCATIONS, "restore {round}");
-        assert!(spawned.memory.shares_pages_with(&restored.memory));
+        assert!(spawned.memory == restored.memory);
     }
+}
+
+/// A connection's writes to its worker's stack.
+fn serve(worker: &mut Process, round: u64) {
+    let top = worker.memory.stack_top();
+    worker.memory.write_u64(top - 8 * (1 + round), round).expect("in-stack word");
+    worker.memory.write_bytes(top - 0x200, b"request").expect("in-stack bytes");
 }
 
 #[test]
@@ -252,13 +259,8 @@ fn reforking_a_worker_from_an_untouched_parent_allocates_nothing() {
     let snapshot = Snapshot::new(one_function_program(), ExecConfig::default(), 16 * 1024);
     let mut machine = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 5);
     let mut parent = machine.restore(&snapshot);
-    // A connection's writes: the worker's first write allocates its stack,
-    // and from then on each refork zero-fills the written range in place.
-    let serve = |worker: &mut Process, round: u64| {
-        let top = worker.memory.stack_top();
-        worker.memory.write_u64(top - 8 * (1 + round), round).expect("in-stack word");
-        worker.memory.write_bytes(top - 0x200, b"request").expect("in-stack bytes");
-    };
+    // The worker's first write allocates its stack, and from then on each
+    // refork zero-fills the written range in place.
     let mut worker = machine.fork(&mut parent);
     serve(&mut worker, 0);
     for round in 1..5 {
@@ -268,6 +270,30 @@ fn reforking_a_worker_from_an_untouched_parent_allocates_nothing() {
         serve(&mut worker, round);
         assert_eq!(allocations() - before, 0, "refork and serve {round}");
         assert!(clean, "refork {round} restores the parent's image");
+    }
+}
+
+#[test]
+fn reforking_a_worker_from_a_written_parent_allocates_nothing() {
+    let snapshot = Snapshot::new(one_function_program(), ExecConfig::default(), 16 * 1024);
+    let mut machine = Machine::from_snapshot(&snapshot, Box::new(NoHooks), 5);
+    let mut parent = machine.restore(&snapshot);
+    let top = parent.memory.stack_top();
+    // Round 0 warms both sides: the parent's and the worker's first writes
+    // allocate their stacks.  From then on each refork zero-fills what the
+    // worker wrote and copies what the parent wrote, in place.
+    let mut worker = Process::vacant();
+    for round in 0..5u64 {
+        let before = allocations();
+        parent.memory.write_u64(top - 0x100 - 8 * round, round).expect("in-stack word");
+        machine.fork_into(&mut parent, &mut worker);
+        let forked = worker.memory == parent.memory;
+        serve(&mut worker, round);
+        let made = allocations() - before;
+        assert!(forked, "refork {round} copies the parent's image");
+        if round > 0 {
+            assert_eq!(made, 0, "parent write, refork and serve {round}");
+        }
     }
 }
 
@@ -357,4 +383,30 @@ fn a_reuse_report_record_allocates_only_what_it_carries_per_victim() {
     let counts = export_allocations(|| report.record());
     let per_victim = counts.map(|n| n as f64 / VICTIMS as f64);
     assert_eq!(counts, EXPECTED, "build, serialize, parse ({per_victim:.3?} per victim)");
+}
+
+#[test]
+fn an_envelope_moves_what_it_parses() {
+    /// A 512-victim canary-reuse report in its export envelope: validating
+    /// it moves the parsed context, scenario name and records instead of
+    /// copying them.  Its one allocation beyond parsing the text as a bare
+    /// record is the records list turning from values into records, whose
+    /// elements differ in size.
+    const VICTIMS: usize = 512;
+    const BEYOND_PARSE: u64 = 1;
+
+    let report = Campaign::new(AttackKind::Reuse, SchemeKind::Ssp)
+        .with_seed_range(0xE4_0127, VICTIMS)
+        .with_workers(1)
+        .run();
+    let ctx = Record::new().field("seed", 0xE4_0127u64).field("quick", true);
+    let json = export_envelope("canary-reuse", ctx, vec![report.record()]).to_json();
+    let before = allocations();
+    let record = Record::from_json(&json).expect("an export parses");
+    let parsed = allocations() - before;
+    let before = allocations();
+    let envelope = Envelope::from_json(&json).expect("an export is an envelope");
+    let validated = allocations() - before;
+    assert_eq!(validated, parsed + BEYOND_PARSE, "envelope vs bare record ({parsed})");
+    assert_eq!(envelope.to_record(), record);
 }

@@ -2,24 +2,24 @@
 //!
 //! `ForkingServer` forks every connection into one reused worker through
 //! `Clone::clone_from` (`Memory`, `Process`) and `Machine::fork_into`, which
-//! copy back only the bytes the worker wrote since its last fork when the
-//! parent's pages are still the ones the worker was copied from.  These
-//! PRNG-driven properties check that `a.clone_from(&b)` always equals
-//! `b.clone()` and that `fork_into` always equals `fork`, over:
+//! zero-fill only the bytes the worker wrote and copy only the bytes the
+//! parent wrote.  These PRNG-driven properties check that
+//! `a.clone_from(&b)` always equals `b.clone()` and that `fork_into` always
+//! equals `fork`, over:
 //!
 //! * random stack and globals writes of every width (`write_u8`,
 //!   `write_u32`, the `write_u64` fast path and fallback, `write_bytes`),
 //! * writes flush against segment edges and failed partial writes,
 //! * the DCR fork hook, which writes the child's stack,
-//! * parents that themselves write or re-share between forks, so the
-//!   worker's origin no longer matches and the full-copy fallback runs.
+//! * parents that themselves write between forks, so the range copied
+//!   from the parent moves from one refork to the next.
 //!
 //! Both paths could share one error and still agree, so
 //! `memory_matches_a_flat_reference_model` also drives `Memory` against a
 //! plain `Vec<u8>` per segment: every read, fault and equality must match
-//! the model through clones, reforks, re-shares and snapshot restores, from
-//! parents that are untouched (on the zero block), written, or written and
-//! re-shared, and with a stack larger than the zero block.
+//! the model through clones, reforks and snapshot restores, from parents
+//! that are untouched (on the zero block) or written, and with a stack
+//! larger than the zero block.
 
 use polycanary::core::SchemeKind;
 use polycanary::crypto::{Prng, SplitMix64};
@@ -84,17 +84,10 @@ fn scribble(mem: &mut Memory, rng: &mut SplitMix64) {
     }
 }
 
-/// What the parent does between two forks: nothing, write (which unshares
-/// its pages), or write and re-share (new allocations the worker was not
-/// copied from).
+/// What the parent does between two forks: nothing, or write.
 fn parent_step(parent: &mut Memory, rng: &mut SplitMix64) {
-    match rng.next_below(4) {
-        0 => scribble(parent, rng),
-        1 => {
-            scribble(parent, rng);
-            parent.share_pages();
-        }
-        _ => {}
+    if rng.next_below(2) == 0 {
+        scribble(parent, rng);
     }
 }
 
@@ -112,11 +105,6 @@ fn memory_clone_from_equals_clone() {
         };
         for round in 0..12 {
             parent_step(&mut parent, &mut rng);
-            if rng.next_below(2) == 0 {
-                // As `fork` does; without it the parent may be the source
-                // while it owns its pages.
-                parent.share_pages();
-            }
             let pristine = parent.clone();
             slot.clone_from(&parent);
             assert_eq!(slot, pristine, "case {case} round {round}");
@@ -152,9 +140,6 @@ fn process_clone_from_equals_clone() {
         let mut slot = Process::new(Pid(9), rng.next_u64(), STACK * 2);
         for round in 0..8 {
             scramble_process(&mut parent, &mut rng);
-            if rng.next_below(2) == 0 {
-                parent.memory.share_pages();
-            }
             let pristine = parent.clone();
             slot.clone_from(&parent);
             assert_eq!(slot, pristine, "case {case} round {round}");
@@ -387,14 +372,9 @@ fn memory_matches_a_flat_reference_model() {
         let stack = STACKS[case as usize % STACKS.len()];
         let mut parent =
             if case % 2 == 0 { Twin::new(stack) } else { Twin::restored(stack, rng.next_u64()) };
-        // The parent starts untouched, written, or written then re-shared.
-        match case / 2 % 3 {
-            0 => {}
-            1 => parent.scribble(&mut rng),
-            _ => {
-                parent.scribble(&mut rng);
-                parent.mem.share_pages();
-            }
+        // The parent starts untouched or written.
+        if case / 4 % 2 == 1 {
+            parent.scribble(&mut rng);
         }
         parent.assert_matches("parent");
         let other = STACKS[rng.next_below(4) as usize];
@@ -402,31 +382,29 @@ fn memory_matches_a_flat_reference_model() {
         for round in 0..24 {
             let what = format!("case {case} round {round}");
             let w = rng.next_below(workers.len() as u64) as usize;
-            match rng.next_below(10) {
+            // The refork of a reused worker, as `fork_into` does it.
+            let refork = |worker: &mut Twin, parent: &Twin, rng: &mut SplitMix64| {
+                worker.mem.clone_from(&parent.mem);
+                worker.flat.clone_from(&parent.flat);
+                worker.assert_matches(&what);
+                worker.scribble(rng);
+            };
+            match rng.next_below(8) {
                 0 => parent.scribble(&mut rng),
-                1 => parent.mem.share_pages(),
-                2 => {
+                1 => {
+                    // The parent writes between two reforks of one worker.
+                    refork(&mut workers[w], &parent, &mut rng);
                     parent.scribble(&mut rng);
-                    parent.mem.share_pages();
+                    refork(&mut workers[w], &parent, &mut rng);
                 }
-                3 => workers[w] = parent.clone(),
-                4 => {
+                2 => workers[w] = parent.clone(),
+                3 => {
                     let v = rng.next_below(workers.len() as u64) as usize;
                     let source = workers[v].clone();
                     workers[w].mem.clone_from(&source.mem);
                     workers[w].flat.clone_from(&source.flat);
                 }
-                5 => workers[w].mem.share_pages(),
-                _ => {
-                    // The refork of a reused worker, as `fork_into` does it.
-                    if rng.next_below(2) == 0 {
-                        parent.mem.share_pages();
-                    }
-                    workers[w].mem.clone_from(&parent.mem);
-                    workers[w].flat.clone_from(&parent.flat);
-                    workers[w].assert_matches(&what);
-                    workers[w].scribble(&mut rng);
-                }
+                _ => refork(&mut workers[w], &parent, &mut rng),
             }
             for _ in 0..8 {
                 parent.read(&mut rng);

@@ -931,6 +931,110 @@ pub(crate) mod tests {
         assert!(missing.is_empty(), "sample list misses variant ordinal(s) {missing:?}");
     }
 
+    /// `(instruction, encoded_size, cycles)` written out literally: every
+    /// [`samples`] entry, then the boundary forms of each size rule (disp8
+    /// vs disp32 at -128/-129 and 127/128, REX-prefixed push/pop, imm8 vs
+    /// imm32 stack adjustments, operand-independent sizes, a zero-cycle body).
+    #[rustfmt::skip]
+    fn size_and_cycle_table() -> Vec<(Inst, u64, u64)> {
+        use Reg::{Rax, Rbp, Rbx, Rdi, Rdx, Rsp, R12};
+        vec![
+            (Inst::PushReg(Rbp), 1, 1),
+            (Inst::PopReg(Rdi), 1, 1),
+            (Inst::MovRegReg { dst: Rbp, src: Rsp }, 3, 1),
+            (Inst::SubRspImm(0x10), 4, 1),
+            (Inst::AddRspImm(0x200), 7, 1),
+            (Inst::Leave, 1, 2),
+            (Inst::Ret, 1, 2),
+            (Inst::MovTlsToReg { dst: Rax, offset: 0x28 }, 9, 2),
+            (Inst::MovRegToTls { src: Rax, offset: 0x2a8 }, 9, 2),
+            (Inst::MovRegToFrame { src: Rax, offset: -8 }, 4, 1),
+            (Inst::MovFrameToReg { dst: Rax, offset: -8 }, 4, 1),
+            (Inst::MovFrameToReg32 { dst: Rdi, offset: -8 }, 3, 1),
+            (Inst::MovRegToFrame32 { src: Rdi, offset: -8 }, 3, 1),
+            (Inst::MovImmToReg { dst: Rax, imm: 1 }, 10, 1),
+            (Inst::MovImmToFrame { offset: -16, imm: 2 }, 8, 1),
+            (Inst::LeaFrameToReg { dst: Rdi, offset: -64 }, 4, 1),
+            (Inst::MovMemToReg { dst: Rax, base: Rbx, offset: 0 }, 4, 1),
+            (Inst::MovRegToMem { src: Rax, base: Rbx, offset: 0 }, 4, 1),
+            (Inst::XorRegReg { dst: Rdx, src: Rdi }, 3, 1),
+            (Inst::XorTlsReg { dst: Rdx, offset: 0x28 }, 9, 1),
+            (Inst::AddRegReg { dst: Rax, src: Rbx }, 3, 1),
+            (Inst::ShlRegImm { dst: Rdx, amount: 32 }, 4, 1),
+            (Inst::ShrRegImm { dst: Rdi, amount: 32 }, 4, 1),
+            (Inst::OrRegReg { dst: Rax, src: Rdx }, 3, 1),
+            (Inst::CmpFrameReg { reg: Rax, offset: -24 }, 4, 1),
+            (Inst::CmpRegImm { reg: Rax, imm: 0 }, 7, 1),
+            (Inst::TestReg(Rax), 3, 1),
+            (Inst::JeSkip(1), 2, 1),
+            (Inst::JneSkip(2), 2, 1),
+            (Inst::JmpSkip(3), 2, 1),
+            (Inst::CallFn(FuncId(0)), 5, 3),
+            (Inst::CallStackChkFail, 5, 3),
+            (Inst::CallCheckCanary32, 5, 8),
+            (Inst::Nop, 1, 1),
+            (Inst::Rdrand(Rax), 4, 340),
+            (Inst::Rdtsc, 9, 24),
+            (Inst::AesEncryptFrame { nonce: Rax }, 24, 130),
+            (Inst::RecordCanaryAddress { offset: -8 }, 12, 6),
+            (Inst::PopCanaryAddress, 8, 3),
+            (Inst::LinkCanaryPush { offset: -8 }, 14, 9),
+            (Inst::LinkCanaryPop { offset: -8 }, 14, 9),
+            (Inst::CopyInputToFrame { offset: -64 }, 12, 10),
+            (Inst::CopyInputToFrameBounded { offset: -64, max_len: 64 }, 15, 10),
+            (Inst::InputLenToReg(Rax), 5, 2),
+            (Inst::OutputReg(Rax), 8, 4),
+            (Inst::Compute(100), 16, 100),
+            // disp8 ends at -128 and 127 ...
+            (Inst::MovRegToFrame { src: Rax, offset: -128 }, 4, 1),
+            (Inst::MovRegToFrame { src: Rax, offset: 127 }, 4, 1),
+            (Inst::CmpFrameReg { reg: Rax, offset: -128 }, 4, 1),
+            (Inst::CmpFrameReg { reg: Rax, offset: 127 }, 4, 1),
+            // ... and every displacement form widens to disp32 past it.
+            (Inst::MovRegToFrame { src: Rax, offset: -129 }, 7, 1),
+            (Inst::MovRegToFrame { src: Rax, offset: 128 }, 7, 1),
+            (Inst::MovFrameToReg { dst: Rax, offset: -129 }, 7, 1),
+            (Inst::MovFrameToReg { dst: Rax, offset: 128 }, 7, 1),
+            (Inst::MovFrameToReg32 { dst: Rdi, offset: -129 }, 6, 1),
+            (Inst::MovRegToFrame32 { src: Rdi, offset: 128 }, 6, 1),
+            (Inst::MovImmToFrame { offset: -129, imm: 2 }, 11, 1),
+            (Inst::MovImmToFrame { offset: 127, imm: 2 }, 8, 1),
+            (Inst::LeaFrameToReg { dst: Rdi, offset: 128 }, 7, 1),
+            (Inst::LeaFrameToReg { dst: Rdi, offset: -128 }, 4, 1),
+            (Inst::MovMemToReg { dst: Rax, base: Rbx, offset: -129 }, 7, 1),
+            (Inst::MovRegToMem { src: Rax, base: Rbx, offset: 128 }, 7, 1),
+            (Inst::MovRegToMem { src: Rax, base: Rbx, offset: -128 }, 4, 1),
+            (Inst::CmpFrameReg { reg: Rax, offset: -129 }, 7, 1),
+            (Inst::CmpFrameReg { reg: Rax, offset: 128 }, 7, 1),
+            // A REX prefix for %r8-%r15 only.
+            (Inst::PushReg(R12), 2, 1),
+            (Inst::PopReg(Rbp), 1, 1),
+            (Inst::PopReg(R12), 2, 1),
+            // imm8 up to 127, imm32 from 128.
+            (Inst::SubRspImm(127), 4, 1),
+            (Inst::SubRspImm(128), 7, 1),
+            (Inst::AddRspImm(127), 4, 1),
+            (Inst::AddRspImm(128), 7, 1),
+            // Sizes that no operand changes.
+            (Inst::MovRegReg { dst: R12, src: Rsp }, 3, 1),
+            (Inst::RecordCanaryAddress { offset: -0x400 }, 12, 6),
+            (Inst::CopyInputToFrame { offset: -0x400 }, 12, 10),
+            (Inst::CopyInputToFrameBounded { offset: 0x400, max_len: 0x1000 }, 15, 10),
+            (Inst::Compute(0), 16, 0),
+        ]
+    }
+
+    #[test]
+    fn sizes_and_cycles_match_the_literal_table() {
+        let table = size_and_cycle_table();
+        for inst in samples() {
+            assert!(table.iter().any(|(row, ..)| *row == inst), "{inst} is not in the table");
+        }
+        for (inst, size, cycles) in table {
+            assert_eq!((inst.encoded_size(), inst.cycles()), (size, cycles), "{inst}");
+        }
+    }
+
     #[test]
     fn branch_skip_and_fall_through_classification() {
         let flow = |inst: Inst| inst.effects().flow;

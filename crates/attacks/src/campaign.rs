@@ -668,13 +668,6 @@ impl Campaign {
         }
     }
 
-    /// Replaces the victim fleet.
-    #[must_use]
-    pub fn with_population(mut self, population: Population) -> Self {
-        self.population = population;
-        self
-    }
-
     /// Selects the deployment vehicle of every victim (every population
     /// member).
     #[must_use]

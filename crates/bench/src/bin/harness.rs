@@ -105,7 +105,7 @@ fn print_usage() {
          --workers N   cap the worker-thread budget (results never change)\n\
          --fleet N     fleet-scale mode: SPRT campaigns over N snapshot-booted\n\
          \x20             victims per cell (population and server-attack scenarios)\n\
-         --opt-level L compiler optimization level (O0, O1 or O2; default O2) —\n\
+         --opt-level L compiler optimization level (O0 or O2; default O2) —\n\
          \x20             overhead scenarios report O0 plus L as a grid\n\
          --lattice NAME  register the named lattice's generated `gen:NAME:*`\n\
          \x20             scenarios alongside the static registry; with no\n\
@@ -228,7 +228,7 @@ fn main() {
             }
             "--opt-level" => {
                 let Some(value) = iter.next() else {
-                    usage_error("--opt-level requires a value (O0, O1 or O2)");
+                    usage_error("--opt-level requires a value (O0 or O2)");
                 };
                 let opt: OptLevel = value
                     .parse()

@@ -199,13 +199,6 @@ impl ExperimentCtx {
         self
     }
 
-    /// Selects the output medium.
-    #[must_use]
-    pub fn with_format(mut self, format: ExportFormat) -> Self {
-        self.format = format;
-        self
-    }
-
     /// Overrides the SPEC-like program count.
     #[must_use]
     pub fn with_spec_programs(mut self, programs: usize) -> Self {

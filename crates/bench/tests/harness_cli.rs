@@ -53,7 +53,7 @@ const VALUE_FLAGS: &[ValueFlag] = &[
     (&[], "--format", Some(""), Some("xml")),
     (&[], "--out", None, None),
     (&[], "--timings", None, None),
-    (&[], "--opt-level", Some("fast"), Some("O3")),
+    (&[], "--opt-level", Some("fast"), Some("O1")),
     (&[], "--lattice", Some(""), Some("no-such-lattice")),
     (&[], "--gen-seed", Some("7.5"), Some("-1")),
     (&["diff"], "--baseline", None, None),

@@ -41,30 +41,28 @@ use crate::ir::{FunctionDef, Stmt};
 /// Optimization level of the compiler pipeline.
 ///
 /// `O0` is the historical analysis-only pipeline (the default everywhere, so
-/// existing builds and their measured numbers are untouched); `O1` adds the
-/// IR-level cleanups and canary scheduling; `O2` additionally removes dead
-/// frame stores and strength-reduces the canary check against values cached
-/// in otherwise-unused registers.
+/// existing builds and their measured numbers are untouched); `O2` adds the
+/// IR-level cleanups and canary scheduling, removes dead frame stores and
+/// strength-reduces the canary check against values cached in
+/// otherwise-unused registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum OptLevel {
     /// No optimization: analysis passes only.
     #[default]
     O0,
-    /// IR cleanups (constant folding, compute fusion) + canary scheduling.
-    O1,
-    /// `O1` plus dead-store and redundant canary-load elimination.
+    /// IR cleanups (constant folding, compute fusion), dead-store
+    /// elimination, canary scheduling and redundant canary-load elimination.
     O2,
 }
 
 impl OptLevel {
     /// Every level, in ascending order.
-    pub const ALL: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+    pub const ALL: [OptLevel; 2] = [OptLevel::O0, OptLevel::O2];
 
-    /// The canonical label (`"O0"`, `"O1"`, `"O2"`).
+    /// The canonical label (`"O0"`, `"O2"`).
     pub fn label(self) -> &'static str {
         match self {
             OptLevel::O0 => "O0",
-            OptLevel::O1 => "O1",
             OptLevel::O2 => "O2",
         }
     }
@@ -82,9 +80,8 @@ impl std::str::FromStr for OptLevel {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_uppercase().as_str() {
             "O0" | "0" => Ok(OptLevel::O0),
-            "O1" | "1" => Ok(OptLevel::O1),
             "O2" | "2" => Ok(OptLevel::O2),
-            other => Err(format!("unknown opt level `{other}` (expected O0, O1 or O2)")),
+            other => Err(format!("unknown opt level `{other}` (expected O0 or O2)")),
         }
     }
 }
@@ -663,22 +660,18 @@ impl PassManager {
     }
 
     /// The standard pipeline for an optimization level.  `O0` is the
-    /// historical analysis-only pipeline; higher levels insert the transform
-    /// passes between the analyses and the final cost estimation.
+    /// historical analysis-only pipeline; `O2` inserts the transform passes
+    /// between the analyses and the final cost estimation.
     pub fn standard(opt: OptLevel) -> Self {
         let mut pm = Self::new();
         pm.register(Box::new(StackProtectPass));
         pm.register(Box::new(CriticalVariablePass));
-        if opt >= OptLevel::O1 {
+        if opt == OptLevel::O2 {
             pm.register(Box::new(ConstFoldPass));
             pm.register(Box::new(ComputeFusionPass));
-            if opt >= OptLevel::O2 {
-                pm.register(Box::new(DeadStoreElimPass));
-            }
+            pm.register(Box::new(DeadStoreElimPass));
             pm.register(Box::new(CanarySchedulePass));
-            if opt >= OptLevel::O2 {
-                pm.register(Box::new(RedundantCanaryLoadElimPass));
-            }
+            pm.register(Box::new(RedundantCanaryLoadElimPass));
         }
         pm.register(Box::new(CostEstimationPass));
         pm
@@ -785,9 +778,6 @@ mod tests {
                 "cost-estimation",
             ]
         );
-        let o1 = PassManager::standard(OptLevel::O1);
-        assert!(!o1.pass_names().contains(&"redundant-canary-load-elim"));
-        assert!(o1.pass_names().contains(&"canary-schedule"));
     }
 
     #[test]
@@ -802,26 +792,26 @@ mod tests {
             .build();
         let o0 = PassManager::standard(OptLevel::O0).optimize_ir(&func);
         assert!(matches!(o0, Cow::Borrowed(_)), "no O0 pass rewrites IR");
-        for opt in [OptLevel::O1, OptLevel::O2] {
-            let pm = PassManager::standard(opt);
-            let optimized = pm.optimize_ir(&func);
-            let mut expected = func.clone();
-            pm.transform_ir(&mut expected);
-            assert!(matches!(optimized, Cow::Owned(_)), "{opt}");
-            assert_eq!(*optimized, expected, "{opt}");
-            assert_ne!(*optimized, func, "{opt} folds and fuses this body");
-        }
+        let pm = PassManager::standard(OptLevel::O2);
+        let optimized = pm.optimize_ir(&func);
+        let mut expected = func.clone();
+        pm.transform_ir(&mut expected);
+        assert!(matches!(optimized, Cow::Owned(_)));
+        assert_eq!(*optimized, expected);
+        assert_ne!(*optimized, func, "O2 folds and fuses this body");
     }
 
     #[test]
     fn opt_level_parses_and_displays() {
         assert_eq!("O2".parse::<OptLevel>().unwrap(), OptLevel::O2);
-        assert_eq!("o1".parse::<OptLevel>().unwrap(), OptLevel::O1);
+        assert_eq!("o2".parse::<OptLevel>().unwrap(), OptLevel::O2);
         assert_eq!("0".parse::<OptLevel>().unwrap(), OptLevel::O0);
         assert!("O3".parse::<OptLevel>().is_err());
+        assert!("O1".parse::<OptLevel>().is_err() && "1".parse::<OptLevel>().is_err());
         assert_eq!(OptLevel::O2.to_string(), "O2");
         assert_eq!(OptLevel::default(), OptLevel::O0);
-        assert!(OptLevel::O0 < OptLevel::O1 && OptLevel::O1 < OptLevel::O2);
+        assert!(OptLevel::O0 < OptLevel::O2);
+        assert_eq!(OptLevel::ALL, [OptLevel::O0, OptLevel::O2]);
     }
 
     #[test]

@@ -7,18 +7,17 @@
 //! baselines perform, plus a generic [`Inst::Compute`] instruction standing
 //! in for arbitrary function-body work.
 //!
-//! Every instruction has
-//!
-//! * an **encoded size** in bytes approximating its x86-64 encoding — used by
-//!   the code-expansion experiment (Table II) and by the binary rewriter's
-//!   layout-preservation checks (§V-C),
-//! * a **cycle cost** — used by the runtime-overhead experiments (Fig. 5,
-//!   Tables III–V), and
-//! * an **effects description** ([`Inst::effects`]) — the registers it reads
-//!   and writes, its zero-flag, frame-store and input-copy effects and its
-//!   control flow.  The optimizer's canary-load pass and the static verifier
-//!   read this one description instead of keeping tables of their own; it is
-//!   tested against the interpreter, which stays the semantics.
+//! Every instruction has one **description** ([`Inst::effects`]), written in
+//! one match arm per variant: the registers it reads and writes, its
+//! zero-flag, frame-store and input-copy effects and its control flow, its
+//! **cycle cost** ([`Inst::cycles`], used by the runtime-overhead experiments
+//! of Fig. 5 and Tables III–V) and its **encoded size** in bytes approximating
+//! its x86-64 encoding ([`Inst::encoded_size`], used by the code-expansion
+//! experiment of Table II and the binary rewriter's layout-preservation
+//! checks of §V-C).  The interpreter, the program layout, the optimizer and
+//! the static verifier read this one description instead of keeping tables
+//! of their own; its effects are tested against the interpreter, which stays
+//! the semantics.
 
 use std::fmt;
 
@@ -291,147 +290,6 @@ pub enum Inst {
     Compute(u64),
 }
 
-impl Inst {
-    /// Approximate encoded size of the instruction in bytes.
-    ///
-    /// The values follow common x86-64 encodings (REX prefixes for extended
-    /// registers, disp8 vs disp32 forms) closely enough that relative code
-    /// sizes — all that Table II reports — are meaningful.
-    pub fn encoded_size(&self) -> u64 {
-        fn disp_size(offset: i32) -> u64 {
-            if (-128..=127).contains(&offset) {
-                1
-            } else {
-                4
-            }
-        }
-        match self {
-            Inst::PushReg(r) | Inst::PopReg(r) => {
-                if r.is_extended() {
-                    2
-                } else {
-                    1
-                }
-            }
-            Inst::MovRegReg { .. } => 3,
-            Inst::SubRspImm(imm) | Inst::AddRspImm(imm) => {
-                if *imm <= 127 {
-                    4
-                } else {
-                    7
-                }
-            }
-            Inst::Leave => 1,
-            Inst::Ret => 1,
-            Inst::MovTlsToReg { .. } | Inst::MovRegToTls { .. } => 9,
-            Inst::MovRegToFrame { offset, .. } | Inst::MovFrameToReg { offset, .. } => {
-                3 + disp_size(*offset)
-            }
-            Inst::MovFrameToReg32 { offset, .. } | Inst::MovRegToFrame32 { offset, .. } => {
-                2 + disp_size(*offset)
-            }
-            Inst::MovImmToReg { .. } => 10,
-            Inst::MovImmToFrame { offset, .. } => 7 + disp_size(*offset),
-            Inst::LeaFrameToReg { offset, .. } => 3 + disp_size(*offset),
-            Inst::MovMemToReg { offset, .. } | Inst::MovRegToMem { offset, .. } => {
-                3 + disp_size(*offset)
-            }
-            Inst::XorRegReg { .. } => 3,
-            Inst::XorTlsReg { .. } => 9,
-            Inst::AddRegReg { .. } => 3,
-            Inst::ShlRegImm { .. } | Inst::ShrRegImm { .. } => 4,
-            Inst::OrRegReg { .. } => 3,
-            Inst::CmpFrameReg { offset, .. } => 3 + disp_size(*offset),
-            Inst::CmpRegImm { .. } => 7,
-            Inst::TestReg(_) => 3,
-            Inst::JeSkip(_) | Inst::JneSkip(_) | Inst::JmpSkip(_) => 2,
-            Inst::CallFn(_) => 5,
-            Inst::CallStackChkFail => 5,
-            Inst::CallCheckCanary32 => 5,
-            Inst::Nop => 1,
-            Inst::Rdrand(_) => 4,
-            // rdtsc (2) + shl $0x20,%rdx (4) + or %rdx,%rax (3)
-            Inst::Rdtsc => 9,
-            // movq/movhps/movq/punpckhdq/callq sequence of Code 8
-            Inst::AesEncryptFrame { .. } => 24,
-            Inst::RecordCanaryAddress { .. } => 12,
-            Inst::PopCanaryAddress => 8,
-            Inst::LinkCanaryPush { .. } => 14,
-            Inst::LinkCanaryPop { .. } => 14,
-            Inst::CopyInputToFrame { .. } => 12,
-            Inst::CopyInputToFrameBounded { .. } => 15,
-            Inst::InputLenToReg(_) => 5,
-            Inst::OutputReg(_) => 8,
-            Inst::Compute(_) => 16,
-        }
-    }
-
-    /// Static cycle cost of executing the instruction once.
-    ///
-    /// # Cost-model convention
-    ///
-    /// The interpreter's fetch loop charges this static base for **every**
-    /// executed instruction, before the instruction runs.  Instructions
-    /// whose true cost is data-dependent add a *surcharge* on top during
-    /// execution — the base is never subtracted or replaced:
-    ///
-    /// * [`Inst::Rdrand`] — surcharge is the device-reported total minus
-    ///   this base, i.e. the cost of transparent retries; zero when the
-    ///   first draw succeeds, so a clean `rdrand` costs exactly
-    ///   `cost::RDRAND_CYCLES` in total.
-    /// * [`Inst::CopyInputToFrame`] / [`Inst::CopyInputToFrameBounded`] —
-    ///   surcharge is `copied_len / 8 + 1` (one cycle per word moved plus
-    ///   the call overhead), charged before the write so a copy that
-    ///   faults mid-way still paid for the attempt.
-    ///
-    /// `Cpu::run` follows this convention; the totals are pinned by tests
-    /// in `cpu.rs` because these cycles feed every overhead figure the
-    /// campaigns report.
-    pub fn cycles(&self) -> u64 {
-        match self {
-            Inst::PushReg(_) | Inst::PopReg(_) => 1,
-            Inst::MovRegReg { .. } => cost::MOV_CYCLES,
-            Inst::SubRspImm(_) | Inst::AddRspImm(_) => cost::ALU_CYCLES,
-            Inst::Leave => 2,
-            Inst::Ret => 2,
-            Inst::MovTlsToReg { .. } | Inst::MovRegToTls { .. } => 2,
-            Inst::MovRegToFrame { .. }
-            | Inst::MovFrameToReg { .. }
-            | Inst::MovFrameToReg32 { .. }
-            | Inst::MovRegToFrame32 { .. }
-            | Inst::MovImmToFrame { .. }
-            | Inst::MovMemToReg { .. }
-            | Inst::MovRegToMem { .. } => cost::MOV_CYCLES,
-            Inst::MovImmToReg { .. } | Inst::LeaFrameToReg { .. } => cost::MOV_CYCLES,
-            Inst::XorRegReg { .. }
-            | Inst::XorTlsReg { .. }
-            | Inst::AddRegReg { .. }
-            | Inst::ShlRegImm { .. }
-            | Inst::ShrRegImm { .. }
-            | Inst::OrRegReg { .. }
-            | Inst::CmpFrameReg { .. }
-            | Inst::CmpRegImm { .. }
-            | Inst::TestReg(_) => cost::ALU_CYCLES,
-            Inst::JeSkip(_) | Inst::JneSkip(_) | Inst::JmpSkip(_) => 1,
-            Inst::CallFn(_) => 3,
-            Inst::CallStackChkFail => 3,
-            Inst::CallCheckCanary32 => 8,
-            Inst::Nop => 1,
-            Inst::Rdrand(_) => cost::RDRAND_CYCLES,
-            Inst::Rdtsc => cost::RDTSC_CYCLES,
-            Inst::AesEncryptFrame { .. } => cost::AES_BLOCK_CYCLES,
-            Inst::RecordCanaryAddress { .. } => 6,
-            Inst::PopCanaryAddress => 3,
-            Inst::LinkCanaryPush { .. } => 9,
-            Inst::LinkCanaryPop { .. } => 9,
-            Inst::CopyInputToFrame { .. } | Inst::CopyInputToFrameBounded { .. } => 10,
-            Inst::InputLenToReg(_) => 2,
-            Inst::OutputReg(_) => 4,
-            Inst::Compute(cycles) => *cycles,
-        }
-    }
-}
-
 /// How an instruction uses one of its explicit register operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
@@ -469,10 +327,11 @@ impl Flow {
     }
 }
 
-/// What one instruction reads, writes and where control goes next
-/// ([`Inst::effects`]).  It may over-declare an effect but never
-/// under-declares one: `cpu.rs`'s `effects_bound_what_the_interpreter_does`
-/// executes every variant and checks that nothing outside it changes.
+/// The one description of an instruction ([`Inst::effects`]): what it reads
+/// and writes, where control goes next, what it costs and how large it is.
+/// It may over-declare an effect but never under-declares one: `cpu.rs`'s
+/// `effects_bound_what_the_interpreter_does` executes every variant and
+/// checks that nothing outside it changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Effects {
     /// Registers read: explicit operands and implicit ones (`%rbp` of a
@@ -498,15 +357,56 @@ pub struct Effects {
     pub input_copy: Option<i32>,
     /// Where control goes next.
     pub flow: Flow,
+    /// The static cycle cost, [`Inst::cycles`].
+    pub cycles: u64,
+    /// The encoded size in bytes, [`Inst::encoded_size`].
+    pub size: u64,
 }
 
 /// An explicit register operand and how the instruction uses it.
 type Operand<'a> = Option<(&'a mut Reg, Access)>;
 
 impl Inst {
-    /// The instruction's effects: the one description the optimizer and the
-    /// verifier read.  Always inlined, so that each caller keeps only the
-    /// part it reads (the CFG, say, just the flow).
+    /// Approximate encoded size of the instruction in bytes.
+    ///
+    /// The values follow common x86-64 encodings (REX prefixes for extended
+    /// registers, disp8 vs disp32 forms) closely enough that relative code
+    /// sizes — all that Table II reports — are meaningful.
+    #[inline(always)]
+    pub fn encoded_size(&self) -> u64 {
+        self.effects().size
+    }
+
+    /// Static cycle cost of executing the instruction once.
+    ///
+    /// # Cost-model convention
+    ///
+    /// The interpreter's fetch loop charges this static base for **every**
+    /// executed instruction, before the instruction runs.  Instructions
+    /// whose true cost is data-dependent add a *surcharge* on top during
+    /// execution — the base is never subtracted or replaced:
+    ///
+    /// * [`Inst::Rdrand`] — surcharge is the device-reported total minus
+    ///   this base, i.e. the cost of transparent retries; zero when the
+    ///   first draw succeeds, so a clean `rdrand` costs exactly
+    ///   `cost::RDRAND_CYCLES` in total.
+    /// * [`Inst::CopyInputToFrame`] / [`Inst::CopyInputToFrameBounded`] —
+    ///   surcharge is `copied_len / 8 + 1` (one cycle per word moved plus
+    ///   the call overhead), charged before the write so a copy that
+    ///   faults mid-way still paid for the attempt.
+    ///
+    /// `Cpu::run` follows this convention; the totals are pinned by tests
+    /// in `cpu.rs` because these cycles feed every overhead figure the
+    /// campaigns report.
+    #[inline(always)]
+    pub fn cycles(&self) -> u64 {
+        self.effects().cycles
+    }
+
+    /// The instruction's one description, which the interpreter, the
+    /// optimizer, the verifier and the program layout read.  Always inlined,
+    /// so that each caller keeps only the part it reads (the CFG, say, just
+    /// the flow; `Cpu::run` just the cycles).
     #[inline(always)]
     pub fn effects(&self) -> Effects {
         let (mut reads, mut writes, mut updates) = (RegSet::EMPTY, RegSet::EMPTY, RegSet::EMPTY);
@@ -539,9 +439,10 @@ impl Inst {
 
     /// The one exhaustive match behind [`Inst::effects`] and
     /// [`Inst::for_each_operand_mut`]: hands each explicit register operand
-    /// to `operand` and returns the implicit effects.
+    /// to `operand` and returns the implicit effects, the cycles and the size.
     #[inline(always)]
     fn describe(&mut self, mut operand: impl FnMut(&mut Reg, Access)) -> Effects {
+        use cost::{ALU_CYCLES as ALU, MOV_CYCLES as MOV};
         use Access::{Read, ReadWrite, Write};
         const RSP: RegSet = RegSet::of(Reg::Rsp);
         const RBP: RegSet = RegSet::of(Reg::Rbp);
@@ -555,71 +456,101 @@ impl Inst {
         let alu = Effects { sets_zero_flag: true, ..next };
         let store = |offset, width| Effects { frame_store: Some((offset, width)), ..frame };
         let flow = |flow| Effects { flow, ..next };
+        // Encoding bytes: a disp8 or disp32 displacement, a REX prefix for
+        // `%r8`–`%r15`.
+        let disp = |offset: i32| if (-128..=127).contains(&offset) { 1 } else { 4 };
+        let rex = |reg: Reg| u64::from(reg.is_extended());
+        // An instruction without explicit operands, and one with some.
+        let fixed = |effects, cycles, size| Effects { cycles, size, ..effects };
         fn op(reg: &mut Reg, access: Access) -> Operand<'_> {
             Some((reg, access))
         }
-        let mut with = |effects, operands: [Operand<'_>; 2]| {
+        let mut with = |effects, cycles, size, operands: [Operand<'_>; 2]| {
             for (reg, access) in operands.into_iter().flatten() {
                 operand(reg, access);
             }
-            effects
+            fixed(effects, cycles, size)
         };
         match self {
-            Inst::PushReg(r) => with(stack, [op(r, Read), None]),
-            Inst::PopReg(r) => with(stack, [op(r, Write), None]),
-            Inst::SubRspImm(_) | Inst::AddRspImm(_) => stack,
-            // mov %rbp,%rsp; pop %rbp
-            Inst::Leave => implicit(RBP, RSP.union(RBP)),
-            Inst::Ret => Effects { flow: Flow::Return, ..stack },
-            Inst::MovRegReg { dst, src } => with(next, [op(src, Read), op(dst, Write)]),
-            Inst::MovTlsToReg { dst: r, .. }
-            | Inst::MovImmToReg { dst: r, .. }
-            | Inst::Rdrand(r)
-            | Inst::InputLenToReg(r) => with(next, [op(r, Write), None]),
-            Inst::MovRegToTls { src: r, .. } | Inst::OutputReg(r) => {
-                with(next, [op(r, Read), None])
+            Inst::PushReg(r) => with(stack, 1, 1 + rex(*r), [op(r, Read), None]),
+            Inst::PopReg(r) => with(stack, 1, 1 + rex(*r), [op(r, Write), None]),
+            // An imm8 up to 127, an imm32 beyond.
+            Inst::SubRspImm(imm) | Inst::AddRspImm(imm) => {
+                fixed(stack, ALU, if *imm <= 127 { 4 } else { 7 })
             }
-            Inst::MovRegToFrame { src, offset } => with(store(*offset, 8), [op(src, Read), None]),
-            Inst::MovRegToFrame32 { src, offset } => with(store(*offset, 4), [op(src, Read), None]),
-            Inst::MovImmToFrame { offset, .. } => store(*offset, 4),
-            Inst::MovFrameToReg { dst: r, .. }
-            | Inst::MovFrameToReg32 { dst: r, .. }
-            | Inst::LeaFrameToReg { dst: r, .. } => with(frame, [op(r, Write), None]),
-            Inst::MovMemToReg { dst, base, .. } => with(next, [op(base, Read), op(dst, Write)]),
-            Inst::MovRegToMem { src, base, .. } => with(next, [op(src, Read), op(base, Read)]),
+            // mov %rbp,%rsp; pop %rbp
+            Inst::Leave => fixed(implicit(RBP, RSP.union(RBP)), 2, 1),
+            Inst::Ret => fixed(Effects { flow: Flow::Return, ..stack }, 2, 1),
+            Inst::MovRegReg { dst, src } => with(next, MOV, 3, [op(src, Read), op(dst, Write)]),
+            Inst::MovTlsToReg { dst, .. } => with(next, 2, 9, [op(dst, Write), None]),
+            Inst::MovImmToReg { dst, .. } => with(next, MOV, 10, [op(dst, Write), None]),
+            Inst::Rdrand(r) => with(next, cost::RDRAND_CYCLES, 4, [op(r, Write), None]),
+            Inst::InputLenToReg(r) => with(next, 2, 5, [op(r, Write), None]),
+            Inst::MovRegToTls { src, .. } => with(next, 2, 9, [op(src, Read), None]),
+            Inst::OutputReg(r) => with(next, 4, 8, [op(r, Read), None]),
+            Inst::MovRegToFrame { src, offset } => {
+                with(store(*offset, 8), MOV, 3 + disp(*offset), [op(src, Read), None])
+            }
+            Inst::MovRegToFrame32 { src, offset } => {
+                with(store(*offset, 4), MOV, 2 + disp(*offset), [op(src, Read), None])
+            }
+            Inst::MovImmToFrame { offset, .. } => fixed(store(*offset, 4), MOV, 7 + disp(*offset)),
+            Inst::MovFrameToReg { dst, offset } | Inst::LeaFrameToReg { dst, offset } => {
+                with(frame, MOV, 3 + disp(*offset), [op(dst, Write), None])
+            }
+            Inst::MovFrameToReg32 { dst, offset } => {
+                with(frame, MOV, 2 + disp(*offset), [op(dst, Write), None])
+            }
+            Inst::MovMemToReg { dst, base, offset } => {
+                with(next, MOV, 3 + disp(*offset), [op(base, Read), op(dst, Write)])
+            }
+            Inst::MovRegToMem { src, base, offset } => {
+                with(next, MOV, 3 + disp(*offset), [op(src, Read), op(base, Read)])
+            }
             Inst::XorRegReg { dst, src }
             | Inst::AddRegReg { dst, src }
-            | Inst::OrRegReg { dst, src } => with(alu, [op(src, Read), op(dst, ReadWrite)]),
-            Inst::XorTlsReg { dst: r, .. }
-            | Inst::ShlRegImm { dst: r, .. }
-            | Inst::ShrRegImm { dst: r, .. } => with(alu, [op(r, ReadWrite), None]),
-            Inst::CmpFrameReg { reg, .. } => {
-                with(Effects { reads: RBP, ..alu }, [op(reg, Read), None])
+            | Inst::OrRegReg { dst, src } => with(alu, ALU, 3, [op(src, Read), op(dst, ReadWrite)]),
+            Inst::XorTlsReg { dst, .. } => with(alu, ALU, 9, [op(dst, ReadWrite), None]),
+            Inst::ShlRegImm { dst, .. } | Inst::ShrRegImm { dst, .. } => {
+                with(alu, ALU, 4, [op(dst, ReadWrite), None])
             }
-            Inst::CmpRegImm { reg: r, .. } | Inst::TestReg(r) => with(alu, [op(r, Read), None]),
+            Inst::CmpFrameReg { reg, offset } => {
+                with(Effects { reads: RBP, ..alu }, ALU, 3 + disp(*offset), [op(reg, Read), None])
+            }
+            Inst::CmpRegImm { reg, .. } => with(alu, ALU, 7, [op(reg, Read), None]),
+            Inst::TestReg(r) => with(alu, ALU, 3, [op(r, Read), None]),
             Inst::JeSkip(skip) | Inst::JneSkip(skip) => {
-                flow(Flow::Branch { skip: *skip, conditional: true })
+                fixed(flow(Flow::Branch { skip: *skip, conditional: true }), 1, 2)
             }
-            Inst::JmpSkip(skip) => flow(Flow::Branch { skip: *skip, conditional: false }),
-            Inst::CallFn(_) => Effects { flow: Flow::Call, ..implicit(RegSet::ALL, RegSet::ALL) },
-            Inst::CallStackChkFail => flow(Flow::Abort),
+            Inst::JmpSkip(skip) => {
+                fixed(flow(Flow::Branch { skip: *skip, conditional: false }), 1, 2)
+            }
+            Inst::CallFn(_) => {
+                fixed(Effects { flow: Flow::Call, ..implicit(RegSet::ALL, RegSet::ALL) }, 3, 5)
+            }
+            Inst::CallStackChkFail => fixed(flow(Flow::Abort), 3, 5),
             // The packed canary pair travels in `%rdi`.
-            Inst::CallCheckCanary32 => Effects { reads: RegSet::of(Reg::Rdi), ..alu },
-            // rdtsc; shl $0x20,%rdx; or %rdx,%rax: the folded sequence writes
-            // `%rdx` too, though the interpreter only sets `%rax`.
-            Inst::Rdtsc => implicit(RegSet::EMPTY, RAX_RDX),
-            // Encrypts (nonce, the return address at 8(%rbp)) under r12:r13.
+            Inst::CallCheckCanary32 => fixed(Effects { reads: RegSet::of(Reg::Rdi), ..alu }, 8, 5),
+            Inst::Nop => fixed(next, 1, 1),
+            // rdtsc (2) + shl $0x20,%rdx (4) + or %rdx,%rax (3): the folded
+            // sequence writes `%rdx` too, though the interpreter only sets `%rax`.
+            Inst::Rdtsc => fixed(implicit(RegSet::EMPTY, RAX_RDX), cost::RDTSC_CYCLES, 9),
+            // Encrypts (nonce, the return address at 8(%rbp)) under r12:r13;
+            // the movq/movhps/movq/punpckhdq/callq sequence of Code 8.
             Inst::AesEncryptFrame { nonce } => {
-                with(implicit(AES_IN, RAX_RDX), [op(nonce, Read), None])
+                with(implicit(AES_IN, RAX_RDX), cost::AES_BLOCK_CYCLES, 24, [op(nonce, Read), None])
             }
-            Inst::RecordCanaryAddress { .. } | Inst::LinkCanaryPush { .. } => frame,
-            Inst::Nop | Inst::PopCanaryAddress | Inst::LinkCanaryPop { .. } | Inst::Compute(_) => {
-                next
+            Inst::RecordCanaryAddress { .. } => fixed(frame, 6, 12),
+            Inst::PopCanaryAddress => fixed(next, 3, 8),
+            Inst::LinkCanaryPush { .. } => fixed(frame, 9, 14),
+            Inst::LinkCanaryPop { .. } => fixed(next, 9, 14),
+            Inst::CopyInputToFrame { offset } => {
+                fixed(Effects { input_copy: Some(*offset), ..frame }, 10, 12)
             }
-            Inst::CopyInputToFrame { offset } => Effects { input_copy: Some(*offset), ..frame },
             Inst::CopyInputToFrameBounded { offset, max_len } => {
-                Effects { input_copy: Some(*offset), ..store(*offset, *max_len) }
+                fixed(Effects { input_copy: Some(*offset), ..store(*offset, *max_len) }, 10, 15)
             }
+            Inst::Compute(cycles) => fixed(next, *cycles, 16),
         }
     }
 }

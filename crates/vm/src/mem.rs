@@ -238,11 +238,6 @@ impl Memory {
         STACK_TOP - self.stack_size
     }
 
-    /// The base address of the globals segment.
-    pub fn global_base(&self) -> u64 {
-        GLOBAL_BASE
-    }
-
     /// The size in bytes of the globals segment.
     pub fn global_size(&self) -> u64 {
         self.global_size

@@ -111,25 +111,6 @@ fn o0_and_o2_builds_agree_on_every_deployment_cell() {
 }
 
 #[test]
-fn o1_sits_between_the_endpoints_semantically() {
-    // The intermediate level runs a subset of the O2 pipeline; it must obey
-    // the same oracle against both endpoints.
-    let build = Build::Compiler(SchemeKind::Pssp);
-    for case in 0..6u64 {
-        let mut rng = SplitMix64::new(0xA11_0CA7 ^ case);
-        let module = gen_module(&mut rng, true);
-        let seed = rng.next_u64();
-        let (o0, out0) = run(&module, build, OptLevel::O0, seed);
-        let (o1, out1) = run(&module, build, OptLevel::O1, seed);
-        let (o2, out2) = run(&module, build, OptLevel::O2, seed);
-        assert_eq!(o0.exit, o1.exit, "case {case}");
-        assert_eq!(o1.exit, o2.exit, "case {case}");
-        assert_eq!(out0, out1, "case {case}");
-        assert_eq!(out1, out2, "case {case}");
-    }
-}
-
-#[test]
 fn optimization_never_costs_cycles() {
     // Beyond equivalence, the point of the pipeline: on every generated
     // program × vehicle, the O2 build runs at most as many cycles as O0.

@@ -374,7 +374,7 @@ impl Inst {
     /// sizes — all that Table II reports — are meaningful.
     #[inline(always)]
     pub fn encoded_size(&self) -> u64 {
-        self.effects().size
+        self.implicit().size
     }
 
     /// Static cycle cost of executing the instruction once.
@@ -400,13 +400,12 @@ impl Inst {
     /// campaigns report.
     #[inline(always)]
     pub fn cycles(&self) -> u64 {
-        self.effects().cycles
+        self.implicit().cycles
     }
 
-    /// The instruction's one description, which the interpreter, the
-    /// optimizer, the verifier and the program layout read.  Always inlined,
-    /// so that each caller keeps only the part it reads (the CFG, say, just
-    /// the flow; `Cpu::run` just the cycles).
+    /// The instruction's one description, which the optimizer and the
+    /// verifier read.  Always inlined, so that each caller keeps only the
+    /// part it reads (the CFG, say, just the flow).
     #[inline(always)]
     pub fn effects(&self) -> Effects {
         let (mut reads, mut writes, mut updates) = (RegSet::EMPTY, RegSet::EMPTY, RegSet::EMPTY);
@@ -431,15 +430,26 @@ impl Inst {
         }
     }
 
+    /// The description without its explicit operands, for the parts that
+    /// none of them changes (cycles, size): no operand register set is
+    /// built, so the interpreter's per-instruction charge stays one table
+    /// read.
+    #[inline(always)]
+    fn implicit(&self) -> Effects {
+        let mut copy = *self;
+        copy.describe(|_, _| {})
+    }
+
     /// Calls `f` on every explicit register operand with its access, so the
     /// operands can be rewritten in place (e.g. to rename a register).
     pub fn for_each_operand_mut(&mut self, f: impl FnMut(&mut Reg, Access)) {
         self.describe(f);
     }
 
-    /// The one exhaustive match behind [`Inst::effects`] and
-    /// [`Inst::for_each_operand_mut`]: hands each explicit register operand
-    /// to `operand` and returns the implicit effects, the cycles and the size.
+    /// The one exhaustive match behind [`Inst::effects`],
+    /// [`Inst::for_each_operand_mut`], [`Inst::cycles`] and
+    /// [`Inst::encoded_size`]: hands each explicit register operand to
+    /// `operand` and returns the implicit effects, the cycles and the size.
     #[inline(always)]
     fn describe(&mut self, mut operand: impl FnMut(&mut Reg, Access)) -> Effects {
         use cost::{ALU_CYCLES as ALU, MOV_CYCLES as MOV};

@@ -11,6 +11,12 @@
 //!   vs O2 through the machine, measuring the canary-handling cycles the
 //!   optimizer eliminates on the hot call path.
 //!
+//! A third group per scheme times the static verifier alone:
+//!
+//! * `verify/*` — `verify_compiled` of the same build at O0 vs O2, the
+//!   verifier's layer figure (divide by the build's instruction count for
+//!   a per-instruction cost).
+//!
 //! `compile` is the front half followed by the back half; two groups time
 //! each half on its own for the same module:
 //!
@@ -48,6 +54,7 @@ use polycanary_compiler::ir::ModuleDef;
 use polycanary_compiler::OptLevel;
 use polycanary_core::scheme::SchemeKind;
 use polycanary_rewriter::{Build, LinkMode};
+use polycanary_verifier::verify_compiled;
 use polycanary_workloads::spec_suite;
 
 /// The most call-heavy program of the SPEC-like suite (403.gcc-like):
@@ -86,6 +93,11 @@ fn bench(c: &mut Criterion) {
                 .with_opt_level(opt)
                 .compile(&module)
                 .expect("module compiles");
+            group.bench_with_input(
+                BenchmarkId::new(format!("verify/{label}"), opt),
+                &opt,
+                |b, _| b.iter(|| verify_compiled(&compiled)),
+            );
             let mut machine = compiled.into_machine(0xF1EE7);
             let mut worker = machine.spawn();
             worker.set_input(vec![0x5Au8; 16]);

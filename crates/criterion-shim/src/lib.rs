@@ -6,8 +6,9 @@
 //! unchanged and compilable, and still produces useful wall-clock numbers:
 //!
 //! * under `cargo bench` (cargo passes `--bench`) every benchmark runs a
-//!   short warm-up followed by a timed measurement window and reports the
-//!   mean iteration time;
+//!   short warm-up, then splits a timed measurement window into samples of
+//!   equal iteration counts and reports the median iteration time with the
+//!   samples' interquartile range;
 //! * under `cargo test` (no `--bench` argument) every benchmark body runs
 //!   exactly once, acting as a smoke test so bench regressions are caught
 //!   by the tier-1 suite without inflating its runtime.
@@ -80,72 +81,86 @@ impl IntoBenchmarkId for String {
     }
 }
 
+/// The number of samples a measurement window is split into.
+const SAMPLES: u32 = 20;
+
+/// Per-iteration time of one measured benchmark: the median of its samples
+/// and their interquartile range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Summary {
+    median: Duration,
+    q1: Duration,
+    q3: Duration,
+}
+
 /// Timing loop handed to every benchmark closure.
 pub struct Bencher {
     mode: Mode,
     warm_up: Duration,
     measurement: Duration,
-    /// Mean iteration time of the last `iter` call, if measured.
-    last_mean: Option<Duration>,
+    /// The last `iter` call's timing, if measured.
+    last: Option<Summary>,
 }
 
 impl Bencher {
-    /// Runs `routine` repeatedly and records the mean iteration time.
+    /// Runs `routine` repeatedly and records its per-iteration timing.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        match self.mode {
-            Mode::Smoke => {
+        self.measure(|iterations| {
+            let started = Instant::now();
+            for _ in 0..iterations {
                 black_box(routine());
-                self.last_mean = None;
             }
-            Mode::Measure => {
-                let warm_deadline = Instant::now() + self.warm_up;
-                while Instant::now() < warm_deadline {
-                    black_box(routine());
-                }
-                let started = Instant::now();
-                let deadline = started + self.measurement;
-                let mut iterations = 0u64;
-                while iterations == 0 || Instant::now() < deadline {
-                    black_box(routine());
-                    iterations += 1;
-                }
-                self.last_mean = Some(started.elapsed() / iterations.max(1) as u32);
-            }
-        }
+            started.elapsed()
+        });
     }
 
     /// Runs `routine` on a fresh `setup()` input each iteration and records
-    /// the mean time of `routine` alone: building the input and dropping
-    /// the output stay outside the timed window.
+    /// the timing of `routine` alone: building the input and dropping the
+    /// output stay outside the timed window.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        match self.mode {
-            Mode::Smoke => {
-                black_box(routine(setup()));
-                self.last_mean = None;
+        self.measure(|iterations| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iterations {
+                let input = setup();
+                let started = Instant::now();
+                let output = black_box(routine(input));
+                timed += started.elapsed();
+                drop(output);
             }
-            Mode::Measure => {
-                let warm_deadline = Instant::now() + self.warm_up;
-                while Instant::now() < warm_deadline {
-                    black_box(routine(setup()));
-                }
-                let deadline = Instant::now() + self.measurement;
-                let mut timed = Duration::ZERO;
-                let mut iterations = 0u32;
-                while iterations == 0 || Instant::now() < deadline {
-                    let input = setup();
-                    let started = Instant::now();
-                    let output = black_box(routine(input));
-                    timed += started.elapsed();
-                    drop(output);
-                    iterations += 1;
-                }
-                self.last_mean = Some(timed / iterations);
-            }
+            timed
+        });
+    }
+
+    /// Drives `run`, which runs the routine the given number of times and
+    /// returns the time it measured: once in smoke mode; otherwise through
+    /// the warm-up window, then [`SAMPLES`] times with an iteration count
+    /// that fills the measurement window.
+    fn measure(&mut self, mut run: impl FnMut(u32) -> Duration) {
+        self.last = None;
+        if self.mode == Mode::Smoke {
+            run(1);
+            return;
         }
+        // The warm-up's wall time per iteration, setup included, sizes the
+        // samples so that they fill the measurement window.
+        let warm_started = Instant::now();
+        let mut warm_iterations = 0u32;
+        while warm_iterations == 0 || warm_started.elapsed() < self.warm_up {
+            run(1);
+            warm_iterations = warm_iterations.saturating_add(1);
+        }
+        let per_iteration = (warm_started.elapsed() / warm_iterations).max(Duration::from_nanos(1));
+        let per_sample = self.measurement / SAMPLES;
+        let iterations =
+            (per_sample.as_nanos() / per_iteration.as_nanos()).clamp(1, 1 << 24) as u32;
+        let mut times: Vec<Duration> = (0..SAMPLES).map(|_| run(iterations) / iterations).collect();
+        times.sort_unstable();
+        let quantile = |q: usize| times[(times.len() - 1) * q / 4];
+        self.last = Some(Summary { median: quantile(2), q1: quantile(1), q3: quantile(3) });
     }
 }
 
@@ -166,8 +181,8 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; the shim's timing loop is driven by
-    /// wall-clock windows rather than sample counts.
+    /// Accepted for API compatibility; the shim always takes [`SAMPLES`]
+    /// samples.
     pub fn sample_size(&mut self, _samples: usize) -> &mut Self {
         self
     }
@@ -212,12 +227,15 @@ impl BenchmarkGroup<'_> {
             mode: self.criterion.mode,
             warm_up: self.warm_up,
             measurement: self.measurement,
-            last_mean: None,
+            last: None,
         };
         routine(&mut bencher);
-        match (self.criterion.mode, bencher.last_mean) {
-            (Mode::Measure, Some(mean)) => {
-                println!("{}/{:<40} mean {:>12.3?}/iter", self.name, id.name, mean);
+        match (self.criterion.mode, bencher.last) {
+            (Mode::Measure, Some(Summary { median, q1, q3 })) => {
+                println!(
+                    "{}/{:<40} median {:>12.3?}/iter  IQR {:.3?} .. {:.3?}",
+                    self.name, id.name, median, q1, q3
+                );
             }
             (Mode::Measure, None) => {
                 println!("{}/{:<40} (no iterations recorded)", self.name, id.name);
@@ -306,30 +324,27 @@ mod tests {
         assert_eq!(id.name, "byte_by_byte/ssp_falls");
     }
 
+    fn measuring(measurement: Duration) -> Bencher {
+        Bencher { mode: Mode::Measure, warm_up: Duration::from_millis(1), measurement, last: None }
+    }
+
     #[test]
     fn measure_mode_records_a_mean() {
-        let mut bencher = Bencher {
-            mode: Mode::Measure,
-            warm_up: Duration::from_millis(1),
-            measurement: Duration::from_millis(2),
-            last_mean: None,
-        };
+        // Each sample is the mean of its batch; the summary is their
+        // median and quartiles.
+        let mut bencher = measuring(Duration::from_millis(2));
         bencher.iter(|| black_box(1 + 1));
-        assert!(bencher.last_mean.is_some());
+        let summary = bencher.last.expect("measured");
+        assert!(summary.q1 <= summary.median && summary.median <= summary.q3, "{summary:?}");
     }
 
     #[test]
     fn iter_batched_times_the_routine_without_its_setup() {
-        let mut bencher = Bencher {
-            mode: Mode::Measure,
-            warm_up: Duration::from_millis(1),
-            measurement: Duration::from_millis(20),
-            last_mean: None,
-        };
+        let mut bencher = measuring(Duration::from_millis(20));
         let slow_setup = || std::thread::sleep(Duration::from_millis(2));
         bencher.iter_batched(slow_setup, |()| black_box(1 + 1), BatchSize::SmallInput);
-        let mean = bencher.last_mean.expect("measured");
-        assert!(mean < Duration::from_millis(1), "setup leaked into the timing: {mean:?}");
+        let median = bencher.last.expect("measured").median;
+        assert!(median < Duration::from_millis(1), "setup leaked into the timing: {median:?}");
 
         let mut calls = 0u32;
         let mut smoke = Bencher { mode: Mode::Smoke, ..bencher };

@@ -1,7 +1,6 @@
 //! Forward dataflow / abstract interpretation over one function body.
 //!
-//! The pass tracks an abstract frame state per basic block of the
-//! [`crate::cfg::Cfg`]:
+//! The pass tracks an abstract frame state at every instruction:
 //!
 //! * per canary slot, a *may*-set over `{Unset, Stored, Clobbered, Checked}`
 //!   (joins are bitwise unions, so "some path reaches here with the slot
@@ -22,36 +21,39 @@
 //!   the frame.  `cmp %reg,slot` is one only when `%reg` cannot hold a slot
 //!   value: comparing a slot with its own reload proves nothing either.
 //!
-//! Every fact about an instruction — its register writes, zero-flag,
-//! frame-store and input-copy effects and its control flow — comes from its
-//! one effects description, [`Inst::effects`], read once per instruction
-//! visit, and once more while a register may hold a slot value in a
-//! function that compares a slot with a register.
+//! Every fact about an instruction — its register reads and writes, its
+//! zero-flag, frame-store and input-copy effects and its control flow —
+//! comes from its one effects description, [`Inst::effects`], read once per
+//! visited instruction.
 //!
-//! Check semantics follow the interpreter: [`Inst::CallStackChkFail`] aborts
-//! (its block has no successors), so the *taken* edge of a `je +1` guarding
-//! it is exactly the "check passed" path; [`Inst::CallCheckCanary32`] either
-//! aborts or returns with ZF set, so falling through it also proves the
-//! check passed.
+//! Control flow follows the interpreter: a branch at index `i` skipping `n`
+//! instructions leads to `i + 1 + n` when taken, and a target past the end
+//! adds no edge; `jmp` does not fall through, a call does, and `ret` and
+//! [`Inst::CallStackChkFail`] end the path (the latter aborts, so the
+//! *taken* edge of a `je +1` guarding it is exactly the "check passed"
+//! path); [`Inst::CallCheckCanary32`] either aborts or returns with ZF set,
+//! so falling through it also proves the check passed.
 //!
-//! Every branch skips forward, so the blocks in index order are a
-//! topological order of the CFG: one pass in that order reaches the
-//! fixpoint, and four of the five checks are evaluated during it
-//! (*unprotected-buffer*, *unchecked-return*, *clobbered-canary*,
-//! *dead-check*); *rewrite-soundness* is structural and lives in
-//! [`crate::rewrite_check`].
+//! Every branch skips forward, so index order is a topological order: one
+//! walk over the instructions reaches the fixpoint.  At each index the walk
+//! joins in the state that earlier branches left there, runs the transfer
+//! function and hands the result to the taken edge's target.  Four of the
+//! five checks are evaluated during the walk (*unprotected-buffer*,
+//! *unchecked-return*, *clobbered-canary*, and *dead-check* for the check
+//! sites no path reaches, reported after the walk);
+//! *rewrite-soundness* is structural and lives in [`crate::rewrite_check`].
 //!
-//! All per-function state lives in one reusable [`Dataflow`]: the CFG and
-//! the entry state of every block as one flat byte array (one may-set per
-//! block × slot, so the slot count has no cap).  States are updated in
-//! place and joined byte-wise; no edge clones a state.  A caller verifying many functions keeps one
-//! [`Dataflow`] and allocates only for the largest function.
+//! All per-function state lives in one reusable [`Dataflow`]: the running
+//! state, and the states branches left pending at each index as one flat
+//! byte array (one may-set per index × slot, so the slot count has no cap).
+//! States are updated in place and joined byte-wise; no edge clones a
+//! state.  A caller verifying many functions keeps one [`Dataflow`] and
+//! allocates only for the largest function.
 
-use polycanary_vm::inst::{is_abort_guard, Flow, Inst};
+use polycanary_vm::inst::{is_abort_guard, Effects, Flow, Inst};
 use polycanary_vm::reg::{Reg, RegSet};
 use polycanary_vm::tls::TLS_CANARY_OFFSET;
 
-use crate::cfg::Cfg;
 use crate::finding::{CheckKind, Finding};
 use crate::policy::ProtectionPolicy;
 
@@ -100,6 +102,27 @@ impl PathBits {
         loaded: RegSet::EMPTY,
         spilled: false,
     };
+
+    /// The bitwise-union join of two paths' bits.
+    fn join(self, other: PathBits) -> PathBits {
+        PathBits {
+            checked: self.checked | other.checked,
+            flags: self.flags | other.flags,
+            foreign: self.foreign.union(other.foreign),
+            loaded: self.loaded.union(other.loaded),
+            spilled: self.spilled | other.spilled,
+        }
+    }
+}
+
+/// One slot's may-set after a passed epilogue check: a stored canary is now
+/// verified.
+fn checked(bits: u8) -> u8 {
+    if bits & STORED != 0 {
+        (bits & !STORED) | CHECKED
+    } else {
+        bits
+    }
 }
 
 impl AbsState<'_> {
@@ -107,33 +130,10 @@ impl AbsState<'_> {
     /// path through this point is checked.
     fn apply_check(&mut self) {
         for bits in self.slots.iter_mut() {
-            if *bits & STORED != 0 {
-                *bits = (*bits & !STORED) | CHECKED;
-            }
+            *bits = checked(*bits);
         }
         self.bits.checked = CHECKED_YES;
     }
-}
-
-/// Entry state of one block during the fixpoint.
-#[derive(Debug, Clone, Copy)]
-struct BlockEntry {
-    reached: bool,
-    bits: PathBits,
-}
-
-/// Bitwise-union join of `from` into `into`.
-fn join(into: &mut [u8], into_bits: &mut PathBits, from: &[u8], from_bits: PathBits) {
-    for (mine, theirs) in into.iter_mut().zip(from) {
-        *mine |= theirs;
-    }
-    *into_bits = PathBits {
-        checked: into_bits.checked | from_bits.checked,
-        flags: into_bits.flags | from_bits.flags,
-        foreign: into_bits.foreign.union(from_bits.foreign),
-        loaded: into_bits.loaded.union(from_bits.loaded),
-        spilled: into_bits.spilled | from_bits.spilled,
-    };
 }
 
 /// Whether `inst` compares the canary (as opposed to unrelated ALU work),
@@ -165,18 +165,12 @@ fn slot_value_def(inst: &Inst, policy: &ProtectionPolicy, foreign: RegSet) -> Op
     }
 }
 
-/// Updates the may-load bits for `inst`, which writes `writes`.  A
-/// register its explicit operands write may hold a slot value when it loads
-/// a policy slot, reloads memory after a spill, or reads a register that
-/// may hold one.  Implicit results (a call's, or the AES helper's
+/// Updates the may-load bits for `inst`, whose description is `effects`.
+/// A register its explicit operands write may hold a slot value when it
+/// loads a policy slot, reloads memory after a spill, or reads a register
+/// that may hold one.  Implicit results (a call's, or the AES helper's
 /// ciphertext of the nonce) are computed, not loaded, and hold none.
-fn track_loads(inst: &Inst, writes: RegSet, policy: &ProtectionPolicy, bits: &mut PathBits) {
-    let slot_load =
-        matches!(*inst, Inst::MovFrameToReg { offset, .. } if policy.slots.contains(&offset));
-    // Until a slot is loaded no register can hold its value.
-    if !slot_load && bits.loaded == RegSet::EMPTY && !bits.spilled {
-        return;
-    }
+fn track_loads(inst: &Inst, effects: &Effects, policy: &ProtectionPolicy, bits: &mut PathBits) {
     if let Inst::PushReg(src)
     | Inst::MovRegToTls { src, .. }
     | Inst::MovRegToFrame { src, .. }
@@ -185,35 +179,30 @@ fn track_loads(inst: &Inst, writes: RegSet, policy: &ProtectionPolicy, bits: &mu
     {
         bits.spilled |= bits.loaded.contains(src);
     }
-    if writes == RegSet::EMPTY {
-        return;
-    }
-    // The read set, which nothing else here needs, from a second look.
-    let effects = inst.effects();
-    let loads = slot_load
-        || match *inst {
-            Inst::PopReg(_)
-            | Inst::MovTlsToReg { .. }
-            | Inst::MovFrameToReg { .. }
-            | Inst::MovFrameToReg32 { .. }
-            | Inst::MovMemToReg { .. } => bits.spilled,
-            _ => effects.reads.intersects(bits.loaded),
-        };
-    bits.loaded = bits.loaded.difference(writes);
+    let loads = match *inst {
+        Inst::MovFrameToReg { offset, .. } if policy.slots.contains(&offset) => true,
+        Inst::PopReg(_)
+        | Inst::MovTlsToReg { .. }
+        | Inst::MovFrameToReg { .. }
+        | Inst::MovFrameToReg32 { .. }
+        | Inst::MovMemToReg { .. } => bits.spilled,
+        _ => effects.reads.intersects(bits.loaded),
+    };
+    bits.loaded = bits.loaded.difference(effects.writes);
     if loads {
-        bits.loaded = bits.loaded.union(writes.difference(effects.implicit_writes));
+        bits.loaded = bits.loaded.union(effects.writes.difference(effects.implicit_writes));
     }
 }
 
-/// Per-instruction transfer function; findings go to `findings`.
+/// Per-instruction transfer function; findings go to `findings`.  Returns
+/// where control goes next.
 fn transfer(
     state: &mut AbsState<'_>,
     inst: &Inst,
     index: usize,
     policy: &ProtectionPolicy,
-    compares_slots: bool,
     findings: &mut Vec<Finding>,
-) {
+) -> Flow {
     let effects = inst.effects();
     let mut emit = |kind: CheckKind, message: String| {
         findings.push(Finding {
@@ -316,42 +305,40 @@ fn transfer(
     }
 
     // Register provenance: every write makes its register foreign, except
-    // the definition of a slot value.  Only `cmp %reg,slot` reads the
-    // may-load bits, so a function without one does not track them.
+    // the definition of a slot value.
     state.bits.foreign = foreign.union(effects.writes);
     if let Some(reg) = slot_value_def(inst, policy, foreign) {
         state.bits.foreign.remove(reg);
     }
-    if compares_slots {
-        track_loads(inst, effects.writes, policy, &mut state.bits);
-    }
+    track_loads(inst, &effects, policy, &mut state.bits);
+    effects.flow
 }
 
-/// Runs the dataflow pass over `insts` under `policy` and returns every
-/// finding, with `function` filled into each.
-pub fn analyze_function(function: &str, insts: &[Inst], policy: &ProtectionPolicy) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    Dataflow::default().analyze(function, insts, policy, &mut findings);
-    findings
+/// The index the taken edge of a branch at `index` leads to, when it lies
+/// inside a body of `len` instructions.
+fn taken_target(index: usize, flow: Flow, len: usize) -> Option<usize> {
+    let Flow::Branch { skip, .. } = flow else { return None };
+    (index + 1).checked_add(skip).filter(|&target| target < len)
 }
 
 /// The reusable buffers of the dataflow pass (see the module docs).
 #[derive(Debug, Default)]
 pub struct Dataflow {
-    cfg: Cfg,
-    /// Entry slot may-sets of every block, block-major: block `b`'s slots
-    /// are `in_slots[b * slot_count..][..slot_count]`.
-    in_slots: Vec<u8>,
-    in_bits: Vec<BlockEntry>,
-    /// The running state of the block being walked, and its copy along a
-    /// check-passing edge.
+    /// The slot may-sets earlier branches left for each index, index-major:
+    /// index `i`'s slots are `pending_slots[i * slot_count..][..slot_count]`.
+    pending_slots: Vec<u8>,
+    /// The path bits earlier branches left for each index; `None` where no
+    /// branch leads.
+    pending_bits: Vec<Option<PathBits>>,
+    /// The slot may-sets of the running state (all clear where no path
+    /// reaches).
     state: Vec<u8>,
-    edge: Vec<u8>,
 }
 
 impl Dataflow {
     /// Runs the dataflow pass over `insts` under `policy` and appends every
-    /// finding, with `function` filled in, to `findings`.
+    /// finding, with `function` filled in, to `findings`: the transfer's in
+    /// index order, then the dead checks.
     pub fn analyze(
         &mut self,
         function: &str,
@@ -364,82 +351,69 @@ impl Dataflow {
             // (or the scheme maintains no slots, e.g. Native).
             return;
         }
-        let Dataflow { cfg, in_slots, in_bits, state, edge } = self;
+        let Dataflow { pending_slots, pending_bits, state } = self;
         let slot_count = policy.slots.len();
-        let slots_of = |id: usize| id * slot_count..(id + 1) * slot_count;
-
-        cfg.rebuild(insts);
-        let blocks = cfg.blocks();
-        in_slots.clear();
-        in_slots.resize(blocks.len() * slot_count, 0);
-        in_bits.clear();
-        in_bits.resize(blocks.len(), BlockEntry { reached: false, bits: PathBits::ENTRY });
+        pending_slots.clear();
+        pending_slots.resize(insts.len() * slot_count, 0);
+        pending_bits.clear();
+        pending_bits.resize(insts.len(), None);
         state.clear();
-        state.resize(slot_count, 0);
-        edge.clear();
-        edge.resize(slot_count, 0);
+        state.resize(slot_count, UNSET);
 
-        // Every edge leads forward (a skip is never negative), so index
-        // order is a topological order of the blocks: a block's entry state
-        // is final once every lower block has been walked, and one pass in
-        // that order reaches the fixpoint and reports against it.
-        in_slots[slots_of(0)].fill(UNSET);
-        in_bits[0].reached = true;
         let first = findings.len();
-        let compares_slots = insts.iter().any(
-            |inst| matches!(inst, Inst::CmpFrameReg { offset, .. } if policy.slots.contains(offset)),
-        );
-        for id in 0..blocks.len() {
-            if !in_bits[id].reached {
-                continue;
-            }
-            state.copy_from_slice(&in_slots[slots_of(id)]);
-            let mut current = AbsState { slots: state, bits: in_bits[id].bits };
-            for index in blocks[id].range() {
-                transfer(&mut current, &insts[index], index, policy, compares_slots, findings);
-            }
-            let last = blocks[id].end - 1;
-            // The taken edge of a canary-guarded `je +1; __stack_chk_fail`
-            // is the "check passed" path.
-            let guarded_check =
-                is_abort_guard(insts, last) && current.bits.flags & FLAGS_CANARY != 0;
-            let taken_block = blocks[id].taken();
-            for &succ in blocks[id].successors() {
-                debug_assert!(succ > id, "an edge leads back");
-                let (from, from_bits) = if guarded_check && Some(succ) == taken_block {
-                    edge.copy_from_slice(current.slots);
-                    let mut checked = AbsState { slots: edge, bits: current.bits };
-                    checked.apply_check();
-                    let bits = checked.bits;
-                    (&edge[..], bits)
-                } else {
-                    (&current.slots[..], current.bits)
-                };
-                let entry = &mut in_bits[succ];
-                if entry.reached {
-                    join(&mut in_slots[slots_of(succ)], &mut entry.bits, from, from_bits);
-                } else {
-                    in_slots[slots_of(succ)].copy_from_slice(from);
-                    *entry = BlockEntry { reached: true, bits: from_bits };
+        // Check sites no path reaches (none in a clean build, so this
+        // allocates only for a defect).
+        let mut dead = Vec::new();
+        // The path bits of the running state; `None` where no path reaches.
+        let mut running = Some(PathBits::ENTRY);
+        // Every edge leads forward (a skip is never negative), so an index's
+        // state is final once every lower index has been walked.
+        for (index, inst) in insts.iter().enumerate() {
+            if let Some(from) = pending_bits[index] {
+                let from_slots = &pending_slots[index * slot_count..][..slot_count];
+                for (mine, theirs) in state.iter_mut().zip(from_slots) {
+                    *mine |= theirs;
                 }
+                running = Some(running.map_or(from, |bits| bits.join(from)));
             }
+            let Some(bits) = running else {
+                if is_abort_guard(insts, index) || matches!(inst, Inst::CallCheckCanary32) {
+                    dead.push(index);
+                }
+                continue;
+            };
+            let mut current = AbsState { slots: state, bits };
+            let flow = transfer(&mut current, inst, index, policy, findings);
+            let bits = current.bits;
+            if let Some(target) = taken_target(index, flow, insts.len()) {
+                // The taken edge of a canary-guarded `je +1; __stack_chk_fail`
+                // is the "check passed" path.
+                let passed = is_abort_guard(insts, index) && bits.flags & FLAGS_CANARY != 0;
+                let into = &mut pending_slots[target * slot_count..][..slot_count];
+                for (mine, &theirs) in into.iter_mut().zip(state.iter()) {
+                    *mine |= if passed { checked(theirs) } else { theirs };
+                }
+                let edge = if passed { PathBits { checked: CHECKED_YES, ..bits } } else { bits };
+                let entry = &mut pending_bits[target];
+                *entry = Some(entry.map_or(edge, |bits| bits.join(edge)));
+            }
+            running = if flow.falls_through() {
+                Some(bits)
+            } else {
+                state.fill(0);
+                None
+            };
         }
 
-        // Dead checks: epilogue check sites in blocks unreachable from entry.
-        for index in 0..insts.len() {
-            let is_check_site =
-                is_abort_guard(insts, index) || matches!(insts[index], Inst::CallCheckCanary32);
-            if is_check_site && !in_bits[cfg.block_of(index)].reached {
-                findings.push(Finding {
-                    kind: CheckKind::DeadCheck,
-                    function: String::new(),
-                    scheme: policy.scheme.to_string(),
-                    index: Some(index),
-                    message: "epilogue check unreachable from function entry".to_string(),
-                });
-            }
+        for index in dead {
+            findings.push(Finding {
+                kind: CheckKind::DeadCheck,
+                function: String::new(),
+                scheme: policy.scheme.to_string(),
+                index: Some(index),
+                message: "epilogue check unreachable from function entry".to_string(),
+            });
         }
-
         for finding in &mut findings[first..] {
             finding.function = function.to_string();
         }

@@ -2,8 +2,9 @@
 //!
 //! The runtime harness shows that attacks *fail*; this crate shows that the
 //! instrumentation is *present and well-formed* in the first place.  It
-//! builds a control-flow graph over every function body, runs a forward
-//! abstract interpretation tracking each canary slot through
+//! walks every function body once, in index order (every branch skips
+//! forward, so no control-flow graph is needed), as a forward abstract
+//! interpretation tracking each canary slot through
 //! `Unset → Stored → Checked` (with `Clobbered` as the error state), and
 //! emits typed [`Finding`]s for five invariant checks:
 //!
@@ -29,7 +30,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod cfg;
 pub mod dataflow;
 pub mod finding;
 pub mod policy;
@@ -37,7 +37,6 @@ pub mod rewrite_check;
 pub mod selftest;
 pub mod verify;
 
-pub use cfg::{BasicBlock, Cfg};
 pub use finding::{CheckKind, Finding};
 pub use policy::ProtectionPolicy;
 pub use rewrite_check::verify_rewritten;

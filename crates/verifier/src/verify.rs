@@ -1,16 +1,18 @@
-//! Top-level entry points tying CFG, dataflow and policy together.
+//! Top-level entry points tying the dataflow pass and policy together.
 
 use polycanary_compiler::CompiledModule;
 use polycanary_core::scheme::SchemeKind;
 use polycanary_vm::inst::Inst;
 
-use crate::dataflow::{analyze_function, Dataflow};
+use crate::dataflow::Dataflow;
 use crate::finding::Finding;
 use crate::policy::ProtectionPolicy;
 
 /// Verifies one function body against `policy` and returns every finding.
 pub fn verify_function(function: &str, insts: &[Inst], policy: &ProtectionPolicy) -> Vec<Finding> {
-    analyze_function(function, insts, policy)
+    let mut findings = Vec::new();
+    Dataflow::default().analyze(function, insts, policy, &mut findings);
+    findings
 }
 
 /// Verifies every function of a compiled module against the scheme and pass
@@ -149,24 +151,64 @@ mod tests {
         assert!(findings.iter().any(|f| f.kind == CheckKind::UncheckedReturn), "{findings:?}");
     }
 
-    #[test]
-    fn hand_built_ssp_body_is_clean() {
-        // The canonical SSP shape the compiler emits.
-        let insts = vec![
+    /// The canonical SSP shape the compiler emits, with `middle` between the
+    /// buffer write and the epilogue check.
+    fn ssp_body(middle: &[Inst]) -> Vec<Inst> {
+        let mut insts = vec![
             Inst::PushReg(Reg::Rbp),
             Inst::MovRegReg { dst: Reg::Rbp, src: Reg::Rsp },
             Inst::MovTlsToReg { dst: Reg::Rax, offset: TLS_CANARY_OFFSET },
             Inst::MovRegToFrame { src: Reg::Rax, offset: -8 },
             Inst::CopyInputToFrameBounded { offset: -72, max_len: 64 },
+        ];
+        insts.extend_from_slice(middle);
+        insts.extend([
             Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 },
             Inst::XorTlsReg { dst: Reg::Rdx, offset: TLS_CANARY_OFFSET },
             Inst::JeSkip(1),
             Inst::CallStackChkFail,
             Inst::Leave,
             Inst::Ret,
-        ];
+        ]);
+        insts
+    }
+
+    #[test]
+    fn hand_built_ssp_body_is_clean() {
         let policy = ProtectionPolicy::new(SchemeKind::Ssp, true, &[]);
-        assert_eq!(verify_function("f", &insts, &policy), Vec::new());
+        // A call falls through to the check, and a branch past the end of
+        // the body adds no edge.
+        let middles: [&[Inst]; 3] =
+            [&[], &[Inst::CallFn(FuncId(1))], &[Inst::TestReg(Reg::Rcx), Inst::JeSkip(100)]];
+        for middle in middles {
+            assert_eq!(verify_function("f", &ssp_body(middle), &policy), Vec::new(), "{middle:?}");
+        }
+        // An empty body has nothing to verify.
+        assert_eq!(verify_function("f", &[], &policy), Vec::new());
+    }
+
+    #[test]
+    fn a_jump_over_the_check_leaves_it_dead_and_the_return_unchecked() {
+        // `jmp` does not fall through: skipping the four-instruction check
+        // lands on `leave` and leaves the check unreached.  Transfer
+        // findings come first, then dead checks, each in index order.
+        let insts = ssp_body(&[Inst::JmpSkip(4)]);
+        let policy = ProtectionPolicy::new(SchemeKind::Ssp, true, &[]);
+        let findings = verify_function("f", &insts, &policy);
+        let found: Vec<_> = findings.iter().map(|f| (f.kind, f.index)).collect();
+        assert_eq!(
+            found,
+            [(CheckKind::UncheckedReturn, Some(11)), (CheckKind::DeadCheck, Some(8))],
+            "{findings:?}"
+        );
+
+        // One set of buffers reused across bodies reports what fresh ones do.
+        let mut dataflow = Dataflow::default();
+        for insts in [&insts, &ssp_body(&[]), &Vec::new(), &insts] {
+            let mut reused = Vec::new();
+            dataflow.analyze("f", insts, &policy, &mut reused);
+            assert_eq!(reused, verify_function("f", insts, &policy));
+        }
     }
 
     #[test]

@@ -405,7 +405,7 @@ impl Inst {
 
     /// The instruction's one description, which the optimizer and the
     /// verifier read.  Always inlined, so that each caller keeps only the
-    /// part it reads (the CFG, say, just the flow).
+    /// part it reads (an optimizer pass, say, just the writes).
     #[inline(always)]
     pub fn effects(&self) -> Effects {
         let (mut reads, mut writes, mut updates) = (RegSet::EMPTY, RegSet::EMPTY, RegSet::EMPTY);

@@ -56,7 +56,7 @@ pub mod tls;
 pub use cpu::{Cpu, ExecConfig, Exit, RunOutcome, RETURN_SENTINEL};
 pub use error::{Fault, VmError};
 pub use inst::{FuncId, Inst};
-pub use machine::{Machine, NoHooks, RunStats, RuntimeHooks};
+pub use machine::{Machine, NoHooks, RuntimeHooks};
 pub use mem::Memory;
 pub use process::{Pid, Process};
 pub use program::{FunctionBody, FunctionIds, NameHasher, Program};

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use polycanary_crypto::{Prng, SplitMix64};
 
-use crate::cpu::{Cpu, ExecConfig, Exit, RunOutcome};
+use crate::cpu::{Cpu, ExecConfig, RunOutcome};
 use crate::error::VmError;
 use crate::inst::FuncId;
 use crate::mem::DEFAULT_STACK_SIZE;
@@ -240,55 +240,10 @@ impl Machine {
     }
 }
 
-/// Summary statistics over a set of run outcomes, used by the workload and
-/// benchmark crates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunStats {
-    /// Number of runs that exited normally.
-    pub normal: u64,
-    /// Number of runs ending in canary detection.
-    pub detected: u64,
-    /// Number of runs ending in control-flow hijack.
-    pub hijacked: u64,
-    /// Number of runs ending in any other fault.
-    pub other_faults: u64,
-    /// Total cycles across all runs.
-    pub total_cycles: u64,
-    /// Total instructions across all runs.
-    pub total_instructions: u64,
-}
-
-impl RunStats {
-    /// Accumulates one outcome.
-    pub fn record(&mut self, outcome: &RunOutcome) {
-        match &outcome.exit {
-            Exit::Normal(_) => self.normal += 1,
-            Exit::Fault(f) if f.is_detection() => self.detected += 1,
-            Exit::Fault(f) if f.is_hijack() => self.hijacked += 1,
-            Exit::Fault(_) => self.other_faults += 1,
-        }
-        self.total_cycles += outcome.cycles;
-        self.total_instructions += outcome.instructions;
-    }
-
-    /// Total number of recorded runs.
-    pub fn runs(&self) -> u64 {
-        self.normal + self.detected + self.hijacked + self.other_faults
-    }
-
-    /// Mean cycles per run (0 if no runs were recorded).
-    pub fn mean_cycles(&self) -> f64 {
-        if self.runs() == 0 {
-            0.0
-        } else {
-            self.total_cycles as f64 / self.runs() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::Exit;
     use crate::inst::Inst;
     use crate::reg::Reg;
 
@@ -441,26 +396,5 @@ mod tests {
         b.memory.write_u8(b.memory.stack_top() - 1, 0x41).unwrap();
         assert_ne!(a.memory, b.memory);
         assert_eq!(a.memory, booted.restore(&snapshot).memory);
-    }
-
-    #[test]
-    fn run_stats_classify_outcomes() {
-        let mut stats = RunStats::default();
-        stats.record(&RunOutcome { exit: Exit::Normal(0), cycles: 100, instructions: 10 });
-        stats.record(&RunOutcome {
-            exit: Exit::Fault(crate::error::Fault::CanaryViolation { function: "f".into() }),
-            cycles: 50,
-            instructions: 5,
-        });
-        stats.record(&RunOutcome {
-            exit: Exit::Fault(crate::error::Fault::ControlFlowHijacked { addr: 1 }),
-            cycles: 50,
-            instructions: 5,
-        });
-        assert_eq!(stats.runs(), 3);
-        assert_eq!(stats.normal, 1);
-        assert_eq!(stats.detected, 1);
-        assert_eq!(stats.hijacked, 1);
-        assert!((stats.mean_cycles() - 200.0 / 3.0).abs() < 1e-9);
     }
 }

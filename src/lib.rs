@@ -19,7 +19,7 @@
 //! | [`attacks`] | `polycanary-attacks` | forking-server victim, byte-by-byte / exhaustive / canary-reuse attacks, campaigns |
 //! | [`workloads`] | `polycanary-workloads` | SPEC-like, web-server and database workloads |
 //! | [`analysis`] | `polycanary-analysis` | cross-run trend tracking: load/diff/report over export envelopes |
-//! | [`verifier`] | `polycanary-verifier` | static CFG + dataflow proof of canary invariants |
+//! | [`verifier`] | `polycanary-verifier` | static dataflow proof of canary invariants |
 //!
 //! # Quickstart
 //!

@@ -5,8 +5,8 @@
 //! prepared front half per opt level, then verifies each build, so these
 //! two calls are where a sweep's per-function bookkeeping lands.  The back
 //! half shares the module's interned names and every unprotected function's
-//! body instead of copying them; the verifier reuses one set of CFG and
-//! dataflow buffers across a module's functions.  These tests pin both.
+//! body instead of copying them; the verifier reuses one set of dataflow
+//! buffers across a module's functions.  These tests pin both.
 //!
 //! The VM's memory image is pinned too: an untouched segment reads from a
 //! static zero block and the TLS block is inline, so building an image,

@@ -90,10 +90,21 @@ fn an_epilogue_comparing_the_slot_with_its_own_reload_is_flagged_and_hijackable(
     );
 
     // `mov -0x8(%rbp),%reg` before the compare makes it compare the slot
-    // with itself; so does the reload passed through an ALU operation that
-    // keeps it, or saved on the stack across a clobber.
-    let reloads: [fn(Reg) -> Vec<Inst>; 3] = [
+    // with itself; so does the reload copied in from another register,
+    // passed through an ALU operation that keeps it, or saved across a
+    // clobber: pushed on the stack, spilled to the frame's padding below
+    // the buffer (`-0x50(%rbp)`, also `0(%rsp)`), or to an unused TLS word.
+    let frame = clean.frame("handle_request").expect("victim has handle_request");
+    assert_eq!(frame.info.frame_size, 80, "8 bytes of padding below the buffer");
+    assert_eq!(*frame.local_offsets, [-72]);
+    let reloads: [fn(Reg) -> Vec<Inst>; 7] = [
         |reg| vec![Inst::MovFrameToReg { dst: reg, offset: -8 }],
+        |reg| {
+            vec![
+                Inst::MovFrameToReg { dst: Reg::Rdx, offset: -8 },
+                Inst::MovRegReg { dst: reg, src: Reg::Rdx },
+            ]
+        },
         |reg| {
             vec![
                 Inst::MovFrameToReg { dst: reg, offset: -8 },
@@ -106,6 +117,30 @@ fn an_epilogue_comparing_the_slot_with_its_own_reload_is_flagged_and_hijackable(
                 Inst::PushReg(reg),
                 Inst::MovImmToReg { dst: reg, imm: 0 },
                 Inst::PopReg(reg),
+            ]
+        },
+        |reg| {
+            vec![
+                Inst::MovFrameToReg { dst: reg, offset: -8 },
+                Inst::MovRegToFrame { src: reg, offset: -80 },
+                Inst::MovImmToReg { dst: reg, imm: 0 },
+                Inst::MovFrameToReg { dst: reg, offset: -80 },
+            ]
+        },
+        |reg| {
+            vec![
+                Inst::MovFrameToReg { dst: reg, offset: -8 },
+                Inst::MovRegToMem { src: reg, base: Reg::Rsp, offset: 0 },
+                Inst::MovImmToReg { dst: reg, imm: 0 },
+                Inst::MovMemToReg { dst: reg, base: Reg::Rsp, offset: 0 },
+            ]
+        },
+        |reg| {
+            vec![
+                Inst::MovFrameToReg { dst: reg, offset: -8 },
+                Inst::MovRegToTls { src: reg, offset: 0x300 },
+                Inst::MovImmToReg { dst: reg, imm: 0 },
+                Inst::MovTlsToReg { dst: reg, offset: 0x300 },
             ]
         },
     ];
